@@ -104,6 +104,7 @@ def _solve_one(inst: Instance, cfg: MscraConfig, nu_factor: float) -> dict:
         "stages": result.stages,
         "stop_reason": result.stop_reason,
         "converged": result.converged,
+        "inner_failures": result.inner_failures,
         "time": elapsed,
         "nu": result.nu,
     }
@@ -222,7 +223,19 @@ def cmd_solve(args) -> int:
         writer.writeheader()
         writer.writerow(row)
     print(json.dumps(row, default=str))
-    return 0 if result.converged else 1
+    if not result.converged:
+        print(f"not converged: {_failure_reason(result)}", file=sys.stderr)
+        return 1
+    return 0
+
+
+def _failure_reason(result) -> str:
+    reasons = []
+    if result.stop_reason == "max_stages":
+        reasons.append(f"no stopping rule fired in {result.stages} stages")
+    if result.inner_failures:
+        reasons.append(f"{result.inner_failures} of {result.stages} stage ALM solves hit max_outer")
+    return "; ".join(reasons)
 
 
 def cmd_bench(args) -> int:
@@ -242,7 +255,7 @@ def cmd_bench(args) -> int:
     fields = ["signal", "beta", "n", "rep", "seed", "plan_hash", "error"]
     for mode in ("gep", "stage1"):
         fields += [f"{mode}_relerr", f"{mode}_group_sparsity", f"{mode}_time",
-                   f"{mode}_stages", f"{mode}_exact_support"]
+                   f"{mode}_stages", f"{mode}_exact_support", f"{mode}_inner_failures"]
     with open(out / "bench.csv", "w", newline="") as fh:
         writer = csv.DictWriter(fh, fieldnames=fields, extrasaction="ignore")
         writer.writeheader()
@@ -251,7 +264,8 @@ def cmd_bench(args) -> int:
             flat["plan_hash"] = plan_hash
             for mode in ("gep", "stage1"):
                 if mode in row:
-                    for key in ("relerr", "group_sparsity", "time", "stages", "exact_support"):
+                    for key in ("relerr", "group_sparsity", "time", "stages", "exact_support",
+                                "inner_failures"):
                         flat[f"{mode}_{key}"] = row[mode].get(key)
             writer.writerow(flat)
 

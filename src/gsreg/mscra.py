@@ -73,15 +73,29 @@ class StageTrace:
 
 @dataclass
 class MscraResult:
+    """Final iterate and stage traces.
+
+    ``converged`` holds only when a stopping rule fired and every stage's
+    ALM solve met its own tolerance (``inner_failures == 0``).
+    """
+
     x: np.ndarray
     traces: list
     stop_reason: str
-    converged: bool
     nu: float
 
     @property
     def stages(self) -> int:
         return len(self.traces)
+
+    @property
+    def inner_failures(self) -> int:
+        """Number of stages whose ALM solve stopped without converging."""
+        return sum(not t.inner_stats.converged for t in self.traces)
+
+    @property
+    def converged(self) -> bool:
+        return self.stop_reason != "max_stages" and self.inner_failures == 0
 
 
 def default_nu(A, b, n: int | None = None, factor: float = 0.1) -> float:
@@ -153,7 +167,6 @@ def run(A, b, g: GroupStructure, box: BoxConstraint,
     traces: list[StageTrace] = []
     x = np.zeros(g.p)
     stop_reason = "max_stages"
-    converged = False
 
     for k in range(1, cfg.max_stages + 1):
         tol = subproblem_tolerance(tol, cfg)
@@ -168,7 +181,8 @@ def run(A, b, g: GroupStructure, box: BoxConstraint,
 
         if np.max(group_norms(x, g)) == 0.0:
             traces.append(StageTrace(k, x, w.copy(), rho or 0.0, lam, loss, eq, 0, stats))
-            return MscraResult(x, traces, "degenerate_zero", True, nu)
+            stop_reason = "degenerate_zero"
+            break
 
         if cfg.static_rho is None:
             rho = rho_schedule(k, x, rho, g, cfg.rho_cap_numerator)
@@ -180,8 +194,7 @@ def run(A, b, g: GroupStructure, box: BoxConstraint,
         reason = stopping_check(trace, traces[-2] if len(traces) > 1 else None, cfg)
         if reason is not None:
             stop_reason = reason
-            converged = True
             break
         w = w_new
 
-    return MscraResult(x, traces, stop_reason, converged, nu)
+    return MscraResult(x, traces, stop_reason, nu)

@@ -11,22 +11,20 @@ from __future__ import annotations
 
 import numpy as np
 
-from .wl21 import SubproblemSpec
+from .groups import group_norms
 from .penalties import spectral_norm
+from .wl21 import SubproblemSpec
 
 
 def block_soft_threshold(z, g, thresholds) -> np.ndarray:
     """Groupwise shrinkage: prox of ``sum_i thresholds_i ||x_Ji||``."""
     z = np.asarray(z, dtype=float)
-    out = z.copy()
-    for i, idx in enumerate(g.groups):
-        nrm = np.linalg.norm(z[idx])
-        t = thresholds[i]
-        if nrm <= t:
-            out[idx] = 0.0
-        elif t > 0:
-            out[idx] = z[idx] * (1.0 - t / nrm)
-    return out
+    t = np.asarray(thresholds, dtype=float)
+    nrm = group_norms(z, g)
+    keep = nrm > t
+    scale = np.zeros(g.m)
+    scale[keep] = 1.0 - np.maximum(t[keep], 0.0) / nrm[keep]
+    return z * g.broadcast(scale)
 
 
 def fista_reference(spec: SubproblemSpec, grad_map_tol: float = 1e-8,
@@ -55,7 +53,7 @@ def fista_reference(spec: SubproblemSpec, grad_map_tol: float = 1e-8,
             x = x_new
             break
         r = A @ x_new - b
-        f = 0.5 * (r @ r) + float(omega @ [np.linalg.norm(x_new[idx]) for idx in g.groups])
+        f = 0.5 * (r @ r) + float(omega @ group_norms(x_new, g))
         if f > f_prev:  # function restart keeps the momentum honest
             y = x
             t = 1.0

@@ -137,6 +137,7 @@ class SolveStats:
     wall_time: float = 0.0
     history: list = field(default_factory=list)
     sncg_fallbacks: int = 0
+    sncg_backtracks: int = 0
 
     def to_dict(self) -> dict:
         return {
@@ -149,6 +150,8 @@ class SolveStats:
             "eps_dinf": self.eps_dinf,
             "eps_gap": self.eps_gap,
             "wall_time": self.wall_time,
+            "sncg_fallbacks": self.sncg_fallbacks,
+            "sncg_backtracks": self.sncg_backtracks,
             "history": self.history,
         }
 
@@ -177,12 +180,11 @@ def project_group_balls(y, g: GroupStructure, omega) -> np.ndarray:
     """Projection onto the product of group balls of radii ``omega``."""
     y = np.asarray(y, dtype=float)
     omega = np.asarray(omega, dtype=float)
-    out = y.copy()
-    for i, idx in enumerate(g.groups):
-        nrm = np.linalg.norm(y[idx])
-        if nrm > omega[i]:
-            out[idx] = y[idx] * (omega[i] / nrm) if omega[i] > 0 else 0.0
-    return out
+    nrm = group_norms(y, g)
+    outside = nrm > omega
+    scale = np.ones(g.m)
+    scale[outside] = omega[outside] / nrm[outside]
+    return y * g.broadcast(scale)
 
 
 def clarke_block(y_i, omega_i: float) -> np.ndarray:
@@ -253,26 +255,42 @@ def phi_kj_grad(xi, eta, state: DualState, spec: SubproblemSpec) -> np.ndarray:
     return spec.b + xi + state.sigma * (spec.A @ (y - project_group_balls(y, spec.g, spec.omega)))
 
 
+def hessian_operator(xi, eta, state: DualState, spec: SubproblemSpec):
+    """The generalized Hessian ``d -> (I + sigma A (I - W) A^T) d`` at ``xi``.
+
+    On group i, ``I - W_i`` is the identity when ``omega_i = 0``, zero
+    inside or on the ball, and ``a_i I + c_i y_i y_i^T`` with
+    ``a_i = 1 - omega_i/||y_i||``, ``c_i = omega_i/||y_i||^3`` outside.
+    Only the columns ``J`` of groups where it is nonzero enter, so each
+    application costs two products with ``A_J`` instead of ``A``.
+    """
+    y = spec.A.T @ np.asarray(xi, dtype=float) + eta + state.x / state.sigma
+    omega = spec.omega
+    nrm = group_norms(y, spec.g)
+    outside = nrm > omega
+    active = outside | (omega == 0.0)
+    scale = np.zeros(spec.g.m)  # omega_i / ||y_i||; stays 0 where omega = 0, so a = 1, c = 0
+    scale[outside] = omega[outside] / nrm[outside]
+    curv = np.zeros(spec.g.m)
+    curv[outside] = scale[outside] / nrm[outside] ** 2
+    cols, starts, seg = spec.g.segments(active)
+    A_J = spec.A if cols.size == spec.p and spec.g.perm is None else spec.A[:, cols]
+    y_J = y[cols]
+    a_J = (1.0 - scale[active])[seg]
+    cy_J = curv[active][seg] * y_J
+    sigma = state.sigma
+
+    def apply(d):
+        v = A_J.T @ d
+        u = a_J * v + cy_J * np.add.reduceat(y_J * v, starts)[seg]
+        return d + sigma * (A_J @ u)
+
+    return apply
+
+
 def gen_hessian_apply(d, xi, eta, state: DualState, spec: SubproblemSpec) -> np.ndarray:
     """Apply one generalized Hessian ``I + sigma A (I - W) A^T`` without forming it."""
-    d = np.asarray(d, dtype=float)
-    xi = np.asarray(xi, dtype=float)
-    y = spec.A.T @ xi + eta + state.x / state.sigma
-    v = spec.A.T @ d
-    u = np.zeros(spec.p)
-    for i, idx in enumerate(spec.g.groups):
-        w_i = spec.omega[i]
-        if w_i == 0.0:
-            u[idx] = v[idx]  # W = 0, so I - W = I
-            continue
-        y_i = y[idx]
-        nrm = np.linalg.norm(y_i)
-        if nrm > w_i:
-            # (I - W) v = (1 - w/||y||) v + (w/||y||^3) y (y^T v)
-            scale = w_i / nrm
-            u[idx] = (1.0 - scale) * v[idx] + (scale / nrm**2) * y_i * (y_i @ v[idx])
-        # inside or on the boundary: W = I, contribution zero
-    return d + state.sigma * (spec.A @ u)
+    return hessian_operator(xi, eta, state, spec)(np.asarray(d, dtype=float))
 
 
 def _cg(apply_v, rhs, tol: float, max_iter: int):
@@ -315,9 +333,8 @@ def sncg_solve(eta, state: DualState, spec: SubproblemSpec, cfg: SncgConfig,
         return xi, stats
     f = phi_kj_value(xi, eta, state, spec)
     for _ in range(cfg.max_iter):
-        apply_v = lambda v: gen_hessian_apply(v, xi, eta, state, spec)
         cg_tol = min(cfg.theta_bar, gnorm ** (1.0 + cfg.tau))
-        d, resid, cg_it = _cg(apply_v, -g, cg_tol, cfg.cg_max)
+        d, resid, cg_it = _cg(hessian_operator(xi, eta, state, spec), -g, cg_tol, cfg.cg_max)
         stats["cg_iters"] += cg_it
         slope = g @ d
         if slope >= 0 or not np.all(np.isfinite(d)):
@@ -364,7 +381,7 @@ def abcd_solve(state: DualState, spec: SubproblemSpec, cfg: AbcdConfig,
     xi_t, zeta_t = xi_prev.copy(), zeta_prev.copy()
     t_mom = 1.0
     L_prev = np.inf
-    stats = {"iters": 0, "sncg_iters": 0, "cg_iters": 0, "fallbacks": 0}
+    stats = {"iters": 0, "sncg_iters": 0, "cg_iters": 0, "fallbacks": 0, "backtracks": 0}
     eta_k = state.eta.copy()
     xi_k, zeta_k = xi_prev, zeta_prev
     pinf_vec = np.zeros(spec.p)
@@ -379,18 +396,19 @@ def abcd_solve(state: DualState, spec: SubproblemSpec, cfg: AbcdConfig,
         work.eta, work.xi, work.zeta = eta, xi, zeta
         return eta, xi, zeta, lagrangian_value(work, spec), s
 
+    def tally(s):
+        stats["sncg_iters"] += s["iters"]
+        for key in ("cg_iters", "fallbacks", "backtracks"):
+            stats[key] += s[key]
+
     for _ in range(cfg.max_iter):
         eta_k, xi_k, zeta_k, L, s = sweep(xi_t, zeta_t)
-        stats["sncg_iters"] += s["iters"]
-        stats["cg_iters"] += s["cg_iters"]
-        stats["fallbacks"] += s["fallbacks"]
+        tally(s)
         if L > L_prev:
             # momentum overshoot: redo the sweep from the last accepted
             # iterate (plain block descent is monotone) and reset momentum
             eta_k, xi_k, zeta_k, L, s = sweep(xi_prev.copy(), zeta_prev.copy())
-            stats["sncg_iters"] += s["iters"]
-            stats["cg_iters"] += s["cg_iters"]
-            stats["fallbacks"] += s["fallbacks"]
+            tally(s)
             t_mom = 1.0
             xi_t, zeta_t = xi_prev.copy(), zeta_prev.copy()
         stats["iters"] += 1
@@ -456,7 +474,6 @@ def alm_solve(spec: SubproblemSpec, cfg: AlmConfig | None = None,
     sncg_tol = max(1e-11, 1e-3 * cfg.tol * (1.0 + np.linalg.norm(spec.b)))
     bnorm = 1.0 + np.linalg.norm(spec.b)
     pinf_target = 0.5 * cfg.tol * bnorm
-    gap_prev = np.inf
     for j in range(cfg.max_outer):
         eta, xi, zeta, pinf_vec, a_stats = abcd_solve(
             state, spec, cfg.abcd, cfg.sncg, inner_tol, sncg_tol, pinf_target
@@ -478,6 +495,7 @@ def alm_solve(spec: SubproblemSpec, cfg: AlmConfig | None = None,
         stats.sncg_iters += a_stats["sncg_iters"]
         stats.cg_iters += a_stats["cg_iters"]
         stats.sncg_fallbacks += a_stats["fallbacks"]
+        stats.sncg_backtracks += a_stats["backtracks"]
         stats.eps_pinf, stats.eps_dinf, stats.eps_gap = eps_pinf, eps_dinf, eps_gap
         stats.history.append(
             {
@@ -493,10 +511,6 @@ def alm_solve(spec: SubproblemSpec, cfg: AlmConfig | None = None,
         if max(eps_pinf, eps_dinf, eps_gap) <= cfg.tol:
             stats.converged = True
             break
-        if eps_pinf > cfg.tol or eps_gap <= 0.9 * gap_prev:
-            # hold sigma when the gap has stalled: growing it further only
-            # worsens the Newton systems' conditioning
-            state.sigma = min(cfg.sigma_growth * state.sigma, cfg.sigma_max)
-        gap_prev = eps_gap
+        state.sigma = min(cfg.sigma_growth * state.sigma, cfg.sigma_max)
     stats.wall_time = time.perf_counter() - t0
     return np.clip(-state.x, -spec.box.R, spec.box.R), state, stats

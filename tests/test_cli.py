@@ -75,6 +75,20 @@ class TestSolve:
         out = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
         assert out["converged"] == "True" or out["converged"] is True
 
+    def test_inner_failures_exit_1_with_reason(self, tmp_path, capsys):
+        d = self._instance_dir(tmp_path)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"alm": {"max_outer": 1}}))
+        code = main(["solve", str(d), "--config", str(cfg), "--out", str(tmp_path / "run")])
+        assert code == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1
+        assert err[0].startswith("not converged:") and "hit max_outer" in err[0]
+        with open(tmp_path / "run" / "summary.csv") as fh:
+            row = next(csv.DictReader(fh))
+        assert int(row["inner_failures"]) > 0
+        assert row["converged"] == "False"
+
     def test_missing_instance_exits_2(self, tmp_path, capsys):
         assert main(["solve", str(tmp_path / "nope")]) == 2
 

@@ -224,3 +224,29 @@ class TestRun:
         res = run(inst.A, inst.b, inst.g, default_box(inst.x_true), MscraConfig(phi=phi))
         mm = metrics(res.x, inst)
         assert mm["exact_support"], f"{family} missed the support"
+
+    def test_inner_failures_make_the_run_unconverged(self):
+        from gsreg.wl21 import AlmConfig
+
+        inst = make_instance(design="I", signal="i", n=48, p=96, m=12, r_bar=3,
+                             alpha=2.0, theta1=0.1, theta2=0.1, seed=9)
+        res = run(inst.A, inst.b, inst.g, default_box(inst.x_true),
+                  MscraConfig(alm=AlmConfig(max_outer=1)))
+        assert res.stop_reason != "max_stages"
+        assert res.inner_failures == sum(not t.inner_stats.converged for t in res.traces) > 0
+        assert not res.converged
+
+
+class TestSigmaRule:
+    def test_large_signal_stages_converge(self):
+        # stages 1 and 2 of this instance stopped at max_outer=200 while
+        # sigma was held back after the gap stalled
+        inst = make_instance(design="II", signal="i", n=64, p=512, m=64, r_bar=6,
+                             alpha=1e5, theta1=0.1, theta2=0.1, seed=7000)
+        res = run(inst.A, inst.b, inst.g, default_box(inst.x_true), MscraConfig())
+        assert res.inner_failures == 0
+        assert res.converged
+        for tr in res.traces:
+            assert tr.inner_stats.converged, f"stage {tr.k}"
+            sigma = [h["sigma"] for h in tr.inner_stats.history]
+            assert all(b >= a for a, b in zip(sigma, sigma[1:])), f"stage {tr.k}"

@@ -1,0 +1,22 @@
+"""The ``python`` blocks of README.md run, in order, in one namespace."""
+
+import re
+from pathlib import Path
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def python_blocks(text: str) -> list[str]:
+    return re.findall(r"^```python\n(.*?)^```", text, flags=re.M | re.S)
+
+
+def test_readme_has_python_blocks():
+    assert len(python_blocks(README.read_text())) >= 2
+
+
+def test_readme_python_blocks_run(capsys):
+    namespace: dict = {}
+    for i, block in enumerate(python_blocks(README.read_text())):
+        exec(compile(block, f"README.md python block {i}", "exec"), namespace)
+    assert namespace["result"].converged
+    assert namespace["stats"].converged

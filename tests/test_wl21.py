@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from conftest import random_subproblem
+from conftest import dense_hessian, random_subproblem
 from gsreg.groups import BoxConstraint, contiguous_groups, group_norms
 from gsreg.reference import fista_reference
 from gsreg.wl21 import (
@@ -21,15 +21,6 @@ from gsreg.wl21 import (
     prox_l1,
     sncg_solve,
 )
-
-
-def dense_hessian(xi, eta, state, spec):
-    """Assemble I + sigma A (I - W) A^T from the per-group Clarke blocks."""
-    y = spec.A.T @ xi + eta + state.x / state.sigma
-    W = np.zeros((spec.p, spec.p))
-    for i, idx in enumerate(spec.g.groups):
-        W[np.ix_(idx, idx)] = clarke_block(y[idx], spec.omega[i])
-    return np.eye(spec.n) + state.sigma * spec.A @ (np.eye(spec.p) - W) @ spec.A.T
 
 
 class TestProx:
@@ -247,6 +238,37 @@ class TestAlm:
         x, _, stats = alm_solve(big, AlmConfig(tol=1e-8))
         assert stats.converged
         assert np.max(np.abs(x)) < 1e-8
+
+    def test_sncg_counters_roll_up(self, monkeypatch):
+        import gsreg.wl21 as wl21
+
+        calls = []
+        sncg = wl21.sncg_solve
+
+        def recording(*args, **kwargs):
+            xi, s = sncg(*args, **kwargs)
+            calls.append(s)
+            return xi, s
+
+        monkeypatch.setattr(wl21, "sncg_solve", recording)
+        spec = random_subproblem(16, omega_scale=0.5)
+        _, _, stats = alm_solve(spec, AlmConfig(tol=1e-8))
+        assert stats.sncg_iters == sum(s["iters"] for s in calls)
+        assert stats.cg_iters == sum(s["cg_iters"] for s in calls)
+        assert stats.sncg_fallbacks == sum(s["fallbacks"] for s in calls)
+        assert stats.sncg_backtracks == sum(s["backtracks"] for s in calls) > 0
+        d = stats.to_dict()
+        assert (d["sncg_fallbacks"], d["sncg_backtracks"]) == (
+            stats.sncg_fallbacks, stats.sncg_backtracks)
+
+    def test_sigma_grows_until_converged(self):
+        spec = random_subproblem(17)
+        cfg = AlmConfig(tol=1e-9, sigma_max=50.0)
+        _, _, stats = alm_solve(spec, cfg)
+        sigma = [h["sigma"] for h in stats.history]
+        expected = [min(cfg.sigma0 * cfg.sigma_growth**j, cfg.sigma_max)
+                    for j in range(len(sigma))]
+        assert sigma == pytest.approx(expected, rel=1e-12)
 
     def test_warm_start_converges_faster(self):
         spec = random_subproblem(14, n=50, p=80, m=16)
