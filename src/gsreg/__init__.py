@@ -7,8 +7,6 @@ from .groups import (
     contiguous_groups,
     equilibrium_residual,
     group_norms,
-    l21_norm,
-    project_box,
 )
 from .penalties import (
     CAPPED_L1,
@@ -17,11 +15,9 @@ from .penalties import (
     SCAD,
     PhiConstants,
     PhiSpec,
-    lipschitz_estimate,
     phi_constants,
     phi_eval,
     psi_star_eval,
-    rho_lower_bound,
     theta_eval,
     weight_from_subgradient,
 )
@@ -38,7 +34,6 @@ from .mscra import MscraConfig, MscraResult, StageTrace, default_nu, run
 from .data import (
     Instance,
     OracleResult,
-    assemble_multitask,
     brute_force_zero_norm,
     gen_design,
     gen_observations,

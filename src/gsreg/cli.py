@@ -1,7 +1,6 @@
 """Command-line front end: instance generation, solves, benchmark sweeps, oracles.
 
-Exit codes: 0 success, 1 solver-not-converged, 2 usage or I/O error.
-``GSR_THREADS`` caps the benchmark worker pool (default 1, serial).
+Exit codes: 0 success, 1 solver-not-converged, 2 usage, config or I/O error.
 """
 
 from __future__ import annotations
@@ -10,11 +9,10 @@ import argparse
 import csv
 import hashlib
 import json
-import os
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, replace
+import typing
+from dataclasses import dataclass, field, is_dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -32,7 +30,7 @@ from .data import (
 from .groups import BoxConstraint
 from .mscra import MscraConfig, default_nu, run
 from .penalties import PhiSpec
-from .wl21 import AlmConfig
+from .wl21 import SolverStallError
 
 
 @dataclass(frozen=True)
@@ -76,15 +74,60 @@ def _hash(obj) -> str:
     return hashlib.sha256(json.dumps(obj, sort_keys=True).encode()).hexdigest()[:12]
 
 
-def _config_from_file(path) -> tuple[MscraConfig, dict]:
+_JSON_TYPES = {float: (int, float), int: (int,), str: (str,)}
+_NOT_SETTABLE = {
+    "w0": "it is an array; pass it through the Python API",
+    "alm.tol": "each stage sets it from eps_loss, tol_decay and tol_floor",
+}
+
+
+def _scalar(kind, value, name: str):
+    if isinstance(value, bool) or not isinstance(value, _JSON_TYPES[kind]):
+        raise ValueError(f"config key {name!r} must be {kind.__name__}, got {value!r}")
+    return kind(value)
+
+
+def _build(cls, raw, where: str = ""):
+    """Instantiate the config dataclass ``cls`` from the JSON object ``raw``.
+
+    Every key must name a settable field, and each value must have its
+    field's type; a nested dataclass field takes a nested object.
+    Anything else raises ValueError naming the dotted key.
+    """
+    if not isinstance(raw, dict):
+        raise ValueError(f"config key {where.rstrip('.')!r} must be an object, got {raw!r}")
+    hints = typing.get_type_hints(cls)
+    kwargs = {}
+    for key, value in raw.items():
+        name = where + key
+        if name in _NOT_SETTABLE:
+            raise ValueError(f"config key {name!r} is not settable: {_NOT_SETTABLE[name]}")
+        if key not in hints:
+            raise ValueError(f"unknown config key {name!r}")
+        kind = hints[key]
+        if is_dataclass(kind):
+            kwargs[key] = _build(kind, value, name + ".")
+        elif value is None and type(None) in typing.get_args(kind):
+            kwargs[key] = None
+        else:
+            kind = next((k for k in typing.get_args(kind) if k is not type(None)), kind)
+            kwargs[key] = _scalar(kind, value, name)
+    return cls(**kwargs)
+
+
+def _config_from_file(path) -> tuple[MscraConfig, float, dict]:
+    """The solver config, the ``nu`` factor and the raw JSON of a ``--config`` file.
+
+    The file holds ``MscraConfig`` fields (nested objects for ``phi``,
+    ``alm``, ``alm.abcd`` and ``alm.sncg``) plus ``nu_factor``, the scale
+    of the default ``nu``.  Without a file every value is the default.
+    """
     raw = json.loads(Path(path).read_text()) if path else {}
-    phi = PhiSpec.from_dict(raw.get("phi", {}))
-    alm_raw = raw.get("alm", {})
-    alm = AlmConfig(**{k: alm_raw[k] for k in alm_raw if k in AlmConfig.__dataclass_fields__})
-    known = {"nu", "rho_cap_numerator", "static_rho", "eps_gap", "eps_loss",
-             "max_stages", "tol_decay", "tol_floor"}
-    kwargs = {k: raw[k] for k in raw if k in known}
-    return MscraConfig(phi=phi, alm=alm, **kwargs), raw
+    if not isinstance(raw, dict):
+        raise ValueError(f"config file must hold a JSON object, got {raw!r}")
+    fields = dict(raw)
+    nu_factor = _scalar(float, fields.pop("nu_factor", 0.1), "nu_factor")
+    return _build(MscraConfig, fields), nu_factor, raw
 
 
 def _instance_box(inst: Instance) -> BoxConstraint:
@@ -117,10 +160,7 @@ def _solve_one(inst: Instance, cfg: MscraConfig, nu_factor: float) -> dict:
     return row | {"_result": result}
 
 
-# module-level so the process pool can pickle it
-def _bench_cell(args):
-    plan_dict, signal, beta, rep, seed, mode = args
-    plan = _plan_from_dict(plan_dict)
+def _bench_cell(plan: ExperimentPlan, signal, beta, rep, seed, mode) -> dict:
     n = plan.p // beta
     inst = make_instance(plan.design, signal, n, plan.p, plan.m, plan.r_bar,
                          plan.alpha, plan.theta1, plan.theta2, seed)
@@ -138,14 +178,6 @@ def _bench_cell(args):
     except Exception as exc:  # record per-cell failures, keep the sweep going
         out["error"] = f"{type(exc).__name__}: {exc}"
     return out
-
-
-def _plan_from_dict(d: dict) -> ExperimentPlan:
-    d = dict(d)
-    d["signals"] = tuple(d.get("signals", ("i",)))
-    d["betas"] = tuple(d.get("betas", (8,)))
-    d["phi"] = PhiSpec.from_dict(d.get("phi", {}))
-    return ExperimentPlan(**d)
 
 
 def _parse_betas(text: str):
@@ -172,9 +204,7 @@ def _add_plan_flags(sp):
 
 
 def _plan_from_args(args) -> ExperimentPlan:
-    phi = PhiSpec()
-    if args.config:
-        phi = PhiSpec.from_dict(json.loads(Path(args.config).read_text()).get("phi", {}))
+    phi = _config_from_file(args.config)[0].phi
     return ExperimentPlan(
         design=args.design,
         signals=tuple(args.signals.split(",")),
@@ -209,8 +239,12 @@ def cmd_gen(args) -> int:
 
 def cmd_solve(args) -> int:
     inst = gio.load_instance(args.instance)
-    cfg, cfg_raw = _config_from_file(args.config)
-    row = _solve_one(inst, cfg, cfg_raw.get("nu_factor", 0.1))
+    cfg, nu_factor, cfg_raw = _config_from_file(args.config)
+    try:
+        row = _solve_one(inst, cfg, nu_factor)
+    except SolverStallError as exc:
+        print(f"not converged: {exc}", file=sys.stderr)
+        return 1
     result = row.pop("_result")
     out = Path(args.out or args.instance)
     out.mkdir(parents=True, exist_ok=True)
@@ -241,14 +275,7 @@ def _failure_reason(result) -> str:
 def cmd_bench(args) -> int:
     plan = _plan_from_args(args)
     plan_hash = _hash(plan.to_dict())
-    jobs = [(plan.to_dict(), sig, beta, rep, seed, args.mode)
-            for sig, beta, rep, seed in plan.cells()]
-    threads = int(os.environ.get("GSR_THREADS", "1"))
-    if threads > 1:
-        with ProcessPoolExecutor(max_workers=threads) as pool:
-            rows = list(pool.map(_bench_cell, jobs))
-    else:
-        rows = [_bench_cell(j) for j in jobs]
+    rows = [_bench_cell(plan, *cell, args.mode) for cell in plan.cells()]
 
     out = Path(plan.out)
     out.mkdir(parents=True, exist_ok=True)

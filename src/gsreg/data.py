@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import block_diag, hadamard
+from scipy.linalg import hadamard
 from scipy.optimize import lsq_linear
 
 from .groups import BoxConstraint, GroupStructure, group_norms
@@ -239,28 +239,7 @@ def gsparse_objective(x, inst: Instance, nu: float, zero_tol: float = 1e-6) -> f
 
 
 # ---------------------------------------------------------------------------
-# multi-task assembly and metrics
-
-
-def assemble_multitask(tasks) -> Instance:
-    """Block-diagonal design from per-task (matrix, response) pairs, one group per task."""
-    tasks = list(tasks)
-    if not tasks:
-        raise ValueError("need at least one task")
-    blocks, responses = [], []
-    for A_k, y_k in tasks:
-        A_k = np.atleast_2d(np.asarray(A_k, dtype=float))
-        y_k = np.asarray(y_k, dtype=float)
-        if A_k.shape[0] != y_k.shape[0]:
-            raise ValueError("task design and response sizes disagree")
-        blocks.append(A_k)
-        responses.append(y_k)
-    A = block_diag(*blocks)
-    b = np.concatenate(responses)
-    sizes = [blk.shape[1] for blk in blocks]
-    offsets = np.concatenate([[0], np.cumsum(sizes)])
-    g = GroupStructure(int(offsets[-1]), [np.arange(offsets[i], offsets[i + 1]) for i in range(len(sizes))])
-    return Instance(A=A, b=b, g=g, meta={"multitask": True, "tasks": len(tasks)})
+# metrics
 
 
 def metrics(x_out, inst: Instance, zero_tol: float = 1e-6) -> dict:

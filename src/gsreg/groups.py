@@ -11,7 +11,7 @@ one vectorized call.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -77,13 +77,6 @@ class GroupStructure:
     @property
     def m(self) -> int:
         return len(self.groups)
-
-    def group_of(self, j: int) -> int:
-        """Group id containing coordinate ``j`` (O(1) lookup)."""
-        return int(self.group_id[j])
-
-    def sizes(self) -> np.ndarray:
-        return self._sizes.copy()
 
     def segment_sum(self, v) -> np.ndarray:
         """Per-group sums of the per-coordinate vector ``v``."""
@@ -156,19 +149,6 @@ def group_norms(x, g: GroupStructure) -> np.ndarray:
     return np.sqrt(g.segment_sum(x * x))
 
 
-def l21_norm(x, g: GroupStructure, weights=None) -> float:
-    """Weighted sum of group norms; unit weights when omitted."""
-    norms = group_norms(x, g)
-    if weights is None:
-        return float(norms.sum())
-    weights = np.asarray(weights, dtype=float)
-    if weights.shape != (g.m,):
-        raise ValueError(f"weights have shape {weights.shape}, expected ({g.m},)")
-    if np.any(weights < 0):
-        raise ValueError("weights must be nonnegative")
-    return float(weights @ norms)
-
-
 def approx_group_zero_norm(x, g: GroupStructure, tol: float = 1e-6) -> int:
     """Number of groups with norm strictly above ``tol``."""
     if tol < 0:
@@ -184,8 +164,3 @@ def equilibrium_residual(x, w, g: GroupStructure) -> float:
     if np.any(w < 0) or np.any(w > 1):
         raise ValueError("w must lie in [0, 1]^m")
     return float((1.0 - w) @ group_norms(x, g))
-
-
-def project_box(x, box: BoxConstraint) -> np.ndarray:
-    """Componentwise clamp onto the l-infinity ball."""
-    return np.clip(np.asarray(x, dtype=float), -box.R, box.R)

@@ -45,11 +45,6 @@ def read_matrix(path) -> np.ndarray:
     return np.frombuffer(payload, dtype="<f8").reshape(n, p).copy()
 
 
-def read_matrix_csv(path) -> np.ndarray:
-    """Small-instance fallback reader."""
-    return np.atleast_2d(np.loadtxt(path, delimiter=",", dtype=float))
-
-
 def write_vector(path, v) -> None:
     np.asarray(v, dtype="<f8").tofile(path)
 
@@ -92,20 +87,6 @@ def load_instance(directory) -> Instance:
         seed=seed,
         meta=meta,
     )
-
-
-def load_multitask_csv(path) -> Instance:
-    """Assemble a multi-task instance from rows of (task id, features..., response)."""
-    from .data import assemble_multitask
-
-    raw = np.atleast_2d(np.loadtxt(path, delimiter=",", dtype=float))
-    if raw.shape[1] < 3:
-        raise ValueError("multitask CSV needs task id, at least one feature, and a response")
-    tasks = []
-    for tid in np.unique(raw[:, 0]):
-        rows = raw[raw[:, 0] == tid]
-        tasks.append((rows[:, 1:-1], rows[:, -1]))
-    return assemble_multitask(tasks)
 
 
 def write_traces_jsonl(path, traces, include_x: bool = True) -> None:

@@ -63,12 +63,11 @@ class PhiSpec:
 
 @dataclass(frozen=True)
 class PhiConstants:
-    """Analytic constants of a family: minimizer, subgradient kink, one-sided slopes."""
+    """Analytic constants of a family: minimizer, subgradient kink, left slope at 1."""
 
     t_star: float
     t_bar: float
     phi_prime_minus_1: float
-    phi_prime_plus_tbar: float
 
 
 def varphi_one(spec: PhiSpec) -> float:
@@ -137,7 +136,6 @@ def phi_constants(spec: PhiSpec) -> PhiConstants:
         t_star=t_star,
         t_bar=t_bar,
         phi_prime_minus_1=float(_varphi_prime(spec, 1.0)) / v1,
-        phi_prime_plus_tbar=float(_varphi_prime(spec, t_bar)) / v1,
     )
 
 
@@ -193,44 +191,3 @@ def theta_eval(spec: PhiSpec, s):
         raise ValueError("s must be nonnegative")
     out = s_arr - np.asarray(psi_star_eval(spec, s_arr))
     return float(out) if np.isscalar(s) or s_arr.ndim == 0 else out
-
-
-def rho_lower_bound(spec: PhiSpec, nu: float, lip: float) -> float:
-    """Exact-penalty threshold ``nu * lip * (1 - t_star) * phi'_-(1) / (1 - t_bar)``."""
-    if not nu > 0:
-        raise ValueError("nu must be positive")
-    if not lip > 0:
-        raise ValueError("lip must be positive")
-    c = phi_constants(spec)
-    return nu * lip * (1.0 - c.t_star) * c.phi_prime_minus_1 / (1.0 - c.t_bar)
-
-
-def spectral_norm(A, tol: float = 1e-6, max_iter: int = 5000, seed: int = 0) -> float:
-    """Largest singular value of ``A`` by power iteration on ``A^T A``."""
-    A = np.asarray(A, dtype=float)
-    if A.size == 0 or not np.any(A):
-        return 0.0
-    rng = np.random.default_rng(seed)
-    v = rng.standard_normal(A.shape[1])
-    v /= np.linalg.norm(v)
-    prev = 0.0
-    for _ in range(max_iter):
-        w = A.T @ (A @ v)
-        lam = float(np.linalg.norm(w))
-        if lam == 0.0:
-            return 0.0
-        v = w / lam
-        if abs(lam - prev) <= tol * lam:
-            break
-        prev = lam
-    return float(np.sqrt(lam))
-
-
-def lipschitz_estimate(A, b, box) -> float:
-    """Upper bound ``(R sqrt(p)/n) ||A||^2 + ||A^T b|| / n`` on the loss gradient."""
-    A = np.asarray(A, dtype=float)
-    b = np.asarray(b, dtype=float)
-    n, p = A.shape
-    if b.shape != (n,):
-        raise ValueError(f"b has shape {b.shape}, expected ({n},)")
-    return box.R * np.sqrt(p) / n * spectral_norm(A) ** 2 + np.linalg.norm(A.T @ b) / n

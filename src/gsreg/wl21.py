@@ -159,10 +159,6 @@ class SolveStats:
 class SolverStallError(RuntimeError):
     """Raised when the Newton line search cannot make progress."""
 
-    def __init__(self, message, diagnostics=None):
-        super().__init__(message)
-        self.diagnostics = diagnostics or {}
-
 
 # ---------------------------------------------------------------------------
 # elementary maps
@@ -187,32 +183,8 @@ def project_group_balls(y, g: GroupStructure, omega) -> np.ndarray:
     return y * g.broadcast(scale)
 
 
-def clarke_block(y_i, omega_i: float) -> np.ndarray:
-    """One element of the Clarke Jacobian of the projection onto a group ball.
-
-    Returns the identity inside and on the boundary (the minimal-curvature
-    endpoint of the convex hull there), the radially deflated scaling
-    outside, and the zero matrix for a degenerate (radius 0) ball.
-    """
-    y_i = np.asarray(y_i, dtype=float)
-    d = y_i.size
-    if omega_i < 0:
-        raise ValueError("omega_i must be nonnegative")
-    if omega_i == 0.0:
-        return np.zeros((d, d))
-    nrm = np.linalg.norm(y_i)
-    if nrm <= omega_i:
-        return np.eye(d)
-    return omega_i * (np.eye(d) / nrm - np.outer(y_i, y_i) / nrm**3)
-
-
 # ---------------------------------------------------------------------------
 # augmented Lagrangian pieces
-
-
-def _dual_point(state: DualState, spec: SubproblemSpec) -> np.ndarray:
-    """The point ``y = A^T xi + eta + x / sigma`` fed to the ball projection."""
-    return spec.A.T @ state.xi + state.eta + state.x / state.sigma
 
 
 def eta_update(state: DualState, spec: SubproblemSpec) -> np.ndarray:
@@ -352,8 +324,7 @@ def sncg_solve(eta, state: DualState, spec: SubproblemSpec, cfg: SncgConfig,
             stats["backtracks"] += 1
         if not accepted:
             raise SolverStallError(
-                "Armijo line search failed after max backtracks",
-                {"grad_norm": gnorm, "iter": stats["iters"], "objective": f},
+                f"Armijo line search failed after max backtracks at gradient norm {gnorm:.3g}"
             )
         xi = xi + alpha * d
         f = f_new

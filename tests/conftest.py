@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from gsreg.groups import BoxConstraint, contiguous_groups
-from gsreg.wl21 import SubproblemSpec, clarke_block
+from gsreg.wl21 import SubproblemSpec
 
 
 def random_subproblem(seed, n=30, p=48, m=12, omega_scale=0.1, R=1e4):
@@ -19,6 +19,25 @@ def random_subproblem(seed, n=30, p=48, m=12, omega_scale=0.1, R=1e4):
     b = A @ x_true + 0.02 * rng.standard_normal(n)
     omega = omega_scale * (0.5 + rng.random(m))
     return SubproblemSpec(A=A, b=b, g=g, omega=omega, box=BoxConstraint(R))
+
+
+def clarke_block(y_i, omega_i: float) -> np.ndarray:
+    """One element of the Clarke Jacobian of the projection onto a group ball.
+
+    Returns the identity inside and on the boundary (the minimal-curvature
+    endpoint of the convex hull there), the radially deflated scaling
+    outside, and the zero matrix for a degenerate (radius 0) ball.
+    """
+    y_i = np.asarray(y_i, dtype=float)
+    d = y_i.size
+    if omega_i < 0:
+        raise ValueError("omega_i must be nonnegative")
+    if omega_i == 0.0:
+        return np.zeros((d, d))
+    nrm = np.linalg.norm(y_i)
+    if nrm <= omega_i:
+        return np.eye(d)
+    return omega_i * (np.eye(d) / nrm - np.outer(y_i, y_i) / nrm**3)
 
 
 def dense_hessian(xi, eta, state, spec):

@@ -38,17 +38,18 @@ from gsreg.penalties import (
     psi_star_eval,
     theta_eval,
 )
-from gsreg.reference import fista_reference
 from gsreg.wl21 import (
     AlmConfig,
     DualState,
     SubproblemSpec,
     alm_solve,
-    clarke_block,
     gen_hessian_apply,
     phi_kj_grad,
     primal_objective,
 )
+
+from conftest import clarke_block
+from reference import fista_reference
 
 FAMILIES = [
     PhiSpec("scad", a=3.7),

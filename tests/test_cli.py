@@ -27,12 +27,6 @@ class TestPlan:
         seeds = [c[3] for c in cells]
         assert len(set(seeds)) == 8  # distinct per cell
 
-    def test_dict_roundtrip(self):
-        from gsreg.cli import _plan_from_dict
-
-        plan = ExperimentPlan(signals=("iii",), betas=(5, 6), reps=3)
-        assert _plan_from_dict(plan.to_dict()) == plan
-
 
 class TestGen:
     def test_writes_instances_and_plan(self, tmp_path, capsys):
@@ -89,6 +83,44 @@ class TestSolve:
         assert int(row["inner_failures"]) > 0
         assert row["converged"] == "False"
 
+    def test_line_search_stall_exits_1_with_reason(self, tmp_path, capsys):
+        inst = make_instance("I", "i", 32, 64, 8, 2, 2.0, 0.1, 0.1, 1)
+        d = gio.save_instance(tmp_path / "inst", inst)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"alm": {"sncg": {"max_backtracks": 0}}}))
+        code = main(["solve", str(d), "--config", str(cfg), "--out", str(tmp_path / "run")])
+        assert code == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1
+        assert err[0].startswith("not converged:") and "line search" in err[0]
+
+    def test_nested_alm_configs_reach_the_solver(self, tmp_path, capsys):
+        d = self._instance_dir(tmp_path)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"alm": {"abcd": {"max_iter": 1}, "sncg": {"cg_max": 300}}}))
+        code = main(["solve", str(d), "--config", str(cfg), "--out", str(tmp_path / "run")])
+        assert code in (0, 1)
+        with open(tmp_path / "run" / "traces.jsonl") as fh:
+            inner = [json.loads(line)["inner"] for line in fh]
+        assert all(s["abcd_iters"] == s["outer_iters"] for s in inner)
+
+    @pytest.mark.parametrize("config, message", [
+        ({"max_stages": "x"}, "'max_stages' must be int"),
+        ({"bogus": 1}, "unknown config key 'bogus'"),
+        ({"alm": {"sncg": {"bogus": 1}}}, "unknown config key 'alm.sncg.bogus'"),
+        ({"alm": {"tol": -1}}, "eps_loss, tol_decay and tol_floor"),
+    ], ids=["bad_type", "unknown_key", "unknown_nested_key", "alm_tol"])
+    def test_bad_config_exits_2(self, tmp_path, capsys, config, message):
+        d = self._instance_dir(tmp_path)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        code = main(["solve", str(d), "--config", str(cfg), "--out", str(tmp_path / "run")])
+        assert code == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1
+        assert err[0].startswith("error:") and message in err[0]
+        assert not (tmp_path / "run").exists()
+
     def test_missing_instance_exits_2(self, tmp_path, capsys):
         assert main(["solve", str(tmp_path / "nope")]) == 2
 
@@ -124,6 +156,13 @@ class TestBench:
         assert len(agg) == 2  # one row per (signal, beta)
         assert {r["signal"] for r in agg} == {"i", "ii"}
         assert all(float(r["reps"]) == 2 for r in agg)
+
+    def test_bad_config_exits_2(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"phi": {"family": "scad", "bogus": 1}}))
+        out = tmp_path / "bench"
+        assert main(["bench", "--config", str(cfg), "--out", str(out)]) == 2
+        assert not out.exists()
 
     def test_rows_carry_provenance(self, tmp_path, capsys):
         out = tmp_path / "bench"

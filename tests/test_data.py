@@ -3,7 +3,6 @@ import pytest
 
 from gsreg.data import (
     SingularDesignError,
-    assemble_multitask,
     brute_force_zero_norm,
     default_box,
     gen_design,
@@ -228,35 +227,6 @@ class TestBruteForce:
         for _ in range(50):
             x = rng.uniform(-1, 1, 10)
             assert gsparse_objective(x, inst, nu) >= best - 1e-8
-
-
-class TestMultitask:
-    def test_single_task(self, rng):
-        A = rng.standard_normal((4, 3))
-        y = rng.standard_normal(4)
-        inst = assemble_multitask([(A, y)])
-        assert np.array_equal(inst.A, A)
-        assert inst.g.m == 1
-
-    def test_block_diagonal_structure(self, rng):
-        A1, y1 = rng.standard_normal((2, 3)), rng.standard_normal(2)
-        A2, y2 = rng.standard_normal((4, 3)), rng.standard_normal(4)
-        inst = assemble_multitask([(A1, y1), (A2, y2)])
-        assert inst.A.shape == (6, 6)
-        assert np.array_equal(inst.A[:2, :3], A1)
-        assert np.array_equal(inst.A[2:, 3:], A2)
-        assert np.all(inst.A[:2, 3:] == 0)
-        assert np.all(inst.A[2:, :3] == 0)
-        assert inst.g.m == 2
-        assert np.array_equal(inst.b, np.concatenate([y1, y2]))
-
-    def test_rejects_empty(self):
-        with pytest.raises(ValueError):
-            assemble_multitask([])
-
-    def test_rejects_mismatched_sizes(self, rng):
-        with pytest.raises(ValueError):
-            assemble_multitask([(rng.standard_normal((3, 2)), rng.standard_normal(4))])
 
 
 class TestMetrics:

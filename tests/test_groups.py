@@ -10,8 +10,6 @@ from gsreg.groups import (
     contiguous_groups,
     equilibrium_residual,
     group_norms,
-    l21_norm,
-    project_box,
 )
 
 
@@ -20,11 +18,7 @@ class TestGroupStructure:
         g = GroupStructure(6, [[0, 1], [2, 3, 4], [5]])
         assert g.p == 6
         assert g.m == 3
-        assert g.sizes().tolist() == [2, 3, 1]
-
-    def test_group_of_lookup(self):
-        g = GroupStructure(6, [[0, 1], [2, 3, 4], [5]])
-        assert [g.group_of(j) for j in range(6)] == [0, 0, 1, 1, 1, 2]
+        assert [idx.size for idx in g.groups] == [2, 3, 1]
 
     def test_rejects_empty_group(self):
         with pytest.raises(ValueError, match="empty"):
@@ -83,20 +77,6 @@ class TestNorms:
         x = np.array([3.0, 4.0, 0.0, 1.0])
         assert np.allclose(group_norms(x, g), [5.0, 1.0])
 
-    def test_l21_unweighted(self):
-        g = GroupStructure(4, [[0, 1], [2, 3]])
-        assert l21_norm(np.array([3.0, 4.0, 0.0, 1.0]), g) == 6.0
-
-    def test_l21_weighted(self):
-        g = GroupStructure(4, [[0, 1], [2, 3]])
-        x = np.array([3.0, 4.0, 0.0, 1.0])
-        assert l21_norm(x, g, weights=[2.0, 10.0]) == 20.0
-
-    def test_l21_rejects_negative_weights(self):
-        g = contiguous_groups(4, 2)
-        with pytest.raises(ValueError, match="nonnegative"):
-            l21_norm(np.ones(4), g, weights=[1.0, -1.0])
-
     def test_dimension_mismatch(self):
         g = contiguous_groups(4, 2)
         with pytest.raises(ValueError):
@@ -135,14 +115,3 @@ class TestBox:
             BoxConstraint(0.0)
         with pytest.raises(ValueError):
             BoxConstraint(-1.0)
-
-    def test_project_box_clamps(self):
-        box = BoxConstraint(2.0)
-        out = project_box(np.array([-5.0, 0.5, 3.0]), box)
-        assert out.tolist() == [-2.0, 0.5, 2.0]
-
-    def test_project_box_idempotent(self, rng):
-        box = BoxConstraint(1.0)
-        x = rng.standard_normal(50) * 3
-        once = project_box(x, box)
-        assert np.array_equal(project_box(once, box), once)

@@ -38,11 +38,6 @@ class TestMatrixFormat:
         with pytest.raises(ValueError, match="truncated"):
             gio.read_matrix(path)
 
-    def test_csv_fallback(self, tmp_path):
-        path = tmp_path / "A.csv"
-        path.write_text("1.0,2.0\n3.0,4.0\n")
-        assert np.array_equal(gio.read_matrix_csv(path), [[1.0, 2.0], [3.0, 4.0]])
-
 
 class TestVectors:
     def test_roundtrip(self, tmp_path, rng):
@@ -88,28 +83,6 @@ class TestInstanceDirectory:
         back = gio.load_instance(d)
         assert back.x_true is None
         assert back.support_true is None
-
-
-class TestMultitaskCsv:
-    def test_load(self, tmp_path):
-        rows = [
-            "1,0.5,1.5,2.0",
-            "1,0.6,1.6,2.1",
-            "2,0.7,1.7,2.2",
-        ]
-        path = tmp_path / "mt.csv"
-        path.write_text("\n".join(rows) + "\n")
-        inst = gio.load_multitask_csv(path)
-        assert inst.A.shape == (3, 4)  # two tasks x two features, block diagonal
-        assert inst.g.m == 2
-        assert np.allclose(inst.b, [2.0, 2.1, 2.2])
-        assert np.allclose(inst.A[2, :2], 0.0)
-
-    def test_rejects_too_few_columns(self, tmp_path):
-        path = tmp_path / "bad.csv"
-        path.write_text("1,2\n")
-        with pytest.raises(ValueError):
-            gio.load_multitask_csv(path)
 
 
 class TestTraces:

@@ -1,19 +1,15 @@
 import numpy as np
 import pytest
 
-from gsreg.groups import BoxConstraint
 from gsreg.penalties import (
     CAPPED_L1,
     LQ,
     MCP,
     SCAD,
     PhiSpec,
-    lipschitz_estimate,
     phi_constants,
     phi_eval,
     psi_star_eval,
-    rho_lower_bound,
-    spectral_norm,
     theta_eval,
     weight_from_subgradient,
 )
@@ -222,39 +218,3 @@ class TestTheta:
     def test_rejects_negative(self):
         with pytest.raises(ValueError):
             theta_eval(PhiSpec(), -0.1)
-
-
-class TestRhoBound:
-    @pytest.mark.parametrize("spec", ALL_SPECS, ids=IDS)
-    def test_positive_and_scales_linearly(self, spec):
-        r1 = rho_lower_bound(spec, nu=2.0, lip=3.0)
-        r2 = rho_lower_bound(spec, nu=4.0, lip=3.0)
-        assert r1 > 0
-        assert r2 == pytest.approx(2 * r1)
-
-    def test_rejects_nonpositive_inputs(self):
-        with pytest.raises(ValueError):
-            rho_lower_bound(PhiSpec(), nu=0.0, lip=1.0)
-        with pytest.raises(ValueError):
-            rho_lower_bound(PhiSpec(), nu=1.0, lip=0.0)
-
-
-class TestSpectral:
-    def test_matches_svd(self, rng):
-        A = rng.standard_normal((20, 35))
-        assert spectral_norm(A) == pytest.approx(np.linalg.svd(A, compute_uv=False)[0], rel=1e-5)
-
-    def test_zero_matrix(self):
-        assert spectral_norm(np.zeros((3, 4))) == 0.0
-
-    def test_lipschitz_estimate_dominates_gradient(self, rng):
-        # the bound must dominate ||grad f|| over the box for f = (1/2n)||Ax-b||^2
-        n, p = 15, 10
-        A = rng.standard_normal((n, p))
-        b = rng.standard_normal(n)
-        box = BoxConstraint(2.0)
-        L = lipschitz_estimate(A, b, box)
-        for _ in range(100):
-            x = rng.uniform(-box.R, box.R, p)
-            gnorm = np.linalg.norm(A.T @ (A @ x - b)) / n
-            assert gnorm <= L + 1e-9

@@ -11,7 +11,6 @@ import pytest
 
 from conftest import dense_hessian
 from gsreg.groups import BoxConstraint, GroupStructure, contiguous_groups, group_norms
-from gsreg.reference import block_soft_threshold
 from gsreg.wl21 import (
     DualState,
     SubproblemSpec,
@@ -19,6 +18,7 @@ from gsreg.wl21 import (
     hessian_operator,
     project_group_balls,
 )
+from reference import block_soft_threshold
 
 SIZES = [3, 1, 5, 2, 4, 3, 5]
 ZERO_WEIGHT, ZERO_WEIGHT_AT_ORIGIN, BOUNDARY = 0, 5, 3

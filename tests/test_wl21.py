@@ -1,16 +1,14 @@
 import numpy as np
 import pytest
 
-from conftest import dense_hessian, random_subproblem
+from conftest import clarke_block, dense_hessian, random_subproblem
 from gsreg.groups import BoxConstraint, contiguous_groups, group_norms
-from gsreg.reference import fista_reference
 from gsreg.wl21 import (
     AlmConfig,
     DualState,
     SncgConfig,
     SubproblemSpec,
     alm_solve,
-    clarke_block,
     dual_objective,
     eta_update,
     gen_hessian_apply,
@@ -21,6 +19,7 @@ from gsreg.wl21 import (
     prox_l1,
     sncg_solve,
 )
+from reference import fista_reference
 
 
 class TestProx:
