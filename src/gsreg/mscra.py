@@ -38,6 +38,14 @@ class MscraConfig:
     tol_floor: float = 1e-5
     alm: AlmConfig = field(default_factory=AlmConfig)
 
+    def __post_init__(self):
+        if not self.max_stages > 0:
+            raise ValueError(f"max_stages must be positive, got {self.max_stages}")
+        if not self.tol_floor > 0:
+            raise ValueError(f"tol_floor must be positive, got {self.tol_floor}")
+        if not 0 < self.tol_decay <= 1:
+            raise ValueError(f"tol_decay must lie in (0, 1], got {self.tol_decay}")
+
     @property
     def tol0(self) -> float:
         return 0.1 * self.eps_loss

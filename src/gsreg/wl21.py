@@ -10,8 +10,9 @@ dual is a quadratic over (xi, eta, zeta) with the linear coupling
 balls of radii omega.  We run an inexact augmented Lagrangian method on
 the dual whose subproblems are minimized by a two-block accelerated
 coordinate descent; the (xi, zeta) block reduces to a strongly
-semismooth gradient system in xi solved by a semismooth Newton-CG
-iteration.  The ALM multiplier converges to the negated primal
+semismooth gradient system in xi solved by a semismooth Newton
+iteration, whose linear systems are factored directly on their smaller
+Gram form.  The ALM multiplier converges to the negated primal
 solution, so :func:`alm_solve` flips its sign on return.
 """
 
@@ -87,19 +88,12 @@ class DualState:
 
 @dataclass(frozen=True)
 class SncgConfig:
-    theta_bar: float = 0.5
-    tau: float = 0.5
     delta: float = 0.5
     mu: float = 1e-4
-    cg_max: int = 300
     max_iter: int = 50
     max_backtracks: int = 50
 
     def __post_init__(self):
-        if not 0 < self.theta_bar < 1:
-            raise ValueError("theta_bar must lie in (0, 1)")
-        if not 0 < self.tau < 1:
-            raise ValueError("tau must lie in (0, 1)")
         if not 0 < self.delta < 1:
             raise ValueError("delta must lie in (0, 1)")
         if not 0 < self.mu < 0.5:
@@ -109,8 +103,13 @@ class SncgConfig:
 @dataclass(frozen=True)
 class AbcdConfig:
     max_iter: int = 50
-    # relative L_sigma decrease below rel_tol_factor * (outer tolerance) stops the block sweep
+    # the block sweep stops once both the relative L_sigma decrease and the
+    # primal infeasibility of a sweep fall below rel_tol_factor * (outer tolerance)
     rel_tol_factor: float = 1e-2
+
+    def __post_init__(self):
+        if not self.max_iter > 0:
+            raise ValueError(f"abcd max_iter must be positive, got {self.max_iter}")
 
 
 @dataclass(frozen=True)
@@ -123,6 +122,14 @@ class AlmConfig:
     abcd: AbcdConfig = field(default_factory=AbcdConfig)
     sncg: SncgConfig = field(default_factory=SncgConfig)
 
+    def __post_init__(self):
+        if not self.sigma0 > 0:
+            raise ValueError(f"sigma0 must be positive, got {self.sigma0}")
+        if not self.sigma_growth > 1:
+            raise ValueError(f"sigma_growth must exceed 1, got {self.sigma_growth}")
+        if not self.max_outer > 0:
+            raise ValueError(f"max_outer must be positive, got {self.max_outer}")
+
 
 @dataclass
 class SolveStats:
@@ -130,7 +137,6 @@ class SolveStats:
     outer_iters: int = 0
     abcd_iters: int = 0
     sncg_iters: int = 0
-    cg_iters: int = 0
     eps_pinf: float = np.inf
     eps_dinf: float = np.inf
     eps_gap: float = np.inf
@@ -138,6 +144,7 @@ class SolveStats:
     history: list = field(default_factory=list)
     sncg_fallbacks: int = 0
     sncg_backtracks: int = 0
+    sncg_stalls: int = 0
 
     def to_dict(self) -> dict:
         return {
@@ -145,13 +152,13 @@ class SolveStats:
             "outer_iters": self.outer_iters,
             "abcd_iters": self.abcd_iters,
             "sncg_iters": self.sncg_iters,
-            "cg_iters": self.cg_iters,
             "eps_pinf": self.eps_pinf,
             "eps_dinf": self.eps_dinf,
             "eps_gap": self.eps_gap,
             "wall_time": self.wall_time,
             "sncg_fallbacks": self.sncg_fallbacks,
             "sncg_backtracks": self.sncg_backtracks,
+            "sncg_stalls": self.sncg_stalls,
             "history": self.history,
         }
 
@@ -207,49 +214,66 @@ def lagrangian_value(state: DualState, spec: SubproblemSpec) -> float:
     )
 
 
+def _reduced_point(xi, eta, state: DualState, spec: SubproblemSpec) -> np.ndarray:
+    """``y = A^T xi + eta + x/sigma``, the point the group balls act on."""
+    return spec.A.T @ np.asarray(xi, dtype=float) + eta + state.x / state.sigma
+
+
+def _phi_smooth(xi, y, sigma: float, spec: SubproblemSpec):
+    """The reduced function at ``(xi, y)`` less ``R ||eta||_1``, and ``y - Pi_Lambda(y)``."""
+    resid = y - project_group_balls(y, spec.g, spec.omega)
+    return 0.5 * sigma * (resid @ resid) + 0.5 * xi @ xi + spec.b @ xi, resid
+
+
 def phi_kj_value(xi, eta, state: DualState, spec: SubproblemSpec) -> float:
     """The reduced function after minimizing L_sigma over zeta in closed form."""
     xi = np.asarray(xi, dtype=float)
-    y = spec.A.T @ xi + eta + state.x / state.sigma
-    resid = project_group_balls(y, spec.g, spec.omega) - y
-    return float(
-        0.5 * state.sigma * (resid @ resid)
-        + 0.5 * xi @ xi
-        + spec.b @ xi
-        + spec.box.R * np.abs(eta).sum()
-    )
+    f, _ = _phi_smooth(xi, _reduced_point(xi, eta, state, spec), state.sigma, spec)
+    return float(f + spec.box.R * np.abs(eta).sum())
 
 
 def phi_kj_grad(xi, eta, state: DualState, spec: SubproblemSpec) -> np.ndarray:
     """Gradient ``b + xi + sigma A (y - Pi_Lambda(y))`` of the reduced function."""
     xi = np.asarray(xi, dtype=float)
-    y = spec.A.T @ xi + eta + state.x / state.sigma
-    return spec.b + xi + state.sigma * (spec.A @ (y - project_group_balls(y, spec.g, spec.omega)))
+    _, resid = _phi_smooth(xi, _reduced_point(xi, eta, state, spec), state.sigma, spec)
+    return spec.b + xi + state.sigma * (spec.A @ resid)
+
+
+def _active_groups(y, spec: SubproblemSpec):
+    """The groups where ``I - W`` is nonzero at ``y``, with their weights.
+
+    On group i, ``I - W_i`` is the identity when ``omega_i = 0``, zero
+    inside or on the ball, and ``a_i I + c_i y_i y_i^T`` with
+    ``a_i = 1 - omega_i/||y_i||``, ``c_i = omega_i/||y_i||^3`` outside.
+    Returns the segments ``(cols, starts, seg)`` of those groups and
+    their ``a`` and ``c`` (``a = 1``, ``c = 0`` where ``omega = 0``).
+    """
+    omega = spec.omega
+    nrm = group_norms(y, spec.g)
+    outside = nrm > omega
+    active = outside | (omega == 0.0)
+    scale = np.zeros(spec.g.m)  # omega_i / ||y_i||; stays 0 where omega = 0
+    scale[outside] = omega[outside] / nrm[outside]
+    curv = np.zeros(spec.g.m)
+    curv[outside] = scale[outside] / nrm[outside] ** 2
+    cols, starts, seg = spec.g.segments(active)
+    return cols, starts, seg, 1.0 - scale[active], curv[active]
 
 
 def hessian_operator(xi, eta, state: DualState, spec: SubproblemSpec):
     """The generalized Hessian ``d -> (I + sigma A (I - W) A^T) d`` at ``xi``.
 
-    On group i, ``I - W_i`` is the identity when ``omega_i = 0``, zero
-    inside or on the ball, and ``a_i I + c_i y_i y_i^T`` with
-    ``a_i = 1 - omega_i/||y_i||``, ``c_i = omega_i/||y_i||^3`` outside.
-    Only the columns ``J`` of groups where it is nonzero enter, so each
-    application costs two products with ``A_J`` instead of ``A``.
+    Only the columns ``J`` of the groups from :func:`_active_groups`
+    enter, so each application costs two products with ``A_J`` instead
+    of ``A``.  This matrix-free form is the oracle for
+    :func:`newton_direction`.
     """
-    y = spec.A.T @ np.asarray(xi, dtype=float) + eta + state.x / state.sigma
-    omega = spec.omega
-    nrm = group_norms(y, spec.g)
-    outside = nrm > omega
-    active = outside | (omega == 0.0)
-    scale = np.zeros(spec.g.m)  # omega_i / ||y_i||; stays 0 where omega = 0, so a = 1, c = 0
-    scale[outside] = omega[outside] / nrm[outside]
-    curv = np.zeros(spec.g.m)
-    curv[outside] = scale[outside] / nrm[outside] ** 2
-    cols, starts, seg = spec.g.segments(active)
+    y = _reduced_point(xi, eta, state, spec)
+    cols, starts, seg, a, c = _active_groups(y, spec)
     A_J = spec.A if cols.size == spec.p and spec.g.perm is None else spec.A[:, cols]
     y_J = y[cols]
-    a_J = (1.0 - scale[active])[seg]
-    cy_J = curv[active][seg] * y_J
+    a_J = a[seg]
+    cy_J = c[seg] * y_J
     sigma = state.sigma
 
     def apply(d):
@@ -265,72 +289,109 @@ def gen_hessian_apply(d, xi, eta, state: DualState, spec: SubproblemSpec) -> np.
     return hessian_operator(xi, eta, state, spec)(np.asarray(d, dtype=float))
 
 
-def _cg(apply_v, rhs, tol: float, max_iter: int):
-    """Conjugate gradient for ``V d = rhs`` with absolute residual tolerance."""
-    d = np.zeros_like(rhs)
-    r = rhs.copy()
-    p = r.copy()
-    rs = r @ r
-    iters = 0
-    for iters in range(1, max_iter + 1):
-        vp = apply_v(p)
-        denom = p @ vp
-        if denom <= 0:
-            break  # numerical breakdown; V is SPD so this is roundoff
-        alpha = rs / denom
-        d += alpha * p
-        r -= alpha * vp
-        rs_new = r @ r
-        if np.sqrt(rs_new) <= tol:
-            rs = rs_new
-            break
-        p = r + (rs_new / rs) * p
-        rs = rs_new
-    return d, np.sqrt(rs), iters
+def newton_direction(v, y, sigma: float, spec: SubproblemSpec) -> np.ndarray:
+    """Solve ``(I + sigma A (I - W) A^T) d = v`` directly, with ``W`` taken at ``y``.
+
+    With ``Z = A_J diag(sqrt(a))`` and ``w_i = A_{J_i} y_i`` on the
+    groups with ``c_i > 0`` (see :func:`_active_groups`),
+    ``A (I - W) A^T = Z Z^T + sum_i c_i w_i w_i^T = B B^T`` for
+    ``B = [Z, W sqrt(C)]``, which has ``r = |J| + #{c_i > 0}`` columns.
+    If ``r >= n`` the n x n system is solved; otherwise the Woodbury
+    identity ``d = v - sigma B (I_r + sigma B^T B)^{-1} B^T v`` needs
+    only an r x r one.  An empty ``J`` gives ``d = v``.
+    """
+    v = np.asarray(v, dtype=float)
+    cols, starts, seg, a, c = _active_groups(y, spec)
+    if cols.size == 0:
+        return v.copy()
+    # Z is built in the one n x |J| buffer: first A_J * y_J, summed per
+    # group into the w_i, then A_J again, scaled by sqrt(a); "clip" keeps
+    # take from buffering (every index is valid)
+    Z = np.take(spec.A, cols, axis=1, mode="clip")
+    curved = np.flatnonzero(c > 0.0)
+    W = np.empty((spec.n, 0))
+    if curved.size:
+        Z *= y[cols]
+        W = np.add.reduceat(Z, starts, axis=1)[:, curved] * np.sqrt(c[curved])
+        np.take(spec.A, cols, axis=1, out=Z, mode="clip")
+    Z *= np.sqrt(a)[seg]
+    n, r = spec.n, cols.size + curved.size
+    if r >= n:
+        M = Z @ Z.T
+        M += W @ W.T
+        M *= sigma
+        M[np.diag_indices(n)] += 1.0
+        return np.linalg.solve(M, v)
+    K = np.empty((r, r))
+    k = cols.size
+    K[:k, :k] = Z.T @ Z
+    K[:k, k:] = Z.T @ W
+    K[k:, :k] = K[:k, k:].T
+    K[k:, k:] = W.T @ W
+    K *= sigma
+    K[np.diag_indices(r)] += 1.0
+    t = np.linalg.solve(K, np.concatenate((Z.T @ v, W.T @ v)))
+    return v - sigma * (Z @ t[:k] + W @ t[k:])
+
+
+# relative rounding error allowed for in the Armijo test of sncg_solve
+_ROUNDING_SLACK = 16 * np.finfo(float).eps
 
 
 def sncg_solve(eta, state: DualState, spec: SubproblemSpec, cfg: SncgConfig,
                grad_tol: float, xi0=None):
-    """Semismooth Newton-CG on the reduced gradient system in xi.
+    """Semismooth Newton on the reduced gradient system in xi.
 
-    Each Newton direction is an inexact CG solve of the generalized
-    Hessian system; steps are accepted under an Armijo backtracking
-    rule.  Returns the final xi and per-call statistics.
+    Each Newton direction solves the generalized Hessian system exactly
+    (:func:`newton_direction`); steps are accepted under an Armijo
+    backtracking rule that allows for the rounding error of the function
+    values it compares.  ``y`` moves with ``xi`` along ``A^T d``, so a
+    trial step needs no product with ``A``.  The loop stops at
+    ``grad_tol``, after ``max_iter`` steps, or at a stall: an accepted
+    step that lowers neither the function nor the gradient norm, which
+    means ``grad_tol`` lies below the rounding floor.  Returns the final
+    xi and per-call statistics.
     """
     xi = np.zeros(spec.n) if xi0 is None else np.asarray(xi0, dtype=float).copy()
-    stats = {"iters": 0, "cg_iters": 0, "fallbacks": 0, "backtracks": 0}
-    g = phi_kj_grad(xi, eta, state, spec)
+    # "cg_iters" stays 0: the benchmark tracer still reads it (ROADMAP item 6 removes it)
+    stats = {"iters": 0, "cg_iters": 0, "fallbacks": 0, "backtracks": 0, "stalls": 0}
+    sigma = state.sigma
+    y = _reduced_point(xi, eta, state, spec)
+    f, resid = _phi_smooth(xi, y, sigma, spec)
+    g = spec.b + xi + sigma * (spec.A @ resid)
     gnorm = np.linalg.norm(g)
     if gnorm <= grad_tol:
         return xi, stats
-    f = phi_kj_value(xi, eta, state, spec)
     for _ in range(cfg.max_iter):
-        cg_tol = min(cfg.theta_bar, gnorm ** (1.0 + cfg.tau))
-        d, resid, cg_it = _cg(hessian_operator(xi, eta, state, spec), -g, cg_tol, cfg.cg_max)
-        stats["cg_iters"] += cg_it
+        d = newton_direction(-g, y, sigma, spec)
         slope = g @ d
         if slope >= 0 or not np.all(np.isfinite(d)):
-            d = -g  # CG failed to deliver descent; steepest descent fallback
+            d = -g  # no descent from the Newton system; steepest descent fallback
             slope = -gnorm**2
             stats["fallbacks"] += 1
+        At_d = spec.A.T @ d
+        # below this, a change of f is rounding noise and cannot veto a step
+        slack = _ROUNDING_SLACK * max(1.0, abs(f))
         alpha = 1.0
-        accepted = False
         for _ in range(cfg.max_backtracks + 1):
-            f_new = phi_kj_value(xi + alpha * d, eta, state, spec)
-            if f_new <= f + cfg.mu * alpha * slope:
-                accepted = True
+            xi_new, y_new = xi + alpha * d, y + alpha * At_d
+            f_new, resid_new = _phi_smooth(xi_new, y_new, sigma, spec)
+            if f_new <= f + cfg.mu * alpha * slope + slack:
                 break
             alpha *= cfg.delta
             stats["backtracks"] += 1
-        if not accepted:
+        else:
             raise SolverStallError(
                 f"Armijo line search failed after max backtracks at gradient norm {gnorm:.3g}"
             )
-        xi = xi + alpha * d
-        f = f_new
         stats["iters"] += 1
-        g = phi_kj_grad(xi, eta, state, spec)
-        gnorm = np.linalg.norm(g)
+        g_new = spec.b + xi_new + sigma * (spec.A @ resid_new)
+        gnorm_new = np.linalg.norm(g_new)
+        stalled = f_new >= f and gnorm_new >= gnorm
+        xi, y, f, g, gnorm = xi_new, y_new, f_new, g_new, gnorm_new
+        if stalled:
+            stats["stalls"] += 1
+            break
         if gnorm <= grad_tol:
             break
     return xi, stats
@@ -352,7 +413,7 @@ def abcd_solve(state: DualState, spec: SubproblemSpec, cfg: AbcdConfig,
     xi_t, zeta_t = xi_prev.copy(), zeta_prev.copy()
     t_mom = 1.0
     L_prev = np.inf
-    stats = {"iters": 0, "sncg_iters": 0, "cg_iters": 0, "fallbacks": 0, "backtracks": 0}
+    stats = {"iters": 0, "sncg_iters": 0, "fallbacks": 0, "backtracks": 0, "stalls": 0}
     eta_k = state.eta.copy()
     xi_k, zeta_k = xi_prev, zeta_prev
     pinf_vec = np.zeros(spec.p)
@@ -369,7 +430,7 @@ def abcd_solve(state: DualState, spec: SubproblemSpec, cfg: AbcdConfig,
 
     def tally(s):
         stats["sncg_iters"] += s["iters"]
-        for key in ("cg_iters", "fallbacks", "backtracks"):
+        for key in ("fallbacks", "backtracks", "stalls"):
             stats[key] += s[key]
 
     for _ in range(cfg.max_iter):
@@ -442,9 +503,12 @@ def alm_solve(spec: SubproblemSpec, cfg: AlmConfig | None = None,
         state = DualState.cold(spec, cfg.sigma0)
     stats = SolveStats()
     inner_tol = cfg.abcd.rel_tol_factor * cfg.tol
-    sncg_tol = max(1e-11, 1e-3 * cfg.tol * (1.0 + np.linalg.norm(spec.b)))
     bnorm = 1.0 + np.linalg.norm(spec.b)
-    pinf_target = 0.5 * cfg.tol * bnorm
+    # Newton steps are exact, so SNCG solves each subproblem close to the
+    # rounding floor for about one more step; a target scaled by tol * ||b||
+    # left xi too loose for eps_gap when ||b|| is large, and stages cycled
+    sncg_tol = 1e-11 * bnorm
+    pinf_target = inner_tol * bnorm
     for j in range(cfg.max_outer):
         eta, xi, zeta, pinf_vec, a_stats = abcd_solve(
             state, spec, cfg.abcd, cfg.sncg, inner_tol, sncg_tol, pinf_target
@@ -464,9 +528,9 @@ def alm_solve(spec: SubproblemSpec, cfg: AlmConfig | None = None,
         stats.outer_iters = j + 1
         stats.abcd_iters += a_stats["iters"]
         stats.sncg_iters += a_stats["sncg_iters"]
-        stats.cg_iters += a_stats["cg_iters"]
         stats.sncg_fallbacks += a_stats["fallbacks"]
         stats.sncg_backtracks += a_stats["backtracks"]
+        stats.sncg_stalls += a_stats["stalls"]
         stats.eps_pinf, stats.eps_dinf, stats.eps_gap = eps_pinf, eps_dinf, eps_gap
         stats.history.append(
             {
@@ -476,7 +540,6 @@ def alm_solve(spec: SubproblemSpec, cfg: AlmConfig | None = None,
                 "sigma": state.sigma,
                 "abcd_iters": a_stats["iters"],
                 "sncg_iters": a_stats["sncg_iters"],
-                "cg_iters": a_stats["cg_iters"],
             }
         )
         if max(eps_pinf, eps_dinf, eps_gap) <= cfg.tol:

@@ -97,7 +97,7 @@ class TestSolve:
     def test_nested_alm_configs_reach_the_solver(self, tmp_path, capsys):
         d = self._instance_dir(tmp_path)
         cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"alm": {"abcd": {"max_iter": 1}, "sncg": {"cg_max": 300}}}))
+        cfg.write_text(json.dumps({"alm": {"abcd": {"max_iter": 1}, "sncg": {"max_iter": 50}}}))
         code = main(["solve", str(d), "--config", str(cfg), "--out", str(tmp_path / "run")])
         assert code in (0, 1)
         with open(tmp_path / "run" / "traces.jsonl") as fh:
@@ -109,7 +109,10 @@ class TestSolve:
         ({"bogus": 1}, "unknown config key 'bogus'"),
         ({"alm": {"sncg": {"bogus": 1}}}, "unknown config key 'alm.sncg.bogus'"),
         ({"alm": {"tol": -1}}, "eps_loss, tol_decay and tol_floor"),
-    ], ids=["bad_type", "unknown_key", "unknown_nested_key", "alm_tol"])
+        ({"max_stages": 0}, "max_stages must be positive, got 0"),
+        ({"tol_floor": -1}, "tol_floor must be positive, got -1"),
+    ], ids=["bad_type", "unknown_key", "unknown_nested_key", "alm_tol", "max_stages_zero",
+            "tol_floor_negative"])
     def test_bad_config_exits_2(self, tmp_path, capsys, config, message):
         d = self._instance_dir(tmp_path)
         cfg = tmp_path / "cfg.json"

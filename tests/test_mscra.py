@@ -115,6 +115,15 @@ class TestToleranceSchedule:
         assert subproblem_tolerance(1e-5, cfg) == 1e-5
         assert subproblem_tolerance(1.2e-5, cfg) == 1e-5
 
+    @pytest.mark.parametrize("field, value", [
+        ("max_stages", 0), ("tol_floor", 0.0), ("tol_floor", -1.0),
+        ("tol_decay", 0.0), ("tol_decay", 1.5),
+    ])
+    def test_config_ranges(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            MscraConfig(**{field: value})
+        MscraConfig(tol_decay=1.0)
+
 
 class TestStopping:
     def _trace(self, eq, loss, sparsity):
@@ -250,3 +259,18 @@ class TestSigmaRule:
             assert tr.inner_stats.converged, f"stage {tr.k}"
             sigma = [h["sigma"] for h in tr.inner_stats.history]
             assert all(b >= a for a, b in zip(sigma, sigma[1:])), f"stage {tr.k}"
+
+
+class TestSncgTolerance:
+    @pytest.mark.parametrize("design, signal, seed", [
+        ("I", "i", 7001), ("I", "ii", 7001), ("II", "ii", 7000),
+    ])
+    def test_large_signal_stages_do_not_cycle(self, design, signal, seed):
+        # with ||b|| near 5e6, an SNCG target of 1e-3 * tol * ||b|| left xi
+        # loose enough that eps_gap cycled at sigma_max and one stage of each
+        # of these instances stopped at max_outer=200
+        inst = make_instance(design=design, signal=signal, n=64, p=512, m=64, r_bar=6,
+                             alpha=1e5, theta1=0.1, theta2=0.1, seed=seed)
+        res = run(inst.A, inst.b, inst.g, default_box(inst.x_true), MscraConfig())
+        assert res.inner_failures == 0
+        assert max(t.inner_stats.outer_iters for t in res.traces) < 100

@@ -16,6 +16,7 @@ from gsreg.wl21 import (
     SubproblemSpec,
     gen_hessian_apply,
     hessian_operator,
+    newton_direction,
     project_group_balls,
 )
 from reference import block_soft_threshold
@@ -177,3 +178,65 @@ class TestHessian:
         d = np.linspace(-1.0, 1.0, spec.n)
         out = gen_hessian_apply(d, np.zeros(spec.n), np.zeros(spec.p), state, spec)
         assert np.allclose(out, d + 2.0 * spec.A @ (spec.A.T @ d), atol=1e-13)
+
+
+class TestNewtonDirection:
+    """``newton_direction`` inverts the matrix-free Hessian on both of its branches."""
+
+    _spec = TestHessian._spec
+
+    def _solve(self, spec, eta, sigma, monkeypatch, seed=7):
+        # xi = 0 and x = 0 make y = eta, the point the Hessian is taken at
+        state = DualState.cold(spec, sigma)
+        xi = np.zeros(spec.n)
+        v = np.random.default_rng(seed).standard_normal(spec.n)
+        V = dense_hessian(xi, eta, state, spec)
+        expected = np.linalg.solve(V, v)
+        shapes = []
+        solve = np.linalg.solve
+
+        def recording(M, rhs):
+            shapes.append(M.shape)
+            return solve(M, rhs)
+
+        monkeypatch.setattr(np.linalg, "solve", recording)
+        d = newton_direction(v, eta, sigma, spec)
+        monkeypatch.undo()
+        # backward error of a stable solve scales with ||V|| <= 1 + sigma ||A||_F^2
+        atol = 1e-13 * (1.0 + sigma * np.sum(spec.A ** 2))
+        assert np.allclose(gen_hessian_apply(d, xi, eta, state, spec), v, rtol=0, atol=atol)
+        assert np.linalg.norm(d - expected) <= 1e-8 * np.linalg.norm(expected)
+        return shapes
+
+    @pytest.mark.parametrize("sigma", [3.0, 1e6])
+    def test_n_by_n_branch(self, shuffled, sigma, monkeypatch):
+        # n = 5 is below |J| alone, so r >= n
+        g, y, omega = shuffled
+        spec = self._spec(g, omega, n=5)
+        assert self._solve(spec, y, sigma, monkeypatch) == [(5, 5)]
+
+    @pytest.mark.parametrize("sigma", [3.0, 1e6])
+    def test_woodbury_branch(self, shuffled, sigma, monkeypatch):
+        # n = 40 exceeds p + m = 30, so r < n; the zero-weight groups enter with
+        # c = 0 and the boundary group not at all
+        g, y, omega = shuffled
+        spec = self._spec(g, omega, n=40)
+        (shape,) = self._solve(spec, y, sigma, monkeypatch)
+        J = sum(SIZES[i] for i in range(g.m)
+                if omega[i] == 0.0 or np.linalg.norm(y[g.groups[i]]) > omega[i])
+        curved = sum(1 for i in range(g.m)
+                     if omega[i] > 0 and np.linalg.norm(y[g.groups[i]]) > omega[i])
+        assert shape == (J + curved, J + curved) and J + curved < spec.n
+
+    def test_only_zero_weight_groups(self, shuffled, monkeypatch):
+        # every group at weight 0: I - W = I, nothing is curved, and r = p
+        g, y, _ = shuffled
+        spec = self._spec(g, np.zeros(g.m), n=40)
+        assert self._solve(spec, y, 2.0, monkeypatch) == [(g.p, g.p)]
+
+    def test_empty_active_set_returns_v(self, shuffled):
+        g, _, _ = shuffled
+        spec = self._spec(g, np.full(g.m, 1e6))
+        v = np.arange(spec.n, dtype=float)
+        d = newton_direction(v, np.ones(spec.p), 1e6, spec)
+        assert np.array_equal(d, v) and d is not v

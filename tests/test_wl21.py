@@ -4,6 +4,7 @@ import pytest
 from conftest import clarke_block, dense_hessian, random_subproblem
 from gsreg.groups import BoxConstraint, contiguous_groups, group_norms
 from gsreg.wl21 import (
+    AbcdConfig,
     AlmConfig,
     DualState,
     SncgConfig,
@@ -244,21 +245,53 @@ class TestAlm:
         calls = []
         sncg = wl21.sncg_solve
 
-        def recording(*args, **kwargs):
-            xi, s = sncg(*args, **kwargs)
+        def recording(eta, state, spec, cfg, grad_tol, xi0=None):
+            # a zero gradient tolerance lies below every rounding floor, so each call stalls
+            xi, s = sncg(eta, state, spec, cfg, 0.0, xi0=xi0)
             calls.append(s)
             return xi, s
 
         monkeypatch.setattr(wl21, "sncg_solve", recording)
         spec = random_subproblem(16, omega_scale=0.5)
-        _, _, stats = alm_solve(spec, AlmConfig(tol=1e-8))
+        # mu near 1/2 makes the Armijo test turn down some full Newton steps
+        _, _, stats = alm_solve(spec, AlmConfig(tol=1e-8, sncg=SncgConfig(mu=0.49)))
         assert stats.sncg_iters == sum(s["iters"] for s in calls)
-        assert stats.cg_iters == sum(s["cg_iters"] for s in calls)
         assert stats.sncg_fallbacks == sum(s["fallbacks"] for s in calls)
         assert stats.sncg_backtracks == sum(s["backtracks"] for s in calls) > 0
+        assert stats.sncg_stalls == sum(s["stalls"] for s in calls) > 0
         d = stats.to_dict()
-        assert (d["sncg_fallbacks"], d["sncg_backtracks"]) == (
-            stats.sncg_fallbacks, stats.sncg_backtracks)
+        assert (d["sncg_fallbacks"], d["sncg_backtracks"], d["sncg_stalls"]) == (
+            stats.sncg_fallbacks, stats.sncg_backtracks, stats.sncg_stalls)
+
+    def test_sncg_ends_at_the_rounding_floor(self, monkeypatch):
+        # On this instance the Armijo test used to compare function values
+        # closer than their rounding error: calls ran all max_iter steps with
+        # 20-30 backtracks each while the gradient stayed above grad_tol.
+        import gsreg.wl21 as wl21
+
+        calls = []
+        sncg = wl21.sncg_solve
+
+        def recording(eta, state, spec, cfg, grad_tol, xi0=None, floor=False):
+            xi, s = sncg(eta, state, spec, cfg, 0.0 if floor else grad_tol, xi0=xi0)
+            gnorm = np.linalg.norm(phi_kj_grad(xi, eta, state, spec))
+            calls.append((s, gnorm, grad_tol))
+            return xi, s
+
+        monkeypatch.setattr(wl21, "sncg_solve", recording)
+        spec = random_subproblem(16, omega_scale=0.5)
+        _, _, stats = alm_solve(spec, AlmConfig(tol=1e-8))
+        assert stats.converged and stats.sncg_stalls == 0
+        max_iter = SncgConfig().max_iter
+        assert all(s["iters"] < max_iter and gnorm <= tol for s, gnorm, tol in calls)
+        assert stats.sncg_backtracks < stats.sncg_iters
+
+        # below the floor each call ends in a stall, not at max_iter
+        calls.clear()
+        monkeypatch.setattr(wl21, "sncg_solve", lambda *a, **k: recording(*a, **k, floor=True))
+        _, _, stats = alm_solve(spec, AlmConfig(tol=1e-8))
+        assert stats.sncg_stalls == len(calls) > 0
+        assert all(s["stalls"] == 1 and s["iters"] < max_iter for s, _, _ in calls)
 
     def test_sigma_grows_until_converged(self):
         spec = random_subproblem(17)
@@ -318,6 +351,14 @@ class TestSpecValidation:
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
-            SncgConfig(theta_bar=1.5)
+            SncgConfig(delta=1.5)
         with pytest.raises(ValueError):
             SncgConfig(mu=0.7)
+
+    @pytest.mark.parametrize("cls, field, value", [
+        (AlmConfig, "sigma0", 0.0), (AlmConfig, "sigma_growth", 1.0),
+        (AlmConfig, "max_outer", 0), (AbcdConfig, "max_iter", 0),
+    ])
+    def test_config_ranges(self, cls, field, value):
+        with pytest.raises(ValueError, match=field):
+            cls(**{field: value})
