@@ -51,15 +51,6 @@ class PhiSpec:
     def to_dict(self) -> dict:
         return {"family": self.family, "a": self.a, "q": self.q, "eps": self.eps}
 
-    @classmethod
-    def from_dict(cls, obj: dict) -> "PhiSpec":
-        return cls(
-            family=obj.get("family", SCAD),
-            a=obj.get("a", 3.7),
-            q=obj.get("q", 0.5),
-            eps=obj.get("eps", 1e-2),
-        )
-
 
 @dataclass(frozen=True)
 class PhiConstants:

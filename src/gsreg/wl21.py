@@ -114,6 +114,14 @@ class AbcdConfig:
 
 @dataclass(frozen=True)
 class AlmConfig:
+    """Settings of :func:`alm_solve`.
+
+    After each unconverged outer iteration sigma grows by ``sigma_growth``,
+    or by ``max(5, sigma_growth)`` when the multiplier stalls, that is when
+    ``eps_dinf`` kept more than half of its previous value; it never
+    exceeds ``sigma_max``.
+    """
+
     sigma0: float = 1.0
     sigma_growth: float = 1.3
     sigma_max: float = 1e6
@@ -145,6 +153,9 @@ class SolveStats:
     sncg_fallbacks: int = 0
     sncg_backtracks: int = 0
     sncg_stalls: int = 0
+    # SNCG calls that returned above their gradient target: at max_iter,
+    # or at a stall (those are in sncg_stalls as well)
+    sncg_unmet: int = 0
 
     def to_dict(self) -> dict:
         return {
@@ -159,6 +170,7 @@ class SolveStats:
             "sncg_fallbacks": self.sncg_fallbacks,
             "sncg_backtracks": self.sncg_backtracks,
             "sncg_stalls": self.sncg_stalls,
+            "sncg_unmet": self.sncg_unmet,
             "history": self.history,
         }
 
@@ -350,17 +362,20 @@ def sncg_solve(eta, state: DualState, spec: SubproblemSpec, cfg: SncgConfig,
     ``grad_tol``, after ``max_iter`` steps, or at a stall: an accepted
     step that lowers neither the function nor the gradient norm, which
     means ``grad_tol`` lies below the rounding floor.  Returns the final
-    xi and per-call statistics.
+    xi and per-call statistics; ``met`` says whether the gradient norm
+    ended at or below ``grad_tol``.
     """
     xi = np.zeros(spec.n) if xi0 is None else np.asarray(xi0, dtype=float).copy()
     # "cg_iters" stays 0: the benchmark tracer still reads it (ROADMAP item 6 removes it)
-    stats = {"iters": 0, "cg_iters": 0, "fallbacks": 0, "backtracks": 0, "stalls": 0}
+    stats = {"iters": 0, "cg_iters": 0, "fallbacks": 0, "backtracks": 0, "stalls": 0,
+             "met": False}
     sigma = state.sigma
     y = _reduced_point(xi, eta, state, spec)
     f, resid = _phi_smooth(xi, y, sigma, spec)
     g = spec.b + xi + sigma * (spec.A @ resid)
     gnorm = np.linalg.norm(g)
     if gnorm <= grad_tol:
+        stats["met"] = True
         return xi, stats
     for _ in range(cfg.max_iter):
         d = newton_direction(-g, y, sigma, spec)
@@ -393,6 +408,7 @@ def sncg_solve(eta, state: DualState, spec: SubproblemSpec, cfg: SncgConfig,
             stats["stalls"] += 1
             break
         if gnorm <= grad_tol:
+            stats["met"] = True
             break
     return xi, stats
 
@@ -405,15 +421,25 @@ def abcd_solve(state: DualState, spec: SubproblemSpec, cfg: AbcdConfig,
     The eta block has a closed-form soft-threshold update; the (xi, zeta)
     block solves the reduced gradient system by :func:`sncg_solve` and
     recovers zeta by projection.  Nesterov momentum with reset on
-    objective increase keeps L_sigma monotone across restarts.  Returns
-    the updated blocks, the primal-infeasibility ingredient of the last
-    sweep, and iteration counters.
+    objective increase keeps L_sigma monotone across restarts.
+
+    The loop also stops when the next sweep could not move: its momentum
+    weight is 0, this sweep's SNCG call met ``sncg_tol``, and the eta
+    update at the new ``(xi, zeta)`` returns this sweep's eta exactly.
+    That sweep would restart SNCG where it stopped and return the same
+    blocks, so it is skipped, and the zero primal infeasibility it would
+    compute is returned.  This holds up to rounding: SNCG carries ``y``
+    along its steps, so the restarted call would recompute a gradient
+    that can differ in its last bits from the one that met the target.
+    Returns the updated blocks, the primal-infeasibility ingredient of
+    the last sweep, and counters of the sweeps that ran.
     """
     xi_prev, zeta_prev = state.xi.copy(), state.zeta.copy()
     xi_t, zeta_t = xi_prev.copy(), zeta_prev.copy()
     t_mom = 1.0
     L_prev = np.inf
-    stats = {"iters": 0, "sncg_iters": 0, "fallbacks": 0, "backtracks": 0, "stalls": 0}
+    stats = {"iters": 0, "sncg_iters": 0, "fallbacks": 0, "backtracks": 0, "stalls": 0,
+             "unmet": 0}
     eta_k = state.eta.copy()
     xi_k, zeta_k = xi_prev, zeta_prev
     pinf_vec = np.zeros(spec.p)
@@ -432,6 +458,7 @@ def abcd_solve(state: DualState, spec: SubproblemSpec, cfg: AbcdConfig,
         stats["sncg_iters"] += s["iters"]
         for key in ("fallbacks", "backtracks", "stalls"):
             stats[key] += s[key]
+        stats["unmet"] += not s["met"]
 
     for _ in range(cfg.max_iter):
         eta_k, xi_k, zeta_k, L, s = sweep(xi_t, zeta_t)
@@ -449,6 +476,10 @@ def abcd_solve(state: DualState, spec: SubproblemSpec, cfg: AbcdConfig,
         feasible_enough = state.sigma * np.linalg.norm(pinf_vec) <= pinf_target
         if small_change and feasible_enough:
             L_prev = L
+            break
+        # work holds (eta_k, xi_k, zeta_k); with t_mom == 1 the next sweep starts there
+        if t_mom == 1.0 and s["met"] and np.array_equal(eta_update(work, spec), eta_k):
+            pinf_vec = np.zeros(spec.p)
             break
         t_next = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * t_mom**2))
         beta = (t_mom - 1.0) / t_next
@@ -486,13 +517,26 @@ def dual_objective(state: DualState, spec: SubproblemSpec) -> float:
     return float(val / spec.n)
 
 
+# the multiplier stalls when eps_dinf keeps more than _STALL_RATIO of its
+# last value; sigma then grows by at least _STALL_GROWTH
+_STALL_RATIO = 0.5
+_STALL_GROWTH = 5.0
+
+
 def alm_solve(spec: SubproblemSpec, cfg: AlmConfig | None = None,
               warm: DualState | None = None):
     """Inexact ALM on the dual; the primal solution is the negated multiplier.
 
     Stops when the primal/dual infeasibility measures and the normalized
-    primal-dual gap all fall below ``cfg.tol``.  Returns ``(x, state,
-    stats)``; a run hitting ``max_outer`` is flagged not-converged.
+    primal-dual gap all fall below ``cfg.tol``.  Otherwise sigma grows,
+    up to ``cfg.sigma_max``: by ``max(5, cfg.sigma_growth)`` when the
+    multiplier stalls, that is when ``eps_dinf`` stays above half of its
+    value at the previous outer iteration, and by ``cfg.sigma_growth``
+    when it falls faster (and after the first iteration, which has no
+    previous value).  Each ``history`` entry logs the ``sigma`` of its
+    iteration and whether the multiplier ``stalled`` there.  Returns
+    ``(x, state, stats)``; a run hitting ``max_outer`` is flagged
+    not-converged.
     """
     cfg = cfg or AlmConfig()
     t0 = time.perf_counter()
@@ -509,6 +553,7 @@ def alm_solve(spec: SubproblemSpec, cfg: AlmConfig | None = None,
     # left xi too loose for eps_gap when ||b|| is large, and stages cycled
     sncg_tol = 1e-11 * bnorm
     pinf_target = inner_tol * bnorm
+    eps_dinf_prev = np.inf
     for j in range(cfg.max_outer):
         eta, xi, zeta, pinf_vec, a_stats = abcd_solve(
             state, spec, cfg.abcd, cfg.sncg, inner_tol, sncg_tol, pinf_target
@@ -531,7 +576,10 @@ def alm_solve(spec: SubproblemSpec, cfg: AlmConfig | None = None,
         stats.sncg_fallbacks += a_stats["fallbacks"]
         stats.sncg_backtracks += a_stats["backtracks"]
         stats.sncg_stalls += a_stats["stalls"]
+        stats.sncg_unmet += a_stats["unmet"]
         stats.eps_pinf, stats.eps_dinf, stats.eps_gap = eps_pinf, eps_dinf, eps_gap
+        stalled = bool(eps_dinf > _STALL_RATIO * eps_dinf_prev)
+        eps_dinf_prev = eps_dinf
         stats.history.append(
             {
                 "eps_pinf": eps_pinf,
@@ -540,11 +588,13 @@ def alm_solve(spec: SubproblemSpec, cfg: AlmConfig | None = None,
                 "sigma": state.sigma,
                 "abcd_iters": a_stats["iters"],
                 "sncg_iters": a_stats["sncg_iters"],
+                "stalled": stalled,
             }
         )
         if max(eps_pinf, eps_dinf, eps_gap) <= cfg.tol:
             stats.converged = True
             break
-        state.sigma = min(cfg.sigma_growth * state.sigma, cfg.sigma_max)
+        growth = max(_STALL_GROWTH, cfg.sigma_growth) if stalled else cfg.sigma_growth
+        state.sigma = min(growth * state.sigma, cfg.sigma_max)
     stats.wall_time = time.perf_counter() - t0
     return np.clip(-state.x, -spec.box.R, spec.box.R), state, stats

@@ -259,6 +259,9 @@ class TestSigmaRule:
             assert tr.inner_stats.converged, f"stage {tr.k}"
             sigma = [h["sigma"] for h in tr.inner_stats.history]
             assert all(b >= a for a, b in zip(sigma, sigma[1:])), f"stage {tr.k}"
+        # sigma grows fast while the multiplier stalls: stage 2 took 36 outer
+        # iterations under a fixed growth factor of 1.3
+        assert res.traces[1].inner_stats.outer_iters < 20
 
 
 class TestSncgTolerance:

@@ -52,10 +52,6 @@ class TestPhiSpec:
         with pytest.raises(ValueError):
             PhiSpec(LQ, eps=0.5)
 
-    def test_dict_roundtrip(self):
-        spec = PhiSpec(LQ, q=0.3, eps=0.05)
-        assert PhiSpec.from_dict(spec.to_dict()) == spec
-
 
 class TestPhiEval:
     @pytest.mark.parametrize("spec", ALL_SPECS, ids=IDS)

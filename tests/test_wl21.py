@@ -9,6 +9,7 @@ from gsreg.wl21 import (
     DualState,
     SncgConfig,
     SubproblemSpec,
+    abcd_solve,
     alm_solve,
     dual_objective,
     eta_update,
@@ -294,13 +295,46 @@ class TestAlm:
         assert all(s["stalls"] == 1 and s["iters"] < max_iter for s, _, _ in calls)
 
     def test_sigma_grows_until_converged(self):
+        # sigma grows by 5 after an iteration whose eps_dinf kept more than
+        # half of its previous value, and by sigma_growth otherwise
         spec = random_subproblem(17)
         cfg = AlmConfig(tol=1e-9, sigma_max=50.0)
         _, _, stats = alm_solve(spec, cfg)
-        sigma = [h["sigma"] for h in stats.history]
-        expected = [min(cfg.sigma0 * cfg.sigma_growth**j, cfg.sigma_max)
-                    for j in range(len(sigma))]
-        assert sigma == pytest.approx(expected, rel=1e-12)
+        hist = stats.history
+        assert stats.converged and hist[0]["sigma"] == cfg.sigma0
+        assert not hist[0]["stalled"]
+        for prev, curr in zip(hist, hist[1:]):
+            assert curr["stalled"] == (curr["eps_dinf"] > 0.5 * prev["eps_dinf"])
+            growth = 5.0 if prev["stalled"] else cfg.sigma_growth
+            assert curr["sigma"] == pytest.approx(min(growth * prev["sigma"], cfg.sigma_max),
+                                                  rel=1e-12)
+        stalled = [h["stalled"] for h in hist[:-1]]
+        assert any(stalled) and not all(stalled)
+        assert hist[-1]["sigma"] == cfg.sigma_max
+
+    def test_unmet_sncg_calls_are_counted(self, monkeypatch):
+        import gsreg.wl21 as wl21
+
+        calls = []
+        sncg = wl21.sncg_solve
+
+        def recording(eta, state, spec, cfg, grad_tol, xi0=None):
+            xi, s = sncg(eta, state, spec, cfg, grad_tol, xi0=xi0)
+            gnorm = np.linalg.norm(phi_kj_grad(xi, eta, state, spec))
+            calls.append((s, gnorm, grad_tol))
+            return xi, s
+
+        monkeypatch.setattr(wl21, "sncg_solve", recording)
+        spec = random_subproblem(16)
+        _, _, stats = alm_solve(spec, AlmConfig(sncg=SncgConfig(max_iter=1)))
+        unmet = [(s, gnorm, tol) for s, gnorm, tol in calls if not s["met"]]
+        assert stats.sncg_unmet == stats.to_dict()["sncg_unmet"] == len(unmet) > 0
+        assert stats.sncg_stalls == 0
+        # an unmet call ran its one step and ended above its target
+        assert all(s["iters"] == 1 and gnorm > tol for s, gnorm, tol in unmet)
+        assert all(s["met"] for s, _, _ in calls if s["iters"] == 0)
+        # a sweep that fell short is no fixed point, so ABCD sweeps again
+        assert stats.abcd_iters > stats.outer_iters
 
     def test_warm_start_converges_faster(self):
         spec = random_subproblem(14, n=50, p=80, m=16)
@@ -326,6 +360,8 @@ class TestAlm:
         x, _, stats = alm_solve(spec, AlmConfig(tol=1e-8))
         assert stats.converged
         assert np.max(np.abs(x)) <= 1.0 + 1e-8
+        # eta moves with the binding box, so ABCD does not stop after one sweep
+        assert max(h["abcd_iters"] for h in stats.history) > 1
         # compare against projected gradient on the box-constrained problem
         x_pg = np.zeros(p)
         L = np.linalg.svd(A, compute_uv=False)[0] ** 2
@@ -336,6 +372,24 @@ class TestAlm:
         # solver's relative tolerance on this badly scaled instance
         p_alm, p_ref = primal_objective(x, spec), primal_objective(x_pg, spec)
         assert p_alm <= p_ref + 1e-6 * (1.0 + abs(p_ref))
+
+
+class TestAbcd:
+    def test_stops_at_its_fixed_point(self):
+        # the box never binds, so eta stays 0 and every ABCD call needs one sweep
+        spec = random_subproblem(11)
+        _, state, stats = alm_solve(spec, AlmConfig(tol=1e-6))
+        assert stats.converged
+        assert stats.abcd_iters == stats.outer_iters
+        cfg, sncg_cfg, sncg_tol = AbcdConfig(), SncgConfig(), 1e-11 * (1 + np.linalg.norm(spec.b))
+        eta, xi, zeta, pinf_vec, s = abcd_solve(state, spec, cfg, sncg_cfg, 1e-8, sncg_tol)
+        assert s["iters"] == 1 and not np.any(pinf_vec)
+        # a further sweep from the returned point moves nothing
+        state.eta, state.xi, state.zeta = eta, xi, zeta
+        again = abcd_solve(state, spec, AbcdConfig(max_iter=1), sncg_cfg, 1e-8, sncg_tol)
+        for before, after in zip((eta, xi, zeta), again[:3]):
+            assert np.array_equal(before, after)
+        assert again[4]["sncg_iters"] == 0 and not np.any(again[3])
 
 
 class TestSpecValidation:
