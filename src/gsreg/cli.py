@@ -12,7 +12,7 @@ import json
 import sys
 import time
 import typing
-from dataclasses import dataclass, field, is_dataclass, replace
+from dataclasses import asdict, dataclass, field, is_dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -115,19 +115,19 @@ def _build(cls, raw, where: str = ""):
     return cls(**kwargs)
 
 
-def _config_from_file(path) -> tuple[MscraConfig, float, dict]:
-    """The solver config, the ``nu`` factor and the raw JSON of a ``--config`` file.
+def _config_from_file(path) -> tuple[MscraConfig, float]:
+    """The solver config and the ``nu`` factor of a ``--config`` file.
 
     The file holds ``MscraConfig`` fields (nested objects for ``phi``,
-    ``alm``, ``alm.abcd`` and ``alm.sncg``) plus ``nu_factor``, the scale
-    of the default ``nu``.  Without a file every value is the default.
+    ``alm`` and ``alm.sncg``) plus ``nu_factor``, the scale of the
+    default ``nu``.  Without a file every value is the default.
     """
     raw = json.loads(Path(path).read_text()) if path else {}
     if not isinstance(raw, dict):
         raise ValueError(f"config file must hold a JSON object, got {raw!r}")
     fields = dict(raw)
     nu_factor = _scalar(float, fields.pop("nu_factor", 0.1), "nu_factor")
-    return _build(MscraConfig, fields), nu_factor, raw
+    return _build(MscraConfig, fields), nu_factor
 
 
 def _instance_box(inst: Instance) -> BoxConstraint:
@@ -136,10 +136,15 @@ def _instance_box(inst: Instance) -> BoxConstraint:
     return BoxConstraint(R=2000.0)
 
 
-def _solve_one(inst: Instance, cfg: MscraConfig, nu_factor: float) -> dict:
-    box = _instance_box(inst)
+def _resolve_nu(cfg: MscraConfig, inst: Instance, nu_factor: float) -> MscraConfig:
+    """``cfg`` with ``nu`` set: its own value, or the default scaled by ``nu_factor``."""
     if cfg.nu is None:
         cfg = replace(cfg, nu=default_nu(inst.A, inst.b, factor=nu_factor))
+    return cfg
+
+
+def _solve_one(inst: Instance, cfg: MscraConfig) -> dict:
+    box = _instance_box(inst)
     t0 = time.perf_counter()
     result = run(inst.A, inst.b, inst.g, box, cfg)
     elapsed = time.perf_counter() - t0
@@ -167,12 +172,12 @@ def _bench_cell(plan: ExperimentPlan, signal, beta, rep, seed, mode) -> dict:
     out = {"signal": signal, "beta": beta, "rep": rep, "seed": seed, "n": n}
     try:
         if mode in ("gep", "both"):
-            row = _solve_one(inst, MscraConfig(phi=plan.phi), plan.nu_factor)
+            row = _solve_one(inst, _resolve_nu(MscraConfig(phi=plan.phi), inst, plan.nu_factor))
             row.pop("_result")
             out["gep"] = row
         if mode in ("stage1", "both"):
             cfg = MscraConfig(phi=plan.phi, max_stages=1)
-            row = _solve_one(inst, cfg, plan.stage1_nu_factor)
+            row = _solve_one(inst, _resolve_nu(cfg, inst, plan.stage1_nu_factor))
             row.pop("_result")
             out["stage1"] = row
     except Exception as exc:  # record per-cell failures, keep the sweep going
@@ -239,9 +244,10 @@ def cmd_gen(args) -> int:
 
 def cmd_solve(args) -> int:
     inst = gio.load_instance(args.instance)
-    cfg, nu_factor, cfg_raw = _config_from_file(args.config)
+    cfg, nu_factor = _config_from_file(args.config)
+    cfg = _resolve_nu(cfg, inst, nu_factor)
     try:
-        row = _solve_one(inst, cfg, nu_factor)
+        row = _solve_one(inst, cfg)
     except SolverStallError as exc:
         print(f"not converged: {exc}", file=sys.stderr)
         return 1
@@ -250,8 +256,11 @@ def cmd_solve(args) -> int:
     out.mkdir(parents=True, exist_ok=True)
     gio.write_traces_jsonl(out / "traces.jsonl", result.traces, include_x=args.emit_x)
     gio.write_vector(out / "x_out.f64", result.x)
+    # the settings that ran, defaults and nu resolved, so that equal runs hash equal
+    resolved = asdict(cfg)
+    (out / "config.json").write_text(json.dumps(resolved, indent=2, sort_keys=True))
     row["seed"] = inst.seed
-    row["config_hash"] = _hash(cfg_raw)
+    row["config_hash"] = _hash(resolved)
     with open(out / "summary.csv", "w", newline="") as fh:
         writer = csv.DictWriter(fh, fieldnames=sorted(row))
         writer.writeheader()

@@ -149,6 +149,76 @@ def group_norms(x, g: GroupStructure) -> np.ndarray:
     return np.sqrt(g.segment_sum(x * x))
 
 
+# cap on the safeguarded Newton steps of _box_roots; each step that is not
+# a Newton step halves the bracket, so 100 exhaust double precision
+_ROOT_MAX_ITER = 100
+
+
+def _box_roots(a, starts, seg, omega, nrm, R: float) -> np.ndarray:
+    """Root ``t`` of ``t ||min(a_i / (1 + t), R)|| = omega_i`` on each segment ``a_i >= 0``.
+
+    The left side increases in ``t``.  Clipping only shrinks the norm, so
+    the unclipped root ``omega/(||a_i|| - omega)`` is a lower bound, and
+    so is ``omega`` over the clipped norm there, where Newton starts.  At
+    ``max(a_i)/R - 1`` nothing clips and the left side is at least
+    ``omega``: an upper bound.  A Newton step that leaves the bracket is
+    replaced by bisection.
+    """
+
+    def norms(t):
+        u = a / (1.0 + t[seg])
+        free = u < R
+        v = np.where(free, u, R)
+        return (np.sqrt(np.add.reduceat(v * v, starts)),
+                np.add.reduceat(np.where(free, u * u, 0.0), starts))
+
+    lo = omega / norms(omega / (nrm - omega))[0]
+    hi = np.maximum.reduceat(a, starts) / R - 1.0
+    t = lo
+    for _ in range(_ROOT_MAX_ITER):
+        N, U = norms(t)
+        G = t * N - omega
+        lo = np.where(G < 0, t, lo)
+        hi = np.where(G > 0, t, hi)
+        # d/dt (t N) = N + t dN/dt, with dN/dt = -U / ((1 + t) N)
+        newton = t - G / (N - t * U / ((1.0 + t) * N))
+        step = np.where((newton >= lo) & (newton <= hi), newton, 0.5 * (lo + hi))
+        done = np.all(np.abs(step - t) <= 4 * np.finfo(float).eps * t)
+        t = step
+        if done:
+            break
+    return t
+
+
+def prox_group_box(z, g: GroupStructure, omega, R: float) -> np.ndarray:
+    """Prox of ``p(x) = sum_i omega_i ||x_i|| + delta_{||x||_inf <= R}(x)`` at ``z``.
+
+    On a group where the block soft threshold ``z_i (1 - omega_i/||z_i||)^+``
+    stays in the box, that is the prox: 0 when ``||z_i|| <= omega_i``, and
+    ``z_i`` itself when ``omega_i = 0``.  On the other groups it is
+    ``clip(z_i / (1 + t_i), -R, R)`` for the root ``t_i`` of the increasing
+    equation ``t ||clip(z_i / (1 + t), -R, R)|| = omega_i`` (``t_i = 0``,
+    a plain clip, when ``omega_i = 0``), solved on all of them at once.
+    There ``t_i = omega_i / ||x_i||``, and the clipped coordinates are
+    exactly ``+-R``.
+    """
+    z = _check_dim(z, g)
+    omega = np.asarray(omega, dtype=float)
+    nrm = group_norms(z, g)
+    keep = nrm > omega
+    scale = np.zeros(g.m)
+    scale[keep] = 1.0 - omega[keep] / nrm[keep]
+    x = z * g.broadcast(scale)
+    over = np.abs(x) > R
+    if over.any():
+        hit = np.zeros(g.m, dtype=bool)
+        hit[g.group_id[over]] = True
+        cols, starts, seg = g.segments(hit)
+        t = _box_roots(np.abs(z[cols]), starts, seg, omega[hit], nrm[hit], R)
+        x[cols] = np.clip(z[cols] / (1.0 + t[seg]), -R, R)
+    return x
+
+
 def approx_group_zero_norm(x, g: GroupStructure, tol: float = 1e-6) -> int:
     """Number of groups with norm strictly above ``tol``."""
     if tol < 0:

@@ -2,28 +2,31 @@
 
 The primal subproblem is
 
-    min_x  (1/2) ||Ax - b||^2 + sum_i omega_i ||x_{J_i}||   s.t.  ||x||_inf <= R
+    min_x  (1/2) ||Ax - b||^2 + p(x),
+    p(x) = sum_i omega_i ||x_{J_i}|| + delta_{||x||_inf <= R}(x)
 
 (stage objectives divide this by n; see :func:`primal_objective`).  Its
 dual is a quadratic over (xi, eta, zeta) with the linear coupling
 ``A^T xi + eta - zeta = 0`` and zeta constrained to the product of group
 balls of radii omega.  We run an inexact augmented Lagrangian method on
-the dual whose subproblems are minimized by a two-block accelerated
-coordinate descent; the (xi, zeta) block reduces to a strongly
-semismooth gradient system in xi solved by a semismooth Newton
-iteration, whose linear systems are factored directly on their smaller
-Gram form.  The ALM multiplier converges to the negated primal
-solution, so :func:`alm_solve` flips its sign on return.
+the dual.  Minimizing its augmented Lagrangian over (eta, zeta) in
+closed form goes through :func:`prox_group_box`, the prox of ``p``, and
+leaves a strongly semismooth gradient system in xi alone, which one
+semismooth Newton solve per ALM iteration drives to zero; each Newton
+system is factored directly on its smaller Gram form.  This is the
+SSNAL structure of Li, Sun & Toh (SIAM J. Optim. 2018).  The ALM
+multiplier converges to the negated primal solution, so
+:func:`alm_solve` flips its sign on return.
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .groups import BoxConstraint, GroupStructure, group_norms
+from .groups import BoxConstraint, GroupStructure, group_norms, prox_group_box
 
 
 @dataclass(frozen=True)
@@ -101,18 +104,6 @@ class SncgConfig:
 
 
 @dataclass(frozen=True)
-class AbcdConfig:
-    max_iter: int = 50
-    # the block sweep stops once both the relative L_sigma decrease and the
-    # primal infeasibility of a sweep fall below rel_tol_factor * (outer tolerance)
-    rel_tol_factor: float = 1e-2
-
-    def __post_init__(self):
-        if not self.max_iter > 0:
-            raise ValueError(f"abcd max_iter must be positive, got {self.max_iter}")
-
-
-@dataclass(frozen=True)
 class AlmConfig:
     """Settings of :func:`alm_solve`.
 
@@ -127,7 +118,6 @@ class AlmConfig:
     sigma_max: float = 1e6
     tol: float = 1e-5
     max_outer: int = 200
-    abcd: AbcdConfig = field(default_factory=AbcdConfig)
     sncg: SncgConfig = field(default_factory=SncgConfig)
 
     def __post_init__(self):
@@ -143,36 +133,21 @@ class AlmConfig:
 class SolveStats:
     converged: bool = False
     outer_iters: int = 0
-    abcd_iters: int = 0
     sncg_iters: int = 0
     eps_pinf: float = np.inf
     eps_dinf: float = np.inf
     eps_gap: float = np.inf
     wall_time: float = 0.0
-    history: list = field(default_factory=list)
     sncg_fallbacks: int = 0
     sncg_backtracks: int = 0
     sncg_stalls: int = 0
     # SNCG calls that returned above their gradient target: at max_iter,
     # or at a stall (those are in sncg_stalls as well)
     sncg_unmet: int = 0
+    history: list = field(default_factory=list)
 
     def to_dict(self) -> dict:
-        return {
-            "converged": self.converged,
-            "outer_iters": self.outer_iters,
-            "abcd_iters": self.abcd_iters,
-            "sncg_iters": self.sncg_iters,
-            "eps_pinf": self.eps_pinf,
-            "eps_dinf": self.eps_dinf,
-            "eps_gap": self.eps_gap,
-            "wall_time": self.wall_time,
-            "sncg_fallbacks": self.sncg_fallbacks,
-            "sncg_backtracks": self.sncg_backtracks,
-            "sncg_stalls": self.sncg_stalls,
-            "sncg_unmet": self.sncg_unmet,
-            "history": self.history,
-        }
+        return asdict(self)
 
 
 class SolverStallError(RuntimeError):
@@ -203,7 +178,8 @@ def project_group_balls(y, g: GroupStructure, omega) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# augmented Lagrangian pieces
+# augmented Lagrangian pieces; eta_update and lagrangian_value have no
+# caller in the solver, the benchmark tracer still looks them up by name
 
 
 def eta_update(state: DualState, spec: SubproblemSpec) -> np.ndarray:
@@ -227,61 +203,112 @@ def lagrangian_value(state: DualState, spec: SubproblemSpec) -> float:
 
 
 def _reduced_point(xi, eta, state: DualState, spec: SubproblemSpec) -> np.ndarray:
-    """``y = A^T xi + eta + x/sigma``, the point the group balls act on."""
+    """``y = A^T xi + eta + x/sigma``, the point the prox acts on."""
     return spec.A.T @ np.asarray(xi, dtype=float) + eta + state.x / state.sigma
 
 
-def _phi_smooth(xi, y, sigma: float, spec: SubproblemSpec):
-    """The reduced function at ``(xi, y)`` less ``R ||eta||_1``, and ``y - Pi_Lambda(y)``."""
-    resid = y - project_group_balls(y, spec.g, spec.omega)
-    return 0.5 * sigma * (resid @ resid) + 0.5 * xi @ xi + spec.b @ xi, resid
+def _box_clip(s, spec: SubproblemSpec, R: float):
+    """Where the box of radius ``R`` clips the prox ``s``: ``None``, or ``(clipped, t)``.
+
+    ``clipped`` masks the coordinates at ``+-R``; ``t_i = omega_i/||s_i||``
+    (0 where ``s_i = 0``), so that ``s_i = clip(y_i / (1 + t_i), -R, R)``
+    on the groups where the box clips (see :func:`prox_group_box`).
+    """
+    clipped = np.abs(s) == R
+    if not clipped.any():
+        return None
+    nrm = group_norms(s, spec.g)
+    t = np.zeros(spec.g.m)
+    t[nrm > 0] = spec.omega[nrm > 0] / nrm[nrm > 0]
+    return clipped, t
+
+
+def _psi(xi, y, sigma: float, R: float, spec: SubproblemSpec):
+    """The reduced function at ``(xi, y)`` for the box radius ``R``, and ``s = prox(y)``.
+
+    ``s`` is :func:`prox_group_box` at ``y`` with the weights omega and
+    the radius ``R``, and the gradient in xi is ``b + xi + sigma A s``.
+    The function is ``||xi||^2/2 + b^T xi + sigma (||s||^2/2 + r)``:
+    ``r`` is 0 where nothing clips, and ``R (|y_j| - (1 + t_i) R)``
+    summed over the clipped coordinates otherwise.
+    """
+    s = prox_group_box(y, spec.g, spec.omega, R)
+    f = 0.5 * sigma * (s @ s) + 0.5 * xi @ xi + spec.b @ xi
+    box = _box_clip(s, spec, R)
+    if box is not None:
+        clipped, t = box
+        over = np.abs(y[clipped]) - (1.0 + t[spec.g.group_id[clipped]]) * R
+        f += sigma * R * over.sum()
+    return f, s
 
 
 def phi_kj_value(xi, eta, state: DualState, spec: SubproblemSpec) -> float:
-    """The reduced function after minimizing L_sigma over zeta in closed form."""
+    """The reduced function of the (xi, zeta) block at fixed eta: no box, plus ``R ||eta||_1``."""
     xi = np.asarray(xi, dtype=float)
-    f, _ = _phi_smooth(xi, _reduced_point(xi, eta, state, spec), state.sigma, spec)
+    f, _ = _psi(xi, _reduced_point(xi, eta, state, spec), state.sigma, np.inf, spec)
     return float(f + spec.box.R * np.abs(eta).sum())
 
 
 def phi_kj_grad(xi, eta, state: DualState, spec: SubproblemSpec) -> np.ndarray:
-    """Gradient ``b + xi + sigma A (y - Pi_Lambda(y))`` of the reduced function."""
+    """Gradient ``b + xi + sigma A (y - Pi_Lambda(y))`` of :func:`phi_kj_value`."""
     xi = np.asarray(xi, dtype=float)
-    _, resid = _phi_smooth(xi, _reduced_point(xi, eta, state, spec), state.sigma, spec)
-    return spec.b + xi + state.sigma * (spec.A @ resid)
+    _, s = _psi(xi, _reduced_point(xi, eta, state, spec), state.sigma, np.inf, spec)
+    return spec.b + xi + state.sigma * (spec.A @ s)
 
 
-def _active_groups(y, spec: SubproblemSpec):
-    """The groups where ``I - W`` is nonzero at ``y``, with their weights.
+def _active_groups(y, spec: SubproblemSpec, R: float):
+    """The groups where the Jacobian ``I - W`` of the prox at ``y`` is nonzero, with their weights.
 
-    On group i, ``I - W_i`` is the identity when ``omega_i = 0``, zero
-    inside or on the ball, and ``a_i I + c_i y_i y_i^T`` with
-    ``a_i = 1 - omega_i/||y_i||``, ``c_i = omega_i/||y_i||^3`` outside.
-    Returns the segments ``(cols, starts, seg)`` of those groups and
-    their ``a`` and ``c`` (``a = 1``, ``c = 0`` where ``omega = 0``).
+    The prox is :func:`prox_group_box` with the weights omega and the
+    radius ``R``.  On group i, ``I - W_i`` is the identity when
+    ``omega_i = 0``, zero inside or on the ball, and
+    ``a_i I + c_i y_i y_i^T`` with ``a_i = 1 - omega_i/||y_i||``,
+    ``c_i = omega_i/||y_i||^3`` outside.  On a group where the box clips,
+    with prox ``s_i`` and ``t_i`` from :func:`_box_clip`, it is zero on
+    the clipped coordinates and ``a_i I + c_i y_i y_i^T`` on the others
+    ``F``, with ``a_i = 1/(1 + t_i)`` and
+    ``c_i = t_i / ((1 + t_i)^3 ((1 + t_i) ||s_i||^2 - t_i ||s_F||^2))``.
+    Returns the segments ``(cols, starts, seg)`` of the coordinates where
+    it is nonzero, and the ``a`` and ``c`` of their groups.
     """
-    omega = spec.omega
-    nrm = group_norms(y, spec.g)
+    g, omega = spec.g, spec.omega
+    nrm = group_norms(y, g)
     outside = nrm > omega
     active = outside | (omega == 0.0)
-    scale = np.zeros(spec.g.m)  # omega_i / ||y_i||; stays 0 where omega = 0
+    scale = np.zeros(g.m)  # omega_i / ||y_i||; stays 0 where omega = 0
     scale[outside] = omega[outside] / nrm[outside]
-    curv = np.zeros(spec.g.m)
-    curv[outside] = scale[outside] / nrm[outside] ** 2
-    cols, starts, seg = spec.g.segments(active)
-    return cols, starts, seg, 1.0 - scale[active], curv[active]
+    a = 1.0 - scale
+    c = np.zeros(g.m)
+    c[outside] = scale[outside] / nrm[outside] ** 2
+    s = prox_group_box(y, g, omega, R)
+    box = _box_clip(s, spec, R)
+    if box is None:
+        cols, starts, seg = g.segments(active)
+        return cols, starts, seg, a[active], c[active]
+    clipped, t = box
+    hit = g.segment_sum(clipped) > 0
+    th, s2 = t[hit], s * s
+    s2_free = g.segment_sum(np.where(clipped, 0.0, s2))[hit]
+    a[hit] = 1.0 / (1.0 + th)
+    c[hit] = th / ((1.0 + th) ** 3 * ((1.0 + th) * g.segment_sum(s2)[hit] - th * s2_free))
+    active &= g.segment_sum(~clipped) > 0
+    cols, _, seg = g.segments(active)
+    kept = ~clipped[cols]
+    cols, seg = cols[kept], seg[kept]
+    sizes = np.bincount(seg, minlength=np.count_nonzero(active))
+    return cols, np.cumsum(sizes) - sizes, seg, a[active], c[active]
 
 
 def hessian_operator(xi, eta, state: DualState, spec: SubproblemSpec):
-    """The generalized Hessian ``d -> (I + sigma A (I - W) A^T) d`` at ``xi``.
+    """The generalized Hessian ``d -> (I + sigma A (I - W) A^T) d`` of :func:`phi_kj_value`.
 
     Only the columns ``J`` of the groups from :func:`_active_groups`
     enter, so each application costs two products with ``A_J`` instead
-    of ``A``.  This matrix-free form is the oracle for
-    :func:`newton_direction`.
+    of ``A``.  This matrix-free form is an oracle for
+    :func:`newton_direction` where the box clips nothing.
     """
     y = _reduced_point(xi, eta, state, spec)
-    cols, starts, seg, a, c = _active_groups(y, spec)
+    cols, starts, seg, a, c = _active_groups(y, spec, np.inf)
     A_J = spec.A if cols.size == spec.p and spec.g.perm is None else spec.A[:, cols]
     y_J = y[cols]
     a_J = a[seg]
@@ -304,16 +331,17 @@ def gen_hessian_apply(d, xi, eta, state: DualState, spec: SubproblemSpec) -> np.
 def newton_direction(v, y, sigma: float, spec: SubproblemSpec) -> np.ndarray:
     """Solve ``(I + sigma A (I - W) A^T) d = v`` directly, with ``W`` taken at ``y``.
 
-    With ``Z = A_J diag(sqrt(a))`` and ``w_i = A_{J_i} y_i`` on the
-    groups with ``c_i > 0`` (see :func:`_active_groups`),
-    ``A (I - W) A^T = Z Z^T + sum_i c_i w_i w_i^T = B B^T`` for
-    ``B = [Z, W sqrt(C)]``, which has ``r = |J| + #{c_i > 0}`` columns.
+    ``I - W`` is the Jacobian of the prox at ``y`` for the box radius
+    ``R / sigma`` (see :func:`_active_groups`).  With
+    ``Z = A_J diag(sqrt(a))`` and ``w_i = A_{J_i} y_i`` on the groups
+    with ``c_i > 0``, ``A (I - W) A^T = Z Z^T + sum_i c_i w_i w_i^T = B B^T``
+    for ``B = [Z, W sqrt(C)]``, which has ``r = |J| + #{c_i > 0}`` columns.
     If ``r >= n`` the n x n system is solved; otherwise the Woodbury
     identity ``d = v - sigma B (I_r + sigma B^T B)^{-1} B^T v`` needs
     only an r x r one.  An empty ``J`` gives ``d = v``.
     """
     v = np.asarray(v, dtype=float)
-    cols, starts, seg, a, c = _active_groups(y, spec)
+    cols, starts, seg, a, c = _active_groups(y, spec, spec.box.R / sigma)
     if cols.size == 0:
         return v.copy()
     # Z is built in the one n x |J| buffer: first A_J * y_J, summed per
@@ -350,34 +378,39 @@ def newton_direction(v, y, sigma: float, spec: SubproblemSpec) -> np.ndarray:
 _ROUNDING_SLACK = 16 * np.finfo(float).eps
 
 
-def sncg_solve(eta, state: DualState, spec: SubproblemSpec, cfg: SncgConfig,
+def sncg_solve(state: DualState, spec: SubproblemSpec, cfg: SncgConfig,
                grad_tol: float, xi0=None):
     """Semismooth Newton on the reduced gradient system in xi.
 
+    The reduced function is the augmented Lagrangian minimized over
+    (eta, zeta): ``||xi||^2/2 + b^T xi`` plus a Moreau envelope of the
+    conjugate of ``p`` at ``y = A^T xi + x/sigma``, whose gradient
+    ``b + xi + A x+`` needs ``x+ = prox_{sigma p}(sigma y)``, computed as
+    ``sigma`` times the prox at ``y`` for the box radius ``R/sigma``.
     Each Newton direction solves the generalized Hessian system exactly
     (:func:`newton_direction`); steps are accepted under an Armijo
     backtracking rule that allows for the rounding error of the function
     values it compares.  ``y`` moves with ``xi`` along ``A^T d``, so a
-    trial step needs no product with ``A``.  The loop stops at
+    trial step needs no product with ``A^T``.  The loop stops at
     ``grad_tol``, after ``max_iter`` steps, or at a stall: an accepted
     step that lowers neither the function nor the gradient norm, which
     means ``grad_tol`` lies below the rounding floor.  Returns the final
     xi and per-call statistics; ``met`` says whether the gradient norm
-    ended at or below ``grad_tol``.
+    ``gnorm`` ended at or below ``grad_tol``.
     """
     xi = np.zeros(spec.n) if xi0 is None else np.asarray(xi0, dtype=float).copy()
-    # "cg_iters" stays 0: the benchmark tracer still reads it (ROADMAP item 6 removes it)
+    # "cg_iters" stays 0: the benchmark tracer still reads it (ROADMAP item 1 removes it)
     stats = {"iters": 0, "cg_iters": 0, "fallbacks": 0, "backtracks": 0, "stalls": 0,
              "met": False}
     sigma = state.sigma
-    y = _reduced_point(xi, eta, state, spec)
-    f, resid = _phi_smooth(xi, y, sigma, spec)
-    g = spec.b + xi + sigma * (spec.A @ resid)
+    R = spec.box.R / sigma
+    y = _reduced_point(xi, 0.0, state, spec)
+    f, s = _psi(xi, y, sigma, R, spec)
+    g = spec.b + xi + sigma * (spec.A @ s)
     gnorm = np.linalg.norm(g)
-    if gnorm <= grad_tol:
-        stats["met"] = True
-        return xi, stats
     for _ in range(cfg.max_iter):
+        if gnorm <= grad_tol:
+            break
         d = newton_direction(-g, y, sigma, spec)
         slope = g @ d
         if slope >= 0 or not np.all(np.isfinite(d)):
@@ -390,7 +423,7 @@ def sncg_solve(eta, state: DualState, spec: SubproblemSpec, cfg: SncgConfig,
         alpha = 1.0
         for _ in range(cfg.max_backtracks + 1):
             xi_new, y_new = xi + alpha * d, y + alpha * At_d
-            f_new, resid_new = _phi_smooth(xi_new, y_new, sigma, spec)
+            f_new, s_new = _psi(xi_new, y_new, sigma, R, spec)
             if f_new <= f + cfg.mu * alpha * slope + slack:
                 break
             alpha *= cfg.delta
@@ -400,95 +433,51 @@ def sncg_solve(eta, state: DualState, spec: SubproblemSpec, cfg: SncgConfig,
                 f"Armijo line search failed after max backtracks at gradient norm {gnorm:.3g}"
             )
         stats["iters"] += 1
-        g_new = spec.b + xi_new + sigma * (spec.A @ resid_new)
+        g_new = spec.b + xi_new + sigma * (spec.A @ s_new)
         gnorm_new = np.linalg.norm(g_new)
         stalled = f_new >= f and gnorm_new >= gnorm
         xi, y, f, g, gnorm = xi_new, y_new, f_new, g_new, gnorm_new
         if stalled:
             stats["stalls"] += 1
             break
-        if gnorm <= grad_tol:
-            stats["met"] = True
-            break
+    stats["met"] = bool(gnorm <= grad_tol)
+    stats["gnorm"] = float(gnorm)
     return xi, stats
 
 
-def abcd_solve(state: DualState, spec: SubproblemSpec, cfg: AbcdConfig,
-               sncg_cfg: SncgConfig, inner_tol: float, sncg_tol: float,
-               pinf_target: float = np.inf):
-    """Accelerated two-block descent on the ALM subproblem.
+def abcd_solve(state: DualState, spec: SubproblemSpec, sncg_cfg: SncgConfig, sncg_tol: float):
+    """Minimize the augmented Lagrangian over (eta, xi, zeta) by one :func:`sncg_solve` call.
 
-    The eta block has a closed-form soft-threshold update; the (xi, zeta)
-    block solves the reduced gradient system by :func:`sncg_solve` and
-    recovers zeta by projection.  Nesterov momentum with reset on
-    objective increase keeps L_sigma monotone across restarts.
+    SNCG finds xi; with ``y = A^T xi + x/sigma`` and ``s`` the prox at
+    ``y`` for the box radius ``R/sigma``, the minimizing zeta is the
+    projection of ``y`` onto the group balls where the box clips nothing
+    and ``omega_i s_i/||s_i||`` where it does, and eta is
+    ``zeta - (y - s)`` on the clipped coordinates and 0 elsewhere.  The
+    new multiplier ``x + sigma (A^T xi + eta - zeta)`` is then
+    ``sigma s = prox_{sigma p}(sigma y)``.  Returns
+    ``(eta, xi, zeta, x_new, stats)``, where ``stats["sncg"]`` holds the
+    statistics of the SNCG call.
 
-    The loop also stops when the next sweep could not move: its momentum
-    weight is 0, this sweep's SNCG call met ``sncg_tol``, and the eta
-    update at the new ``(xi, zeta)`` returns this sweep's eta exactly.
-    That sweep would restart SNCG where it stopped and return the same
-    blocks, so it is skipped, and the zero primal infeasibility it would
-    compute is returned.  This holds up to rounding: SNCG carries ``y``
-    along its steps, so the restarted call would recompute a gradient
-    that can differ in its last bits from the one that met the target.
-    Returns the updated blocks, the primal-infeasibility ingredient of
-    the last sweep, and counters of the sweeps that ran.
+    The name and the 5-tuple with the statistics last are those of the
+    block coordinate descent this replaced: the benchmark tracer looks
+    the function up by name and counts ``stats["iters"]``, always 1
+    here, as its sweeps.
     """
-    xi_prev, zeta_prev = state.xi.copy(), state.zeta.copy()
-    xi_t, zeta_t = xi_prev.copy(), zeta_prev.copy()
-    t_mom = 1.0
-    L_prev = np.inf
-    stats = {"iters": 0, "sncg_iters": 0, "fallbacks": 0, "backtracks": 0, "stalls": 0,
-             "unmet": 0}
-    eta_k = state.eta.copy()
-    xi_k, zeta_k = xi_prev, zeta_prev
-    pinf_vec = np.zeros(spec.p)
-    work = state.copy()
-
-    def sweep(xi_tilde, zeta_tilde):
-        work.xi, work.zeta = xi_tilde, zeta_tilde
-        eta = eta_update(work, spec)
-        xi, s = sncg_solve(eta, work, spec, sncg_cfg, sncg_tol, xi0=xi_tilde)
-        y = spec.A.T @ xi + eta + work.x / work.sigma
-        zeta = project_group_balls(y, spec.g, spec.omega)
-        work.eta, work.xi, work.zeta = eta, xi, zeta
-        return eta, xi, zeta, lagrangian_value(work, spec), s
-
-    def tally(s):
-        stats["sncg_iters"] += s["iters"]
-        for key in ("fallbacks", "backtracks", "stalls"):
-            stats[key] += s[key]
-        stats["unmet"] += not s["met"]
-
-    for _ in range(cfg.max_iter):
-        eta_k, xi_k, zeta_k, L, s = sweep(xi_t, zeta_t)
-        tally(s)
-        if L > L_prev:
-            # momentum overshoot: redo the sweep from the last accepted
-            # iterate (plain block descent is monotone) and reset momentum
-            eta_k, xi_k, zeta_k, L, s = sweep(xi_prev.copy(), zeta_prev.copy())
-            tally(s)
-            t_mom = 1.0
-            xi_t, zeta_t = xi_prev.copy(), zeta_prev.copy()
-        stats["iters"] += 1
-        pinf_vec = (zeta_k - zeta_t) + spec.A.T @ (xi_t - xi_k)
-        small_change = np.isfinite(L_prev) and abs(L_prev - L) <= inner_tol * max(1.0, abs(L))
-        feasible_enough = state.sigma * np.linalg.norm(pinf_vec) <= pinf_target
-        if small_change and feasible_enough:
-            L_prev = L
-            break
-        # work holds (eta_k, xi_k, zeta_k); with t_mom == 1 the next sweep starts there
-        if t_mom == 1.0 and s["met"] and np.array_equal(eta_update(work, spec), eta_k):
-            pinf_vec = np.zeros(spec.p)
-            break
-        t_next = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * t_mom**2))
-        beta = (t_mom - 1.0) / t_next
-        xi_t = xi_k + beta * (xi_k - xi_prev)
-        zeta_t = zeta_k + beta * (zeta_k - zeta_prev)
-        t_mom = t_next
-        xi_prev, zeta_prev = xi_k.copy(), zeta_k.copy()
-        L_prev = L
-    return eta_k, xi_k, zeta_k, pinf_vec, stats
+    xi, s_stats = sncg_solve(state, spec, sncg_cfg, sncg_tol, xi0=state.xi)
+    R = spec.box.R / state.sigma
+    At_xi = spec.A.T @ xi
+    y = At_xi + state.x / state.sigma
+    s = prox_group_box(y, spec.g, spec.omega, R)
+    zeta = project_group_balls(y, spec.g, spec.omega)
+    eta = np.zeros(spec.p)
+    box = _box_clip(s, spec, R)
+    if box is not None:
+        clipped, t = box
+        on = (spec.g.segment_sum(clipped) > 0)[spec.g.group_id]
+        zeta[on] = (t[spec.g.group_id] * s)[on]
+        eta[clipped] = zeta[clipped] - (y - s)[clipped]
+    x_new = state.x + state.sigma * (At_xi + eta - zeta)
+    return eta, xi, zeta, x_new, {"iters": 1, "sncg": s_stats}
 
 
 def primal_objective(x, spec: SubproblemSpec) -> float:
@@ -527,16 +516,19 @@ def alm_solve(spec: SubproblemSpec, cfg: AlmConfig | None = None,
               warm: DualState | None = None):
     """Inexact ALM on the dual; the primal solution is the negated multiplier.
 
-    Stops when the primal/dual infeasibility measures and the normalized
-    primal-dual gap all fall below ``cfg.tol``.  Otherwise sigma grows,
-    up to ``cfg.sigma_max``: by ``max(5, cfg.sigma_growth)`` when the
-    multiplier stalls, that is when ``eps_dinf`` stays above half of its
-    value at the previous outer iteration, and by ``cfg.sigma_growth``
-    when it falls faster (and after the first iteration, which has no
-    previous value).  Each ``history`` entry logs the ``sigma`` of its
-    iteration and whether the multiplier ``stalled`` there.  Returns
-    ``(x, state, stats)``; a run hitting ``max_outer`` is flagged
-    not-converged.
+    Each outer iteration minimizes the augmented Lagrangian with one
+    :func:`abcd_solve` call.  It stops when the three residuals fall
+    below ``cfg.tol``: ``eps_pinf``, the final gradient norm of that
+    SNCG solve over ``1 + ||b||``; ``eps_dinf``, the multiplier step over
+    sigma; and ``eps_gap``, the normalized primal-dual gap.  Otherwise
+    sigma grows, up to ``cfg.sigma_max``: by ``max(5, cfg.sigma_growth)``
+    when the multiplier stalls, that is when ``eps_dinf`` stays above
+    half of its value at the previous outer iteration, and by
+    ``cfg.sigma_growth`` when it falls faster (and after the first
+    iteration, which has no previous value).  Each ``history`` entry logs
+    the ``sigma`` of its iteration and whether the multiplier ``stalled``
+    there.  Returns ``(x, state, stats)``; a run hitting ``max_outer`` is
+    flagged not-converged.
     """
     cfg = cfg or AlmConfig()
     t0 = time.perf_counter()
@@ -546,23 +538,18 @@ def alm_solve(spec: SubproblemSpec, cfg: AlmConfig | None = None,
     else:
         state = DualState.cold(spec, cfg.sigma0)
     stats = SolveStats()
-    inner_tol = cfg.abcd.rel_tol_factor * cfg.tol
     bnorm = 1.0 + np.linalg.norm(spec.b)
     # Newton steps are exact, so SNCG solves each subproblem close to the
     # rounding floor for about one more step; a target scaled by tol * ||b||
     # left xi too loose for eps_gap when ||b|| is large, and stages cycled
     sncg_tol = 1e-11 * bnorm
-    pinf_target = inner_tol * bnorm
     eps_dinf_prev = np.inf
     for j in range(cfg.max_outer):
-        eta, xi, zeta, pinf_vec, a_stats = abcd_solve(
-            state, spec, cfg.abcd, cfg.sncg, inner_tol, sncg_tol, pinf_target
-        )
+        eta, xi, zeta, x_new, a_stats = abcd_solve(state, spec, cfg.sncg, sncg_tol)
         x_old = state.x
-        resid = spec.A.T @ xi + eta - zeta
-        x_new = x_old + state.sigma * resid
         state.eta, state.xi, state.zeta, state.x = eta, xi, zeta, x_new
-        eps_pinf = state.sigma * np.linalg.norm(pinf_vec) / bnorm
+        s_stats = a_stats["sncg"]
+        eps_pinf = s_stats["gnorm"] / bnorm
         eps_dinf = np.linalg.norm(x_new - x_old) / state.sigma
         # the primal solution is the negated multiplier under this
         # Lagrangian sign convention; gap evaluated at its box projection
@@ -571,12 +558,11 @@ def alm_solve(spec: SubproblemSpec, cfg: AlmConfig | None = None,
         dobj = dual_objective(state, spec)
         eps_gap = abs(pobj + dobj) / (1.0 + abs(pobj)) if np.isfinite(dobj) else np.inf
         stats.outer_iters = j + 1
-        stats.abcd_iters += a_stats["iters"]
-        stats.sncg_iters += a_stats["sncg_iters"]
-        stats.sncg_fallbacks += a_stats["fallbacks"]
-        stats.sncg_backtracks += a_stats["backtracks"]
-        stats.sncg_stalls += a_stats["stalls"]
-        stats.sncg_unmet += a_stats["unmet"]
+        stats.sncg_iters += s_stats["iters"]
+        stats.sncg_fallbacks += s_stats["fallbacks"]
+        stats.sncg_backtracks += s_stats["backtracks"]
+        stats.sncg_stalls += s_stats["stalls"]
+        stats.sncg_unmet += not s_stats["met"]
         stats.eps_pinf, stats.eps_dinf, stats.eps_gap = eps_pinf, eps_dinf, eps_gap
         stalled = bool(eps_dinf > _STALL_RATIO * eps_dinf_prev)
         eps_dinf_prev = eps_dinf
@@ -586,8 +572,7 @@ def alm_solve(spec: SubproblemSpec, cfg: AlmConfig | None = None,
                 "eps_dinf": eps_dinf,
                 "eps_gap": eps_gap,
                 "sigma": state.sigma,
-                "abcd_iters": a_stats["iters"],
-                "sncg_iters": a_stats["sncg_iters"],
+                "sncg_iters": s_stats["iters"],
                 "stalled": stalled,
             }
         )

@@ -5,6 +5,7 @@ import pytest
 
 from gsreg.groups import BoxConstraint, contiguous_groups
 from gsreg.wl21 import SubproblemSpec
+from reference import bisection_root
 
 
 def random_subproblem(seed, n=30, p=48, m=12, omega_scale=0.1, R=1e4):
@@ -40,13 +41,46 @@ def clarke_block(y_i, omega_i: float) -> np.ndarray:
     return omega_i * (np.eye(d) / nrm - np.outer(y_i, y_i) / nrm**3)
 
 
-def dense_hessian(xi, eta, state, spec):
-    """Assemble I + sigma A (I - W) A^T from the per-group Clarke blocks."""
+def prox_jacobian_block(y_i, omega_i: float, R: float) -> np.ndarray:
+    """Jacobian of the prox of ``omega_i ||.|| + delta_{||.||_inf <= R}`` at ``y_i``.
+
+    Where the box clips nothing this is ``I - clarke_block``.  Where it
+    clips, the prox is ``clip(y_i / (1 + t), -R, R)`` with ``t`` from the
+    bisection oracle: constant on the clipped coordinates, and on the
+    free ones ``F`` differentiated through ``x_F = y_F / (1 + t)`` and the
+    implicit function ``t`` of ``Phi = t^2 ||x||^2 - omega_i^2 = 0``.
+    """
+    y_i = np.asarray(y_i, dtype=float)
+    d = y_i.size
+    if not (np.isfinite(R) and np.linalg.norm(y_i) > omega_i):
+        return np.eye(d) - clarke_block(y_i, omega_i)
+    t = bisection_root(y_i, omega_i, R)
+    x = np.clip(y_i / (1.0 + t), -R, R)
+    free = np.abs(x) < R
+    if free.all():
+        return np.eye(d) - clarke_block(y_i, omega_i)
+    J = np.zeros((d, d))
+    y_F = y_i[free]
+    if omega_i == 0.0:
+        dt = np.zeros(y_F.size)  # a plain clip: t = 0 whatever y
+    else:
+        dphi_dy = 2.0 * t**2 * y_F / (1.0 + t) ** 2
+        dphi_dt = 2.0 * t * (x @ x) - 2.0 * t**2 * (y_F @ y_F) / (1.0 + t) ** 3
+        dt = -dphi_dy / dphi_dt
+    J[np.ix_(free, free)] = np.eye(y_F.size) / (1.0 + t) - np.outer(y_F, dt) / (1.0 + t) ** 2
+    return J
+
+
+def dense_hessian(xi, eta, state, spec, R=np.inf):
+    """Assemble ``I + sigma A J A^T``, with ``J`` the prox Jacobian of box radius ``R``, group by group.
+
+    With no box (``R = inf``) ``J = I - W`` from the per-group Clarke blocks.
+    """
     y = spec.A.T @ xi + eta + state.x / state.sigma
-    W = np.zeros((spec.p, spec.p))
+    J = np.zeros((spec.p, spec.p))
     for i, idx in enumerate(spec.g.groups):
-        W[np.ix_(idx, idx)] = clarke_block(y[idx], spec.omega[i])
-    return np.eye(spec.n) + state.sigma * spec.A @ (np.eye(spec.p) - W) @ spec.A.T
+        J[np.ix_(idx, idx)] = prox_jacobian_block(y[idx], spec.omega[i], R)
+    return np.eye(spec.n) + state.sigma * spec.A @ J @ spec.A.T
 
 
 @pytest.fixture

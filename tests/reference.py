@@ -26,6 +26,42 @@ def block_soft_threshold(z, g, thresholds) -> np.ndarray:
     return z * g.broadcast(scale)
 
 
+def bisection_root(z_i, omega_i: float, R: float) -> float:
+    """The root ``t >= 0`` of ``t ||clip(z_i / (1 + t), -R, R)|| = omega_i``, by bisection.
+
+    The left side increases in ``t``; the root exists when ``||z_i|| > omega_i``.
+    """
+    def excess(t):
+        return t * np.linalg.norm(np.clip(z_i / (1.0 + t), -R, R)) - omega_i
+
+    lo, hi = 0.0, 1.0
+    while excess(hi) < 0:
+        hi *= 2.0
+    while True:
+        mid = 0.5 * (lo + hi)
+        if mid <= lo or mid >= hi:
+            return mid
+        if excess(mid) < 0:
+            lo = mid
+        else:
+            hi = mid
+
+
+def bisection_prox(z, g, omega, R: float) -> np.ndarray:
+    """Prox of ``sum_i omega_i ||x_Ji|| + delta_{||x||_inf <= R}``, one group at a time.
+
+    A group with ``||z_i|| <= omega_i`` maps to 0; any other maps to
+    ``clip(z_i / (1 + t), -R, R)`` with ``t`` from :func:`bisection_root`.
+    """
+    z = np.asarray(z, dtype=float)
+    x = np.zeros_like(z)
+    for i, idx in enumerate(g.groups):
+        if np.linalg.norm(z[idx]) > omega[i]:
+            t = bisection_root(z[idx], omega[i], R)
+            x[idx] = np.clip(z[idx] / (1.0 + t), -R, R)
+    return x
+
+
 def fista_reference(spec: SubproblemSpec, grad_map_tol: float = 1e-8,
                     max_iter: int = 200_000):
     """Solve ``min (1/2)||Ax-b||^2 + sum omega_i ||x_Ji||`` by accelerated prox-gradient.

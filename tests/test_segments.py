@@ -2,15 +2,23 @@
 
 The partition below is not contiguous, so every kernel has to go through
 the cached permutation.  Its point ``y`` puts one group at zero weight,
-one group at zero weight and zero norm, and one group exactly on the
-boundary of its ball.
+one group at zero weight and zero norm, one group exactly on the
+boundary of its ball, and one group inside it.  At the box radius
+``CLIP_R`` the prox clips the zero-weight group and two weighted groups,
+and leaves a third weighted group alone.
 """
 
 import numpy as np
 import pytest
 
-from conftest import dense_hessian
-from gsreg.groups import BoxConstraint, GroupStructure, contiguous_groups, group_norms
+from conftest import dense_hessian, prox_jacobian_block
+from gsreg.groups import (
+    BoxConstraint,
+    GroupStructure,
+    contiguous_groups,
+    group_norms,
+    prox_group_box,
+)
 from gsreg.wl21 import (
     DualState,
     SubproblemSpec,
@@ -19,10 +27,11 @@ from gsreg.wl21 import (
     newton_direction,
     project_group_balls,
 )
-from reference import block_soft_threshold
+from reference import bisection_prox, block_soft_threshold
 
 SIZES = [3, 1, 5, 2, 4, 3, 5]
-ZERO_WEIGHT, ZERO_WEIGHT_AT_ORIGIN, BOUNDARY = 0, 5, 3
+ZERO_WEIGHT, ZERO_WEIGHT_AT_ORIGIN, BOUNDARY, INSIDE = 0, 5, 3, 1
+CLIP_R = 1.0
 
 
 def loop_group_norms(x, g):
@@ -63,6 +72,7 @@ def shuffled():
     omega[BOUNDARY] = 5.0
     nrm = loop_group_norms(y, g)
     assert np.any((nrm < omega) & (omega > 0)) and np.any((nrm > omega) & (omega > 0))
+    assert 0 < nrm[INSIDE] < omega[INSIDE]
     return g, y, omega
 
 
@@ -131,6 +141,55 @@ class TestKernels:
         assert np.array_equal(out[g.groups[ZERO_WEIGHT]], y[g.groups[ZERO_WEIGHT]])
 
 
+class TestProxGroupBox:
+    def test_matches_bisection_oracle(self, shuffled):
+        g, y, omega = shuffled
+        out = prox_group_box(y, g, omega, CLIP_R)
+        ref = bisection_prox(y, g, omega, CLIP_R)
+        assert np.linalg.norm(out - ref) <= 1e-12 * np.linalg.norm(ref)
+        clipped = [i for i, idx in enumerate(g.groups) if np.any(np.abs(out[idx]) == CLIP_R)]
+        assert ZERO_WEIGHT in clipped and len(clipped) >= 3
+        # a plain clip on the zero-weight group; zeros at the origin, on the ball, inside it
+        zw = g.groups[ZERO_WEIGHT]
+        assert np.array_equal(out[zw], np.clip(y[zw], -CLIP_R, CLIP_R))
+        for i in (ZERO_WEIGHT_AT_ORIGIN, BOUNDARY, INSIDE):
+            assert np.all(out[g.groups[i]] == 0.0)
+        # a weighted group the box leaves alone keeps its block soft threshold
+        shrunk = block_soft_threshold(y, g, omega)
+        alone = [i for i in range(g.m) if i not in clipped and np.any(out[g.groups[i]])]
+        assert any(omega[i] > 0 for i in alone)
+        for i in alone:
+            assert np.array_equal(out[g.groups[i]], shrunk[g.groups[i]])
+
+    def test_without_clipping_is_block_soft_threshold(self, shuffled):
+        g, y, omega = shuffled
+        assert np.array_equal(prox_group_box(y, g, omega, 1e6), block_soft_threshold(y, g, omega))
+
+    def test_far_outside_the_box(self, shuffled):
+        # trial points of a line search can land thousands of radii outside the box
+        g, y, omega = shuffled
+        z, R = 1e4 * y, 1e-3
+        out = prox_group_box(z, g, omega, R)
+        ref = bisection_prox(z, g, omega, R)
+        assert np.linalg.norm(out - ref) <= 1e-12 * np.linalg.norm(ref)
+
+    def test_jacobian_oracle_matches_finite_differences(self, shuffled):
+        # the dense oracle the Newton tests use; every group but the one on
+        # the kink of its ball, where the prox is not differentiable
+        g, y, omega = shuffled
+        h = 1e-7
+        for i, idx in enumerate(g.groups):
+            if i == BOUNDARY:
+                continue
+            J = prox_jacobian_block(y[idx], omega[i], CLIP_R)
+            for k in range(idx.size):
+                e = np.zeros(g.p)
+                e[idx[k]] = h
+                fd = (prox_group_box(y + e, g, omega, CLIP_R)
+                      - prox_group_box(y - e, g, omega, CLIP_R))[idx] / (2 * h)
+                assert np.allclose(J[:, k], fd, atol=1e-6)
+
+
 class TestHessian:
     def _spec(self, g, omega, n=9, seed=3):
         rng = np.random.default_rng(seed)
@@ -181,16 +240,17 @@ class TestHessian:
 
 
 class TestNewtonDirection:
-    """``newton_direction`` inverts the matrix-free Hessian on both of its branches."""
+    """``newton_direction`` inverts the dense Hessian on both of its branches, box included."""
 
     _spec = TestHessian._spec
 
     def _solve(self, spec, eta, sigma, monkeypatch, seed=7):
-        # xi = 0 and x = 0 make y = eta, the point the Hessian is taken at
+        # xi = 0 and x = 0 make y = eta, the point the Hessian is taken at;
+        # the box radius there is R / sigma, so at sigma = 1e6 the prox clips
         state = DualState.cold(spec, sigma)
         xi = np.zeros(spec.n)
         v = np.random.default_rng(seed).standard_normal(spec.n)
-        V = dense_hessian(xi, eta, state, spec)
+        V = dense_hessian(xi, eta, state, spec, R=spec.box.R / sigma)
         expected = np.linalg.solve(V, v)
         shapes = []
         solve = np.linalg.solve
@@ -204,13 +264,13 @@ class TestNewtonDirection:
         monkeypatch.undo()
         # backward error of a stable solve scales with ||V|| <= 1 + sigma ||A||_F^2
         atol = 1e-13 * (1.0 + sigma * np.sum(spec.A ** 2))
-        assert np.allclose(gen_hessian_apply(d, xi, eta, state, spec), v, rtol=0, atol=atol)
+        assert np.allclose(V @ d, v, rtol=0, atol=atol)
         assert np.linalg.norm(d - expected) <= 1e-8 * np.linalg.norm(expected)
         return shapes
 
     @pytest.mark.parametrize("sigma", [3.0, 1e6])
     def test_n_by_n_branch(self, shuffled, sigma, monkeypatch):
-        # n = 5 is below |J| alone, so r >= n
+        # n = 5 is below |J| alone (7 coordinates even where the box clips), so r >= n
         g, y, omega = shuffled
         spec = self._spec(g, omega, n=5)
         assert self._solve(spec, y, sigma, monkeypatch) == [(5, 5)]
@@ -218,15 +278,20 @@ class TestNewtonDirection:
     @pytest.mark.parametrize("sigma", [3.0, 1e6])
     def test_woodbury_branch(self, shuffled, sigma, monkeypatch):
         # n = 40 exceeds p + m = 30, so r < n; the zero-weight groups enter with
-        # c = 0 and the boundary group not at all
+        # c = 0 and the boundary group not at all; at sigma = 1e6 the box
+        # clips, and clipped coordinates (a whole group, once) leave J
         g, y, omega = shuffled
         spec = self._spec(g, omega, n=40)
         (shape,) = self._solve(spec, y, sigma, monkeypatch)
-        J = sum(SIZES[i] for i in range(g.m)
-                if omega[i] == 0.0 or np.linalg.norm(y[g.groups[i]]) > omega[i])
-        curved = sum(1 for i in range(g.m)
-                     if omega[i] > 0 and np.linalg.norm(y[g.groups[i]]) > omega[i])
+        R = spec.box.R / sigma
+        x = bisection_prox(y, g, omega, R)
+        free = [np.count_nonzero(np.abs(x[idx]) < R) for idx in g.groups]
+        outside = [omega[i] == 0.0 or np.linalg.norm(y[idx]) > omega[i]
+                   for i, idx in enumerate(g.groups)]
+        J = sum(free[i] for i in range(g.m) if outside[i])
+        curved = sum(1 for i in range(g.m) if outside[i] and omega[i] > 0 and free[i] > 0)
         assert shape == (J + curved, J + curved) and J + curved < spec.n
+        assert (J < sum(SIZES[i] for i in range(g.m) if outside[i])) == (sigma == 1e6)
 
     def test_only_zero_weight_groups(self, shuffled, monkeypatch):
         # every group at weight 0: I - W = I, nothing is curved, and r = p
