@@ -190,7 +190,7 @@ def _box_roots(a, starts, seg, omega, nrm, R: float) -> np.ndarray:
     return t
 
 
-def prox_group_box(z, g: GroupStructure, omega, R: float) -> np.ndarray:
+def prox_group_box(z, g: GroupStructure, omega, R: float, nrm=None) -> np.ndarray:
     """Prox of ``p(x) = sum_i omega_i ||x_i|| + delta_{||x||_inf <= R}(x)`` at ``z``.
 
     On a group where the block soft threshold ``z_i (1 - omega_i/||z_i||)^+``
@@ -200,11 +200,12 @@ def prox_group_box(z, g: GroupStructure, omega, R: float) -> np.ndarray:
     equation ``t ||clip(z_i / (1 + t), -R, R)|| = omega_i`` (``t_i = 0``,
     a plain clip, when ``omega_i = 0``), solved on all of them at once.
     There ``t_i = omega_i / ||x_i||``, and the clipped coordinates are
-    exactly ``+-R``.
+    exactly ``+-R``.  ``nrm``, the group norms of ``z``, is computed when
+    not given.
     """
     z = _check_dim(z, g)
     omega = np.asarray(omega, dtype=float)
-    nrm = group_norms(z, g)
+    nrm = group_norms(z, g) if nrm is None else nrm
     keep = nrm > omega
     scale = np.zeros(g.m)
     scale[keep] = 1.0 - omega[keep] / nrm[keep]

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import asdict, dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -144,6 +145,12 @@ class SolveStats:
     # SNCG calls that returned above their gradient target: at max_iter,
     # or at a stall (those are in sncg_stalls as well)
     sncg_unmet: int = 0
+    # Newton systems solved in the n x n form and in the r x r Woodbury
+    # form, and the largest r = |J| + #{c_i > 0} among them (see
+    # newton_direction)
+    sncg_nn_systems: int = 0
+    sncg_woodbury_systems: int = 0
+    sncg_max_r: int = 0
     history: list = field(default_factory=list)
 
     def to_dict(self) -> dict:
@@ -223,23 +230,43 @@ def _box_clip(s, spec: SubproblemSpec, R: float):
     return clipped, t
 
 
-def _psi(xi, y, sigma: float, R: float, spec: SubproblemSpec):
-    """The reduced function at ``(xi, y)`` for the box radius ``R``, and ``s = prox(y)``.
+class ProxPoint(NamedTuple):
+    """The prox at a point ``y``, with the pieces of it that :func:`_active_groups` reuses.
 
-    ``s`` is :func:`prox_group_box` at ``y`` with the weights omega and
-    the radius ``R``, and the gradient in xi is ``b + xi + sigma A s``.
-    The function is ``||xi||^2/2 + b^T xi + sigma (||s||^2/2 + r)``:
-    ``r`` is 0 where nothing clips, and ``R (|y_j| - (1 + t_i) R)``
-    summed over the clipped coordinates otherwise.
+    ``s`` is :func:`prox_group_box` at ``y``, ``nrm`` the group norms of
+    ``y``, and ``box`` where the box clips ``s`` (see :func:`_box_clip`).
     """
-    s = prox_group_box(y, spec.g, spec.omega, R)
+
+    s: np.ndarray
+    nrm: np.ndarray
+    box: tuple | None
+
+
+def _prox_point(y, spec: SubproblemSpec, R: float) -> ProxPoint:
+    """The prox at ``y`` with the weights omega and the box radius ``R``, as a :class:`ProxPoint`."""
+    nrm = group_norms(y, spec.g)
+    s = prox_group_box(y, spec.g, spec.omega, R, nrm)
+    return ProxPoint(s, nrm, _box_clip(s, spec, R))
+
+
+def _psi(xi, y, sigma: float, R: float, spec: SubproblemSpec):
+    """The reduced function at ``(xi, y)`` for the box radius ``R``, and the prox at ``y``.
+
+    The prox is a :class:`ProxPoint` whose ``s`` is :func:`prox_group_box`
+    at ``y`` with the weights omega and the radius ``R``; the gradient in
+    xi is ``b + xi + sigma A s``.  The function is
+    ``||xi||^2/2 + b^T xi + sigma (||s||^2/2 + r)``: ``r`` is 0 where
+    nothing clips, and ``R (|y_j| - (1 + t_i) R)`` summed over the clipped
+    coordinates otherwise.
+    """
+    prox = _prox_point(y, spec, R)
+    s = prox.s
     f = 0.5 * sigma * (s @ s) + 0.5 * xi @ xi + spec.b @ xi
-    box = _box_clip(s, spec, R)
-    if box is not None:
-        clipped, t = box
+    if prox.box is not None:
+        clipped, t = prox.box
         over = np.abs(y[clipped]) - (1.0 + t[spec.g.group_id[clipped]]) * R
         f += sigma * R * over.sum()
-    return f, s
+    return f, prox
 
 
 def phi_kj_value(xi, eta, state: DualState, spec: SubproblemSpec) -> float:
@@ -252,11 +279,11 @@ def phi_kj_value(xi, eta, state: DualState, spec: SubproblemSpec) -> float:
 def phi_kj_grad(xi, eta, state: DualState, spec: SubproblemSpec) -> np.ndarray:
     """Gradient ``b + xi + sigma A (y - Pi_Lambda(y))`` of :func:`phi_kj_value`."""
     xi = np.asarray(xi, dtype=float)
-    _, s = _psi(xi, _reduced_point(xi, eta, state, spec), state.sigma, np.inf, spec)
-    return spec.b + xi + state.sigma * (spec.A @ s)
+    _, prox = _psi(xi, _reduced_point(xi, eta, state, spec), state.sigma, np.inf, spec)
+    return spec.b + xi + state.sigma * (spec.A @ prox.s)
 
 
-def _active_groups(y, spec: SubproblemSpec, R: float):
+def _active_groups(y, spec: SubproblemSpec, R: float, prox: ProxPoint | None = None):
     """The groups where the Jacobian ``I - W`` of the prox at ``y`` is nonzero, with their weights.
 
     The prox is :func:`prox_group_box` with the weights omega and the
@@ -269,10 +296,13 @@ def _active_groups(y, spec: SubproblemSpec, R: float):
     ``F``, with ``a_i = 1/(1 + t_i)`` and
     ``c_i = t_i / ((1 + t_i)^3 ((1 + t_i) ||s_i||^2 - t_i ||s_F||^2))``.
     Returns the segments ``(cols, starts, seg)`` of the coordinates where
-    it is nonzero, and the ``a`` and ``c`` of their groups.
+    it is nonzero, and the ``a`` and ``c`` of their groups.  ``prox``, the
+    :class:`ProxPoint` at ``y``, is computed when not given.
     """
     g, omega = spec.g, spec.omega
-    nrm = group_norms(y, g)
+    if prox is None:
+        prox = _prox_point(y, spec, R)
+    nrm = prox.nrm
     outside = nrm > omega
     active = outside | (omega == 0.0)
     scale = np.zeros(g.m)  # omega_i / ||y_i||; stays 0 where omega = 0
@@ -280,12 +310,11 @@ def _active_groups(y, spec: SubproblemSpec, R: float):
     a = 1.0 - scale
     c = np.zeros(g.m)
     c[outside] = scale[outside] / nrm[outside] ** 2
-    s = prox_group_box(y, g, omega, R)
-    box = _box_clip(s, spec, R)
-    if box is None:
+    if prox.box is None:
         cols, starts, seg = g.segments(active)
         return cols, starts, seg, a[active], c[active]
-    clipped, t = box
+    s = prox.s
+    clipped, t = prox.box
     hit = g.segment_sum(clipped) > 0
     th, s2 = t[hit], s * s
     s2_free = g.segment_sum(np.where(clipped, 0.0, s2))[hit]
@@ -328,32 +357,30 @@ def gen_hessian_apply(d, xi, eta, state: DualState, spec: SubproblemSpec) -> np.
     return hessian_operator(xi, eta, state, spec)(np.asarray(d, dtype=float))
 
 
-def newton_direction(v, y, sigma: float, spec: SubproblemSpec) -> np.ndarray:
+def newton_direction(v, y, sigma: float, spec: SubproblemSpec, prox: ProxPoint | None = None):
     """Solve ``(I + sigma A (I - W) A^T) d = v`` directly, with ``W`` taken at ``y``.
 
     ``I - W`` is the Jacobian of the prox at ``y`` for the box radius
-    ``R / sigma`` (see :func:`_active_groups`).  With
+    ``R / sigma`` (see :func:`_active_groups`, which takes ``prox``, the
+    :class:`ProxPoint` there, or computes it).  With
     ``Z = A_J diag(sqrt(a))`` and ``w_i = A_{J_i} y_i`` on the groups
     with ``c_i > 0``, ``A (I - W) A^T = Z Z^T + sum_i c_i w_i w_i^T = B B^T``
     for ``B = [Z, W sqrt(C)]``, which has ``r = |J| + #{c_i > 0}`` columns.
     If ``r >= n`` the n x n system is solved; otherwise the Woodbury
     identity ``d = v - sigma B (I_r + sigma B^T B)^{-1} B^T v`` needs
-    only an r x r one.  An empty ``J`` gives ``d = v``.
+    only an r x r one.  An empty ``J`` gives ``d = v``.  Returns ``d``
+    and ``r`` (0 for an empty ``J``).
     """
     v = np.asarray(v, dtype=float)
-    cols, starts, seg, a, c = _active_groups(y, spec, spec.box.R / sigma)
+    cols, starts, seg, a, c = _active_groups(y, spec, spec.box.R / sigma, prox)
     if cols.size == 0:
-        return v.copy()
-    # Z is built in the one n x |J| buffer: first A_J * y_J, summed per
-    # group into the w_i, then A_J again, scaled by sqrt(a); "clip" keeps
-    # take from buffering (every index is valid)
+        return v.copy(), 0
+    # "clip" keeps take from buffering (every index is valid)
     Z = np.take(spec.A, cols, axis=1, mode="clip")
     curved = np.flatnonzero(c > 0.0)
     W = np.empty((spec.n, 0))
     if curved.size:
-        Z *= y[cols]
-        W = np.add.reduceat(Z, starts, axis=1)[:, curved] * np.sqrt(c[curved])
-        np.take(spec.A, cols, axis=1, out=Z, mode="clip")
+        W = np.add.reduceat(Z * y[cols], starts, axis=1)[:, curved] * np.sqrt(c[curved])
     Z *= np.sqrt(a)[seg]
     n, r = spec.n, cols.size + curved.size
     if r >= n:
@@ -361,7 +388,7 @@ def newton_direction(v, y, sigma: float, spec: SubproblemSpec) -> np.ndarray:
         M += W @ W.T
         M *= sigma
         M[np.diag_indices(n)] += 1.0
-        return np.linalg.solve(M, v)
+        return np.linalg.solve(M, v), r
     K = np.empty((r, r))
     k = cols.size
     K[:k, :k] = Z.T @ Z
@@ -371,7 +398,7 @@ def newton_direction(v, y, sigma: float, spec: SubproblemSpec) -> np.ndarray:
     K *= sigma
     K[np.diag_indices(r)] += 1.0
     t = np.linalg.solve(K, np.concatenate((Z.T @ v, W.T @ v)))
-    return v - sigma * (Z @ t[:k] + W @ t[k:])
+    return v - sigma * (Z @ t[:k] + W @ t[k:]), r
 
 
 # relative rounding error allowed for in the Armijo test of sncg_solve
@@ -391,27 +418,35 @@ def sncg_solve(state: DualState, spec: SubproblemSpec, cfg: SncgConfig,
     (:func:`newton_direction`); steps are accepted under an Armijo
     backtracking rule that allows for the rounding error of the function
     values it compares.  ``y`` moves with ``xi`` along ``A^T d``, so a
-    trial step needs no product with ``A^T``.  The loop stops at
+    trial step needs no product with ``A^T``, and the prox of the
+    accepted trial goes on to the next Newton system.  The loop stops at
     ``grad_tol``, after ``max_iter`` steps, or at a stall: an accepted
     step that lowers neither the function nor the gradient norm, which
     means ``grad_tol`` lies below the rounding floor.  Returns the final
     xi and per-call statistics; ``met`` says whether the gradient norm
-    ``gnorm`` ended at or below ``grad_tol``.
+    ``gnorm`` ended at or below ``grad_tol``, and ``nn_systems``,
+    ``woodbury_systems`` and ``max_r`` count the Newton systems by form
+    and size (see :func:`newton_direction`).
     """
     xi = np.zeros(spec.n) if xi0 is None else np.asarray(xi0, dtype=float).copy()
     # "cg_iters" stays 0: the benchmark tracer still reads it (ROADMAP item 1 removes it)
     stats = {"iters": 0, "cg_iters": 0, "fallbacks": 0, "backtracks": 0, "stalls": 0,
-             "met": False}
+             "nn_systems": 0, "woodbury_systems": 0, "max_r": 0, "met": False}
     sigma = state.sigma
     R = spec.box.R / sigma
     y = _reduced_point(xi, 0.0, state, spec)
-    f, s = _psi(xi, y, sigma, R, spec)
-    g = spec.b + xi + sigma * (spec.A @ s)
+    f, prox = _psi(xi, y, sigma, R, spec)
+    g = spec.b + xi + sigma * (spec.A @ prox.s)
     gnorm = np.linalg.norm(g)
     for _ in range(cfg.max_iter):
         if gnorm <= grad_tol:
             break
-        d = newton_direction(-g, y, sigma, spec)
+        d, r = newton_direction(-g, y, sigma, spec, prox)
+        if r >= spec.n:
+            stats["nn_systems"] += 1
+        elif r:
+            stats["woodbury_systems"] += 1
+        stats["max_r"] = max(stats["max_r"], r)
         slope = g @ d
         if slope >= 0 or not np.all(np.isfinite(d)):
             d = -g  # no descent from the Newton system; steepest descent fallback
@@ -423,7 +458,7 @@ def sncg_solve(state: DualState, spec: SubproblemSpec, cfg: SncgConfig,
         alpha = 1.0
         for _ in range(cfg.max_backtracks + 1):
             xi_new, y_new = xi + alpha * d, y + alpha * At_d
-            f_new, s_new = _psi(xi_new, y_new, sigma, R, spec)
+            f_new, prox_new = _psi(xi_new, y_new, sigma, R, spec)
             if f_new <= f + cfg.mu * alpha * slope + slack:
                 break
             alpha *= cfg.delta
@@ -433,10 +468,10 @@ def sncg_solve(state: DualState, spec: SubproblemSpec, cfg: SncgConfig,
                 f"Armijo line search failed after max backtracks at gradient norm {gnorm:.3g}"
             )
         stats["iters"] += 1
-        g_new = spec.b + xi_new + sigma * (spec.A @ s_new)
+        g_new = spec.b + xi_new + sigma * (spec.A @ prox_new.s)
         gnorm_new = np.linalg.norm(g_new)
         stalled = f_new >= f and gnorm_new >= gnorm
-        xi, y, f, g, gnorm = xi_new, y_new, f_new, g_new, gnorm_new
+        xi, y, f, g, gnorm, prox = xi_new, y_new, f_new, g_new, gnorm_new, prox_new
         if stalled:
             stats["stalls"] += 1
             break
@@ -512,6 +547,18 @@ _STALL_RATIO = 0.5
 _STALL_GROWTH = 5.0
 
 
+def _ball_scale(xi, spec: SubproblemSpec) -> float:
+    """``min(1, min over omega_i > 0 of omega_i / ||A_i^T xi||)``.
+
+    Scaled by it, ``A^T xi`` lies in the group balls of radii omega on
+    every penalized group: the dual-scaling step of gap-safe screening
+    (Ndiaye, Fercoq, Gramfort & Salmon, JMLR 2017).
+    """
+    nrm = group_norms(spec.A.T @ xi, spec.g)
+    outside = (spec.omega > 0) & (nrm > spec.omega)
+    return float(np.min(spec.omega[outside] / nrm[outside])) if outside.any() else 1.0
+
+
 def alm_solve(spec: SubproblemSpec, cfg: AlmConfig | None = None,
               warm: DualState | None = None):
     """Inexact ALM on the dual; the primal solution is the negated multiplier.
@@ -529,12 +576,22 @@ def alm_solve(spec: SubproblemSpec, cfg: AlmConfig | None = None,
     the ``sigma`` of its iteration and whether the multiplier ``stalled``
     there.  Returns ``(x, state, stats)``; a run hitting ``max_outer`` is
     flagged not-converged.
+
+    A ``warm`` state, the one an earlier solve returned, carries over the
+    multiplier x, sigma (raised to ``cfg.sigma0`` if below it) and xi
+    scaled by :func:`_ball_scale` into this problem's group balls.  When
+    the weights shrink, as between stages of the multi-stage loop, the
+    old xi lies outside the new balls, and unscaled it would make nearly
+    every group active in the first Newton systems.  Each subproblem is
+    strongly convex in xi, so the scaling changes only the path of the
+    first SNCG call.
     """
     cfg = cfg or AlmConfig()
     t0 = time.perf_counter()
     if warm is not None:
         state = warm.copy()
         state.sigma = max(warm.sigma, cfg.sigma0)
+        state.xi *= _ball_scale(state.xi, spec)
     else:
         state = DualState.cold(spec, cfg.sigma0)
     stats = SolveStats()
@@ -563,6 +620,9 @@ def alm_solve(spec: SubproblemSpec, cfg: AlmConfig | None = None,
         stats.sncg_backtracks += s_stats["backtracks"]
         stats.sncg_stalls += s_stats["stalls"]
         stats.sncg_unmet += not s_stats["met"]
+        stats.sncg_nn_systems += s_stats["nn_systems"]
+        stats.sncg_woodbury_systems += s_stats["woodbury_systems"]
+        stats.sncg_max_r = max(stats.sncg_max_r, s_stats["max_r"])
         stats.eps_pinf, stats.eps_dinf, stats.eps_gap = eps_pinf, eps_dinf, eps_gap
         stalled = bool(eps_dinf > _STALL_RATIO * eps_dinf_prev)
         eps_dinf_prev = eps_dinf

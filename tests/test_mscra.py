@@ -264,6 +264,22 @@ class TestSigmaRule:
         assert res.traces[1].inner_stats.outer_iters < 20
 
 
+class TestWarmStart:
+    @pytest.mark.parametrize("seed, relerr", [(7000, 0.005026730903525772),
+                                              (7001, 0.004445778841090115)])
+    def test_stage_two_starts_near_the_stage_one_support(self, seed, relerr):
+        # the weights fall by about 2/||G(x^1)||_inf after stage 1; from the
+        # unscaled stage-1 xi most groups started active, and the first SNCG
+        # call of stage 2 took 12 (seed 7000) and 16 (seed 7001) Newton steps
+        inst = make_instance("I", "i", n=128, p=1024, m=128, r_bar=6, alpha=2.0,
+                             theta1=0.1, theta2=0.1, seed=seed)
+        res = run(inst.A, inst.b, inst.g, default_box(inst.x_true), MscraConfig())
+        assert res.converged and res.stages >= 2
+        assert res.traces[1].inner_stats.history[0]["sncg_iters"] <= 8
+        err = np.linalg.norm(res.x - inst.x_true) / np.linalg.norm(inst.x_true)
+        assert err == pytest.approx(relerr, rel=1e-9)
+
+
 class TestSncgTolerance:
     @pytest.mark.parametrize("design, signal, seed", [
         ("I", "i", 7001), ("I", "ii", 7001), ("II", "ii", 7000),

@@ -22,6 +22,7 @@ from gsreg.groups import (
 from gsreg.wl21 import (
     DualState,
     SubproblemSpec,
+    _psi,
     gen_hessian_apply,
     hessian_operator,
     newton_direction,
@@ -260,8 +261,13 @@ class TestNewtonDirection:
             return solve(M, rhs)
 
         monkeypatch.setattr(np.linalg, "solve", recording)
-        d = newton_direction(v, eta, sigma, spec)
+        d, r = newton_direction(v, eta, sigma, spec)
         monkeypatch.undo()
+        # the prox SNCG passes on from its line search gives the same direction, bit for bit
+        prox = _psi(xi, eta, sigma, spec.box.R / sigma, spec)[1]
+        d_passed, r_passed = newton_direction(v, eta, sigma, spec, prox)
+        assert np.array_equal(d_passed, d) and r_passed == r
+        assert shapes == [(spec.n, spec.n) if r >= spec.n else (r, r)]
         # backward error of a stable solve scales with ||V|| <= 1 + sigma ||A||_F^2
         atol = 1e-13 * (1.0 + sigma * np.sum(spec.A ** 2))
         assert np.allclose(V @ d, v, rtol=0, atol=atol)
@@ -303,5 +309,5 @@ class TestNewtonDirection:
         g, _, _ = shuffled
         spec = self._spec(g, np.full(g.m, 1e6))
         v = np.arange(spec.n, dtype=float)
-        d = newton_direction(v, np.ones(spec.p), 1e6, spec)
-        assert np.array_equal(d, v) and d is not v
+        d, r = newton_direction(v, np.ones(spec.p), 1e6, spec)
+        assert np.array_equal(d, v) and d is not v and r == 0

@@ -156,7 +156,7 @@ class TestReducedFunction:
         state.x = rng.standard_normal(spec.p)
         xi = rng.standard_normal(spec.n)
         y = spec.A.T @ xi + state.x / state.sigma
-        s = _psi(xi, y, state.sigma, spec.box.R / state.sigma, spec)[1]
+        s = _psi(xi, y, state.sigma, spec.box.R / state.sigma, spec)[1].s
         assert np.any(np.abs(s) == spec.box.R / state.sigma)
         return spec, state, xi
 
@@ -168,7 +168,7 @@ class TestReducedFunction:
         def value(v):
             return _psi(v, spec.A.T @ v + state.x / sigma, sigma, R, spec)[0]
 
-        s = _psi(xi, spec.A.T @ xi + state.x / sigma, sigma, R, spec)[1]
+        s = _psi(xi, spec.A.T @ xi + state.x / sigma, sigma, R, spec)[1].s
         g = spec.b + xi + sigma * (spec.A @ s)
         h = 1e-6
         for k in range(spec.n):
@@ -185,8 +185,8 @@ class TestReducedFunction:
         eta, xi, zeta, x_new, _ = abcd_solve(state, spec, SncgConfig(), 1e-11)
         assert np.any(eta)
         y = spec.A.T @ xi + state.x / state.sigma
-        f, s = _psi(xi, y, state.sigma, spec.box.R / state.sigma, spec)
-        assert np.allclose(x_new, state.sigma * s, rtol=0, atol=1e-12 * np.linalg.norm(x_new))
+        f, prox = _psi(xi, y, state.sigma, spec.box.R / state.sigma, spec)
+        assert np.allclose(x_new, state.sigma * prox.s, rtol=0, atol=1e-12 * np.linalg.norm(x_new))
         blocks = DualState(eta, xi, zeta, state.x, state.sigma)
         L = lagrangian_value(blocks, spec)
         assert L + state.x @ state.x / (2 * state.sigma) == pytest.approx(f, rel=1e-12)
@@ -223,6 +223,26 @@ class TestSncg:
         gnorm = np.linalg.norm(phi_kj_grad(xi, np.zeros(spec.p), state, spec))
         assert gnorm <= 1e-9 and stats["met"] and stats["gnorm"] <= 1e-9
         assert stats["iters"] >= 1
+
+    def test_newton_systems_are_counted_by_form(self, rng, monkeypatch):
+        # the active set shrinks from every group (r = p + m >= n) to a few
+        spec = random_subproblem(7, n=40, omega_scale=1.0)
+        state = DualState.cold(spec, 1.0)
+        state.x = 0.3 * rng.standard_normal(spec.p)
+        shapes = []
+        solve = np.linalg.solve
+
+        def recording(M, rhs):
+            shapes.append(M.shape[0])
+            return solve(M, rhs)
+
+        monkeypatch.setattr(np.linalg, "solve", recording)
+        _, stats = sncg_solve(state, spec, SncgConfig(), grad_tol=1e-9)
+        monkeypatch.undo()
+        woodbury = [r for r in shapes if r < spec.n]
+        assert stats["nn_systems"] == len(shapes) - len(woodbury) > 0
+        assert stats["woodbury_systems"] == len(woodbury) > 0
+        assert stats["max_r"] >= max(shapes)
 
     def test_monotone_descent(self, rng):
         spec = random_subproblem(8)
@@ -310,9 +330,14 @@ class TestAlm:
         assert stats.sncg_fallbacks == sum(s["fallbacks"] for s in calls)
         assert stats.sncg_backtracks == sum(s["backtracks"] for s in calls) > 0
         assert stats.sncg_stalls == sum(s["stalls"] for s in calls) > 0
+        assert stats.sncg_nn_systems == sum(s["nn_systems"] for s in calls)
+        assert stats.sncg_woodbury_systems == sum(s["woodbury_systems"] for s in calls)
+        assert stats.sncg_max_r == max(s["max_r"] for s in calls) > 0
         d = stats.to_dict()
         assert (d["sncg_fallbacks"], d["sncg_backtracks"], d["sncg_stalls"]) == (
             stats.sncg_fallbacks, stats.sncg_backtracks, stats.sncg_stalls)
+        assert (d["sncg_nn_systems"], d["sncg_woodbury_systems"], d["sncg_max_r"]) == (
+            stats.sncg_nn_systems, stats.sncg_woodbury_systems, stats.sncg_max_r)
 
     def test_sncg_ends_at_the_rounding_floor(self, monkeypatch):
         # On this instance the Armijo test used to compare function values
@@ -394,6 +419,42 @@ class TestAlm:
         _, _, stats_warm = alm_solve(spec, AlmConfig(tol=1e-6), warm=state)
         assert stats_warm.converged
         assert stats_warm.outer_iters <= stats_cold.outer_iters
+
+    def test_warm_xi_is_scaled_into_the_new_balls(self, monkeypatch):
+        import gsreg.wl21 as wl21
+
+        spec = random_subproblem(14, n=50, p=80, m=16)
+        _, warm, _ = alm_solve(spec, AlmConfig(tol=1e-8))
+        # smaller weights, as in the next stage of the multi-stage loop, and
+        # one unpenalized group: the warm xi lies outside the new balls
+        omega = 0.1 * spec.omega
+        omega[0] = 0.0
+        small = SubproblemSpec(A=spec.A, b=spec.b, g=spec.g, omega=omega, box=spec.box)
+        pen = omega > 0
+        assert np.any((group_norms(spec.A.T @ warm.xi, spec.g) > omega)[pen])
+        xi_warm = warm.xi.copy()
+        starts = []
+        sncg = wl21.sncg_solve
+
+        def recording(state, spec, cfg, grad_tol, xi0=None, unscaled=False):
+            if unscaled and not starts:
+                xi0 = xi_warm  # the first call starts where the warm solve ended
+            starts.append(xi0)
+            return sncg(state, spec, cfg, grad_tol, xi0=xi0)
+
+        monkeypatch.setattr(wl21, "sncg_solve", recording)
+        x, _, stats = alm_solve(small, AlmConfig(tol=1e-8), warm=warm)
+        assert stats.converged and np.array_equal(warm.xi, xi_warm)
+        first = group_norms(small.A.T @ starts[0], small.g)
+        assert np.all(first[pen] <= omega[pen] * (1 + 1e-12))
+        assert np.any(np.isclose(first[pen], omega[pen], rtol=1e-12, atol=0))
+
+        # the subproblem is strongly convex in xi: the unscaled start ends at the same x
+        starts.clear()
+        monkeypatch.setattr(wl21, "sncg_solve", lambda *a, **k: recording(*a, **k, unscaled=True))
+        x_unscaled, _, stats = alm_solve(small, AlmConfig(tol=1e-8), warm=warm)
+        assert stats.converged and np.array_equal(starts[0], xi_warm)
+        assert np.linalg.norm(x - x_unscaled) <= 1e-8 * np.linalg.norm(x_unscaled)
 
     def test_group_sparsity_in_solution(self):
         # moderately large weights should zero out entire groups exactly
