@@ -21,7 +21,7 @@ from .groups import (
     group_norms,
 )
 from .penalties import PhiSpec, weight_from_subgradient
-from .wl21 import AlmConfig, SolveStats, SubproblemSpec, alm_solve
+from .wl21 import AlmConfig, SolveStats, SubproblemSpec, _support_product, alm_solve
 
 
 @dataclass(frozen=True)
@@ -182,7 +182,7 @@ def run(A, b, g: GroupStructure, box: BoxConstraint,
         spec = SubproblemSpec(A=A, b=b, g=g, omega=omega, box=box)
         x, dual, stats = alm_solve(spec, replace(cfg.alm, tol=tol), warm=warm)
         warm = dual
-        r = A @ x - b
+        r = _support_product(A, x) - b
         loss = float(0.5 * (r @ r) / n)
         eq = equilibrium_residual(x, w, g)  # uses the stage-(k-1) weights
         sparsity = approx_group_zero_norm(x, g)

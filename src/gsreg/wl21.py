@@ -151,6 +151,10 @@ class SolveStats:
     sncg_nn_systems: int = 0
     sncg_woodbury_systems: int = 0
     sncg_max_r: int = 0
+    # products with A or A^T over all p columns, and products A v taken
+    # over the nonzero columns of v only (see _support_product)
+    dense_products: int = 0
+    support_products: int = 0
     history: list = field(default_factory=list)
 
     def to_dict(self) -> dict:
@@ -212,6 +216,23 @@ def lagrangian_value(state: DualState, spec: SubproblemSpec) -> float:
 def _reduced_point(xi, eta, state: DualState, spec: SubproblemSpec) -> np.ndarray:
     """``y = A^T xi + eta + x/sigma``, the point the prox acts on."""
     return spec.A.T @ np.asarray(xi, dtype=float) + eta + state.x / state.sigma
+
+
+def _support_product(A, v, counts: dict | None = None) -> np.ndarray:
+    """``A @ v``, multiplying only the columns where ``v`` is nonzero when they are fewer than p/8.
+
+    At p/8 nonzeros or more it is ``A @ v`` itself.  ``counts``, when
+    given, gets one more ``"support_products"`` or ``"dense_products"``.
+    """
+    if 8 * np.count_nonzero(v) >= v.size:
+        if counts is not None:
+            counts["dense_products"] += 1
+        return A @ v
+    if counts is not None:
+        counts["support_products"] += 1
+    nz = np.flatnonzero(v)
+    # "clip" keeps take from buffering (every index is valid)
+    return np.take(A, nz, axis=1, mode="clip") @ v[nz]
 
 
 def _box_clip(s, spec: SubproblemSpec, R: float):
@@ -406,7 +427,7 @@ _ROUNDING_SLACK = 16 * np.finfo(float).eps
 
 
 def sncg_solve(state: DualState, spec: SubproblemSpec, cfg: SncgConfig,
-               grad_tol: float, xi0=None):
+               grad_tol: float, xi0=None, At_xi0=None):
     """Semismooth Newton on the reduced gradient system in xi.
 
     The reduced function is the augmented Lagrangian minimized over
@@ -422,21 +443,32 @@ def sncg_solve(state: DualState, spec: SubproblemSpec, cfg: SncgConfig,
     accepted trial goes on to the next Newton system.  The loop stops at
     ``grad_tol``, after ``max_iter`` steps, or at a stall: an accepted
     step that lowers neither the function nor the gradient norm, which
-    means ``grad_tol`` lies below the rounding floor.  Returns the final
-    xi and per-call statistics; ``met`` says whether the gradient norm
-    ``gnorm`` ended at or below ``grad_tol``, and ``nn_systems``,
-    ``woodbury_systems`` and ``max_r`` count the Newton systems by form
-    and size (see :func:`newton_direction`).
+    means ``grad_tol`` lies below the rounding floor.
+
+    ``At_xi0``, when given, is ``A^T xi0``, so that the start costs no
+    product with ``A^T``.  Each Newton step then makes one dense product,
+    ``A^T d``; the gradient's ``A s`` at the start and at each accepted
+    point runs over the nonzero columns of the prox ``s`` only
+    (:func:`_support_product`).  Returns the final xi and per-call
+    statistics; ``met`` says whether the gradient norm ``gnorm`` ended at
+    or below ``grad_tol``, ``nn_systems``, ``woodbury_systems`` and
+    ``max_r`` count the Newton systems by form and size (see
+    :func:`newton_direction`), and ``dense_products`` and
+    ``support_products`` count the products with ``A`` and ``A^T``.
     """
     xi = np.zeros(spec.n) if xi0 is None else np.asarray(xi0, dtype=float).copy()
     # "cg_iters" stays 0: the benchmark tracer still reads it (ROADMAP item 1 removes it)
     stats = {"iters": 0, "cg_iters": 0, "fallbacks": 0, "backtracks": 0, "stalls": 0,
-             "nn_systems": 0, "woodbury_systems": 0, "max_r": 0, "met": False}
+             "nn_systems": 0, "woodbury_systems": 0, "max_r": 0,
+             "dense_products": 0, "support_products": 0, "met": False}
     sigma = state.sigma
     R = spec.box.R / sigma
-    y = _reduced_point(xi, 0.0, state, spec)
+    if At_xi0 is None:
+        At_xi0 = spec.A.T @ xi
+        stats["dense_products"] += 1
+    y = At_xi0 + state.x / sigma
     f, prox = _psi(xi, y, sigma, R, spec)
-    g = spec.b + xi + sigma * (spec.A @ prox.s)
+    g = spec.b + xi + sigma * _support_product(spec.A, prox.s, stats)
     gnorm = np.linalg.norm(g)
     for _ in range(cfg.max_iter):
         if gnorm <= grad_tol:
@@ -453,6 +485,7 @@ def sncg_solve(state: DualState, spec: SubproblemSpec, cfg: SncgConfig,
             slope = -gnorm**2
             stats["fallbacks"] += 1
         At_d = spec.A.T @ d
+        stats["dense_products"] += 1
         # below this, a change of f is rounding noise and cannot veto a step
         slack = _ROUNDING_SLACK * max(1.0, abs(f))
         alpha = 1.0
@@ -468,7 +501,7 @@ def sncg_solve(state: DualState, spec: SubproblemSpec, cfg: SncgConfig,
                 f"Armijo line search failed after max backtracks at gradient norm {gnorm:.3g}"
             )
         stats["iters"] += 1
-        g_new = spec.b + xi_new + sigma * (spec.A @ prox_new.s)
+        g_new = spec.b + xi_new + sigma * _support_product(spec.A, prox_new.s, stats)
         gnorm_new = np.linalg.norm(g_new)
         stalled = f_new >= f and gnorm_new >= gnorm
         xi, y, f, g, gnorm, prox = xi_new, y_new, f_new, g_new, gnorm_new, prox_new
@@ -480,7 +513,8 @@ def sncg_solve(state: DualState, spec: SubproblemSpec, cfg: SncgConfig,
     return xi, stats
 
 
-def abcd_solve(state: DualState, spec: SubproblemSpec, sncg_cfg: SncgConfig, sncg_tol: float):
+def abcd_solve(state: DualState, spec: SubproblemSpec, sncg_cfg: SncgConfig, sncg_tol: float,
+               At_xi=None):
     """Minimize the augmented Lagrangian over (eta, xi, zeta) by one :func:`sncg_solve` call.
 
     SNCG finds xi; with ``y = A^T xi + x/sigma`` and ``s`` the prox at
@@ -489,16 +523,24 @@ def abcd_solve(state: DualState, spec: SubproblemSpec, sncg_cfg: SncgConfig, snc
     and ``omega_i s_i/||s_i||`` where it does, and eta is
     ``zeta - (y - s)`` on the clipped coordinates and 0 elsewhere.  The
     new multiplier ``x + sigma (A^T xi + eta - zeta)`` is then
-    ``sigma s = prox_{sigma p}(sigma y)``.  Returns
-    ``(eta, xi, zeta, x_new, stats)``, where ``stats["sncg"]`` holds the
-    statistics of the SNCG call.
+    ``sigma s = prox_{sigma p}(sigma y)``.
+
+    ``At_xi``, when given, is ``A^T`` times the start ``state.xi`` and
+    goes to SNCG as ``At_xi0``.  The call makes one dense product of its
+    own, the exact ``A^T xi`` of the new xi, from which ``y``, the blocks
+    and the multiplier are computed; the prox at ``y`` is computed again
+    here rather than taken from SNCG.  Returns
+    ``(eta, xi, zeta, x_new, stats)``: ``stats["sncg"]`` holds the
+    statistics of the SNCG call, ``stats["At_xi"]`` that product, for the
+    next call to start from, and ``stats["dense_products"]`` and
+    ``stats["support_products"]`` count the products of the whole call.
 
     The name and the 5-tuple with the statistics last are those of the
     block coordinate descent this replaced: the benchmark tracer looks
     the function up by name and counts ``stats["iters"]``, always 1
     here, as its sweeps.
     """
-    xi, s_stats = sncg_solve(state, spec, sncg_cfg, sncg_tol, xi0=state.xi)
+    xi, s_stats = sncg_solve(state, spec, sncg_cfg, sncg_tol, xi0=state.xi, At_xi0=At_xi)
     R = spec.box.R / state.sigma
     At_xi = spec.A.T @ xi
     y = At_xi + state.x / state.sigma
@@ -512,15 +554,23 @@ def abcd_solve(state: DualState, spec: SubproblemSpec, sncg_cfg: SncgConfig, snc
         zeta[on] = (t[spec.g.group_id] * s)[on]
         eta[clipped] = zeta[clipped] - (y - s)[clipped]
     x_new = state.x + state.sigma * (At_xi + eta - zeta)
-    return eta, xi, zeta, x_new, {"iters": 1, "sncg": s_stats}
+    return eta, xi, zeta, x_new, {
+        "iters": 1, "sncg": s_stats, "At_xi": At_xi,
+        "dense_products": s_stats["dense_products"] + 1,
+        "support_products": s_stats["support_products"],
+    }
 
 
-def primal_objective(x, spec: SubproblemSpec) -> float:
-    """Stage objective ``(1/2n)||Ax-b||^2 + (1/n) sum omega_i ||x_Ji||``; +inf outside the box."""
+def primal_objective(x, spec: SubproblemSpec, counts: dict | None = None) -> float:
+    """Stage objective ``(1/2n)||Ax-b||^2 + (1/n) sum omega_i ||x_Ji||``; +inf outside the box.
+
+    ``A x`` runs over the nonzero columns of ``x`` when they are fewer
+    than p/8 (:func:`_support_product`, which counts it in ``counts``).
+    """
     x = np.asarray(x, dtype=float)
     if np.max(np.abs(x)) > spec.box.R:
         return np.inf
-    r = spec.A @ x - spec.b
+    r = _support_product(spec.A, x, counts) - spec.b
     return float((0.5 * (r @ r) + spec.omega @ group_norms(x, spec.g)) / spec.n)
 
 
@@ -564,7 +614,8 @@ def alm_solve(spec: SubproblemSpec, cfg: AlmConfig | None = None,
     """Inexact ALM on the dual; the primal solution is the negated multiplier.
 
     Each outer iteration minimizes the augmented Lagrangian with one
-    :func:`abcd_solve` call.  It stops when the three residuals fall
+    :func:`abcd_solve` call, which hands its exact ``A^T xi`` on to the
+    next one.  It stops when the three residuals fall
     below ``cfg.tol``: ``eps_pinf``, the final gradient norm of that
     SNCG solve over ``1 + ||b||``; ``eps_dinf``, the multiplier step over
     sigma; and ``eps_gap``, the normalized primal-dual gap.  Otherwise
@@ -585,16 +636,28 @@ def alm_solve(spec: SubproblemSpec, cfg: AlmConfig | None = None,
     every group active in the first Newton systems.  Each subproblem is
     strongly convex in xi, so the scaling changes only the path of the
     first SNCG call.
+
+    ``stats.dense_products`` and ``stats.support_products`` count the
+    products with ``A`` and ``A^T`` (see :func:`_support_product`).  The
+    dense ones are one ``A^T d`` per Newton step, one ``A^T xi`` per outer
+    iteration, and at the start one ``A^T xi`` for the first SNCG call and,
+    from a warm state, one for :func:`_ball_scale`.  The support ones are
+    the gradient's ``A s`` at the start of each SNCG call and at each
+    accepted Newton step, and ``A x`` in :func:`primal_objective` once per
+    outer iteration; each of them is counted as dense instead when its
+    vector has p/8 nonzeros or more.
     """
     cfg = cfg or AlmConfig()
     t0 = time.perf_counter()
+    stats = SolveStats()
     if warm is not None:
         state = warm.copy()
         state.sigma = max(warm.sigma, cfg.sigma0)
         state.xi *= _ball_scale(state.xi, spec)
+        stats.dense_products += 1
     else:
         state = DualState.cold(spec, cfg.sigma0)
-    stats = SolveStats()
+    At_xi = None  # A^T state.xi, once an outer iteration has computed it
     bnorm = 1.0 + np.linalg.norm(spec.b)
     # Newton steps are exact, so SNCG solves each subproblem close to the
     # rounding floor for about one more step; a target scaled by tol * ||b||
@@ -602,16 +665,18 @@ def alm_solve(spec: SubproblemSpec, cfg: AlmConfig | None = None,
     sncg_tol = 1e-11 * bnorm
     eps_dinf_prev = np.inf
     for j in range(cfg.max_outer):
-        eta, xi, zeta, x_new, a_stats = abcd_solve(state, spec, cfg.sncg, sncg_tol)
+        eta, xi, zeta, x_new, a_stats = abcd_solve(state, spec, cfg.sncg, sncg_tol, At_xi)
         x_old = state.x
         state.eta, state.xi, state.zeta, state.x = eta, xi, zeta, x_new
+        At_xi = a_stats["At_xi"]
         s_stats = a_stats["sncg"]
         eps_pinf = s_stats["gnorm"] / bnorm
         eps_dinf = np.linalg.norm(x_new - x_old) / state.sigma
         # the primal solution is the negated multiplier under this
         # Lagrangian sign convention; gap evaluated at its box projection
         x_feas = np.clip(-x_new, -spec.box.R, spec.box.R)
-        pobj = primal_objective(x_feas, spec)
+        # vars(stats) holds the product counters primal_objective adds to
+        pobj = primal_objective(x_feas, spec, vars(stats))
         dobj = dual_objective(state, spec)
         eps_gap = abs(pobj + dobj) / (1.0 + abs(pobj)) if np.isfinite(dobj) else np.inf
         stats.outer_iters = j + 1
@@ -623,6 +688,8 @@ def alm_solve(spec: SubproblemSpec, cfg: AlmConfig | None = None,
         stats.sncg_nn_systems += s_stats["nn_systems"]
         stats.sncg_woodbury_systems += s_stats["woodbury_systems"]
         stats.sncg_max_r = max(stats.sncg_max_r, s_stats["max_r"])
+        stats.dense_products += a_stats["dense_products"]
+        stats.support_products += a_stats["support_products"]
         stats.eps_pinf, stats.eps_dinf, stats.eps_gap = eps_pinf, eps_dinf, eps_gap
         stalled = bool(eps_dinf > _STALL_RATIO * eps_dinf_prev)
         eps_dinf_prev = eps_dinf

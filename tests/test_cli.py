@@ -69,6 +69,20 @@ class TestSolve:
         out = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
         assert out["converged"] == "True" or out["converged"] is True
 
+    def test_traces_carry_the_product_counts(self, tmp_path, capsys):
+        d = self._instance_dir(tmp_path)
+        assert main(["solve", str(d), "--out", str(tmp_path / "run")]) == 0
+        with open(tmp_path / "run" / "traces.jsonl") as fh:
+            stages = [json.loads(line) for line in fh]
+        # dense: A^T d per Newton step, A^T xi per outer iteration, one A^T xi
+        # at the start and one more for a warm start; A s per Newton step and
+        # A s and A x per outer iteration go to either counter
+        for t in stages:
+            s, warm = t["inner"], t["k"] > 1
+            assert s["dense_products"] >= s["sncg_iters"] + s["outer_iters"] + 1 + warm
+            assert s["dense_products"] + s["support_products"] == (
+                2 * s["sncg_iters"] + 3 * s["outer_iters"] + 1 + warm)
+
     def test_inner_failures_exit_1_with_reason(self, tmp_path, capsys):
         d = self._instance_dir(tmp_path)
         cfg = tmp_path / "cfg.json"

@@ -280,6 +280,29 @@ class TestWarmStart:
         assert err == pytest.approx(relerr, rel=1e-9)
 
 
+class TestProductCounts:
+    @pytest.mark.parametrize("seed, sparse", [(7000, True), (7001, False)])
+    def test_products_with_a_on_a_wide_instance(self, seed, sparse):
+        # a stage makes one A^T d per Newton step, one A^T xi per outer
+        # iteration, one A^T xi for its first SNCG call and, from stage 2 on,
+        # one for the warm xi's ball scaling: all dense.  The gradient's A s
+        # at each SNCG start and accepted step and the objective's A x once
+        # per outer iteration run over their support when it is below p/8:
+        # always for seed 7000, not for some products of seed 7001
+        inst = make_instance("I", "i", n=128, p=1024, m=128, r_bar=6, alpha=2.0,
+                             theta1=0.1, theta2=0.1, seed=seed)
+        res = run(inst.A, inst.b, inst.g, default_box(inst.x_true), MscraConfig())
+        assert res.converged and res.stages >= 2
+        moved = []  # products counted as dense because their vector had p/8 nonzeros or more
+        for t in res.traces:
+            s = t.inner_stats
+            dense = s.sncg_iters + s.outer_iters + 1 + (t.k > 1)
+            on_support = s.sncg_iters + 2 * s.outer_iters
+            moved.append(s.dense_products - dense)
+            assert s.support_products == on_support - moved[-1]
+        assert min(moved) >= 0 and (max(moved) == 0) == sparse
+
+
 class TestSncgTolerance:
     @pytest.mark.parametrize("design, signal, seed", [
         ("I", "i", 7001), ("I", "ii", 7001), ("II", "ii", 7000),

@@ -244,6 +244,44 @@ class TestSncg:
         assert stats["woodbury_systems"] == len(woodbury) > 0
         assert stats["max_r"] >= max(shapes)
 
+    def test_fallback_takes_a_steepest_descent_step(self, monkeypatch):
+        # the Newton system gives descent whenever it is solved exactly, so an
+        # ascent direction is forced on the first step of the first call
+        import gsreg.wl21 as wl21
+
+        newton = wl21.newton_direction
+        steps = []
+
+        def ascent_first(v, *args, **kwargs):
+            d, r = newton(v, *args, **kwargs)
+            steps.append(r)
+            return (-v if len(steps) == 1 else d), r  # v = -g, so -v climbs
+
+        monkeypatch.setattr(wl21, "newton_direction", ascent_first)
+        spec = random_subproblem(7)
+        _, stats = sncg_solve(DualState.cold(spec, 1.0), spec, SncgConfig(), grad_tol=1e-9)
+        assert stats["fallbacks"] == 1 and stats["met"] and stats["gnorm"] <= 1e-9
+
+        steps.clear()
+        _, _, alm_stats = alm_solve(spec, AlmConfig(tol=1e-8))
+        assert alm_stats.sncg_fallbacks == alm_stats.to_dict()["sncg_fallbacks"] == 1
+        assert alm_stats.converged and alm_stats.sncg_unmet == 0
+
+    def test_carried_product_gives_the_same_solve(self, rng):
+        # handing SNCG the exact A^T xi0 saves its first dense product and
+        # changes nothing else, bit for bit
+        spec = random_subproblem(8)
+        state = DualState.cold(spec, 2.0)
+        state.x = rng.standard_normal(spec.p)
+        xi0 = rng.standard_normal(spec.n)
+        xi, stats = sncg_solve(state, spec, SncgConfig(), grad_tol=1e-9, xi0=xi0)
+        xi_c, stats_c = sncg_solve(state, spec, SncgConfig(), grad_tol=1e-9, xi0=xi0,
+                                   At_xi0=spec.A.T @ xi0)
+        assert np.array_equal(xi_c, xi) and stats["iters"] > 0
+        assert stats_c["dense_products"] == stats["dense_products"] - 1
+        assert {k: v for k, v in stats_c.items() if k != "dense_products"} == {
+            k: v for k, v in stats.items() if k != "dense_products"}
+
     def test_monotone_descent(self, rng):
         spec = random_subproblem(8)
         state = DualState.cold(spec, 1.0)
@@ -316,9 +354,9 @@ class TestAlm:
         calls = []
         sncg = wl21.sncg_solve
 
-        def recording(state, spec, cfg, grad_tol, xi0=None):
+        def recording(state, spec, cfg, grad_tol, xi0=None, At_xi0=None):
             # a zero gradient tolerance lies below every rounding floor, so each call stalls
-            xi, s = sncg(state, spec, cfg, 0.0, xi0=xi0)
+            xi, s = sncg(state, spec, cfg, 0.0, xi0=xi0, At_xi0=At_xi0)
             calls.append(s)
             return xi, s
 
@@ -348,8 +386,8 @@ class TestAlm:
         calls = []
         sncg = wl21.sncg_solve
 
-        def recording(state, spec, cfg, grad_tol, xi0=None, floor=False):
-            xi, s = sncg(state, spec, cfg, 0.0 if floor else grad_tol, xi0=xi0)
+        def recording(state, spec, cfg, grad_tol, xi0=None, At_xi0=None, floor=False):
+            xi, s = sncg(state, spec, cfg, 0.0 if floor else grad_tol, xi0=xi0, At_xi0=At_xi0)
             gnorm = np.linalg.norm(phi_kj_grad(xi, np.zeros(spec.p), state, spec))
             calls.append((s, gnorm, grad_tol))
             return xi, s
@@ -393,8 +431,8 @@ class TestAlm:
         calls = []
         sncg = wl21.sncg_solve
 
-        def recording(state, spec, cfg, grad_tol, xi0=None):
-            xi, s = sncg(state, spec, cfg, grad_tol, xi0=xi0)
+        def recording(state, spec, cfg, grad_tol, xi0=None, At_xi0=None):
+            xi, s = sncg(state, spec, cfg, grad_tol, xi0=xi0, At_xi0=At_xi0)
             gnorm = np.linalg.norm(phi_kj_grad(xi, np.zeros(spec.p), state, spec))
             calls.append((s, gnorm, grad_tol))
             return xi, s
@@ -436,11 +474,11 @@ class TestAlm:
         starts = []
         sncg = wl21.sncg_solve
 
-        def recording(state, spec, cfg, grad_tol, xi0=None, unscaled=False):
+        def recording(state, spec, cfg, grad_tol, xi0=None, At_xi0=None, unscaled=False):
             if unscaled and not starts:
                 xi0 = xi_warm  # the first call starts where the warm solve ended
             starts.append(xi0)
-            return sncg(state, spec, cfg, grad_tol, xi0=xi0)
+            return sncg(state, spec, cfg, grad_tol, xi0=xi0, At_xi0=At_xi0)
 
         monkeypatch.setattr(wl21, "sncg_solve", recording)
         x, _, stats = alm_solve(small, AlmConfig(tol=1e-8), warm=warm)
