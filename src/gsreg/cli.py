@@ -61,13 +61,7 @@ class ExperimentPlan:
                     idx += 1
 
     def to_dict(self) -> dict:
-        d = {k: getattr(self, k) for k in (
-            "design", "p", "m", "r_bar", "alpha", "theta1", "theta2",
-            "reps", "seed", "nu_factor", "stage1_nu_factor", "out")}
-        d["signals"] = list(self.signals)
-        d["betas"] = list(self.betas)
-        d["phi"] = self.phi.to_dict()
-        return d
+        return asdict(self)
 
 
 def _hash(obj) -> str:

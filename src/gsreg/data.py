@@ -47,7 +47,6 @@ class Instance:
 class OracleResult:
     x_ls: np.ndarray
     residual_noise: np.ndarray  # (1/n) A^T (A x_ls - b)
-    correlated_noise: np.ndarray  # (1/n) A^T eps
     projected_noise: np.ndarray  # (A_S^T A_S)^{-1} A_S^T eps, on-support coords
 
 
@@ -85,32 +84,28 @@ def gen_signal(kind: str, g: GroupStructure, r_bar: int, alpha: float, seed: int
         raise ValueError("r_bar cannot exceed the number of groups")
     rng = make_rng(seed)
     support = np.sort(rng.permutation(g.m)[:r_bar])
+    # the support's coordinates group after group
+    cols, starts, seg = g.segments(np.isin(np.arange(g.m), support))
     x = np.zeros(g.p)
     if kind == "i":
-        for i in support:
-            x[g.groups[i]] = alpha * rng.standard_normal(g.groups[i].size)
+        x[cols] = alpha * rng.standard_normal(cols.size)
     elif kind == "ii":
-        for i in support:
-            x[g.groups[i]] = alpha * rng.random(g.groups[i].size) - 0.5
+        x[cols] = alpha * rng.random(cols.size) - 0.5
     elif kind == "iii":
-        for i in support:
-            sgn = np.sign(rng.standard_normal(g.groups[i].size))
-            sgn[sgn == 0] = 1.0
-            x[g.groups[i]] = alpha * sgn
+        sgn = np.sign(rng.standard_normal(cols.size))
+        sgn[sgn == 0] = 1.0
+        x[cols] = alpha * sgn
     elif kind == "iv":
         # first half of the selected groups negative, the rest positive,
         # magnitude 1e5 / sqrt(group id) on the all-ones pattern
-        half = r_bar // 2
-        for pos, i in enumerate(support):
-            mag = 1e5 / np.sqrt(i + 1)
-            x[g.groups[i]] = mag if pos >= half else -mag
+        mag = 1e5 / np.sqrt(support + 1)
+        x[cols] = np.where(np.arange(r_bar) >= r_bar // 2, mag, -mag)[seg]
     else:
         raise ValueError(f"unknown signal kind {kind!r}")
     # the draw may produce an exactly-zero group with probability 0; regenerate
     # rather than silently break the support invariant
-    for i in support:
-        if np.linalg.norm(x[g.groups[i]]) == 0.0:
-            x[g.groups[i][0]] = alpha if alpha != 0 else 1.0
+    zero = group_norms(x, g)[support] == 0.0
+    x[cols[starts[zero]]] = alpha if alpha != 0 else 1.0
     return x, support
 
 
@@ -178,7 +173,7 @@ def oracle_ls(inst: Instance) -> OracleResult:
     """
     if inst.support_true is None:
         raise ValueError("oracle_ls requires a known support")
-    cols = np.concatenate([inst.g.groups[i] for i in inst.support_true])
+    cols = inst.g.segments(np.isin(np.arange(inst.g.m), inst.support_true))[0]
     A_s = inst.A[:, cols]
     if np.linalg.matrix_rank(A_s) < A_s.shape[1]:
         raise SingularDesignError("restricted design is rank deficient")
@@ -188,11 +183,10 @@ def oracle_ls(inst: Instance) -> OracleResult:
     n = inst.A.shape[0]
     residual_noise = inst.A.T @ (inst.A @ x_ls - inst.b) / n
     eps = inst.noise
-    correlated = inst.A.T @ eps / n
     projected = np.linalg.solve(A_s.T @ A_s, A_s.T @ eps)
     proj_full = np.zeros(inst.g.p)
     proj_full[cols] = projected
-    return OracleResult(x_ls, residual_noise, correlated, proj_full)
+    return OracleResult(x_ls, residual_noise, proj_full)
 
 
 def _box_restricted_ls(A_s, b, R: float):
@@ -216,11 +210,11 @@ def brute_force_zero_norm(inst: Instance, nu: float, box: BoxConstraint):
     n = inst.A.shape[0]
     best_obj = np.inf
     best_x = np.zeros(inst.g.p)
+    bits = 1 << np.arange(m)
     for mask in range(2**m):
-        sel = [i for i in range(m) if mask >> i & 1]
         x = np.zeros(inst.g.p)
-        if sel:
-            cols = np.concatenate([inst.g.groups[i] for i in sel])
+        if mask:
+            cols = inst.g.segments((mask & bits) > 0)[0]
             x[cols] = _box_restricted_ls(inst.A[:, cols], inst.b, box.R)
         r = inst.A @ x - inst.b
         eff = int(np.count_nonzero(group_norms(x, inst.g) > 1e-10))

@@ -23,13 +23,15 @@ from .groups import (
 from .penalties import PhiSpec, weight_from_subgradient
 from .wl21 import AlmConfig, SolveStats, SubproblemSpec, _support_product, alm_solve
 
+# numerator of the cap on the dynamic penalty factor (see rho_schedule)
+_RHO_CAP = 1e8
+
 
 @dataclass(frozen=True)
 class MscraConfig:
     phi: PhiSpec = field(default_factory=PhiSpec)
     nu: float | None = None  # None -> n / (0.1 ||A^T b||_inf)
     w0: np.ndarray | None = None
-    rho_cap_numerator: float = 1e8
     static_rho: float | None = None  # pins rho instead of the dynamic schedule
     eps_gap: float = 1e-6
     eps_loss: float = 1e-2
@@ -117,15 +119,14 @@ def default_nu(A, b, n: int | None = None, factor: float = 0.1) -> float:
     return n / (factor * scale)
 
 
-def rho_schedule(k: int, x_k, rho_prev: float | None, g: GroupStructure,
-                 cap_num: float = 1e8) -> float:
-    """Dynamic penalty factor: ``2/||G(x1)||_inf`` then capped doubling."""
+def rho_schedule(k: int, x_k, rho_prev: float | None, g: GroupStructure) -> float:
+    """Dynamic penalty factor: ``2/||G(x1)||_inf``, then doubling capped at ``_RHO_CAP/||G(x_k)||_inf``."""
     gmax = float(np.max(group_norms(x_k, g)))
     if gmax == 0.0:
         raise ValueError("degenerate iterate: ||G(x)||_inf = 0")
     if k == 1 or rho_prev is None:
         return 2.0 / gmax
-    return min(2.0 * rho_prev, cap_num / gmax)
+    return min(2.0 * rho_prev, _RHO_CAP / gmax)
 
 
 def weight_update(x_k, rho: float, phi: PhiSpec, g: GroupStructure) -> np.ndarray:
@@ -193,7 +194,7 @@ def run(A, b, g: GroupStructure, box: BoxConstraint,
             break
 
         if cfg.static_rho is None:
-            rho = rho_schedule(k, x, rho, g, cfg.rho_cap_numerator)
+            rho = rho_schedule(k, x, rho, g)
         lam = rho / nu
         w_new = weight_update(x, rho, cfg.phi, g)
         trace = StageTrace(k, x, w_new, rho, lam, loss, eq, sparsity, stats)

@@ -48,17 +48,12 @@ class PhiSpec:
             if not 0 < self.eps < 0.1:
                 raise ValueError("lq requires 0 < eps < 0.1")
 
-    def to_dict(self) -> dict:
-        return {"family": self.family, "a": self.a, "q": self.q, "eps": self.eps}
-
 
 @dataclass(frozen=True)
 class PhiConstants:
-    """Analytic constants of a family: minimizer, subgradient kink, left slope at 1."""
+    """Analytic constants of a family: its minimizer on [0, 1]."""
 
     t_star: float
-    t_bar: float
-    phi_prime_minus_1: float
 
 
 def varphi_one(spec: PhiSpec) -> float:
@@ -89,18 +84,6 @@ def _varphi(spec: PhiSpec, t):
     return -t - c * (1.0 - t + eps) ** (q / (q - 1.0)) + eps + c
 
 
-def _varphi_prime(spec: PhiSpec, t):
-    a, q, eps = spec.a, spec.q, spec.eps
-    t = np.asarray(t, dtype=float)
-    if spec.family == SCAD:
-        return (a - 1.0) * t + 1.0
-    if spec.family == MCP:
-        return a * a / 2.0 * t - a * a / 2.0 + a
-    if spec.family == CAPPED_L1:
-        return np.ones_like(t)
-    return -1.0 + (1.0 - t + eps) ** (1.0 / (q - 1.0))
-
-
 def phi_eval(spec: PhiSpec, t):
     """Normalized penalty ``phi(t) = varphi(t) / varphi(1)``."""
     t_arr = np.asarray(t, dtype=float)
@@ -111,23 +94,11 @@ def phi_eval(spec: PhiSpec, t):
 
 
 def phi_constants(spec: PhiSpec) -> PhiConstants:
-    a, q, eps = spec.a, spec.q, spec.eps
-    v1 = varphi_one(spec)
-    if spec.family == SCAD:
-        t_star, t_bar = 0.0, 0.5
-    elif spec.family == MCP:
-        t_star = max(a - 2.0, 0.0) / a
-        t_bar = max((a - 1.0) / a, 0.5)
-    elif spec.family == CAPPED_L1:
-        t_star, t_bar = 0.0, 0.0
-    else:
-        t_star = eps
-        t_bar = 1.0 + eps - ((1.0 - eps) / (1.0 - eps + v1)) ** (1.0 - q)
-    return PhiConstants(
-        t_star=t_star,
-        t_bar=t_bar,
-        phi_prime_minus_1=float(_varphi_prime(spec, 1.0)) / v1,
-    )
+    if spec.family == MCP:
+        return PhiConstants(t_star=max(spec.a - 2.0, 0.0) / spec.a)
+    if spec.family == LQ:
+        return PhiConstants(t_star=spec.eps)
+    return PhiConstants(t_star=0.0)
 
 
 def _conjugate_argmax(spec: PhiSpec, s):

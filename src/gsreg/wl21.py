@@ -177,11 +177,14 @@ def prox_l1(z, gamma: float) -> np.ndarray:
     return np.sign(z) * np.maximum(np.abs(z) - gamma, 0.0)
 
 
-def project_group_balls(y, g: GroupStructure, omega) -> np.ndarray:
-    """Projection onto the product of group balls of radii ``omega``."""
+def project_group_balls(y, g: GroupStructure, omega, nrm=None) -> np.ndarray:
+    """Projection onto the product of group balls of radii ``omega``.
+
+    ``nrm``, the group norms of ``y``, is computed when not given.
+    """
     y = np.asarray(y, dtype=float)
     omega = np.asarray(omega, dtype=float)
-    nrm = group_norms(y, g)
+    nrm = group_norms(y, g) if nrm is None else nrm
     outside = nrm > omega
     scale = np.ones(g.m)
     scale[outside] = omega[outside] / nrm[outside]
@@ -349,53 +352,17 @@ def _active_groups(y, spec: SubproblemSpec, R: float, prox: ProxPoint | None = N
     return cols, np.cumsum(sizes) - sizes, seg, a[active], c[active]
 
 
-def hessian_operator(xi, eta, state: DualState, spec: SubproblemSpec):
-    """The generalized Hessian ``d -> (I + sigma A (I - W) A^T) d`` of :func:`phi_kj_value`.
+def _jacobian_factor(y, spec: SubproblemSpec, R: float, prox: ProxPoint | None = None):
+    """A factor ``B = [Z, W]`` with ``B B^T = A (I - W_y) A^T``, ``I - W_y`` the prox Jacobian at ``y``.
 
-    Only the columns ``J`` of the groups from :func:`_active_groups`
-    enter, so each application costs two products with ``A_J`` instead
-    of ``A``.  This matrix-free form is an oracle for
-    :func:`newton_direction` where the box clips nothing.
+    The prox has the box radius ``R`` (see :func:`_active_groups`, which
+    takes ``prox``, the :class:`ProxPoint` at ``y``, or computes it).
+    ``Z = A_J diag(sqrt(a))`` and, on the groups with ``c_i > 0``, the
+    columns of ``W`` are ``sqrt(c_i) A_{J_i} y_i``, so that
+    ``A (I - W_y) A^T = Z Z^T + W W^T``.  Both have ``n`` rows; an empty
+    ``J`` gives no columns.
     """
-    y = _reduced_point(xi, eta, state, spec)
-    cols, starts, seg, a, c = _active_groups(y, spec, np.inf)
-    A_J = spec.A if cols.size == spec.p and spec.g.perm is None else spec.A[:, cols]
-    y_J = y[cols]
-    a_J = a[seg]
-    cy_J = c[seg] * y_J
-    sigma = state.sigma
-
-    def apply(d):
-        v = A_J.T @ d
-        u = a_J * v + cy_J * np.add.reduceat(y_J * v, starts)[seg]
-        return d + sigma * (A_J @ u)
-
-    return apply
-
-
-def gen_hessian_apply(d, xi, eta, state: DualState, spec: SubproblemSpec) -> np.ndarray:
-    """Apply one generalized Hessian ``I + sigma A (I - W) A^T`` without forming it."""
-    return hessian_operator(xi, eta, state, spec)(np.asarray(d, dtype=float))
-
-
-def newton_direction(v, y, sigma: float, spec: SubproblemSpec, prox: ProxPoint | None = None):
-    """Solve ``(I + sigma A (I - W) A^T) d = v`` directly, with ``W`` taken at ``y``.
-
-    ``I - W`` is the Jacobian of the prox at ``y`` for the box radius
-    ``R / sigma`` (see :func:`_active_groups`, which takes ``prox``, the
-    :class:`ProxPoint` there, or computes it).  With
-    ``Z = A_J diag(sqrt(a))`` and ``w_i = A_{J_i} y_i`` on the groups
-    with ``c_i > 0``, ``A (I - W) A^T = Z Z^T + sum_i c_i w_i w_i^T = B B^T``
-    for ``B = [Z, W sqrt(C)]``, which has ``r = |J| + #{c_i > 0}`` columns.
-    If ``r >= n`` the n x n system is solved; otherwise the Woodbury
-    identity ``d = v - sigma B (I_r + sigma B^T B)^{-1} B^T v`` needs
-    only an r x r one.  An empty ``J`` gives ``d = v``.  Returns ``d``
-    and ``r`` (0 for an empty ``J``).
-    """
-    v = np.asarray(v, dtype=float)
-    cols, starts, seg, a, c = _active_groups(y, spec, spec.box.R / sigma, prox)
-    if cols.size == 0:
-        return v.copy(), 0
+    cols, starts, seg, a, c = _active_groups(y, spec, R, prox)
     # "clip" keeps take from buffering (every index is valid)
     Z = np.take(spec.A, cols, axis=1, mode="clip")
     curved = np.flatnonzero(c > 0.0)
@@ -403,7 +370,40 @@ def newton_direction(v, y, sigma: float, spec: SubproblemSpec, prox: ProxPoint |
     if curved.size:
         W = np.add.reduceat(Z * y[cols], starts, axis=1)[:, curved] * np.sqrt(c[curved])
     Z *= np.sqrt(a)[seg]
-    n, r = spec.n, cols.size + curved.size
+    return Z, W
+
+
+def gen_hessian_apply(d, xi, eta, state: DualState, spec: SubproblemSpec) -> np.ndarray:
+    """Apply the generalized Hessian ``I + sigma A (I - W) A^T`` of :func:`phi_kj_value` to ``d``.
+
+    It is ``d + sigma (Z (Z^T d) + W (W^T d))`` with the factor of
+    :func:`_jacobian_factor` that :func:`newton_direction` solves with,
+    taken where the box clips nothing: an oracle for that factor.
+    """
+    d = np.asarray(d, dtype=float)
+    Z, W = _jacobian_factor(_reduced_point(xi, eta, state, spec), spec, np.inf)
+    return d + state.sigma * (Z @ (Z.T @ d) + W @ (W.T @ d))
+
+
+def newton_direction(v, y, sigma: float, spec: SubproblemSpec, prox: ProxPoint | None = None):
+    """Solve ``(I + sigma A (I - W) A^T) d = v`` directly, with ``W`` taken at ``y``.
+
+    ``I - W`` is the Jacobian of the prox at ``y`` for the box radius
+    ``R / sigma``, and ``A (I - W) A^T = B B^T`` for the factor
+    ``B = [Z, W]`` of :func:`_jacobian_factor` (given ``prox``, the
+    :class:`ProxPoint` there, or computing it), which has
+    ``r = |J| + #{c_i > 0}`` columns.  If ``r >= n`` the n x n system is
+    solved; otherwise the Woodbury identity
+    ``d = v - sigma B (I_r + sigma B^T B)^{-1} B^T v`` needs only an
+    r x r one.  An empty ``J`` gives ``d = v``.  Returns ``d`` and ``r``
+    (0 for an empty ``J``).
+    """
+    v = np.asarray(v, dtype=float)
+    Z, W = _jacobian_factor(y, spec, spec.box.R / sigma, prox)
+    k = Z.shape[1]
+    if k == 0:
+        return v.copy(), 0
+    n, r = spec.n, k + W.shape[1]
     if r >= n:
         M = Z @ Z.T
         M += W @ W.T
@@ -411,7 +411,6 @@ def newton_direction(v, y, sigma: float, spec: SubproblemSpec, prox: ProxPoint |
         M[np.diag_indices(n)] += 1.0
         return np.linalg.solve(M, v), r
     K = np.empty((r, r))
-    k = cols.size
     K[:k, :k] = Z.T @ Z
     K[:k, k:] = Z.T @ W
     K[k:, :k] = K[:k, k:].T
@@ -528,8 +527,8 @@ def abcd_solve(state: DualState, spec: SubproblemSpec, sncg_cfg: SncgConfig, snc
     ``At_xi``, when given, is ``A^T`` times the start ``state.xi`` and
     goes to SNCG as ``At_xi0``.  The call makes one dense product of its
     own, the exact ``A^T xi`` of the new xi, from which ``y``, the blocks
-    and the multiplier are computed; the prox at ``y`` is computed again
-    here rather than taken from SNCG.  Returns
+    and the multiplier are computed; the prox at ``y`` and the group norms
+    of ``y`` are computed again, once, rather than taken from SNCG.  Returns
     ``(eta, xi, zeta, x_new, stats)``: ``stats["sncg"]`` holds the
     statistics of the SNCG call, ``stats["At_xi"]`` that product, for the
     next call to start from, and ``stats["dense_products"]`` and
@@ -544,10 +543,9 @@ def abcd_solve(state: DualState, spec: SubproblemSpec, sncg_cfg: SncgConfig, snc
     R = spec.box.R / state.sigma
     At_xi = spec.A.T @ xi
     y = At_xi + state.x / state.sigma
-    s = prox_group_box(y, spec.g, spec.omega, R)
-    zeta = project_group_balls(y, spec.g, spec.omega)
+    s, nrm, box = _prox_point(y, spec, R)
+    zeta = project_group_balls(y, spec.g, spec.omega, nrm)
     eta = np.zeros(spec.p)
-    box = _box_clip(s, spec, R)
     if box is not None:
         clipped, t = box
         on = (spec.g.segment_sum(clipped) > 0)[spec.g.group_id]

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from gsreg import io as gio
-from gsreg.cli import ExperimentPlan, main
+from gsreg.cli import ExperimentPlan, _hash, main
 from gsreg.data import make_instance
 
 
@@ -26,6 +26,9 @@ class TestPlan:
         assert len(cells) == 8
         seeds = [c[3] for c in cells]
         assert len(set(seeds)) == 8  # distinct per cell
+
+    def test_default_plan_hash_is_pinned(self):
+        assert _hash(ExperimentPlan().to_dict()) == "5b39cec4f7a4"
 
 
 class TestGen:
@@ -145,8 +148,9 @@ class TestSolve:
         ({"alm": {"tol": -1}}, "eps_loss, tol_decay and tol_floor"),
         ({"max_stages": 0}, "max_stages must be positive, got 0"),
         ({"tol_floor": -1}, "tol_floor must be positive, got -1"),
+        ({"rho_cap_numerator": 1}, "unknown config key 'rho_cap_numerator'"),
     ], ids=["bad_type", "unknown_key", "unknown_nested_key", "alm_abcd", "alm_tol",
-            "max_stages_zero", "tol_floor_negative"])
+            "max_stages_zero", "tol_floor_negative", "rho_cap_numerator"])
     def test_bad_config_exits_2(self, tmp_path, capsys, config, message):
         d = self._instance_dir(tmp_path)
         cfg = tmp_path / "cfg.json"

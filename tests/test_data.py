@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -13,7 +15,7 @@ from gsreg.data import (
     metrics,
     oracle_ls,
 )
-from gsreg.groups import BoxConstraint, contiguous_groups, group_norms
+from gsreg.groups import BoxConstraint, GroupStructure, contiguous_groups, group_norms
 
 
 class TestGenDesign:
@@ -261,3 +263,67 @@ class TestMetrics:
         inst.x_true = np.zeros(40)
         with pytest.raises(ValueError):
             metrics(np.ones(40), inst)
+
+
+def digest(*arrays) -> str:
+    """sha256 of the arrays' bytes, integers as little-endian int64 and the rest as float64."""
+    h = hashlib.sha256()
+    for a in arrays:
+        a = np.asarray(a)
+        h.update(a.astype("<i8" if a.dtype.kind in "iu" else "<f8").tobytes())
+    return h.hexdigest()
+
+
+class TestGeneratorPins:
+    """The generator's outputs, bit for bit, as sha256 digests of a fixed set of calls."""
+
+    INSTANCES = {
+        ("I", "i"): "0c4611a75db430636841dec6c314369ee5c4f92ca31d3f9d6777c00cccaea2f6",
+        ("I", "ii"): "22401e1005c8c156579ce57aa5bbd1d33544ae3c490cd7a2a0af741802b2712f",
+        ("I", "iii"): "04ddccfcdfd5d51d1ad703642e9c8a4755329670c0f7c66b514a8b9ebd0e16ce",
+        ("I", "iv"): "508922009f3578d61b25dab3c4a6ed32be04b017f0c2aa21abc7d6458f173fe2",
+        ("II", "i"): "0cbc16e39ec0a3c6e8f87d69883c4716d89c3a091bc759be82d60428ab83d724",
+        ("II", "ii"): "5cde27748f0c58b27d4c861372d96f07a0549e592c2cdf1a9fd3f6a730ff2108",
+        ("II", "iii"): "aac2d220afa5a23523dcacd1a3bc52760bdab919e25988a6282bb4c5ccfab07e",
+        ("II", "iv"): "743402a042092f687d4caec48613805b9edd2a10a7d7c83082b12a524908d0a1",
+        ("III", "i"): "6f1d472dd4365226a3536f09b4742a5c39c9c99dc44c58ac0f2df4a47bd011e3",
+        ("III", "ii"): "a36508a5a417a0f4c2ebecfa1af67057539c687e7881f6f49e7b948bc62b2bcd",
+        ("III", "iii"): "1307733d1ef199d9466af9dfed86e4e4dd2ef8306d1e349acbd8517c99e9fbb0",
+        ("III", "iv"): "f0ce12749f8afebc5ec782f1004eb63a25cb4a070bff83980851255023b3b211",
+    }
+    SHUFFLED = {
+        "i": "f15f183bf9b58efaebd6a396395154b53d0c67e59ed41895d39c151d3009ddf0",
+        "ii": "d22b856dc42f55f72ccbd55fcb47f24a21e64bca11a04a0b7c36832569af6b66",
+        "iii": "d254bbfcbcab018694b81d858e291192be160755f306a12659702cc2136c0984",
+        "iv": "265ac0959b22af647d8173a54e9fbf4f4597cb7506a487186d649aa939ae1944",
+    }
+    # at alpha = 0 every drawn group of kinds i and iii is zero and is regenerated
+    ZERO_ALPHA = {
+        "i": "1634a0d96996030ca8c3c582d1de1bd5ca5fedf76efca190608dd6e5eb780582",
+        "iii": "1634a0d96996030ca8c3c582d1de1bd5ca5fedf76efca190608dd6e5eb780582",
+    }
+
+    @staticmethod
+    def _shuffled() -> GroupStructure:
+        rng = np.random.default_rng(31)
+        return GroupStructure(30, np.split(rng.permutation(30), [4, 5, 11, 14, 20, 23, 27]))
+
+    @pytest.mark.parametrize("design, signal", sorted(INSTANCES))
+    def test_make_instance(self, design, signal):
+        inst = make_instance(design, signal, n=16, p=64, m=16, r_bar=5, alpha=2.0,
+                             theta1=0.1, theta2=0.1, seed=41)
+        got = digest(inst.A, inst.b, inst.x_true, inst.support_true)
+        assert got == self.INSTANCES[design, signal]
+
+    @pytest.mark.parametrize("signal", sorted(SHUFFLED))
+    def test_gen_signal_on_a_shuffled_partition(self, signal):
+        x, support = gen_signal(signal, self._shuffled(), 5, 1.5, seed=43)
+        assert digest(x, support) == self.SHUFFLED[signal]
+
+    @pytest.mark.parametrize("signal", sorted(ZERO_ALPHA))
+    def test_gen_signal_regenerates_zero_groups(self, signal):
+        g = self._shuffled()
+        x, support = gen_signal(signal, g, 5, 0.0, seed=47)
+        # each regenerated group is 1 at its first listed coordinate, 0 elsewhere
+        assert np.array_equal(np.flatnonzero(x), np.sort([g.groups[i][0] for i in support]))
+        assert digest(x, support) == self.ZERO_ALPHA[signal]

@@ -77,41 +77,19 @@ class TestPhiEval:
         with pytest.raises(ValueError, match="dom"):
             phi_eval(spec, 1.5)
 
-    @pytest.mark.parametrize("spec", ALL_SPECS, ids=IDS)
-    def test_one_sided_slope_matches_finite_difference(self, spec):
-        c = phi_constants(spec)
-        h = 1e-6
-        # second-order one-sided difference from inside [0, 1]
-        fd = (3 * phi_eval(spec, 1.0) - 4 * phi_eval(spec, 1.0 - h)
-              + phi_eval(spec, 1.0 - 2 * h)) / (2 * h)
-        assert c.phi_prime_minus_1 == pytest.approx(fd, rel=1e-5)
-
 
 class TestPhiConstants:
     def test_scad_values(self):
         c = phi_constants(PhiSpec(SCAD, a=3.7))
         assert c.t_star == 0.0
-        assert c.t_bar == 0.5
-        # varphi'(1)/varphi(1) = a / ((a+1)/2)
-        assert c.phi_prime_minus_1 == pytest.approx(3.7 / 2.35)
 
     def test_mcp_values(self):
         c = phi_constants(PhiSpec(MCP, a=3.0))
         assert c.t_star == pytest.approx(1.0 / 3.0)
-        assert c.t_bar == pytest.approx(2.0 / 3.0)
 
     def test_capped_l1_values(self):
         c = phi_constants(PhiSpec(CAPPED_L1))
         assert c.t_star == 0.0
-        assert c.t_bar == 0.0
-        assert c.phi_prime_minus_1 == 1.0
-
-    def test_lq_t_bar_interior(self):
-        c = phi_constants(PhiSpec(LQ, q=0.5, eps=1e-2))
-        assert 0.0 < c.t_bar < 1.0
-        # the kink point is where the normalized slope reaches 1... phi is
-        # increasing past t_bar, so phi(t_bar) < 1
-        assert phi_eval(PhiSpec(LQ, q=0.5, eps=1e-2), c.t_bar) < 1.0
 
 
 class TestConjugate:
