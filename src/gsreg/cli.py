@@ -27,7 +27,7 @@ from .data import (
     metrics,
     oracle_ls,
 )
-from .groups import BoxConstraint
+from .groups import BoxConstraint, approx_group_zero_norm
 from .mscra import MscraConfig, default_nu, run
 from .penalties import PhiSpec
 from .wl21 import SolverStallError
@@ -153,8 +153,6 @@ def _solve_one(inst: Instance, cfg: MscraConfig) -> dict:
     if inst.x_true is not None and np.any(inst.x_true):
         row.update(metrics(result.x, inst))
     else:
-        from .groups import approx_group_zero_norm
-
         row["group_sparsity"] = approx_group_zero_norm(result.x, inst.g)
     return row | {"_result": result}
 

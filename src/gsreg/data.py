@@ -16,10 +16,14 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import hadamard
-from scipy.optimize import lsq_linear
 
-from .groups import BoxConstraint, GroupStructure, group_norms
+from .groups import (
+    BoxConstraint,
+    GroupStructure,
+    approx_group_zero_norm,
+    contiguous_groups,
+    group_norms,
+)
 
 
 def make_rng(seed: int) -> np.random.Generator:
@@ -46,7 +50,6 @@ class Instance:
 @dataclass
 class OracleResult:
     x_ls: np.ndarray
-    residual_noise: np.ndarray  # (1/n) A^T (A x_ls - b)
     projected_noise: np.ndarray  # (A_S^T A_S)^{-1} A_S^T eps, on-support coords
 
 
@@ -72,7 +75,10 @@ def gen_design(kind: str, n: int, p: int, seed: int) -> np.ndarray:
             raise ValueError("kind III requires p to be a power of two")
         if n > p:
             raise ValueError("kind III requires n <= p")
-        H = hadamard(p).astype(float)
+        # Sylvester doubling: H_2k = [[H_k, H_k], [H_k, -H_k]]
+        H = np.ones((1, 1))
+        while H.shape[0] < p:
+            H = np.block([[H, H], [H, -H]])
         picks = np.sort(rng.permutation(p)[:n])
         return H[picks, :]
     raise ValueError(f"unknown design kind {kind!r}")
@@ -132,8 +138,6 @@ def make_instance(design: str, signal: str, n: int, p: int, m: int, r_bar: int,
                   alpha: float, theta1: float, theta2: float, seed: int,
                   g: GroupStructure | None = None) -> Instance:
     """One fully assembled synthetic instance with derived sub-seeds."""
-    from .groups import contiguous_groups
-
     g = g or contiguous_groups(p, m)
     A = gen_design(design, n, p, seed)
     x_bar, support = gen_signal(signal, g, r_bar, alpha, seed + 1)
@@ -180,29 +184,21 @@ def oracle_ls(inst: Instance) -> OracleResult:
     x_s, *_ = np.linalg.lstsq(A_s, inst.b, rcond=None)
     x_ls = np.zeros(inst.g.p)
     x_ls[cols] = x_s
-    n = inst.A.shape[0]
-    residual_noise = inst.A.T @ (inst.A @ x_ls - inst.b) / n
     eps = inst.noise
     projected = np.linalg.solve(A_s.T @ A_s, A_s.T @ eps)
     proj_full = np.zeros(inst.g.p)
     proj_full[cols] = projected
-    return OracleResult(x_ls, residual_noise, proj_full)
-
-
-def _box_restricted_ls(A_s, b, R: float):
-    """Exact bounded least squares on the selected columns (active-set BVLS)."""
-    if A_s.shape[1] == 0:
-        return np.zeros(0)
-    res = lsq_linear(A_s, b, bounds=(-R, R), method="bvls", tol=1e-14)
-    return res.x
+    return OracleResult(x_ls, proj_full)
 
 
 def brute_force_zero_norm(inst: Instance, nu: float, box: BoxConstraint):
     """Certified global minimizer of the group zero-norm objective.
 
     Enumerates all group supports (requires m <= 16) and solves the
-    box-constrained least squares on each; returns the minimizer of
-    ``(nu/2n) ||Ax - b||^2 + #nonzero groups`` and its objective.
+    least squares on each; returns the minimizer of
+    ``(nu/2n) ||Ax - b||^2 + #nonzero groups`` and its objective.  A
+    least-squares solution inside the box is the exact box-constrained
+    minimizer; ``ValueError`` is raised when one leaves the box.
     """
     m = inst.g.m
     if m > 16:
@@ -215,7 +211,11 @@ def brute_force_zero_norm(inst: Instance, nu: float, box: BoxConstraint):
         x = np.zeros(inst.g.p)
         if mask:
             cols = inst.g.segments((mask & bits) > 0)[0]
-            x[cols] = _box_restricted_ls(inst.A[:, cols], inst.b, box.R)
+            x_s, *_ = np.linalg.lstsq(inst.A[:, cols], inst.b, rcond=None)
+            if np.max(np.abs(x_s)) > box.R:
+                raise ValueError(f"brute force: least squares on a {mask.bit_count()}-group "
+                                 f"support leaves the box R = {box.R:g}")
+            x[cols] = x_s
         r = inst.A @ x - inst.b
         eff = int(np.count_nonzero(group_norms(x, inst.g) > 1e-10))
         obj = nu / (2.0 * n) * (r @ r) + eff
@@ -225,31 +225,34 @@ def brute_force_zero_norm(inst: Instance, nu: float, box: BoxConstraint):
     return best_x, float(best_obj)
 
 
-def gsparse_objective(x, inst: Instance, nu: float, zero_tol: float = 1e-6) -> float:
-    """The group zero-norm objective of an arbitrary point, with thresholded counting."""
+def gsparse_objective(x, inst: Instance, nu: float) -> float:
+    """The group zero-norm objective of an arbitrary point, counting by ``approx_group_zero_norm``."""
     r = inst.A @ x - inst.b
     n = inst.A.shape[0]
-    return float(nu / (2.0 * n) * (r @ r) + np.count_nonzero(group_norms(x, inst.g) > zero_tol))
+    return float(nu / (2.0 * n) * (r @ r) + approx_group_zero_norm(x, inst.g))
 
 
 # ---------------------------------------------------------------------------
 # metrics
 
 
-def metrics(x_out, inst: Instance, zero_tol: float = 1e-6) -> dict:
-    """Recovery metrics of an estimate against the instance ground truth."""
+def metrics(x_out, inst: Instance) -> dict:
+    """Recovery metrics of an estimate against the instance ground truth.
+
+    A group counts as found when ``approx_group_zero_norm`` counts it.
+    """
     x_out = np.asarray(x_out, dtype=float)
     if inst.x_true is None or not np.any(inst.x_true):
         raise ValueError("relative error undefined without a nonzero x_true")
     relerr = float(np.linalg.norm(x_out - inst.x_true) / np.linalg.norm(inst.x_true))
-    norms = group_norms(x_out, inst.g)
-    found = set(np.flatnonzero(norms > zero_tol).tolist())
-    truth = set(np.asarray(inst.support_true).tolist())
-    tp = len(found & truth)
+    truth = np.unique(inst.support_true)
+    found = approx_group_zero_norm(x_out, inst.g)
+    # found groups among the true ones: count x_out with the other groups zeroed
+    tp = approx_group_zero_norm(np.where(np.isin(inst.g.group_id, truth), x_out, 0.0), inst.g)
     return {
         "relerr": relerr,
-        "group_sparsity": len(found),
-        "support_precision": tp / len(found) if found else 1.0,
-        "support_recall": tp / len(truth) if truth else 1.0,
-        "exact_support": found == truth,
+        "group_sparsity": found,
+        "support_precision": tp / found if found else 1.0,
+        "support_recall": tp / truth.size if truth.size else 1.0,
+        "exact_support": found == tp == truth.size,
     }

@@ -235,3 +235,15 @@ class TestOracle:
         assert main(["oracle", str(d)]) == 0
         report = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
         assert report["brute_force_objective"] is None
+
+    def test_least_squares_outside_box_exits_2(self, tmp_path, capsys):
+        inst = make_instance(design="I", signal="i", n=20, p=16, m=8, r_bar=2,
+                             alpha=1.0, theta1=0.0, theta2=0.05, seed=42)
+        inst.b *= 1e7  # the box stays at 1000 ||x_true||_inf
+        d = gio.save_instance(tmp_path / "inst", inst)
+        assert main(["oracle", str(d)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.strip().splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith("error: brute force:")

@@ -146,7 +146,8 @@ class TestOracleLs:
                              alpha=1.0, theta1=0.05, theta2=0.05, seed=15)
         res = oracle_ls(inst)
         # the residual gradient vanishes on the true support groups
-        grad_groups = group_norms(res.residual_noise, inst.g)
+        grad = inst.A.T @ (inst.A @ res.x_ls - inst.b) / inst.A.shape[0]
+        grad_groups = group_norms(grad, inst.g)
         rel = np.max(grad_groups[inst.support_true]) / max(1e-30, np.max(grad_groups))
         assert rel < 1e-10
 
@@ -219,6 +220,13 @@ class TestBruteForce:
         assert obj == pytest.approx(1.0, abs=1e-6)
         found = set(np.flatnonzero(group_norms(x, inst.g) > 1e-10))
         assert found == set(inst.support_true.tolist())
+
+    def test_refuses_least_squares_outside_box(self):
+        inst = make_instance(design="I", signal="i", n=20, p=10, m=5, r_bar=2,
+                             alpha=1.0, theta1=0.05, theta2=0.05, seed=27)
+        inst.b *= 1e7
+        with pytest.raises(ValueError, match=r"-group support leaves the box R = 1e\+06"):
+            brute_force_zero_norm(inst, 1.0, BoxConstraint(1e6))
 
     def test_objective_is_a_lower_bound(self, rng):
         inst = make_instance(design="I", signal="ii", n=20, p=10, m=5, r_bar=2,
