@@ -15,6 +15,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+# a group with norm at most this counts as zero in support counts
+GROUP_ZERO_TOL = 1e-6
+
 
 @dataclass(frozen=True)
 class BoxConstraint:
@@ -220,7 +223,7 @@ def prox_group_box(z, g: GroupStructure, omega, R: float, nrm=None) -> np.ndarra
     return x
 
 
-def approx_group_zero_norm(x, g: GroupStructure, tol: float = 1e-6) -> int:
+def approx_group_zero_norm(x, g: GroupStructure, tol: float = GROUP_ZERO_TOL) -> int:
     """Number of groups with norm strictly above ``tol``."""
     if tol < 0:
         raise ValueError("tol must be nonnegative")

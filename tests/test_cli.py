@@ -4,6 +4,7 @@ import json
 import numpy as np
 import pytest
 
+from gsreg import data as gdata
 from gsreg import io as gio
 from gsreg.cli import ExperimentPlan, _hash, main
 from gsreg.data import make_instance
@@ -236,14 +237,17 @@ class TestOracle:
         report = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
         assert report["brute_force_objective"] is None
 
-    def test_least_squares_outside_box_exits_2(self, tmp_path, capsys):
-        inst = make_instance(design="I", signal="i", n=20, p=16, m=8, r_bar=2,
-                             alpha=1.0, theta1=0.0, theta2=0.05, seed=42)
-        inst.b *= 1e7  # the box stays at 1000 ||x_true||_inf
+    def test_report_when_the_box_binds_with_p_above_n(self, tmp_path, capsys, monkeypatch):
+        # n = 8 < p = 16: one 4-group (square) support of this instance has
+        # its least-squares solution outside R = 1000 ||x_true||_inf
+        inst = make_instance(design="I", signal="i", n=8, p=16, m=8, r_bar=2,
+                             alpha=2.0, theta1=0.1, theta2=0.1, seed=10)
+        calls = []
+        box_ls = gdata._box_restricted_ls
+        monkeypatch.setattr(gdata, "_box_restricted_ls",
+                            lambda A_s, b, R: calls.append(R) or box_ls(A_s, b, R))
         d = gio.save_instance(tmp_path / "inst", inst)
-        assert main(["oracle", str(d)]) == 2
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        lines = captured.err.strip().splitlines()
-        assert len(lines) == 1
-        assert lines[0].startswith("error: brute force:")
+        assert main(["oracle", str(d)]) == 0
+        report = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
+        assert len(calls) == 1
+        assert report["brute_force_objective"] <= report["ls_objective_at_support"] + 1e-9

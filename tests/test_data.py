@@ -5,6 +5,7 @@ import pytest
 
 from gsreg.data import (
     SingularDesignError,
+    _box_restricted_ls,
     brute_force_zero_norm,
     default_box,
     gen_design,
@@ -221,12 +222,17 @@ class TestBruteForce:
         found = set(np.flatnonzero(group_norms(x, inst.g) > 1e-10))
         assert found == set(inst.support_true.tolist())
 
-    def test_refuses_least_squares_outside_box(self):
+    def test_box_binds_when_least_squares_leaves_it(self, rng):
         inst = make_instance(design="I", signal="i", n=20, p=10, m=5, r_bar=2,
                              alpha=1.0, theta1=0.05, theta2=0.05, seed=27)
         inst.b *= 1e7
-        with pytest.raises(ValueError, match=r"-group support leaves the box R = 1e\+06"):
-            brute_force_zero_norm(inst, 1.0, BoxConstraint(1e6))
+        box = BoxConstraint(1e6)
+        nu = 1.0
+        x, best = brute_force_zero_norm(inst, nu, box)
+        assert np.max(np.abs(x)) == box.R
+        for _ in range(50):
+            y = rng.uniform(-box.R, box.R, 10)
+            assert gsparse_objective(y, inst, nu) >= best - 1e-8
 
     def test_objective_is_a_lower_bound(self, rng):
         inst = make_instance(design="I", signal="ii", n=20, p=10, m=5, r_bar=2,
@@ -237,6 +243,36 @@ class TestBruteForce:
         for _ in range(50):
             x = rng.uniform(-1, 1, 10)
             assert gsparse_objective(x, inst, nu) >= best - 1e-8
+
+
+class TestBoxRestrictedLs:
+    def test_orthonormal_columns_clip_the_least_squares(self, rng):
+        Q, _ = np.linalg.qr(rng.standard_normal((12, 5)))
+        b = 10.0 * rng.standard_normal(12)
+        x = _box_restricted_ls(Q, b, 1.0)
+        assert np.allclose(x, np.clip(Q.T @ b, -1.0, 1.0), atol=1e-12)
+
+    def test_inside_the_box_is_least_squares(self, rng):
+        A = rng.standard_normal((12, 5))
+        b = rng.standard_normal(12)
+        x_ls = np.linalg.lstsq(A, b, rcond=None)[0]
+        x = _box_restricted_ls(A, b, 2.0 * np.max(np.abs(x_ls)))
+        assert np.allclose(x, x_ls, atol=1e-12)
+
+    @pytest.mark.parametrize("n, k", [(12, 5), (6, 6), (4, 9)])
+    def test_kkt_conditions(self, rng, n, k):
+        A = rng.standard_normal((n, k))
+        b = 100.0 * rng.standard_normal(n)
+        R = 1.0
+        x = _box_restricted_ls(A, b, R)
+        assert np.max(np.abs(x)) <= R
+        grad = A.T @ (A @ x - b)
+        at_bound = np.abs(x) == R
+        assert at_bound.any()
+        scale = np.linalg.norm(A) * np.linalg.norm(A @ x - b)
+        # free coordinates are stationary; bound ones are pushed outwards
+        assert np.all(np.abs(grad[~at_bound]) <= 1e-10 * scale)
+        assert np.all(-np.sign(x[at_bound]) * grad[at_bound] >= -1e-10 * scale)
 
 
 class TestMetrics:
