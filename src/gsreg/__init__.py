@@ -3,10 +3,10 @@
 from .groups import (
     BoxConstraint,
     GroupStructure,
-    approx_group_zero_norm,
     contiguous_groups,
     equilibrium_residual,
     group_norms,
+    group_support,
 )
 from .penalties import (
     CAPPED_L1,

@@ -27,7 +27,7 @@ from .data import (
     metrics,
     oracle_ls,
 )
-from .groups import BoxConstraint, approx_group_zero_norm
+from .groups import BoxConstraint, group_support
 from .mscra import MscraConfig, default_nu, run
 from .penalties import PhiSpec
 from .wl21 import SolverStallError
@@ -153,7 +153,7 @@ def _solve_one(inst: Instance, cfg: MscraConfig) -> dict:
     if inst.x_true is not None and np.any(inst.x_true):
         row.update(metrics(result.x, inst))
     else:
-        row["group_sparsity"] = approx_group_zero_norm(result.x, inst.g)
+        row["group_sparsity"] = group_support(result.x, inst.g).size
     return row | {"_result": result}
 
 

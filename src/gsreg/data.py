@@ -17,14 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .groups import (
-    GROUP_ZERO_TOL,
-    BoxConstraint,
-    GroupStructure,
-    approx_group_zero_norm,
-    contiguous_groups,
-    group_norms,
-)
+from .groups import BoxConstraint, GroupStructure, contiguous_groups, group_norms, group_support
 
 
 def make_rng(seed: int) -> np.random.Generator:
@@ -249,15 +242,16 @@ def brute_force_zero_norm(inst: Instance, nu: float, box: BoxConstraint):
     bits = 1 << np.arange(m)
     for mask in range(2**m):
         x = np.zeros(inst.g.p)
+        r = -inst.b
         if mask:
             cols = inst.g.segments((mask & bits) > 0)[0]
-            x_s, *_ = np.linalg.lstsq(inst.A[:, cols], inst.b, rcond=None)
+            A_s = inst.A[:, cols]
+            x_s, *_ = np.linalg.lstsq(A_s, inst.b, rcond=None)
             if np.max(np.abs(x_s)) > box.R:
-                x_s = _box_restricted_ls(inst.A[:, cols], inst.b, box.R)
+                x_s = _box_restricted_ls(A_s, inst.b, box.R)
             x[cols] = x_s
-        r = inst.A @ x - inst.b
-        eff = int(np.count_nonzero(group_norms(x, inst.g) > 1e-10))
-        obj = nu / (2.0 * n) * (r @ r) + eff
+            r = A_s @ x_s - inst.b
+        obj = nu / (2.0 * n) * (r @ r) + group_support(x, inst.g).size
         if obj < best_obj:
             best_obj = obj
             best_x = x
@@ -265,10 +259,10 @@ def brute_force_zero_norm(inst: Instance, nu: float, box: BoxConstraint):
 
 
 def gsparse_objective(x, inst: Instance, nu: float) -> float:
-    """The group zero-norm objective of an arbitrary point, counting by ``approx_group_zero_norm``."""
+    """The group zero-norm objective of an arbitrary point, counting by ``group_support``."""
     r = inst.A @ x - inst.b
     n = inst.A.shape[0]
-    return float(nu / (2.0 * n) * (r @ r) + approx_group_zero_norm(x, inst.g))
+    return float(nu / (2.0 * n) * (r @ r) + group_support(x, inst.g).size)
 
 
 # ---------------------------------------------------------------------------
@@ -278,14 +272,13 @@ def gsparse_objective(x, inst: Instance, nu: float) -> float:
 def metrics(x_out, inst: Instance) -> dict:
     """Recovery metrics of an estimate against the instance ground truth.
 
-    A group counts as found when its norm exceeds ``GROUP_ZERO_TOL``, as in
-    ``approx_group_zero_norm``.
+    A group counts as found when it has a nonzero coordinate (``group_support``).
     """
     x_out = np.asarray(x_out, dtype=float)
     if inst.x_true is None or not np.any(inst.x_true):
         raise ValueError("relative error undefined without a nonzero x_true")
     relerr = float(np.linalg.norm(x_out - inst.x_true) / np.linalg.norm(inst.x_true))
-    found = set(np.flatnonzero(group_norms(x_out, inst.g) > GROUP_ZERO_TOL).tolist())
+    found = set(group_support(x_out, inst.g).tolist())
     truth = set(np.asarray(inst.support_true).tolist())
     tp = len(found & truth)
     return {

@@ -15,9 +15,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-# a group with norm at most this counts as zero in support counts
-GROUP_ZERO_TOL = 1e-6
-
 
 @dataclass(frozen=True)
 class BoxConstraint:
@@ -223,11 +220,15 @@ def prox_group_box(z, g: GroupStructure, omega, R: float, nrm=None) -> np.ndarra
     return x
 
 
-def approx_group_zero_norm(x, g: GroupStructure, tol: float = GROUP_ZERO_TOL) -> int:
-    """Number of groups with norm strictly above ``tol``."""
-    if tol < 0:
-        raise ValueError("tol must be nonnegative")
-    return int(np.count_nonzero(group_norms(x, g) > tol))
+def group_support(x, g: GroupStructure) -> np.ndarray:
+    """Sorted ids of the groups with a nonzero coordinate.
+
+    The test is on the coordinates, not on :func:`group_norms`, whose
+    squares underflow to 0 on a group of entries near 1e-300.
+    """
+    hit = np.zeros(g.m, dtype=bool)
+    hit[g.group_id[_check_dim(x, g) != 0]] = True
+    return np.flatnonzero(hit)
 
 
 def equilibrium_residual(x, w, g: GroupStructure) -> float:

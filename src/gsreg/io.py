@@ -49,8 +49,14 @@ def write_vector(path, v) -> None:
     np.asarray(v, dtype="<f8").tofile(path)
 
 
-def read_vector(path) -> np.ndarray:
-    return np.fromfile(path, dtype="<f8")
+def read_vector(path, size: int | None = None) -> np.ndarray:
+    """The float64 entries of ``path``; with ``size``, there must be that many."""
+    raw = Path(path).read_bytes()
+    if len(raw) % 8:
+        raise ValueError(f"{path}: {len(raw)} bytes is not a whole number of float64 entries")
+    if size is not None and len(raw) != 8 * size:
+        raise ValueError(f"{path}: {len(raw) // 8} entries, expected {size}")
+    return np.frombuffer(raw, dtype="<f8").copy()
 
 
 def save_instance(directory, inst: Instance) -> Path:
@@ -72,12 +78,13 @@ def save_instance(directory, inst: Instance) -> Path:
 def load_instance(directory) -> Instance:
     d = Path(directory)
     A = read_matrix(d / "A.gsrm")
-    b = read_vector(d / "b.f64")
+    n, p = A.shape
+    b = read_vector(d / "b.f64", n)
     g = GroupStructure.from_json((d / "groups.json").read_text())
     meta = json.loads((d / "meta.json").read_text())
     seed = meta.pop("seed", None)
     support = meta.pop("support_true", None)
-    x_true = read_vector(d / "x_true.f64") if (d / "x_true.f64").exists() else None
+    x_true = read_vector(d / "x_true.f64", p) if (d / "x_true.f64").exists() else None
     return Instance(
         A=A,
         b=b,

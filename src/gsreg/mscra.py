@@ -13,13 +13,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .groups import (
-    BoxConstraint,
-    GroupStructure,
-    approx_group_zero_norm,
-    equilibrium_residual,
-    group_norms,
-)
+from .groups import BoxConstraint, GroupStructure, equilibrium_residual, group_norms, group_support
 from .penalties import PhiSpec, weight_from_subgradient
 from .wl21 import AlmConfig, SolveStats, SubproblemSpec, _support_product, alm_solve
 
@@ -186,9 +180,9 @@ def run(A, b, g: GroupStructure, box: BoxConstraint,
         r = _support_product(A, x) - b
         loss = float(0.5 * (r @ r) / n)
         eq = equilibrium_residual(x, w, g)  # uses the stage-(k-1) weights
-        sparsity = approx_group_zero_norm(x, g)
+        sparsity = group_support(x, g).size
 
-        if np.max(group_norms(x, g)) == 0.0:
+        if sparsity == 0:
             traces.append(StageTrace(k, x, w.copy(), rho or 0.0, lam, loss, eq, 0, stats))
             stop_reason = "degenerate_zero"
             break

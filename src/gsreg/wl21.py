@@ -531,7 +531,8 @@ def abcd_solve(state: DualState, spec: SubproblemSpec, sncg_cfg: SncgConfig, snc
     of ``y`` are computed again, once, rather than taken from SNCG.  Returns
     ``(eta, xi, zeta, x_new, stats)``: ``stats["sncg"]`` holds the
     statistics of the SNCG call, ``stats["At_xi"]`` that product, for the
-    next call to start from, and ``stats["dense_products"]`` and
+    next call to start from, ``stats["keep"]`` the groups where the prox
+    ``s`` is nonzero, and ``stats["dense_products"]`` and
     ``stats["support_products"]`` count the products of the whole call.
 
     The name and the 5-tuple with the statistics last are those of the
@@ -553,7 +554,7 @@ def abcd_solve(state: DualState, spec: SubproblemSpec, sncg_cfg: SncgConfig, snc
         eta[clipped] = zeta[clipped] - (y - s)[clipped]
     x_new = state.x + state.sigma * (At_xi + eta - zeta)
     return eta, xi, zeta, x_new, {
-        "iters": 1, "sncg": s_stats, "At_xi": At_xi,
+        "iters": 1, "sncg": s_stats, "At_xi": At_xi, "keep": nrm > spec.omega,
         "dense_products": s_stats["dense_products"] + 1,
         "support_products": s_stats["support_products"],
     }
@@ -624,7 +625,10 @@ def alm_solve(spec: SubproblemSpec, cfg: AlmConfig | None = None,
     iteration, which has no previous value).  Each ``history`` entry logs
     the ``sigma`` of its iteration and whether the multiplier ``stalled``
     there.  Returns ``(x, state, stats)``; a run hitting ``max_outer`` is
-    flagged not-converged.
+    flagged not-converged.  ``x`` is the box projection of ``-state.x``
+    set to exactly 0 on the groups where the last prox ``s`` is 0; the
+    multiplier equals ``sigma s`` up to rounding, so it holds only
+    rounding residue there.
 
     A ``warm`` state, the one an earlier solve returned, carries over the
     multiplier x, sigma (raised to ``cfg.sigma0`` if below it) and xi
@@ -666,7 +670,7 @@ def alm_solve(spec: SubproblemSpec, cfg: AlmConfig | None = None,
         eta, xi, zeta, x_new, a_stats = abcd_solve(state, spec, cfg.sncg, sncg_tol, At_xi)
         x_old = state.x
         state.eta, state.xi, state.zeta, state.x = eta, xi, zeta, x_new
-        At_xi = a_stats["At_xi"]
+        At_xi, keep = a_stats["At_xi"], a_stats["keep"]
         s_stats = a_stats["sncg"]
         eps_pinf = s_stats["gnorm"] / bnorm
         eps_dinf = np.linalg.norm(x_new - x_old) / state.sigma
@@ -707,4 +711,6 @@ def alm_solve(spec: SubproblemSpec, cfg: AlmConfig | None = None,
         growth = max(_STALL_GROWTH, cfg.sigma_growth) if stalled else cfg.sigma_growth
         state.sigma = min(growth * state.sigma, cfg.sigma_max)
     stats.wall_time = time.perf_counter() - t0
-    return np.clip(-state.x, -spec.box.R, spec.box.R), state, stats
+    x = np.clip(-state.x, -spec.box.R, spec.box.R)
+    x[~keep[spec.g.group_id]] = 0.0
+    return x, state, stats

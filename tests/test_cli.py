@@ -163,6 +163,20 @@ class TestSolve:
         assert err[0].startswith("error:") and message in err[0]
         assert not (tmp_path / "run").exists()
 
+    @pytest.mark.parametrize("name, edit, message", [
+        ("b.f64", lambda raw: raw + bytes(4), "not a whole number of float64 entries"),
+        ("x_true.f64", lambda raw: raw[:-8], "95 entries, expected 96"),
+    ], ids=["trailing_bytes", "short_x_true"])
+    def test_bad_vector_file_exits_2(self, tmp_path, capsys, monkeypatch, name, edit, message):
+        d = self._instance_dir(tmp_path)
+        (d / name).write_bytes(edit((d / name).read_bytes()))
+        monkeypatch.setattr("gsreg.cli.run", lambda *a, **k: pytest.fail("solve ran"))
+        assert main(["solve", str(d), "--out", str(tmp_path / "run")]) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1
+        assert err[0].startswith("error:") and name in err[0] and message in err[0]
+        assert not (tmp_path / "run").exists()
+
     def test_missing_instance_exits_2(self, tmp_path, capsys):
         assert main(["solve", str(tmp_path / "nope")]) == 2
 

@@ -6,10 +6,10 @@ import pytest
 from gsreg.groups import (
     BoxConstraint,
     GroupStructure,
-    approx_group_zero_norm,
     contiguous_groups,
     equilibrium_residual,
     group_norms,
+    group_support,
 )
 
 
@@ -82,14 +82,13 @@ class TestNorms:
         with pytest.raises(ValueError):
             group_norms(np.ones(5), g)
 
-    def test_zero_norm_counts_strictly_above_tol(self):
+    def test_support_counts_every_nonzero_coordinate(self):
         g = contiguous_groups(4, 4)
-        x = np.array([1.0, 1e-6, 1e-5, 0.0])
-        assert approx_group_zero_norm(x, g) == 2  # 1e-6 is not strictly above
-
-    def test_zero_norm_rejects_negative_tol(self):
+        x = np.array([1.0, 1e-300, 0.0, -0.0])
+        assert group_norms(x, g)[1] == 0.0  # the square underflows
+        assert group_support(x, g).tolist() == [0, 1]
         with pytest.raises(ValueError):
-            approx_group_zero_norm(np.ones(4), contiguous_groups(4, 2), tol=-1.0)
+            group_support(np.ones(5), g)
 
 
 class TestEquilibriumResidual:

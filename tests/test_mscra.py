@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from gsreg.data import make_instance, metrics, default_box
-from gsreg.groups import BoxConstraint, contiguous_groups, group_norms
+from gsreg.groups import BoxConstraint, contiguous_groups, group_norms, group_support
 from gsreg.mscra import (
     MscraConfig,
     default_nu,
@@ -262,6 +262,17 @@ class TestSigmaRule:
         # sigma grows fast while the multiplier stalls: stage 2 took 36 outer
         # iterations under a fixed growth factor of 1.3
         assert res.traces[1].inner_stats.outer_iters < 20
+
+
+class TestExactSupport:
+    def test_large_signal_answer_has_six_nonzero_groups(self):
+        # all 64 groups came back nonzero when the answer was the plain
+        # negated multiplier: 58 of them rounding residue below 6e-11
+        inst = make_instance(design="I", signal="i", n=64, p=512, m=64, r_bar=6,
+                             alpha=1e5, theta1=0.1, theta2=0.1, seed=7000)
+        res = run(inst.A, inst.b, inst.g, default_box(inst.x_true), MscraConfig())
+        assert group_support(res.x, inst.g).size == 6
+        assert res.traces[-1].group_sparsity == 6
 
 
 class TestWarmStart:

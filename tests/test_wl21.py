@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from conftest import clarke_block, dense_hessian, random_subproblem
-from gsreg.groups import BoxConstraint, contiguous_groups, group_norms
+from gsreg.groups import BoxConstraint, contiguous_groups, group_norms, group_support
 from gsreg.wl21 import (
     AlmConfig,
     DualState,
@@ -500,6 +500,17 @@ class TestAlm:
         x, _, _ = alm_solve(spec, AlmConfig(tol=1e-8))
         norms = group_norms(x, spec.g)
         assert np.any(norms == 0.0)
+
+    def test_solution_is_zero_off_the_prox_support(self):
+        # the multiplier is sigma times the prox up to rounding: where the
+        # prox is 0, -state.x holds only rounding residue, which x drops
+        spec = random_subproblem(15, omega_scale=0.5)
+        x, state, _ = alm_solve(spec, AlmConfig(tol=1e-8))
+        full = np.clip(-state.x, -spec.box.R, spec.box.R)
+        on = np.isin(spec.g.group_id, group_support(x, spec.g))
+        assert np.array_equal(x[on], full[on])
+        assert np.all(x[~on] == 0.0) and np.any(full[~on] != 0.0)
+        assert np.all(np.abs(full[~on]) < 1e-9 * np.max(np.abs(x)))
 
     @pytest.mark.parametrize("seed", [12345, 1, 2, 3, 4, 5])
     def test_active_box_is_respected(self, seed):
