@@ -30,7 +30,6 @@ from .data import (
 from .groups import BoxConstraint, group_support
 from .mscra import MscraConfig, default_nu, run
 from .penalties import PhiSpec
-from .wl21 import SolverStallError
 
 
 @dataclass(frozen=True)
@@ -69,10 +68,7 @@ def _hash(obj) -> str:
 
 
 _JSON_TYPES = {float: (int, float), int: (int,), str: (str,)}
-_NOT_SETTABLE = {
-    "w0": "it is an array; pass it through the Python API",
-    "alm.tol": "each stage sets it from eps_loss, tol_decay and tol_floor",
-}
+_NOT_SETTABLE = {"alm.tol": "each stage sets it from eps_loss, tol_decay and tol_floor"}
 
 
 def _scalar(kind, value, name: str):
@@ -112,9 +108,9 @@ def _build(cls, raw, where: str = ""):
 def _config_from_file(path) -> tuple[MscraConfig, float]:
     """The solver config and the ``nu`` factor of a ``--config`` file.
 
-    The file holds ``MscraConfig`` fields (nested objects for ``phi``,
-    ``alm`` and ``alm.sncg``) plus ``nu_factor``, the scale of the
-    default ``nu``.  Without a file every value is the default.
+    The file holds ``MscraConfig`` fields (nested objects for ``phi``
+    and ``alm``) plus ``nu_factor``, the scale of the default ``nu``.
+    Without a file every value is the default.
     """
     raw = json.loads(Path(path).read_text()) if path else {}
     if not isinstance(raw, dict):
@@ -238,11 +234,7 @@ def cmd_solve(args) -> int:
     inst = gio.load_instance(args.instance)
     cfg, nu_factor = _config_from_file(args.config)
     cfg = _resolve_nu(cfg, inst, nu_factor)
-    try:
-        row = _solve_one(inst, cfg)
-    except SolverStallError as exc:
-        print(f"not converged: {exc}", file=sys.stderr)
-        return 1
+    row = _solve_one(inst, cfg)
     result = row.pop("_result")
     out = Path(args.out or args.instance)
     out.mkdir(parents=True, exist_ok=True)
@@ -269,7 +261,10 @@ def _failure_reason(result) -> str:
     if result.stop_reason == "max_stages":
         reasons.append(f"no stopping rule fired in {result.stages} stages")
     if result.inner_failures:
-        reasons.append(f"{result.inner_failures} of {result.stages} stage ALM solves hit max_outer")
+        stalls = sum(t.inner_stats.sncg_stalls for t in result.traces
+                     if not t.inner_stats.converged)
+        reasons.append(f"{result.inner_failures} of {result.stages} stage ALM solves hit max_outer"
+                       f" ({stalls} stalled SNCG calls)")
     return "; ".join(reasons)
 
 

@@ -166,22 +166,21 @@ def default_box(x_true) -> BoxConstraint:
 def oracle_ls(inst: Instance) -> OracleResult:
     """Least squares restricted to the true group support.
 
-    Requires the restricted design to have full column rank; off-support
-    coordinates of the solution are exactly zero.
+    One least-squares solve on the restricted design gives the solution
+    for ``b`` and the projected noise for ``eps``.  Requires the restricted
+    design to have full column rank; off-support coordinates of both are
+    exactly zero.
     """
     if inst.support_true is None:
         raise ValueError("oracle_ls requires a known support")
     cols = inst.g.segments(np.isin(np.arange(inst.g.m), inst.support_true))[0]
     A_s = inst.A[:, cols]
-    if np.linalg.matrix_rank(A_s) < A_s.shape[1]:
+    sol, _, rank, _ = np.linalg.lstsq(A_s, np.column_stack((inst.b, inst.noise)), rcond=None)
+    if rank < A_s.shape[1]:
         raise SingularDesignError("restricted design is rank deficient")
-    x_s, *_ = np.linalg.lstsq(A_s, inst.b, rcond=None)
     x_ls = np.zeros(inst.g.p)
-    x_ls[cols] = x_s
-    eps = inst.noise
-    projected = np.linalg.solve(A_s.T @ A_s, A_s.T @ eps)
     proj_full = np.zeros(inst.g.p)
-    proj_full[cols] = projected
+    x_ls[cols], proj_full[cols] = sol.T
     return OracleResult(x_ls, proj_full)
 
 

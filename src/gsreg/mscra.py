@@ -2,9 +2,9 @@
 
 Each stage solves one weighted l2,1 subproblem through the dual ALM,
 then refreshes the per-group weights from the conjugate subgradient of
-the penalty family at ``rho * ||x_Ji||``.  The penalty factor rho is
-adjusted dynamically from the first-stage iterate unless a static value
-is pinned for exact-penalty experiments.
+the penalty family at ``rho * ||x_Ji||``.  Stage 1 runs with every
+weight at 0, and the penalty factor rho follows the dynamic schedule of
+:func:`rho_schedule` from the first-stage iterate on.
 """
 
 from __future__ import annotations
@@ -25,8 +25,6 @@ _RHO_CAP = 1e8
 class MscraConfig:
     phi: PhiSpec = field(default_factory=PhiSpec)
     nu: float | None = None  # None -> n / (0.1 ||A^T b||_inf)
-    w0: np.ndarray | None = None
-    static_rho: float | None = None  # pins rho instead of the dynamic schedule
     eps_gap: float = 1e-6
     eps_loss: float = 1e-2
     max_stages: int = 30
@@ -159,12 +157,10 @@ def run(A, b, g: GroupStructure, box: BoxConstraint,
     nu = cfg.nu if cfg.nu is not None else default_nu(A, b, n)
     if not nu > 0:
         raise ValueError("nu must be positive")
-    w = np.zeros(g.m) if cfg.w0 is None else np.asarray(cfg.w0, dtype=float).copy()
-    if w.shape != (g.m,) or np.any(w < 0) or np.any(w > 1):
-        raise ValueError("w0 must lie in [0, 1]^m")
+    w = np.zeros(g.m)
 
     lam = 1.0 / nu
-    rho: float | None = cfg.static_rho
+    rho: float | None = None
     tol: float | None = None
     warm = None
     traces: list[StageTrace] = []
@@ -187,8 +183,7 @@ def run(A, b, g: GroupStructure, box: BoxConstraint,
             stop_reason = "degenerate_zero"
             break
 
-        if cfg.static_rho is None:
-            rho = rho_schedule(k, x, rho, g)
+        rho = rho_schedule(k, x, rho, g)
         lam = rho / nu
         w_new = weight_update(x, rho, cfg.phi, g)
         trace = StageTrace(k, x, w_new, rho, lam, loss, eq, sparsity, stats)

@@ -91,43 +91,26 @@ class DualState:
 
 
 @dataclass(frozen=True)
-class SncgConfig:
-    delta: float = 0.5
-    mu: float = 1e-4
-    max_iter: int = 50
-    max_backtracks: int = 50
-
-    def __post_init__(self):
-        if not 0 < self.delta < 1:
-            raise ValueError("delta must lie in (0, 1)")
-        if not 0 < self.mu < 0.5:
-            raise ValueError("mu must lie in (0, 1/2)")
-
-
-@dataclass(frozen=True)
 class AlmConfig:
     """Settings of :func:`alm_solve`.
 
-    After each unconverged outer iteration sigma grows by ``sigma_growth``,
-    or by ``max(5, sigma_growth)`` when the multiplier stalls, that is when
-    ``eps_dinf`` kept more than half of its previous value; it never
-    exceeds ``sigma_max``.
+    Sigma starts at 1 and, after each unconverged outer iteration, grows
+    by 1.3, or by 5 when the multiplier stalls, that is when ``eps_dinf``
+    kept more than half of its previous value; it never exceeds
+    ``sigma_max``.  ``max_outer`` bounds the outer iterations and
+    ``sncg_max_iter`` the Newton steps of each one.
     """
 
-    sigma0: float = 1.0
-    sigma_growth: float = 1.3
     sigma_max: float = 1e6
     tol: float = 1e-5
     max_outer: int = 200
-    sncg: SncgConfig = field(default_factory=SncgConfig)
+    sncg_max_iter: int = 50
 
     def __post_init__(self):
-        if not self.sigma0 > 0:
-            raise ValueError(f"sigma0 must be positive, got {self.sigma0}")
-        if not self.sigma_growth > 1:
-            raise ValueError(f"sigma_growth must exceed 1, got {self.sigma_growth}")
         if not self.max_outer > 0:
             raise ValueError(f"max_outer must be positive, got {self.max_outer}")
+        if not self.sncg_max_iter > 0:
+            raise ValueError(f"sncg_max_iter must be positive, got {self.sncg_max_iter}")
 
 
 @dataclass
@@ -159,10 +142,6 @@ class SolveStats:
 
     def to_dict(self) -> dict:
         return asdict(self)
-
-
-class SolverStallError(RuntimeError):
-    """Raised when the Newton line search cannot make progress."""
 
 
 # ---------------------------------------------------------------------------
@@ -423,10 +402,16 @@ def newton_direction(v, y, sigma: float, spec: SubproblemSpec, prox: ProxPoint |
 
 # relative rounding error allowed for in the Armijo test of sncg_solve
 _ROUNDING_SLACK = 16 * np.finfo(float).eps
+# the Armijo test asks a step of length alpha to lower the reduced function
+# by _ARMIJO_MU alpha |g^T d|; a refused step shrinks by _ARMIJO_SHRINK, at
+# most _MAX_BACKTRACKS times before the call ends as a stall
+_ARMIJO_MU = 1e-4
+_ARMIJO_SHRINK = 0.5
+_MAX_BACKTRACKS = 50
 
 
-def sncg_solve(state: DualState, spec: SubproblemSpec, cfg: SncgConfig,
-               grad_tol: float, xi0=None, At_xi0=None):
+def sncg_solve(state: DualState, spec: SubproblemSpec, grad_tol: float, max_iter: int,
+               xi0=None, At_xi0=None):
     """Semismooth Newton on the reduced gradient system in xi.
 
     The reduced function is the augmented Lagrangian minimized over
@@ -442,7 +427,8 @@ def sncg_solve(state: DualState, spec: SubproblemSpec, cfg: SncgConfig,
     accepted trial goes on to the next Newton system.  The loop stops at
     ``grad_tol``, after ``max_iter`` steps, or at a stall: an accepted
     step that lowers neither the function nor the gradient norm, which
-    means ``grad_tol`` lies below the rounding floor.
+    means ``grad_tol`` lies below the rounding floor, or a line search
+    that refuses every trial step, which leaves xi where it was.
 
     ``At_xi0``, when given, is ``A^T xi0``, so that the start costs no
     product with ``A^T``.  Each Newton step then makes one dense product,
@@ -469,7 +455,7 @@ def sncg_solve(state: DualState, spec: SubproblemSpec, cfg: SncgConfig,
     f, prox = _psi(xi, y, sigma, R, spec)
     g = spec.b + xi + sigma * _support_product(spec.A, prox.s, stats)
     gnorm = np.linalg.norm(g)
-    for _ in range(cfg.max_iter):
+    for _ in range(max_iter):
         if gnorm <= grad_tol:
             break
         d, r = newton_direction(-g, y, sigma, spec, prox)
@@ -488,17 +474,16 @@ def sncg_solve(state: DualState, spec: SubproblemSpec, cfg: SncgConfig,
         # below this, a change of f is rounding noise and cannot veto a step
         slack = _ROUNDING_SLACK * max(1.0, abs(f))
         alpha = 1.0
-        for _ in range(cfg.max_backtracks + 1):
+        for _ in range(_MAX_BACKTRACKS + 1):
             xi_new, y_new = xi + alpha * d, y + alpha * At_d
             f_new, prox_new = _psi(xi_new, y_new, sigma, R, spec)
-            if f_new <= f + cfg.mu * alpha * slope + slack:
+            if f_new <= f + _ARMIJO_MU * alpha * slope + slack:
                 break
-            alpha *= cfg.delta
+            alpha *= _ARMIJO_SHRINK
             stats["backtracks"] += 1
         else:
-            raise SolverStallError(
-                f"Armijo line search failed after max backtracks at gradient norm {gnorm:.3g}"
-            )
+            stats["stalls"] += 1
+            break
         stats["iters"] += 1
         g_new = spec.b + xi_new + sigma * _support_product(spec.A, prox_new.s, stats)
         gnorm_new = np.linalg.norm(g_new)
@@ -512,16 +497,17 @@ def sncg_solve(state: DualState, spec: SubproblemSpec, cfg: SncgConfig,
     return xi, stats
 
 
-def abcd_solve(state: DualState, spec: SubproblemSpec, sncg_cfg: SncgConfig, sncg_tol: float,
+def abcd_solve(state: DualState, spec: SubproblemSpec, sncg_tol: float, max_iter: int,
                At_xi=None):
     """Minimize the augmented Lagrangian over (eta, xi, zeta) by one :func:`sncg_solve` call.
 
-    SNCG finds xi; with ``y = A^T xi + x/sigma`` and ``s`` the prox at
-    ``y`` for the box radius ``R/sigma``, the minimizing zeta is the
-    projection of ``y`` onto the group balls where the box clips nothing
-    and ``omega_i s_i/||s_i||`` where it does, and eta is
-    ``zeta - (y - s)`` on the clipped coordinates and 0 elsewhere.  The
-    new multiplier ``x + sigma (A^T xi + eta - zeta)`` is then
+    SNCG finds xi in at most ``max_iter`` Newton steps; with
+    ``y = A^T xi + x/sigma`` and ``s`` the prox at ``y`` for the box radius
+    ``R/sigma``, the minimizing zeta is the projection of ``y`` onto the
+    group balls where the box clips nothing and ``omega_i s_i/||s_i||``
+    where it does, and eta is ``zeta - (y - s)`` on the clipped
+    coordinates and 0 elsewhere.  The new multiplier
+    ``x + sigma (A^T xi + eta - zeta)`` is then
     ``sigma s = prox_{sigma p}(sigma y)``.
 
     ``At_xi``, when given, is ``A^T`` times the start ``state.xi`` and
@@ -540,7 +526,7 @@ def abcd_solve(state: DualState, spec: SubproblemSpec, sncg_cfg: SncgConfig, snc
     the function up by name and counts ``stats["iters"]``, always 1
     here, as its sweeps.
     """
-    xi, s_stats = sncg_solve(state, spec, sncg_cfg, sncg_tol, xi0=state.xi, At_xi0=At_xi)
+    xi, s_stats = sncg_solve(state, spec, sncg_tol, max_iter, xi0=state.xi, At_xi0=At_xi)
     R = spec.box.R / state.sigma
     At_xi = spec.A.T @ xi
     y = At_xi + state.x / state.sigma
@@ -590,8 +576,11 @@ def dual_objective(state: DualState, spec: SubproblemSpec) -> float:
     return float(val / spec.n)
 
 
-# the multiplier stalls when eps_dinf keeps more than _STALL_RATIO of its
-# last value; sigma then grows by at least _STALL_GROWTH
+# sigma starts at _SIGMA_START and grows by _SIGMA_GROWTH after each
+# unconverged outer iteration, or by _STALL_GROWTH when the multiplier
+# stalls: when eps_dinf keeps more than _STALL_RATIO of its last value
+_SIGMA_START = 1.0
+_SIGMA_GROWTH = 1.3
 _STALL_RATIO = 0.5
 _STALL_GROWTH = 5.0
 
@@ -618,24 +607,23 @@ def alm_solve(spec: SubproblemSpec, cfg: AlmConfig | None = None,
     below ``cfg.tol``: ``eps_pinf``, the final gradient norm of that
     SNCG solve over ``1 + ||b||``; ``eps_dinf``, the multiplier step over
     sigma; and ``eps_gap``, the normalized primal-dual gap.  Otherwise
-    sigma grows, up to ``cfg.sigma_max``: by ``max(5, cfg.sigma_growth)``
-    when the multiplier stalls, that is when ``eps_dinf`` stays above
-    half of its value at the previous outer iteration, and by
-    ``cfg.sigma_growth`` when it falls faster (and after the first
-    iteration, which has no previous value).  Each ``history`` entry logs
-    the ``sigma`` of its iteration and whether the multiplier ``stalled``
-    there.  Returns ``(x, state, stats)``; a run hitting ``max_outer`` is
-    flagged not-converged.  ``x`` is the box projection of ``-state.x``
-    set to exactly 0 on the groups where the last prox ``s`` is 0; the
-    multiplier equals ``sigma s`` up to rounding, so it holds only
-    rounding residue there.
+    sigma grows from 1, up to ``cfg.sigma_max``: by 5 when the multiplier
+    stalls, that is when ``eps_dinf`` stays above half of its value at the
+    previous outer iteration, and by 1.3 when it falls faster (and after
+    the first iteration, which has no previous value).  Each ``history``
+    entry logs the ``sigma`` of its iteration and whether the multiplier
+    ``stalled`` there.  Returns ``(x, state, stats)``; a run hitting
+    ``max_outer`` is flagged not-converged.  ``x`` is the box projection
+    of ``-state.x`` set to exactly 0 on the groups where the last prox
+    ``s`` is 0; the multiplier equals ``sigma s`` up to rounding, so it
+    holds only rounding residue there.
 
     A ``warm`` state, the one an earlier solve returned, carries over the
-    multiplier x, sigma (raised to ``cfg.sigma0`` if below it) and xi
-    scaled by :func:`_ball_scale` into this problem's group balls.  When
-    the weights shrink, as between stages of the multi-stage loop, the
-    old xi lies outside the new balls, and unscaled it would make nearly
-    every group active in the first Newton systems.  Each subproblem is
+    multiplier x, sigma (raised to 1 if below it) and xi scaled by
+    :func:`_ball_scale` into this problem's group balls.  When the weights
+    shrink, as between stages of the multi-stage loop, the old xi lies
+    outside the new balls, and unscaled it would make nearly every group
+    active in the first Newton systems.  Each subproblem is
     strongly convex in xi, so the scaling changes only the path of the
     first SNCG call.
 
@@ -654,11 +642,11 @@ def alm_solve(spec: SubproblemSpec, cfg: AlmConfig | None = None,
     stats = SolveStats()
     if warm is not None:
         state = warm.copy()
-        state.sigma = max(warm.sigma, cfg.sigma0)
+        state.sigma = max(warm.sigma, _SIGMA_START)
         state.xi *= _ball_scale(state.xi, spec)
         stats.dense_products += 1
     else:
-        state = DualState.cold(spec, cfg.sigma0)
+        state = DualState.cold(spec, _SIGMA_START)
     At_xi = None  # A^T state.xi, once an outer iteration has computed it
     bnorm = 1.0 + np.linalg.norm(spec.b)
     # Newton steps are exact, so SNCG solves each subproblem close to the
@@ -667,7 +655,8 @@ def alm_solve(spec: SubproblemSpec, cfg: AlmConfig | None = None,
     sncg_tol = 1e-11 * bnorm
     eps_dinf_prev = np.inf
     for j in range(cfg.max_outer):
-        eta, xi, zeta, x_new, a_stats = abcd_solve(state, spec, cfg.sncg, sncg_tol, At_xi)
+        eta, xi, zeta, x_new, a_stats = abcd_solve(state, spec, sncg_tol, cfg.sncg_max_iter,
+                                                   At_xi)
         x_old = state.x
         state.eta, state.xi, state.zeta, state.x = eta, xi, zeta, x_new
         At_xi, keep = a_stats["At_xi"], a_stats["keep"]
@@ -708,7 +697,7 @@ def alm_solve(spec: SubproblemSpec, cfg: AlmConfig | None = None,
         if max(eps_pinf, eps_dinf, eps_gap) <= cfg.tol:
             stats.converged = True
             break
-        growth = max(_STALL_GROWTH, cfg.sigma_growth) if stalled else cfg.sigma_growth
+        growth = _STALL_GROWTH if stalled else _SIGMA_GROWTH
         state.sigma = min(growth * state.sigma, cfg.sigma_max)
     stats.wall_time = time.perf_counter() - t0
     x = np.clip(-state.x, -spec.box.R, spec.box.R)

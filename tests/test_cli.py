@@ -101,21 +101,31 @@ class TestSolve:
         assert int(row["inner_failures"]) > 0
         assert row["converged"] == "False"
 
-    def test_line_search_stall_exits_1_with_reason(self, tmp_path, capsys):
+    def test_line_search_stall_exits_1_with_reason(self, tmp_path, capsys, monkeypatch):
+        # a line search that refuses its one trial step ends the SNCG call as
+        # a counted stall; the run writes its results and reports the stalls
+        from gsreg import wl21
+
         inst = make_instance("I", "i", 32, 64, 8, 2, 2.0, 0.1, 0.1, 1)
         d = gio.save_instance(tmp_path / "inst", inst)
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"alm": {"sncg": {"max_backtracks": 0}}}))
-        code = main(["solve", str(d), "--config", str(cfg), "--out", str(tmp_path / "run")])
+        monkeypatch.setattr(wl21, "_MAX_BACKTRACKS", 0)
+        code = main(["solve", str(d), "--out", str(tmp_path / "run")])
         assert code == 1
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1
-        assert err[0].startswith("not converged:") and "line search" in err[0]
+        assert err[0].startswith("not converged:") and "stalled SNCG calls" in err[0]
+        assert (tmp_path / "run" / "traces.jsonl").exists()
+        with open(tmp_path / "run" / "summary.csv") as fh:
+            row = next(csv.DictReader(fh))
+        assert row["converged"] == "False"
+        with open(tmp_path / "run" / "traces.jsonl") as fh:
+            inner = [json.loads(line)["inner"] for line in fh]
+        assert sum(s["sncg_stalls"] for s in inner) > 0
 
     def test_nested_alm_configs_reach_the_solver(self, tmp_path, capsys):
         d = self._instance_dir(tmp_path)
         cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"alm": {"max_outer": 5, "sncg": {"max_iter": 1}}}))
+        cfg.write_text(json.dumps({"alm": {"max_outer": 5, "sncg_max_iter": 1}}))
         code = main(["solve", str(d), "--config", str(cfg), "--out", str(tmp_path / "run")])
         assert code in (0, 1)
         with open(tmp_path / "run" / "traces.jsonl") as fh:
@@ -136,7 +146,7 @@ class TestSolve:
             with open(run / "summary.csv") as fh:
                 row = next(csv.DictReader(fh))
             resolved = json.loads((run / "config.json").read_text())
-            assert resolved["max_stages"] == 30 and resolved["alm"]["sncg"]["max_iter"] == 50
+            assert resolved["max_stages"] == 30 and resolved["alm"]["sncg_max_iter"] == 50
             assert resolved["nu"] == pytest.approx(float(row["nu"]), rel=1e-15)
             hashes.append(row["config_hash"])
         assert hashes[0] == hashes[1] and len(hashes[0]) == 12
@@ -144,13 +154,18 @@ class TestSolve:
     @pytest.mark.parametrize("config, message", [
         ({"max_stages": "x"}, "'max_stages' must be int"),
         ({"bogus": 1}, "unknown config key 'bogus'"),
-        ({"alm": {"sncg": {"bogus": 1}}}, "unknown config key 'alm.sncg.bogus'"),
+        ({"alm": {"bogus": 1}}, "unknown config key 'alm.bogus'"),
         ({"alm": {"abcd": {"max_iter": 1}}}, "unknown config key 'alm.abcd'"),
+        ({"alm": {"sncg": {"max_iter": 1}}}, "unknown config key 'alm.sncg'"),
+        ({"alm": {"sigma0": 2.0}}, "unknown config key 'alm.sigma0'"),
+        ({"static_rho": 5.0}, "unknown config key 'static_rho'"),
+        ({"w0": [0.0]}, "unknown config key 'w0'"),
         ({"alm": {"tol": -1}}, "eps_loss, tol_decay and tol_floor"),
         ({"max_stages": 0}, "max_stages must be positive, got 0"),
         ({"tol_floor": -1}, "tol_floor must be positive, got -1"),
         ({"rho_cap_numerator": 1}, "unknown config key 'rho_cap_numerator'"),
-    ], ids=["bad_type", "unknown_key", "unknown_nested_key", "alm_abcd", "alm_tol",
+    ], ids=["bad_type", "unknown_key", "unknown_nested_key", "alm_abcd", "alm_sncg",
+            "alm_sigma0", "static_rho", "w0", "alm_tol",
             "max_stages_zero", "tol_floor_negative", "rho_cap_numerator"])
     def test_bad_config_exits_2(self, tmp_path, capsys, config, message):
         d = self._instance_dir(tmp_path)

@@ -180,13 +180,6 @@ class TestRun:
             assert curr.rho == pytest.approx(min(2 * prev.rho, cap))
             assert np.all(curr.w >= 0) and np.all(curr.w <= 1)
 
-    def test_static_rho_is_pinned(self):
-        inst = make_instance(design="I", signal="i", n=48, p=96, m=12, r_bar=3,
-                             alpha=2.0, theta1=0.05, theta2=0.05, seed=6)
-        res = run(inst.A, inst.b, inst.g, default_box(inst.x_true),
-                  MscraConfig(static_rho=5.0, max_stages=4))
-        assert all(tr.rho == 5.0 for tr in res.traces)
-
     def test_max_stages_truncation(self):
         inst = make_instance(design="I", signal="ii", n=48, p=96, m=12, r_bar=3,
                              alpha=2.0, theta1=0.1, theta2=0.1, seed=7)
@@ -195,7 +188,7 @@ class TestRun:
         assert res.stages == 1
 
     def test_stage1_equals_plain_l21(self):
-        # w0 = 0 makes stage 1 the unweighted l2,1 problem at lambda = 1/nu
+        # stage 1 runs at w = 0: the unweighted l2,1 problem at lambda = 1/nu
         from gsreg.wl21 import AlmConfig, SubproblemSpec, alm_solve
 
         inst = make_instance(design="I", signal="i", n=48, p=96, m=12, r_bar=3,
@@ -208,14 +201,6 @@ class TestRun:
         spec = SubproblemSpec(A=inst.A, b=inst.b, g=inst.g, omega=omega, box=box)
         x_ref, _, _ = alm_solve(spec, AlmConfig(tol=1e-8))
         assert np.linalg.norm(res.x - x_ref) <= 1e-3 * max(1.0, np.linalg.norm(x_ref))
-
-    def test_rejects_bad_w0(self):
-        g = contiguous_groups(6, 3)
-        rng = np.random.default_rng(1)
-        A = rng.standard_normal((8, 6))
-        b = rng.standard_normal(8)
-        with pytest.raises(ValueError):
-            run(A, b, g, BoxConstraint(1.0), MscraConfig(w0=np.array([0.5, 1.5, 0.0])))
 
     def test_rejects_nonpositive_nu(self):
         g = contiguous_groups(6, 3)

@@ -6,7 +6,6 @@ from gsreg.groups import BoxConstraint, contiguous_groups, group_norms, group_su
 from gsreg.wl21 import (
     AlmConfig,
     DualState,
-    SncgConfig,
     SubproblemSpec,
     _psi,
     abcd_solve,
@@ -182,7 +181,7 @@ class TestReducedFunction:
         # (up to the constant ||x||^2 / 2 sigma), and no nearby (eta, zeta) is lower
         spec, state, xi = self._clipping_point(rng)
         state.xi = xi
-        eta, xi, zeta, x_new, _ = abcd_solve(state, spec, SncgConfig(), 1e-11)
+        eta, xi, zeta, x_new, _ = abcd_solve(state, spec, 1e-11, 50)
         assert np.any(eta)
         y = spec.A.T @ xi + state.x / state.sigma
         f, prox = _psi(xi, y, state.sigma, spec.box.R / state.sigma, spec)
@@ -218,7 +217,7 @@ class TestSncg:
     def test_drives_gradient_below_tolerance(self, rng):
         spec = random_subproblem(7)
         state = DualState.cold(spec, 1.0)
-        xi, stats = sncg_solve(state, spec, SncgConfig(), grad_tol=1e-9)
+        xi, stats = sncg_solve(state, spec, 1e-9, 50)
         # the box does not clip here, so the gradient is that of the no-box function at eta = 0
         gnorm = np.linalg.norm(phi_kj_grad(xi, np.zeros(spec.p), state, spec))
         assert gnorm <= 1e-9 and stats["met"] and stats["gnorm"] <= 1e-9
@@ -237,7 +236,7 @@ class TestSncg:
             return solve(M, rhs)
 
         monkeypatch.setattr(np.linalg, "solve", recording)
-        _, stats = sncg_solve(state, spec, SncgConfig(), grad_tol=1e-9)
+        _, stats = sncg_solve(state, spec, 1e-9, 50)
         monkeypatch.undo()
         woodbury = [r for r in shapes if r < spec.n]
         assert stats["nn_systems"] == len(shapes) - len(woodbury) > 0
@@ -259,7 +258,7 @@ class TestSncg:
 
         monkeypatch.setattr(wl21, "newton_direction", ascent_first)
         spec = random_subproblem(7)
-        _, stats = sncg_solve(DualState.cold(spec, 1.0), spec, SncgConfig(), grad_tol=1e-9)
+        _, stats = sncg_solve(DualState.cold(spec, 1.0), spec, 1e-9, 50)
         assert stats["fallbacks"] == 1 and stats["met"] and stats["gnorm"] <= 1e-9
 
         steps.clear()
@@ -274,9 +273,8 @@ class TestSncg:
         state = DualState.cold(spec, 2.0)
         state.x = rng.standard_normal(spec.p)
         xi0 = rng.standard_normal(spec.n)
-        xi, stats = sncg_solve(state, spec, SncgConfig(), grad_tol=1e-9, xi0=xi0)
-        xi_c, stats_c = sncg_solve(state, spec, SncgConfig(), grad_tol=1e-9, xi0=xi0,
-                                   At_xi0=spec.A.T @ xi0)
+        xi, stats = sncg_solve(state, spec, 1e-9, 50, xi0=xi0)
+        xi_c, stats_c = sncg_solve(state, spec, 1e-9, 50, xi0=xi0, At_xi0=spec.A.T @ xi0)
         assert np.array_equal(xi_c, xi) and stats["iters"] > 0
         assert stats_c["dense_products"] == stats["dense_products"] - 1
         assert {k: v for k, v in stats_c.items() if k != "dense_products"} == {
@@ -289,8 +287,32 @@ class TestSncg:
         eta = np.zeros(spec.p)
         xi0 = rng.standard_normal(spec.n)
         f0 = phi_kj_value(xi0, eta, state, spec)
-        xi, _ = sncg_solve(state, spec, SncgConfig(), grad_tol=1e-8, xi0=xi0)
+        xi, _ = sncg_solve(state, spec, 1e-8, 50, xi0=xi0)
         assert phi_kj_value(xi, eta, state, spec) <= f0 + 1e-12
+
+    def test_failed_line_search_is_a_stall(self, monkeypatch):
+        # with no backtrack allowed, a refused full Newton step ends the call
+        # as a counted stall at the last accepted xi; nothing is raised
+        import gsreg.wl21 as wl21
+
+        spec = random_subproblem(8, omega_scale=0.5)
+        state = DualState.cold(spec, 1.0)
+        state.x = np.random.default_rng(8).standard_normal(spec.p)
+        monkeypatch.setattr(wl21, "_ARMIJO_MU", 0.49)
+        monkeypatch.setattr(wl21, "_MAX_BACKTRACKS", 0)
+        points = []  # the start, then every trial point
+        psi = wl21._psi
+
+        def recording(xi, *args):
+            points.append(xi)
+            return psi(xi, *args)
+
+        monkeypatch.setattr(wl21, "_psi", recording)
+        xi, stats = sncg_solve(state, spec, 1e-9, 50)
+        assert stats["stalls"] == 1 and not stats["met"] and stats["backtracks"] == 1
+        assert stats["iters"] == len(points) - 2 > 0
+        # the last trial point was refused; xi is the one accepted before it
+        assert np.array_equal(xi, points[-2]) and not np.array_equal(xi, points[-1])
 
 
 class TestAlm:
@@ -305,12 +327,13 @@ class TestAlm:
         assert np.linalg.norm(x - x_ref) < 1e-4
 
     def test_multiplier_update_identity(self):
-        # from a cold start, one outer step gives x^1 = sigma_0 (A^T xi + eta - zeta)
+        # from a cold start at sigma_0 = 1, one outer step gives
+        # x^1 = sigma_0 (A^T xi + eta - zeta)
         spec = random_subproblem(10)
-        sigma0 = 1.0
-        _, state, _ = alm_solve(spec, AlmConfig(sigma0=sigma0, max_outer=1, tol=0.0))
+        _, state, stats = alm_solve(spec, AlmConfig(max_outer=1, tol=0.0))
+        assert stats.history[0]["sigma"] == 1.0
         resid = spec.A.T @ state.xi + state.eta - state.zeta
-        assert np.array_equal(state.x, sigma0 * resid)
+        assert np.array_equal(state.x, resid)
 
     def test_feasibility_and_gap_reported(self):
         spec = random_subproblem(11)
@@ -354,16 +377,17 @@ class TestAlm:
         calls = []
         sncg = wl21.sncg_solve
 
-        def recording(state, spec, cfg, grad_tol, xi0=None, At_xi0=None):
+        def recording(state, spec, grad_tol, max_iter, xi0=None, At_xi0=None):
             # a zero gradient tolerance lies below every rounding floor, so each call stalls
-            xi, s = sncg(state, spec, cfg, 0.0, xi0=xi0, At_xi0=At_xi0)
+            xi, s = sncg(state, spec, 0.0, max_iter, xi0=xi0, At_xi0=At_xi0)
             calls.append(s)
             return xi, s
 
         monkeypatch.setattr(wl21, "sncg_solve", recording)
         spec = random_subproblem(16, omega_scale=0.5)
         # mu near 1/2 makes the Armijo test turn down some full Newton steps
-        _, _, stats = alm_solve(spec, AlmConfig(tol=1e-8, sncg=SncgConfig(mu=0.49)))
+        monkeypatch.setattr(wl21, "_ARMIJO_MU", 0.49)
+        _, _, stats = alm_solve(spec, AlmConfig(tol=1e-8))
         assert stats.sncg_iters == sum(s["iters"] for s in calls)
         assert stats.sncg_fallbacks == sum(s["fallbacks"] for s in calls)
         assert stats.sncg_backtracks == sum(s["backtracks"] for s in calls) > 0
@@ -386,8 +410,8 @@ class TestAlm:
         calls = []
         sncg = wl21.sncg_solve
 
-        def recording(state, spec, cfg, grad_tol, xi0=None, At_xi0=None, floor=False):
-            xi, s = sncg(state, spec, cfg, 0.0 if floor else grad_tol, xi0=xi0, At_xi0=At_xi0)
+        def recording(state, spec, grad_tol, max_iter, xi0=None, At_xi0=None, floor=False):
+            xi, s = sncg(state, spec, 0.0 if floor else grad_tol, max_iter, xi0=xi0, At_xi0=At_xi0)
             gnorm = np.linalg.norm(phi_kj_grad(xi, np.zeros(spec.p), state, spec))
             calls.append((s, gnorm, grad_tol))
             return xi, s
@@ -396,7 +420,7 @@ class TestAlm:
         spec = random_subproblem(16, omega_scale=0.5)
         _, _, stats = alm_solve(spec, AlmConfig(tol=1e-8))
         assert stats.converged and stats.sncg_stalls == 0
-        max_iter = SncgConfig().max_iter
+        max_iter = AlmConfig().sncg_max_iter
         assert all(s["iters"] < max_iter and gnorm <= tol for s, gnorm, tol in calls)
         assert stats.sncg_backtracks < stats.sncg_iters
 
@@ -409,16 +433,16 @@ class TestAlm:
 
     def test_sigma_grows_until_converged(self):
         # sigma grows by 5 after an iteration whose eps_dinf kept more than
-        # half of its previous value, and by sigma_growth otherwise
+        # half of its previous value, and by 1.3 otherwise
         spec = random_subproblem(17)
         cfg = AlmConfig(tol=1e-9, sigma_max=50.0)
         _, _, stats = alm_solve(spec, cfg)
         hist = stats.history
-        assert stats.converged and hist[0]["sigma"] == cfg.sigma0
+        assert stats.converged and hist[0]["sigma"] == 1.0
         assert not hist[0]["stalled"]
         for prev, curr in zip(hist, hist[1:]):
             assert curr["stalled"] == (curr["eps_dinf"] > 0.5 * prev["eps_dinf"])
-            growth = 5.0 if prev["stalled"] else cfg.sigma_growth
+            growth = 5.0 if prev["stalled"] else 1.3
             assert curr["sigma"] == pytest.approx(min(growth * prev["sigma"], cfg.sigma_max),
                                                   rel=1e-12)
         stalled = [h["stalled"] for h in hist[:-1]]
@@ -431,15 +455,15 @@ class TestAlm:
         calls = []
         sncg = wl21.sncg_solve
 
-        def recording(state, spec, cfg, grad_tol, xi0=None, At_xi0=None):
-            xi, s = sncg(state, spec, cfg, grad_tol, xi0=xi0, At_xi0=At_xi0)
+        def recording(state, spec, grad_tol, max_iter, xi0=None, At_xi0=None):
+            xi, s = sncg(state, spec, grad_tol, max_iter, xi0=xi0, At_xi0=At_xi0)
             gnorm = np.linalg.norm(phi_kj_grad(xi, np.zeros(spec.p), state, spec))
             calls.append((s, gnorm, grad_tol))
             return xi, s
 
         monkeypatch.setattr(wl21, "sncg_solve", recording)
         spec = random_subproblem(16)
-        _, _, stats = alm_solve(spec, AlmConfig(sncg=SncgConfig(max_iter=1)))
+        _, _, stats = alm_solve(spec, AlmConfig(sncg_max_iter=1))
         unmet = [(s, gnorm, tol) for s, gnorm, tol in calls if not s["met"]]
         assert stats.sncg_unmet == stats.to_dict()["sncg_unmet"] == len(unmet) > 0
         assert stats.sncg_stalls == 0
@@ -474,11 +498,11 @@ class TestAlm:
         starts = []
         sncg = wl21.sncg_solve
 
-        def recording(state, spec, cfg, grad_tol, xi0=None, At_xi0=None, unscaled=False):
+        def recording(state, spec, grad_tol, max_iter, xi0=None, At_xi0=None, unscaled=False):
             if unscaled and not starts:
                 xi0 = xi_warm  # the first call starts where the warm solve ended
             starts.append(xi0)
-            return sncg(state, spec, cfg, grad_tol, xi0=xi0, At_xi0=At_xi0)
+            return sncg(state, spec, grad_tol, max_iter, xi0=xi0, At_xi0=At_xi0)
 
         monkeypatch.setattr(wl21, "sncg_solve", recording)
         x, _, stats = alm_solve(small, AlmConfig(tol=1e-8), warm=warm)
@@ -546,11 +570,11 @@ class TestAbcd:
         spec = random_subproblem(11)
         _, state, stats = alm_solve(spec, AlmConfig(tol=1e-6))
         assert stats.converged
-        sncg_cfg, sncg_tol = SncgConfig(), 1e-11 * (1 + np.linalg.norm(spec.b))
-        first = abcd_solve(state, spec, sncg_cfg, sncg_tol)
+        sncg_tol = 1e-11 * (1 + np.linalg.norm(spec.b))
+        first = abcd_solve(state, spec, sncg_tol, 50)
         assert first[4]["iters"] == 1 and first[4]["sncg"]["met"]
         state.xi = first[1]
-        again = abcd_solve(state, spec, sncg_cfg, sncg_tol)
+        again = abcd_solve(state, spec, sncg_tol, 50)
         assert again[4]["sncg"]["iters"] == 0
         for before, after in zip(first[:4], again[:4]):
             assert np.array_equal(before, after)
@@ -567,15 +591,8 @@ class TestSpecValidation:
         with pytest.raises(ValueError):
             SubproblemSpec(A=A, b=np.zeros(5), g=g, omega=-np.ones(2), box=BoxConstraint(1.0))
 
-    def test_config_validation(self):
-        with pytest.raises(ValueError):
-            SncgConfig(delta=1.5)
-        with pytest.raises(ValueError):
-            SncgConfig(mu=0.7)
-
     @pytest.mark.parametrize("cls, field, value", [
-        (AlmConfig, "sigma0", 0.0), (AlmConfig, "sigma_growth", 1.0),
-        (AlmConfig, "max_outer", 0),
+        (AlmConfig, "max_outer", 0), (AlmConfig, "sncg_max_iter", 0),
     ])
     def test_config_ranges(self, cls, field, value):
         with pytest.raises(ValueError, match=field):
