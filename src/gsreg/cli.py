@@ -12,7 +12,7 @@ import json
 import sys
 import time
 import typing
-from dataclasses import asdict, dataclass, field, is_dataclass, replace
+from dataclasses import asdict, dataclass, is_dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -28,12 +28,16 @@ from .data import (
     oracle_ls,
 )
 from .groups import BoxConstraint, group_support
-from .mscra import MscraConfig, default_nu, run
-from .penalties import PhiSpec
+from .mscra import MscraConfig, default_nu, run, unpenalized_columns
+
+# nu factor of the one-stage group-lasso baseline that `bench` runs beside GEP-MSCRA
+STAGE1_NU_FACTOR = 0.13
 
 
 @dataclass(frozen=True)
 class ExperimentPlan:
+    """The instances of a sweep: one generated instance per cell."""
+
     design: str = "I"
     signals: tuple = ("i",)
     p: int = 512
@@ -45,10 +49,6 @@ class ExperimentPlan:
     theta2: float = 0.1
     reps: int = 10
     seed: int = 0
-    nu_factor: float = 0.1
-    stage1_nu_factor: float = 0.13
-    phi: PhiSpec = field(default_factory=PhiSpec)
-    out: str = "out"
 
     def cells(self):
         """Deterministic enumeration of (signal, beta, rep, seed) cells."""
@@ -58,6 +58,11 @@ class ExperimentPlan:
                 for rep in range(self.reps):
                     yield signal, beta, rep, self.seed + 1000 * idx
                     idx += 1
+
+    def instance(self, signal, beta, seed) -> Instance:
+        """The generated instance of one cell, with ``n = p // beta``."""
+        return make_instance(self.design, signal, self.p // beta, self.p, self.m, self.r_bar,
+                             self.alpha, self.theta1, self.theta2, seed)
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -105,19 +110,13 @@ def _build(cls, raw, where: str = ""):
     return cls(**kwargs)
 
 
-def _config_from_file(path) -> tuple[MscraConfig, float]:
-    """The solver config and the ``nu`` factor of a ``--config`` file.
-
-    The file holds ``MscraConfig`` fields (nested objects for ``phi``
-    and ``alm``) plus ``nu_factor``, the scale of the default ``nu``.
-    Without a file every value is the default.
-    """
+def _config_from_file(path) -> MscraConfig:
+    """The ``MscraConfig`` of a ``--config`` file (nested objects for ``phi``
+    and ``alm``); without a file every value is the default."""
     raw = json.loads(Path(path).read_text()) if path else {}
     if not isinstance(raw, dict):
         raise ValueError(f"config file must hold a JSON object, got {raw!r}")
-    fields = dict(raw)
-    nu_factor = _scalar(float, fields.pop("nu_factor", 0.1), "nu_factor")
-    return _build(MscraConfig, fields), nu_factor
+    return _build(MscraConfig, raw)
 
 
 def _instance_box(inst: Instance) -> BoxConstraint:
@@ -126,14 +125,8 @@ def _instance_box(inst: Instance) -> BoxConstraint:
     return BoxConstraint(R=2000.0)
 
 
-def _resolve_nu(cfg: MscraConfig, inst: Instance, nu_factor: float) -> MscraConfig:
-    """``cfg`` with ``nu`` set: its own value, or the default scaled by ``nu_factor``."""
-    if cfg.nu is None:
-        cfg = replace(cfg, nu=default_nu(inst.A, inst.b, factor=nu_factor))
-    return cfg
-
-
-def _solve_one(inst: Instance, cfg: MscraConfig) -> dict:
+def _solve_one(inst: Instance, cfg: MscraConfig):
+    """The summary row and the result of one solve."""
     box = _instance_box(inst)
     t0 = time.perf_counter()
     result = run(inst.A, inst.b, inst.g, box, cfg)
@@ -150,27 +143,31 @@ def _solve_one(inst: Instance, cfg: MscraConfig) -> dict:
         row.update(metrics(result.x, inst))
     else:
         row["group_sparsity"] = group_support(result.x, inst.g).size
-    return row | {"_result": result}
+    return row, result
 
 
-def _bench_cell(plan: ExperimentPlan, signal, beta, rep, seed, mode) -> dict:
-    n = plan.p // beta
-    inst = make_instance(plan.design, signal, n, plan.p, plan.m, plan.r_bar,
-                         plan.alpha, plan.theta1, plan.theta2, seed)
-    out = {"signal": signal, "beta": beta, "rep": rep, "seed": seed, "n": n}
+_BENCH_KEYS = ("relerr", "group_sparsity", "time", "stages", "exact_support", "inner_failures")
+_BENCH_FIELDS = ["signal", "beta", "n", "rep", "seed", "plan_hash", "error"] + [
+    f"{mode}_{key}" for mode in ("gep", "stage1") for key in _BENCH_KEYS]
+_AGG_KEYS = {"relerr": "mean_relerr", "time": "mean_time", "group_sparsity": "mean_sparsity"}
+_AGG_FIELDS = ["signal", "beta", "n", "reps", "plan_hash"] + [
+    f"{mode}_{key}" for mode in ("gep", "stage1") for key in _AGG_KEYS.values()]
+
+
+def _bench_cell(plan: ExperimentPlan, cfg: MscraConfig, signal, beta, rep, seed, mode) -> dict:
+    """The ``bench.csv`` row of one cell: GEP-MSCRA runs ``cfg``, the
+    one-stage baseline runs it with one stage at ``STAGE1_NU_FACTOR``."""
+    inst = plan.instance(signal, beta, seed)
+    row = {"signal": signal, "beta": beta, "n": inst.A.shape[0], "rep": rep, "seed": seed}
+    configs = {"gep": cfg, "stage1": replace(cfg, max_stages=1, nu_factor=STAGE1_NU_FACTOR)}
     try:
-        if mode in ("gep", "both"):
-            row = _solve_one(inst, _resolve_nu(MscraConfig(phi=plan.phi), inst, plan.nu_factor))
-            row.pop("_result")
-            out["gep"] = row
-        if mode in ("stage1", "both"):
-            cfg = MscraConfig(phi=plan.phi, max_stages=1)
-            row = _solve_one(inst, _resolve_nu(cfg, inst, plan.stage1_nu_factor))
-            row.pop("_result")
-            out["stage1"] = row
+        for name, mode_cfg in configs.items():
+            if mode in (name, "both"):
+                solved, _ = _solve_one(inst, mode_cfg)
+                row.update({f"{name}_{key}": solved.get(key) for key in _BENCH_KEYS})
     except Exception as exc:  # record per-cell failures, keep the sweep going
-        out["error"] = f"{type(exc).__name__}: {exc}"
-    return out
+        row["error"] = f"{type(exc).__name__}: {exc}"
+    return row
 
 
 def _parse_betas(text: str):
@@ -193,11 +190,9 @@ def _add_plan_flags(sp):
     sp.add_argument("--reps", type=int, default=10)
     sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--out", default="out")
-    sp.add_argument("--config", default=None, help="JSON config overriding solver settings")
 
 
 def _plan_from_args(args) -> ExperimentPlan:
-    phi = _config_from_file(args.config)[0].phi
     return ExperimentPlan(
         design=args.design,
         signals=tuple(args.signals.split(",")),
@@ -210,19 +205,15 @@ def _plan_from_args(args) -> ExperimentPlan:
         theta2=args.theta2,
         reps=args.reps,
         seed=args.seed,
-        phi=phi,
-        out=args.out,
     )
 
 
 def cmd_gen(args) -> int:
     plan = _plan_from_args(args)
-    out = Path(plan.out)
+    out = Path(args.out)
     count = 0
     for signal, beta, rep, seed in plan.cells():
-        n = plan.p // beta
-        inst = make_instance(plan.design, signal, n, plan.p, plan.m, plan.r_bar,
-                             plan.alpha, plan.theta1, plan.theta2, seed)
+        inst = plan.instance(signal, beta, seed)
         gio.save_instance(out / f"{plan.design}_{signal}_b{beta}_r{rep}", inst)
         count += 1
     (out / "plan.json").write_text(json.dumps(plan.to_dict(), indent=2))
@@ -232,16 +223,14 @@ def cmd_gen(args) -> int:
 
 def cmd_solve(args) -> int:
     inst = gio.load_instance(args.instance)
-    cfg, nu_factor = _config_from_file(args.config)
-    cfg = _resolve_nu(cfg, inst, nu_factor)
-    row = _solve_one(inst, cfg)
-    result = row.pop("_result")
+    cfg = _config_from_file(args.config)
+    row, result = _solve_one(inst, cfg)
     out = Path(args.out or args.instance)
     out.mkdir(parents=True, exist_ok=True)
     gio.write_traces_jsonl(out / "traces.jsonl", result.traces, include_x=args.emit_x)
     gio.write_vector(out / "x_out.f64", result.x)
     # the settings that ran, defaults and nu resolved, so that equal runs hash equal
-    resolved = asdict(cfg)
+    resolved = asdict(replace(cfg, nu=result.nu))
     (out / "config.json").write_text(json.dumps(resolved, indent=2, sort_keys=True))
     row["seed"] = inst.seed
     row["config_hash"] = _hash(resolved)
@@ -251,15 +240,19 @@ def cmd_solve(args) -> int:
         writer.writerow(row)
     print(json.dumps(row, default=str))
     if not result.converged:
-        print(f"not converged: {_failure_reason(result)}", file=sys.stderr)
+        print(f"not converged: {_failure_reason(result, inst)}", file=sys.stderr)
         return 1
     return 0
 
 
-def _failure_reason(result) -> str:
+def _failure_reason(result, inst: Instance) -> str:
     reasons = []
     if result.stop_reason == "max_stages":
         reasons.append(f"no stopping rule fired in {result.stages} stages")
+    if result.stop_reason == "interpolating":
+        free = unpenalized_columns(result.traces[-2].w, inst.g)
+        reasons.append(f"stage {result.stages} left {free} columns unpenalized, at least"
+                       f" n = {inst.A.shape[0]}, so its fit interpolates b")
     if result.inner_failures:
         stalls = sum(t.inner_stats.sncg_stalls for t in result.traces
                      if not t.inner_stats.converged)
@@ -270,50 +263,36 @@ def _failure_reason(result) -> str:
 
 def cmd_bench(args) -> int:
     plan = _plan_from_args(args)
-    plan_hash = _hash(plan.to_dict())
-    rows = [_bench_cell(plan, *cell, args.mode) for cell in plan.cells()]
+    cfg = _config_from_file(args.config)
+    # what a sweep reads: the instances and the solver settings, not where it writes
+    setup = {"plan": plan.to_dict(), "config": asdict(cfg)}
+    plan_hash = _hash(setup)
+    rows = [_bench_cell(plan, cfg, *cell, args.mode) | {"plan_hash": plan_hash}
+            for cell in plan.cells()]
 
-    out = Path(plan.out)
+    out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    fields = ["signal", "beta", "n", "rep", "seed", "plan_hash", "error"]
-    for mode in ("gep", "stage1"):
-        fields += [f"{mode}_relerr", f"{mode}_group_sparsity", f"{mode}_time",
-                   f"{mode}_stages", f"{mode}_exact_support", f"{mode}_inner_failures"]
+    (out / "plan.json").write_text(json.dumps(setup, indent=2, sort_keys=True))
     with open(out / "bench.csv", "w", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=fields, extrasaction="ignore")
+        writer = csv.DictWriter(fh, fieldnames=_BENCH_FIELDS)
         writer.writeheader()
-        for row in rows:
-            flat = {k: row.get(k) for k in ("signal", "beta", "n", "rep", "seed", "error")}
-            flat["plan_hash"] = plan_hash
-            for mode in ("gep", "stage1"):
-                if mode in row:
-                    for key in ("relerr", "group_sparsity", "time", "stages", "exact_support",
-                                "inner_failures"):
-                        flat[f"{mode}_{key}"] = row[mode].get(key)
-            writer.writerow(flat)
+        writer.writerows(rows)
 
     # aggregate means per (signal, beta)
-    agg_path = out / "bench_agg.csv"
     groups: dict = {}
     for row in rows:
-        if "error" in row:
-            continue
-        groups.setdefault((row["signal"], row["beta"]), []).append(row)
-    with open(agg_path, "w", newline="") as fh:
-        afields = ["signal", "beta", "n", "reps", "plan_hash"]
-        for mode in ("gep", "stage1"):
-            afields += [f"{mode}_mean_relerr", f"{mode}_mean_time", f"{mode}_mean_sparsity"]
-        writer = csv.DictWriter(fh, fieldnames=afields, extrasaction="ignore")
+        if "error" not in row:
+            groups.setdefault((row["signal"], row["beta"]), []).append(row)
+    with open(out / "bench_agg.csv", "w", newline="") as fh:
+        writer = csv.DictWriter(fh, fieldnames=_AGG_FIELDS)
         writer.writeheader()
         for (signal, beta), cell_rows in sorted(groups.items()):
             arow = {"signal": signal, "beta": beta, "n": cell_rows[0]["n"],
                     "reps": len(cell_rows), "plan_hash": plan_hash}
             for mode in ("gep", "stage1"):
-                present = [r[mode] for r in cell_rows if mode in r]
-                if present:
-                    arow[f"{mode}_mean_relerr"] = float(np.mean([r["relerr"] for r in present]))
-                    arow[f"{mode}_mean_time"] = float(np.mean([r["time"] for r in present]))
-                    arow[f"{mode}_mean_sparsity"] = float(np.mean([r["group_sparsity"] for r in present]))
+                if f"{mode}_relerr" in cell_rows[0]:
+                    for key, agg in _AGG_KEYS.items():
+                        arow[f"{mode}_{agg}"] = float(np.mean([r[f"{mode}_{key}"] for r in cell_rows]))
             writer.writerow(arow)
     failures = sum("error" in r for r in rows)
     print(f"bench complete: {len(rows)} cells, {failures} failures -> {out}")
@@ -348,13 +327,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("solve", help="solve one saved instance")
     sp.add_argument("instance")
-    sp.add_argument("--config", default=None)
+    sp.add_argument("--config", default=None, help="JSON file of MscraConfig settings")
     sp.add_argument("--out", default=None)
     sp.add_argument("--emit-x", action="store_true", help="include x in the JSONL traces")
     sp.set_defaults(func=cmd_solve)
 
     sp = sub.add_parser("bench", help="benchmark sweep over a plan")
     _add_plan_flags(sp)
+    sp.add_argument("--config", default=None, help="JSON file of MscraConfig settings")
     sp.add_argument("--mode", default="both", choices=["gep", "stage1", "both"])
     sp.set_defaults(func=cmd_bench)
 

@@ -9,6 +9,7 @@ weight at 0, and the penalty factor rho follows the dynamic schedule of
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -24,7 +25,8 @@ _RHO_CAP = 1e8
 @dataclass(frozen=True)
 class MscraConfig:
     phi: PhiSpec = field(default_factory=PhiSpec)
-    nu: float | None = None  # None -> n / (0.1 ||A^T b||_inf)
+    nu: float | None = None  # None -> n / (nu_factor ||A^T b||_inf)
+    nu_factor: float = 0.1
     eps_gap: float = 1e-6
     eps_loss: float = 1e-2
     max_stages: int = 30
@@ -33,6 +35,8 @@ class MscraConfig:
     alm: AlmConfig = field(default_factory=AlmConfig)
 
     def __post_init__(self):
+        if not (self.nu_factor > 0 and math.isfinite(self.nu_factor)):
+            raise ValueError(f"nu_factor must be positive and finite, got {self.nu_factor}")
         if not self.max_stages > 0:
             raise ValueError(f"max_stages must be positive, got {self.max_stages}")
         if not self.tol_floor > 0:
@@ -78,7 +82,10 @@ class MscraResult:
     """Final iterate and stage traces.
 
     ``converged`` holds only when a stopping rule fired and every stage's
-    ALM solve met its own tolerance (``inner_failures == 0``).
+    ALM solve met its own tolerance (``inner_failures == 0``).  A run that
+    stops as ``interpolating`` has not converged: its last stage left at
+    least n columns unpenalized, so its fit matches ``b`` exactly and no
+    error bound holds for it.
     """
 
     x: np.ndarray
@@ -97,18 +104,23 @@ class MscraResult:
 
     @property
     def converged(self) -> bool:
-        return self.stop_reason != "max_stages" and self.inner_failures == 0
+        return self.stop_reason not in ("max_stages", "interpolating") and self.inner_failures == 0
 
 
-def default_nu(A, b, n: int | None = None, factor: float = 0.1) -> float:
+def default_nu(A, b, factor: float = 0.1) -> float:
     """Scaling rule making the stage-1 level ``lambda = (factor/n) ||A^T b||_inf``."""
     A = np.asarray(A, dtype=float)
     b = np.asarray(b, dtype=float)
-    n = n or A.shape[0]
+    n = A.shape[0]
     scale = np.max(np.abs(A.T @ b))
     if scale == 0:
         return float(n)  # b = 0: any positive value, stage 1 returns 0
     return n / (factor * scale)
+
+
+def unpenalized_columns(w, g: GroupStructure) -> int:
+    """Number of coordinates in groups of weight 1, which a stage leaves unpenalized."""
+    return int(np.count_nonzero(g.broadcast(w) == 1.0))
 
 
 def rho_schedule(k: int, x_k, rho_prev: float | None, g: GroupStructure) -> float:
@@ -154,7 +166,7 @@ def run(A, b, g: GroupStructure, box: BoxConstraint,
     A = np.asarray(A, dtype=float)
     b = np.asarray(b, dtype=float)
     n = A.shape[0]
-    nu = cfg.nu if cfg.nu is not None else default_nu(A, b, n)
+    nu = cfg.nu if cfg.nu is not None else default_nu(A, b, cfg.nu_factor)
     if not nu > 0:
         raise ValueError("nu must be positive")
     w = np.zeros(g.m)
@@ -189,7 +201,10 @@ def run(A, b, g: GroupStructure, box: BoxConstraint,
         trace = StageTrace(k, x, w_new, rho, lam, loss, eq, sparsity, stats)
         traces.append(trace)
 
-        reason = stopping_check(trace, traces[-2] if len(traces) > 1 else None, cfg)
+        if unpenalized_columns(w, g) >= n:
+            reason = "interpolating"
+        else:
+            reason = stopping_check(trace, traces[-2] if len(traces) > 1 else None, cfg)
         if reason is not None:
             stop_reason = reason
             break

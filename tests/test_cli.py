@@ -29,7 +29,7 @@ class TestPlan:
         assert len(set(seeds)) == 8  # distinct per cell
 
     def test_default_plan_hash_is_pinned(self):
-        assert _hash(ExperimentPlan().to_dict()) == "5b39cec4f7a4"
+        assert _hash(ExperimentPlan().to_dict()) == "bceb95321aba"
 
 
 class TestGen:
@@ -41,6 +41,13 @@ class TestGen:
         assert (out / "plan.json").exists()
         inst = gio.load_instance(dirs[0])
         assert inst.A.shape == (12, 48)  # n = floor(48/4)
+
+    def test_config_flag_exits_2(self, tmp_path, capsys):
+        # gen solves nothing, so it takes no solver config
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text("{}")
+        assert main(_gen_args(tmp_path / "gen", config=cfg)) == 2
+        assert not (tmp_path / "gen").exists()
 
     def test_rerun_is_byte_identical(self, tmp_path):
         out1, out2 = tmp_path / "a", tmp_path / "b"
@@ -147,6 +154,7 @@ class TestSolve:
                 row = next(csv.DictReader(fh))
             resolved = json.loads((run / "config.json").read_text())
             assert resolved["max_stages"] == 30 and resolved["alm"]["sncg_max_iter"] == 50
+            assert resolved["nu_factor"] == 0.1
             assert resolved["nu"] == pytest.approx(float(row["nu"]), rel=1e-15)
             hashes.append(row["config_hash"])
         assert hashes[0] == hashes[1] and len(hashes[0]) == 12
@@ -164,9 +172,12 @@ class TestSolve:
         ({"max_stages": 0}, "max_stages must be positive, got 0"),
         ({"tol_floor": -1}, "tol_floor must be positive, got -1"),
         ({"rho_cap_numerator": 1}, "unknown config key 'rho_cap_numerator'"),
+        ({"nu_factor": 0}, "nu_factor must be positive and finite, got 0"),
+        ({"nu_factor": -0.5}, "nu_factor must be positive and finite, got -0.5"),
     ], ids=["bad_type", "unknown_key", "unknown_nested_key", "alm_abcd", "alm_sncg",
             "alm_sigma0", "static_rho", "w0", "alm_tol",
-            "max_stages_zero", "tol_floor_negative", "rho_cap_numerator"])
+            "max_stages_zero", "tol_floor_negative", "rho_cap_numerator",
+            "nu_factor_zero", "nu_factor_negative"])
     def test_bad_config_exits_2(self, tmp_path, capsys, config, message):
         d = self._instance_dir(tmp_path)
         cfg = tmp_path / "cfg.json"
@@ -198,6 +209,18 @@ class TestSolve:
     def test_bad_flag_exits_2(self):
         assert main(["solve"]) == 2
 
+    def test_interpolating_run_exits_1_with_the_column_count(self, tmp_path, capsys):
+        inst = make_instance(design="I", signal="ii", n=64, p=512, m=64, r_bar=6,
+                             alpha=1e5, theta1=0.1, theta2=0.1, seed=7001)
+        d = gio.save_instance(tmp_path / "inst", inst)
+        assert main(["solve", str(d), "--out", str(tmp_path / "run")]) == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert err == ["not converged: stage 4 left 72 columns unpenalized, at least n = 64,"
+                       " so its fit interpolates b"]
+        with open(tmp_path / "run" / "summary.csv") as fh:
+            row = next(csv.DictReader(fh))
+        assert row["stop_reason"] == "interpolating" and row["converged"] == "False"
+
     def test_config_override(self, tmp_path, capsys):
         d = self._instance_dir(tmp_path)
         cfg = tmp_path / "cfg.json"
@@ -207,6 +230,17 @@ class TestSolve:
         with open(tmp_path / "run" / "summary.csv") as fh:
             rows = list(csv.DictReader(fh))
         assert rows[0]["stages"] == "1"
+
+
+def _bench_args(out, *extra):
+    return ["bench", "--p", "48", "--m", "8", "--r-bar", "2", "--betas", "4",
+            "--signals", "i", "--reps", "2", "--alpha", "1.0",
+            "--theta1", "0.0", "--theta2", "0.0", "--out", str(out), *extra]
+
+
+def _bench_rows(out):
+    with open(out / "bench.csv") as fh:
+        return list(csv.DictReader(fh))
 
 
 class TestBench:
@@ -237,15 +271,32 @@ class TestBench:
 
     def test_rows_carry_provenance(self, tmp_path, capsys):
         out = tmp_path / "bench"
-        args = ["bench", "--p", "48", "--m", "8", "--r-bar", "2", "--betas", "4",
-                "--signals", "i", "--reps", "1", "--alpha", "1.0",
-                "--theta1", "0.0", "--theta2", "0.0", "--out", str(out),
-                "--mode", "gep"]
-        assert main(args) == 0
-        with open(out / "bench.csv") as fh:
-            rows = list(csv.DictReader(fh))
+        assert main(_bench_args(out, "--mode", "gep")) == 0
+        rows = _bench_rows(out)
         assert rows[0]["seed"] != ""
-        assert len(rows[0]["plan_hash"]) == 12
+        # plan.json holds the plan and the resolved config that plan_hash covers
+        setup = json.loads((out / "plan.json").read_text())
+        assert setup["plan"]["seed"] == 0 and setup["config"]["nu_factor"] == 0.1
+        assert rows[0]["plan_hash"] == _hash(setup)
+
+    def test_plan_hash_does_not_depend_on_the_output_directory(self, tmp_path, capsys):
+        hashes = []
+        for name in ("benchA", "benchB"):
+            assert main(_bench_args(tmp_path / name, "--mode", "gep")) == 0
+            hashes.append(_bench_rows(tmp_path / name)[0]["plan_hash"])
+        assert hashes[0] == hashes[1]
+
+    def test_runs_the_whole_config(self, tmp_path, capsys):
+        # both estimators run every setting of the file, not only phi
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"max_stages": 1}))
+        out = tmp_path / "bench"
+        assert main(_bench_args(out, "--config", str(cfg))) == 0
+        rows = _bench_rows(out)
+        assert len(rows) == 2
+        assert all(r["gep_stages"] == "1" and r["stage1_stages"] == "1" for r in rows)
+        # with one stage each, the two differ only in their nu factor
+        assert all(r["gep_relerr"] != r["stage1_relerr"] for r in rows)
 
 
 class TestOracle:

@@ -10,6 +10,7 @@ from gsreg.mscra import (
     run,
     stopping_check,
     subproblem_tolerance,
+    unpenalized_columns,
     weight_update,
 )
 from gsreg.penalties import PhiSpec, psi_star_eval, weight_from_subgradient
@@ -118,6 +119,8 @@ class TestToleranceSchedule:
     @pytest.mark.parametrize("field, value", [
         ("max_stages", 0), ("tol_floor", 0.0), ("tol_floor", -1.0),
         ("tol_decay", 0.0), ("tol_decay", 1.5),
+        ("nu_factor", 0.0), ("nu_factor", -0.1), ("nu_factor", float("inf")),
+        ("nu_factor", float("nan")),
     ])
     def test_config_ranges(self, field, value):
         with pytest.raises(ValueError, match=field):
@@ -201,6 +204,19 @@ class TestRun:
         spec = SubproblemSpec(A=inst.A, b=inst.b, g=inst.g, omega=omega, box=box)
         x_ref, _, _ = alm_solve(spec, AlmConfig(tol=1e-8))
         assert np.linalg.norm(res.x - x_ref) <= 1e-3 * max(1.0, np.linalg.norm(x_ref))
+
+    def test_interpolating_stage_is_not_converged(self):
+        # stage 4 of this large-signal run leaves 9 groups of 8 columns at
+        # weight 1: 72 unpenalized columns for n = 64, so it fits b exactly,
+        # its equilibrium residual is 0, and relerr is 0.99
+        inst = make_instance(design="I", signal="ii", n=64, p=512, m=64, r_bar=6,
+                             alpha=1e5, theta1=0.1, theta2=0.1, seed=7001)
+        res = run(inst.A, inst.b, inst.g, default_box(inst.x_true), MscraConfig())
+        assert res.stop_reason == "interpolating" and not res.converged
+        assert res.stages == 4 and res.inner_failures == 0
+        assert unpenalized_columns(res.traces[-2].w, inst.g) == 72
+        assert [unpenalized_columns(t.w, inst.g) for t in res.traces[:-2]] == [8, 40]
+        assert metrics(res.x, inst)["relerr"] > 0.9
 
     def test_rejects_nonpositive_nu(self):
         g = contiguous_groups(6, 3)
