@@ -229,8 +229,10 @@ def cmd_solve(args) -> int:
     out.mkdir(parents=True, exist_ok=True)
     gio.write_traces_jsonl(out / "traces.jsonl", result.traces, include_x=args.emit_x)
     gio.write_vector(out / "x_out.f64", result.x)
-    # the settings that ran, defaults and nu resolved, so that equal runs hash equal
+    # the settings that ran, defaults and nu resolved, so that equal runs hash
+    # equal; nu_factor did not run once nu is resolved
     resolved = asdict(replace(cfg, nu=result.nu))
+    del resolved["nu_factor"]
     (out / "config.json").write_text(json.dumps(resolved, indent=2, sort_keys=True))
     row["seed"] = inst.seed
     row["config_hash"] = _hash(resolved)

@@ -100,6 +100,17 @@ class GroupStructure:
         cols = np.flatnonzero(selected) if self.perm is None else self.perm[selected[self.perm]]
         return cols, np.cumsum(sizes) - sizes, np.repeat(np.arange(sizes.size), sizes)
 
+    def subset(self, mask):
+        """The groups selected by ``mask`` as a structure of their own.
+
+        Returns ``(cols, sub)``: ``cols`` from :meth:`segments`, and the
+        structure on ``0..len(cols)-1`` whose group k is the k-th selected
+        group, with its coordinate j standing for coordinate ``cols[j]``
+        here, so that ``x[cols]`` is a vector of ``sub``.
+        """
+        cols, starts, _ = self.segments(mask)
+        return cols, GroupStructure(cols.size, np.split(np.arange(cols.size), starts[1:]))
+
     def __eq__(self, other):
         return (
             isinstance(other, GroupStructure)

@@ -4,7 +4,10 @@ Each stage solves one weighted l2,1 subproblem through the dual ALM,
 then refreshes the per-group weights from the conjugate subgradient of
 the penalty family at ``rho * ||x_Ji||``.  Stage 1 runs with every
 weight at 0, and the penalty factor rho follows the dynamic schedule of
-:func:`rho_schedule` from the first-stage iterate on.
+:func:`rho_schedule` from the first-stage iterate on.  From stage 2 on, a
+stage is solved on the groups of the previous stage's support and the
+unpenalized ones, and grown until one product with ``A^T`` shows no group
+outside them breaking the KKT conditions (:func:`solve_stage`).
 """
 
 from __future__ import annotations
@@ -16,7 +19,8 @@ import numpy as np
 
 from .groups import BoxConstraint, GroupStructure, equilibrium_residual, group_norms, group_support
 from .penalties import PhiSpec, weight_from_subgradient
-from .wl21 import AlmConfig, SolveStats, SubproblemSpec, _support_product, alm_solve
+from .wl21 import (_SPARSE_RATIO, AlmConfig, DualState, SolveStats, SubproblemSpec,
+                   _support_product, alm_solve)
 
 # numerator of the cap on the dynamic penalty factor (see rho_schedule)
 _RHO_CAP = 1e8
@@ -148,6 +152,60 @@ def subproblem_tolerance(prev: float | None, cfg: MscraConfig) -> float:
     return max(cfg.tol_floor, cfg.tol_decay * prev)
 
 
+# the SolveStats counters that the rounds of a sieved stage add up
+_ROUND_SUMS = ("outer_iters", "sncg_iters", "wall_time", "sncg_fallbacks", "sncg_backtracks",
+               "sncg_stalls", "sncg_unmet", "sncg_nn_systems", "sncg_woodbury_systems",
+               "dense_products", "support_products")
+
+
+def solve_stage(spec: SubproblemSpec, cfg: AlmConfig, warm: DualState | None = None,
+                start=None):
+    """Solve one stage subproblem, on a working set of groups when ``start`` is small.
+
+    ``start`` masks the groups to start from.  When it is ``None`` or
+    covers p/8 columns or more, :func:`alm_solve` runs on all groups.
+    Otherwise the stage sieves (adaptive sieving, Lin, Sun, Toh & Yuan
+    2021): it solves on the working set ``W`` (:meth:`SubproblemSpec.restrict`),
+    forms ``r = A_W x_W - b``, and adds every group outside ``W`` with
+    ``||A_i^T r|| > omega_i``, re-solving from the lifted state until
+    there is none.  Then ``x`` meets the KKT conditions of the whole
+    stage: it is 0 off ``W``, where ``||A_i^T r|| <= omega_i``, so the
+    last round's tolerance certifies the full problem.
+
+    Returns ``(x, dual, stats, r)`` with ``r = Ax - b``, ``dual`` on all p
+    coordinates.  A sieved stage's stats sum its rounds' counters and
+    wall times and concatenate their histories; the products with
+    ``A_W``, and ``r``, count as ``support_products``, and the one
+    ``A^T r`` of each round as a dense product.
+    """
+    if start is None or _SPARSE_RATIO * np.count_nonzero(spec.g.broadcast(start)) >= spec.p:
+        x, dual, stats = alm_solve(spec, cfg, warm=warm)
+        stats.working_set_groups = spec.g.m
+        return x, dual, stats, _support_product(spec.A, x) - spec.b
+    mask = np.array(start, dtype=bool)
+    rounds = []
+    while True:
+        cols, sub = spec.restrict(mask)
+        x_w, dual, stats = alm_solve(sub, cfg, warm=None if warm is None else warm.restrict(cols))
+        r = _support_product(sub.A, x_w) - spec.b
+        stats.support_products += stats.dense_products + 1
+        stats.dense_products = 1
+        rounds.append(stats)
+        warm = dual.lifted(cols, spec.p)
+        add = ~mask & (group_norms(spec.A.T @ r, spec.g) > spec.omega)
+        if not add.any():
+            break
+        mask |= add
+    x = np.zeros(spec.p)
+    x[cols] = x_w
+    stats = replace(rounds[-1], history=[h for st in rounds for h in st.history],
+                    sncg_max_r=max(st.sncg_max_r for st in rounds),
+                    sieve_rounds=len(rounds), working_set_groups=int(np.count_nonzero(mask)))
+    for name in _ROUND_SUMS:
+        setattr(stats, name, sum(getattr(st, name) for st in rounds))
+    return x, warm, stats, r
+
+
 def stopping_check(curr: StageTrace, prev: StageTrace | None, cfg: MscraConfig) -> str | None:
     """Returns a stop reason, or None to continue."""
     if curr.eq_residual <= cfg.eps_gap:
@@ -177,18 +235,23 @@ def run(A, b, g: GroupStructure, box: BoxConstraint,
     warm = None
     traces: list[StageTrace] = []
     x = np.zeros(g.p)
+    support = None
     stop_reason = "max_stages"
 
     for k in range(1, cfg.max_stages + 1):
         tol = subproblem_tolerance(tol, cfg)
         omega = n * lam * (1.0 - w)
         spec = SubproblemSpec(A=A, b=b, g=g, omega=omega, box=box)
-        x, dual, stats = alm_solve(spec, replace(cfg.alm, tol=tol), warm=warm)
-        warm = dual
-        r = _support_product(A, x) - b
+        # from stage 2 on, start from the last support and the unpenalized groups
+        start = None
+        if support is not None:
+            start = omega == 0.0
+            start[support] = True
+        x, warm, stats, r = solve_stage(spec, replace(cfg.alm, tol=tol), warm, start)
         loss = float(0.5 * (r @ r) / n)
         eq = equilibrium_residual(x, w, g)  # uses the stage-(k-1) weights
-        sparsity = group_support(x, g).size
+        support = group_support(x, g)
+        sparsity = support.size
 
         if sparsity == 0:
             traces.append(StageTrace(k, x, w.copy(), rho or 0.0, lam, loss, eq, 0, stats))

@@ -65,6 +65,21 @@ class SubproblemSpec:
     def p(self) -> int:
         return self.A.shape[1]
 
+    def restrict(self, mask) -> tuple[np.ndarray, "SubproblemSpec"]:
+        """The instance on the groups selected by ``mask``: ``(cols, spec)``.
+
+        ``spec`` keeps ``b``, the box and the selected weights, and its
+        design is ``A[:, cols]``, gathered once (see
+        :meth:`GroupStructure.subset`).  Its solution, set into ``x[cols]``
+        of a zero ``x``, solves this instance when every group outside
+        ``mask`` has ``||A_i^T (Ax - b)|| <= omega_i``.
+        """
+        mask = np.asarray(mask, dtype=bool)
+        cols, g = self.g.subset(mask)
+        # "clip" keeps take from buffering (every index is valid)
+        A = np.take(self.A, cols, axis=1, mode="clip")
+        return cols, SubproblemSpec(A=A, b=self.b, g=g, omega=self.omega[mask], box=self.box)
+
 
 @dataclass
 class DualState:
@@ -88,6 +103,19 @@ class DualState:
 
     def copy(self) -> "DualState":
         return DualState(self.eta.copy(), self.xi.copy(), self.zeta.copy(), self.x.copy(), self.sigma)
+
+    def restrict(self, cols) -> "DualState":
+        """This state on the coordinates ``cols``, those of :meth:`SubproblemSpec.restrict`."""
+        return DualState(self.eta[cols], self.xi.copy(), self.zeta[cols], self.x[cols], self.sigma)
+
+    def lifted(self, cols, p: int) -> "DualState":
+        """This state of a restricted instance back on all ``p`` coordinates, 0 off ``cols``."""
+        def full(v):
+            out = np.zeros(p)
+            out[cols] = v
+            return out
+
+        return DualState(full(self.eta), self.xi.copy(), full(self.zeta), full(self.x), self.sigma)
 
 
 @dataclass(frozen=True)
@@ -138,6 +166,11 @@ class SolveStats:
     # over the nonzero columns of v only (see _support_product)
     dense_products: int = 0
     support_products: int = 0
+    # set by the multi-stage loop (see mscra.solve_stage): the rounds of a
+    # stage solved on a working set of groups (0 for a stage on all groups),
+    # and the groups of the last round's working set (m on all groups)
+    sieve_rounds: int = 0
+    working_set_groups: int = 0
     history: list = field(default_factory=list)
 
     def to_dict(self) -> dict:
@@ -200,13 +233,19 @@ def _reduced_point(xi, eta, state: DualState, spec: SubproblemSpec) -> np.ndarra
     return spec.A.T @ np.asarray(xi, dtype=float) + eta + state.x / state.sigma
 
 
+# a product with A gathers the nonzero columns of its vector, and a stage of
+# the multi-stage loop runs on a working set of groups, only when they are
+# fewer than p / _SPARSE_RATIO columns
+_SPARSE_RATIO = 8
+
+
 def _support_product(A, v, counts: dict | None = None) -> np.ndarray:
     """``A @ v``, multiplying only the columns where ``v`` is nonzero when they are fewer than p/8.
 
     At p/8 nonzeros or more it is ``A @ v`` itself.  ``counts``, when
     given, gets one more ``"support_products"`` or ``"dense_products"``.
     """
-    if 8 * np.count_nonzero(v) >= v.size:
+    if _SPARSE_RATIO * np.count_nonzero(v) >= v.size:
         if counts is not None:
             counts["dense_products"] += 1
         return A @ v

@@ -142,10 +142,13 @@ class TestSolve:
         assert all(s["outer_iters"] <= 5 for s in inner)
 
     def test_config_hash_covers_the_settings_that_ran(self, tmp_path, capsys):
-        # {} and {"max_stages": 30} run the same settings, so they hash the same
+        # each pair runs the same settings, so it hashes the same: the
+        # defaults are written out, and nu_factor is unused once nu is set
         d = self._instance_dir(tmp_path)
+        pairs = [[{}, {"max_stages": 30, "nu_factor": 0.1}],
+                 [{"nu": 5.0}, {"nu": 5.0, "nu_factor": 0.2}]]
         hashes = []
-        for k, config in enumerate([{}, {"max_stages": 30, "nu_factor": 0.1}]):
+        for k, config in enumerate(config for pair in pairs for config in pair):
             cfg = tmp_path / f"cfg{k}.json"
             cfg.write_text(json.dumps(config))
             run = tmp_path / f"run{k}"
@@ -154,10 +157,12 @@ class TestSolve:
                 row = next(csv.DictReader(fh))
             resolved = json.loads((run / "config.json").read_text())
             assert resolved["max_stages"] == 30 and resolved["alm"]["sncg_max_iter"] == 50
-            assert resolved["nu_factor"] == 0.1
+            assert "nu_factor" not in resolved
             assert resolved["nu"] == pytest.approx(float(row["nu"]), rel=1e-15)
+            assert resolved["nu"] == config.get("nu", resolved["nu"])
             hashes.append(row["config_hash"])
         assert hashes[0] == hashes[1] and len(hashes[0]) == 12
+        assert hashes[2] == hashes[3] != hashes[0]
 
     @pytest.mark.parametrize("config, message", [
         ({"max_stages": "x"}, "'max_stages' must be int"),

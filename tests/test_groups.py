@@ -51,6 +51,24 @@ class TestGroupStructure:
         assert a != c
 
 
+class TestSubset:
+    def test_subset_matches_segments_on_a_shuffled_partition(self):
+        rng = np.random.default_rng(3)
+        g = GroupStructure(20, np.split(rng.permutation(20), [3, 4, 9, 11, 16]))
+        assert g.perm is not None
+        mask = np.array([True, False, True, True, False, True])
+        cols, sub = g.subset(mask)
+        seg_cols, starts, _ = g.segments(mask)
+        assert np.array_equal(cols, seg_cols)
+        assert sub.p == cols.size and sub.m == 4 and sub.perm is None
+        assert np.array_equal(sub.starts, starts)
+        assert [cols[idx].tolist() for idx in sub.groups] == [
+            g.groups[i].tolist() for i in np.flatnonzero(mask)]
+        x = rng.standard_normal(20)
+        assert np.allclose(group_norms(x[cols], sub), group_norms(x, g)[mask],
+                           rtol=1e-15, atol=0)
+
+
 class TestContiguousGroups:
     def test_even_split(self):
         g = contiguous_groups(12, 4)

@@ -2,12 +2,14 @@ import numpy as np
 import pytest
 
 from gsreg.data import make_instance, metrics, default_box
+from gsreg import mscra
 from gsreg.groups import BoxConstraint, contiguous_groups, group_norms, group_support
 from gsreg.mscra import (
     MscraConfig,
     default_nu,
     rho_schedule,
     run,
+    solve_stage,
     stopping_check,
     subproblem_tolerance,
     unpenalized_columns,
@@ -295,24 +297,81 @@ class TestWarmStart:
 class TestProductCounts:
     @pytest.mark.parametrize("seed, sparse", [(7000, True), (7001, False)])
     def test_products_with_a_on_a_wide_instance(self, seed, sparse):
-        # a stage makes one A^T d per Newton step, one A^T xi per outer
-        # iteration, one A^T xi for its first SNCG call and, from stage 2 on,
-        # one for the warm xi's ball scaling: all dense.  The gradient's A s
-        # at each SNCG start and accepted step and the objective's A x once
-        # per outer iteration run over their support when it is below p/8:
-        # always for seed 7000, not for some products of seed 7001
+        # stage 1 runs on all groups: one A^T d per Newton step, one A^T xi
+        # per outer iteration and one for its first SNCG call, all dense.  The
+        # gradient's A s at each SNCG start and accepted step and the
+        # objective's A x once per outer iteration run over their support when
+        # it is below p/8: always for seed 7000, not for some products of seed
+        # 7001.  Later stages sieve: their only product with all of A is the
+        # A^T r of each round's KKT check, and every product above, the warm
+        # xi's ball scaling and the round's r = A_W x_W - b are with A_W
         inst = make_instance("I", "i", n=128, p=1024, m=128, r_bar=6, alpha=2.0,
                              theta1=0.1, theta2=0.1, seed=seed)
         res = run(inst.A, inst.b, inst.g, default_box(inst.x_true), MscraConfig())
         assert res.converged and res.stages >= 2
-        moved = []  # products counted as dense because their vector had p/8 nonzeros or more
-        for t in res.traces:
+        s = res.traces[0].inner_stats
+        assert s.sieve_rounds == 0 and s.working_set_groups == inst.g.m
+        moved = s.dense_products - (s.sncg_iters + s.outer_iters + 1)
+        assert s.support_products == s.sncg_iters + 2 * s.outer_iters - moved
+        assert moved >= 0 and (moved == 0) == sparse
+        for t in res.traces[1:]:
             s = t.inner_stats
-            dense = s.sncg_iters + s.outer_iters + 1 + (t.k > 1)
-            on_support = s.sncg_iters + 2 * s.outer_iters
-            moved.append(s.dense_products - dense)
-            assert s.support_products == on_support - moved[-1]
-        assert min(moved) >= 0 and (max(moved) == 0) == sparse
+            assert s.sieve_rounds >= 1 and s.dense_products == s.sieve_rounds
+            assert s.support_products == 2 * s.sncg_iters + 3 * s.outer_iters + 3 * s.sieve_rounds
+
+
+class TestSieve:
+    @staticmethod
+    def _instance():
+        return make_instance("I", "i", n=128, p=1024, m=128, r_bar=6, alpha=2.0,
+                             theta1=0.1, theta2=0.1, seed=7000)
+
+    def test_sieved_run_matches_the_run_on_all_groups(self, monkeypatch):
+        inst = self._instance()
+        box = default_box(inst.x_true)
+        sieved = run(inst.A, inst.b, inst.g, box, MscraConfig())
+        assert sieved.stages >= 2
+        for t in sieved.traces[1:]:
+            s = t.inner_stats
+            assert s.sieve_rounds >= 1 and s.working_set_groups < inst.g.m
+            assert len(s.history) == s.outer_iters
+            assert t.to_dict()["inner"]["sieve_rounds"] == s.sieve_rounds
+        # no working set is below p / p columns: every stage runs on all groups
+        monkeypatch.setattr(mscra, "_SPARSE_RATIO", inst.g.p)
+        full = run(inst.A, inst.b, inst.g, box, MscraConfig())
+        assert all(t.inner_stats.sieve_rounds == 0 for t in full.traces)
+        assert all(t.inner_stats.working_set_groups == inst.g.m for t in full.traces)
+        assert full.stages == sieved.stages and full.stop_reason == sieved.stop_reason
+        for a, b in zip(sieved.traces, full.traces):
+            assert np.array_equal(group_support(a.x, inst.g), group_support(b.x, inst.g))
+        assert np.linalg.norm(sieved.x - full.x) <= 1e-9 * np.linalg.norm(full.x)
+
+    def test_a_working_set_missing_a_true_group_grows(self, monkeypatch):
+        # stage 1's problem, started from the true support less one group
+        from gsreg.wl21 import AlmConfig, SubproblemSpec, alm_solve
+
+        inst = self._instance()
+        n = inst.A.shape[0]
+        omega = np.full(inst.g.m, n / default_nu(inst.A, inst.b))
+        spec = SubproblemSpec(A=inst.A, b=inst.b, g=inst.g, omega=omega,
+                              box=default_box(inst.x_true))
+        true = group_support(inst.x_true, inst.g)
+        start = np.zeros(inst.g.m, dtype=bool)
+        start[true[1:]] = True
+        masks = []
+        restrict = SubproblemSpec.restrict
+        monkeypatch.setattr(SubproblemSpec, "restrict",
+                            lambda self, mask: masks.append(mask.copy()) or restrict(self, mask))
+        cfg = AlmConfig(tol=1e-6)
+        x, _, stats, r = solve_stage(spec, cfg, None, start)
+        W = masks[-1]
+        assert stats.converged and stats.sieve_rounds == len(masks) >= 2
+        assert W[true[0]] and stats.working_set_groups == np.count_nonzero(W)
+        assert np.allclose(r, inst.A @ x - inst.b, rtol=0, atol=1e-9 * np.linalg.norm(inst.b))
+        assert np.max(group_norms(inst.A.T @ r, inst.g)[~W] / omega[~W]) <= 1
+        x_full, _, _ = alm_solve(spec, cfg)
+        assert np.array_equal(group_support(x, inst.g), group_support(x_full, inst.g))
+        assert np.linalg.norm(x - x_full) <= 1e-4 * np.linalg.norm(x_full)
 
 
 class TestSncgTolerance:

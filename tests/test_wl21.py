@@ -580,6 +580,35 @@ class TestAbcd:
             assert np.array_equal(before, after)
 
 
+class TestRestrict:
+    def test_keeps_the_weights_box_and_response(self):
+        spec = random_subproblem(5)
+        mask = np.zeros(spec.g.m, dtype=bool)
+        mask[[2, 5, 7]] = True
+        cols, sub = spec.restrict(mask)
+        assert np.array_equal(cols, spec.g.segments(mask)[0])
+        assert np.array_equal(sub.A, spec.A[:, cols]) and sub.A.flags.c_contiguous
+        assert np.array_equal(sub.omega, spec.omega[mask])
+        assert sub.box == spec.box and np.array_equal(sub.b, spec.b)
+        assert sub.g.m == 3 and sub.p == cols.size
+
+    def test_state_is_restricted_and_lifted_back(self, rng):
+        spec = random_subproblem(5)
+        mask = np.zeros(spec.g.m, dtype=bool)
+        mask[[0, 9]] = True
+        cols, sub = spec.restrict(mask)
+        state = DualState(*(rng.standard_normal(k) for k in (spec.p, spec.n, spec.p, spec.p)),
+                          sigma=3.0)
+        small = state.restrict(cols)
+        assert small.x.shape == (sub.p,) and small.sigma == 3.0
+        back = small.lifted(cols, spec.p)
+        off = np.ones(spec.p, dtype=bool)
+        off[cols] = False
+        for before, after in ((state.eta, back.eta), (state.zeta, back.zeta), (state.x, back.x)):
+            assert np.array_equal(after[cols], before[cols]) and not after[off].any()
+        assert np.array_equal(back.xi, state.xi) and back.sigma == 3.0
+
+
 class TestSpecValidation:
     def test_dimension_checks(self, rng):
         A = rng.standard_normal((5, 6))
