@@ -259,6 +259,7 @@ def _failure_reason(result, inst: Instance) -> str:
         stalls = sum(t.inner_stats.sncg_stalls for t in result.traces
                      if not t.inner_stats.converged)
         reasons.append(f"{result.inner_failures} of {result.stages} stage ALM solves hit max_outer"
+                       f" or stopped at a line search that moved nothing twice in a row"
                        f" ({stalls} stalled SNCG calls)")
     return "; ".join(reasons)
 

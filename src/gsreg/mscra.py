@@ -4,10 +4,13 @@ Each stage solves one weighted l2,1 subproblem through the dual ALM,
 then refreshes the per-group weights from the conjugate subgradient of
 the penalty family at ``rho * ||x_Ji||``.  Stage 1 runs with every
 weight at 0, and the penalty factor rho follows the dynamic schedule of
-:func:`rho_schedule` from the first-stage iterate on.  From stage 2 on, a
-stage is solved on the groups of the previous stage's support and the
-unpenalized ones, and grown until one product with ``A^T`` shows no group
-outside them breaking the KKT conditions (:func:`solve_stage`).
+:func:`rho_schedule` from the first-stage iterate on.  Each stage
+starts from a set of groups: stage 1 from the ``_SPARSE_RATIO`` groups
+with the largest ``||A_i^T b||``, a later stage from the groups of the
+previous stage's support and the unpenalized ones.  When the set covers
+fewer than p/8 columns, the stage is solved on a working set grown from
+it until one product with ``A^T`` shows no group outside breaking the
+KKT conditions, and otherwise on all groups (:func:`solve_stage`).
 """
 
 from __future__ import annotations
@@ -115,11 +118,26 @@ def default_nu(A, b, factor: float = 0.1) -> float:
     """Scaling rule making the stage-1 level ``lambda = (factor/n) ||A^T b||_inf``."""
     A = np.asarray(A, dtype=float)
     b = np.asarray(b, dtype=float)
-    n = A.shape[0]
-    scale = np.max(np.abs(A.T @ b))
+    return _nu_from(A.T @ b, A.shape[0], factor)
+
+
+def _nu_from(Atb, n: int, factor: float) -> float:
+    """:func:`default_nu` given the product ``A^T b``."""
+    scale = np.max(np.abs(Atb))
     if scale == 0:
         return float(n)  # b = 0: any positive value, stage 1 returns 0
     return n / (factor * scale)
+
+
+def _stage1_seed(Atb, g: GroupStructure) -> np.ndarray:
+    """The groups stage 1 starts from: the ``_SPARSE_RATIO`` with the largest ``||A_i^T b||``.
+
+    Stage 1 has every weight at 0, so all ``omega_i`` are equal and these
+    are the groups that break the KKT conditions of ``x = 0`` the most.
+    """
+    seed = np.zeros(g.m, dtype=bool)
+    seed[np.argsort(-group_norms(Atb, g), kind="stable")[:_SPARSE_RATIO]] = True
+    return seed
 
 
 def unpenalized_columns(w, g: GroupStructure) -> int:
@@ -158,52 +176,85 @@ _ROUND_SUMS = ("outer_iters", "sncg_iters", "wall_time", "sncg_fallbacks", "sncg
                "dense_products", "support_products")
 
 
-def solve_stage(spec: SubproblemSpec, cfg: AlmConfig, warm: DualState | None = None,
-                start=None):
+def _merged(rounds, sieve_rounds: int, working_set_groups: int) -> SolveStats:
+    """The stats of a stage solved in several rounds, summed as :func:`solve_stage` describes."""
+    stats = replace(rounds[-1], history=[h for st in rounds for h in st.history],
+                    sncg_max_r=max(st.sncg_max_r for st in rounds),
+                    sieve_rounds=sieve_rounds, working_set_groups=working_set_groups)
+    for name in _ROUND_SUMS:
+        setattr(stats, name, sum(getattr(st, name) for st in rounds))
+    return stats
+
+
+def _violators(spec: SubproblemSpec, r, mask) -> np.ndarray:
+    """The groups that join the working set ``mask`` after a round with residual ``r``.
+
+    They are the groups outside ``mask`` with ``||A_i^T r|| > omega_i``,
+    at most as many as ``mask`` holds, the worst by
+    ``||A_i^T r|| / omega_i`` first (a group of weight 0 ranks first).
+    """
+    nrm = group_norms(spec.A.T @ r, spec.g)
+    out = np.flatnonzero(~mask & (nrm > spec.omega))
+    ratio = np.divide(nrm[out], spec.omega[out], out=np.full(out.size, np.inf),
+                      where=spec.omega[out] > 0)
+    add = np.zeros(spec.g.m, dtype=bool)
+    add[out[np.argsort(-ratio, kind="stable")[:np.count_nonzero(mask)]]] = True
+    return add
+
+
+def solve_stage(spec: SubproblemSpec, cfg: AlmConfig, warm: DualState | None, start):
     """Solve one stage subproblem, on a working set of groups when ``start`` is small.
 
-    ``start`` masks the groups to start from.  When it is ``None`` or
-    covers p/8 columns or more, :func:`alm_solve` runs on all groups.
+    ``start`` masks the groups to start from.  When it covers p/8 columns
+    or more, :func:`alm_solve` runs on all groups.
     Otherwise the stage sieves (adaptive sieving, Lin, Sun, Toh & Yuan
     2021): it solves on the working set ``W`` (:meth:`SubproblemSpec.restrict`),
-    forms ``r = A_W x_W - b``, and adds every group outside ``W`` with
-    ``||A_i^T r|| > omega_i``, re-solving from the lifted state until
-    there is none.  Then ``x`` meets the KKT conditions of the whole
-    stage: it is 0 off ``W``, where ``||A_i^T r|| <= omega_i``, so the
-    last round's tolerance certifies the full problem.
+    forms ``r = A_W x_W - b``, and adds groups outside ``W`` with
+    ``||A_i^T r|| > omega_i``, solving again until there is none.  Then
+    ``x`` meets the KKT conditions of the whole stage: it is 0 off ``W``,
+    where ``||A_i^T r|| <= omega_i``, so the last round's tolerance
+    certifies the full problem.  A round adds at most ``|W|`` groups, the
+    worst by ``||A_i^T r|| / omega_i`` first, so ``W`` at most doubles
+    (the working sets of Celer, Massias, Gramfort & Salmon 2018); once it
+    grows past p/8 columns, the stage is solved on all groups instead.
+    Every round starts from ``warm`` restricted to its ``W``, not from the
+    round before, which solved a problem missing some groups: so a round
+    whose ``W`` holds every group the solve on all groups ever makes
+    active repeats that solve's iterates.
 
     Returns ``(x, dual, stats, r)`` with ``r = Ax - b``, ``dual`` on all p
     coordinates.  A sieved stage's stats sum its rounds' counters and
-    wall times and concatenate their histories; the products with
-    ``A_W``, and ``r``, count as ``support_products``, and the one
+    wall times and concatenate their histories; ``sieve_rounds`` counts
+    its solves on a working set, and ``working_set_groups`` is the size of
+    the last one, or m when the stage ended on all groups.  The products
+    with ``A_W``, and ``r``, count as ``support_products``, and the one
     ``A^T r`` of each round as a dense product.
     """
-    if start is None or _SPARSE_RATIO * np.count_nonzero(spec.g.broadcast(start)) >= spec.p:
-        x, dual, stats = alm_solve(spec, cfg, warm=warm)
-        stats.working_set_groups = spec.g.m
-        return x, dual, stats, _support_product(spec.A, x) - spec.b
-    mask = np.array(start, dtype=bool)
+    def columns(mask) -> int:
+        return int(np.count_nonzero(spec.g.broadcast(mask)))
+
+    limit = spec.p / _SPARSE_RATIO
+    mask = None if columns(start) >= limit else np.array(start, dtype=bool)
     rounds = []
-    while True:
+    while mask is not None:
         cols, sub = spec.restrict(mask)
         x_w, dual, stats = alm_solve(sub, cfg, warm=None if warm is None else warm.restrict(cols))
         r = _support_product(sub.A, x_w) - spec.b
         stats.support_products += stats.dense_products + 1
         stats.dense_products = 1
         rounds.append(stats)
-        warm = dual.lifted(cols, spec.p)
-        add = ~mask & (group_norms(spec.A.T @ r, spec.g) > spec.omega)
+        add = _violators(spec, r, mask)
         if not add.any():
-            break
+            x = np.zeros(spec.p)
+            x[cols] = x_w
+            stats = _merged(rounds, len(rounds), int(np.count_nonzero(mask)))
+            return x, dual.lifted(cols, spec.p), stats, r
         mask |= add
-    x = np.zeros(spec.p)
-    x[cols] = x_w
-    stats = replace(rounds[-1], history=[h for st in rounds for h in st.history],
-                    sncg_max_r=max(st.sncg_max_r for st in rounds),
-                    sieve_rounds=len(rounds), working_set_groups=int(np.count_nonzero(mask)))
-    for name in _ROUND_SUMS:
-        setattr(stats, name, sum(getattr(st, name) for st in rounds))
-    return x, warm, stats, r
+        if columns(mask) > limit:
+            break
+    x, dual, stats = alm_solve(spec, cfg, warm=warm)
+    stats = _merged(rounds + [stats], len(rounds), spec.g.m)
+    return x, dual, stats, _support_product(spec.A, x) - spec.b
 
 
 def stopping_check(curr: StageTrace, prev: StageTrace | None, cfg: MscraConfig) -> str | None:
@@ -224,7 +275,8 @@ def run(A, b, g: GroupStructure, box: BoxConstraint,
     A = np.asarray(A, dtype=float)
     b = np.asarray(b, dtype=float)
     n = A.shape[0]
-    nu = cfg.nu if cfg.nu is not None else default_nu(A, b, cfg.nu_factor)
+    Atb = A.T @ b
+    nu = cfg.nu if cfg.nu is not None else _nu_from(Atb, n, cfg.nu_factor)
     if not nu > 0:
         raise ValueError("nu must be positive")
     w = np.zeros(g.m)
@@ -235,6 +287,7 @@ def run(A, b, g: GroupStructure, box: BoxConstraint,
     warm = None
     traces: list[StageTrace] = []
     x = np.zeros(g.p)
+    start = _stage1_seed(Atb, g)
     support = None
     stop_reason = "max_stages"
 
@@ -243,7 +296,6 @@ def run(A, b, g: GroupStructure, box: BoxConstraint,
         omega = n * lam * (1.0 - w)
         spec = SubproblemSpec(A=A, b=b, g=g, omega=omega, box=box)
         # from stage 2 on, start from the last support and the unpenalized groups
-        start = None
         if support is not None:
             start = omega == 0.0
             start[support] = True

@@ -234,8 +234,9 @@ def _reduced_point(xi, eta, state: DualState, spec: SubproblemSpec) -> np.ndarra
 
 
 # a product with A gathers the nonzero columns of its vector, and a stage of
-# the multi-stage loop runs on a working set of groups, only when they are
-# fewer than p / _SPARSE_RATIO columns
+# the multi-stage loop starts on a working set of groups, only when they are
+# fewer than p / _SPARSE_RATIO columns; stage 1 starts from _SPARSE_RATIO
+# groups (see mscra.solve_stage)
 _SPARSE_RATIO = 8
 
 
@@ -622,6 +623,9 @@ _SIGMA_START = 1.0
 _SIGMA_GROWTH = 1.3
 _STALL_RATIO = 0.5
 _STALL_GROWTH = 5.0
+# the solve gives up after this many outer iterations in a row whose SNCG
+# line search refused its first step, so that xi has not moved
+_MAX_STUCK = 2
 
 
 def _ball_scale(xi, spec: SubproblemSpec) -> float:
@@ -652,10 +656,13 @@ def alm_solve(spec: SubproblemSpec, cfg: AlmConfig | None = None,
     the first iteration, which has no previous value).  Each ``history``
     entry logs the ``sigma`` of its iteration and whether the multiplier
     ``stalled`` there.  Returns ``(x, state, stats)``; a run hitting
-    ``max_outer`` is flagged not-converged.  ``x`` is the box projection
-    of ``-state.x`` set to exactly 0 on the groups where the last prox
-    ``s`` is 0; the multiplier equals ``sigma s`` up to rounding, so it
-    holds only rounding residue there.
+    ``max_outer`` is flagged not-converged, and so is one that stops
+    early after two outer iterations in a row whose SNCG line search
+    refused every trial step of its first Newton step: xi did not move,
+    and a larger sigma did not move it either.  ``x`` is the box
+    projection of ``-state.x`` set to exactly 0 on the groups where the
+    last prox ``s`` is 0; the multiplier equals ``sigma s`` up to
+    rounding, so it holds only rounding residue there.
 
     A ``warm`` state, the one an earlier solve returned, carries over the
     multiplier x, sigma (raised to 1 if below it) and xi scaled by
@@ -693,6 +700,7 @@ def alm_solve(spec: SubproblemSpec, cfg: AlmConfig | None = None,
     # left xi too loose for eps_gap when ||b|| is large, and stages cycled
     sncg_tol = 1e-11 * bnorm
     eps_dinf_prev = np.inf
+    stuck = 0  # outer iterations in a row that left xi where it was
     for j in range(cfg.max_outer):
         eta, xi, zeta, x_new, a_stats = abcd_solve(state, spec, sncg_tol, cfg.sncg_max_iter,
                                                    At_xi)
@@ -735,6 +743,10 @@ def alm_solve(spec: SubproblemSpec, cfg: AlmConfig | None = None,
         )
         if max(eps_pinf, eps_dinf, eps_gap) <= cfg.tol:
             stats.converged = True
+            break
+        # a stall without an accepted step is a line search that refused the first one
+        stuck = stuck + 1 if s_stats["stalls"] and not s_stats["iters"] else 0
+        if stuck == _MAX_STUCK:
             break
         growth = _STALL_GROWTH if stalled else _SIGMA_GROWTH
         state.sigma = min(growth * state.sigma, cfg.sigma_max)

@@ -128,6 +128,10 @@ class TestSolve:
         with open(tmp_path / "run" / "traces.jsonl") as fh:
             inner = [json.loads(line)["inner"] for line in fh]
         assert sum(s["sncg_stalls"] for s in inner) > 0
+        # two refused line searches in a row end the stalled solve early
+        # (it took all 200 outer iterations when it could not)
+        assert any(not s["converged"] and s["outer_iters"] < wl21.AlmConfig().max_outer
+                   for s in inner)
 
     def test_nested_alm_configs_reach_the_solver(self, tmp_path, capsys):
         d = self._instance_dir(tmp_path)

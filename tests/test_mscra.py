@@ -297,27 +297,38 @@ class TestWarmStart:
 class TestProductCounts:
     @pytest.mark.parametrize("seed, sparse", [(7000, True), (7001, False)])
     def test_products_with_a_on_a_wide_instance(self, seed, sparse):
-        # stage 1 runs on all groups: one A^T d per Newton step, one A^T xi
-        # per outer iteration and one for its first SNCG call, all dense.  The
-        # gradient's A s at each SNCG start and accepted step and the
-        # objective's A x once per outer iteration run over their support when
-        # it is below p/8: always for seed 7000, not for some products of seed
-        # 7001.  Later stages sieve: their only product with all of A is the
-        # A^T r of each round's KKT check, and every product above, the warm
-        # xi's ball scaling and the round's r = A_W x_W - b are with A_W
+        # every stage sieves: its only product with all of A is the A^T r of
+        # each round's KKT check.  The rest are with A_W: per round the
+        # products of an ALM solve (below), r = A_W x_W - b and, from stage 2
+        # on, the warm xi's ball scaling.  An ALM solve makes one A^T d per
+        # Newton step, one A^T xi per outer iteration and one for its first
+        # SNCG call; the gradient's A s at each SNCG start and accepted step
+        # and the objective's A x once per outer iteration run over their
+        # support when it is below p/8
+        from gsreg.wl21 import AlmConfig, SubproblemSpec
+
         inst = make_instance("I", "i", n=128, p=1024, m=128, r_bar=6, alpha=2.0,
                              theta1=0.1, theta2=0.1, seed=seed)
-        res = run(inst.A, inst.b, inst.g, default_box(inst.x_true), MscraConfig())
+        box = default_box(inst.x_true)
+        res = run(inst.A, inst.b, inst.g, box, MscraConfig())
         assert res.converged and res.stages >= 2
-        s = res.traces[0].inner_stats
+        for t in res.traces:
+            s = t.inner_stats
+            assert s.sieve_rounds >= 1 and s.dense_products == s.sieve_rounds
+            per_round = 2 + (t.k > 1)
+            assert s.support_products == (2 * s.sncg_iters + 3 * s.outer_iters
+                                          + per_round * s.sieve_rounds)
+        # stage 1's problem on all groups: every product that is not over the
+        # support is dense, always for seed 7000, not for some of seed 7001
+        n = inst.A.shape[0]
+        spec = SubproblemSpec(A=inst.A, b=inst.b, g=inst.g, omega=np.full(inst.g.m, n / res.nu),
+                              box=box)
+        _, _, s, _ = solve_stage(spec, AlmConfig(tol=MscraConfig().tol0), None,
+                                 np.ones(inst.g.m, dtype=bool))
         assert s.sieve_rounds == 0 and s.working_set_groups == inst.g.m
         moved = s.dense_products - (s.sncg_iters + s.outer_iters + 1)
         assert s.support_products == s.sncg_iters + 2 * s.outer_iters - moved
         assert moved >= 0 and (moved == 0) == sparse
-        for t in res.traces[1:]:
-            s = t.inner_stats
-            assert s.sieve_rounds >= 1 and s.dense_products == s.sieve_rounds
-            assert s.support_products == 2 * s.sncg_iters + 3 * s.outer_iters + 3 * s.sieve_rounds
 
 
 class TestSieve:
@@ -326,16 +337,8 @@ class TestSieve:
         return make_instance("I", "i", n=128, p=1024, m=128, r_bar=6, alpha=2.0,
                              theta1=0.1, theta2=0.1, seed=7000)
 
-    def test_sieved_run_matches_the_run_on_all_groups(self, monkeypatch):
-        inst = self._instance()
-        box = default_box(inst.x_true)
-        sieved = run(inst.A, inst.b, inst.g, box, MscraConfig())
-        assert sieved.stages >= 2
-        for t in sieved.traces[1:]:
-            s = t.inner_stats
-            assert s.sieve_rounds >= 1 and s.working_set_groups < inst.g.m
-            assert len(s.history) == s.outer_iters
-            assert t.to_dict()["inner"]["sieve_rounds"] == s.sieve_rounds
+    @staticmethod
+    def _assert_matches_all_groups(sieved, inst, box, monkeypatch):
         # no working set is below p / p columns: every stage runs on all groups
         monkeypatch.setattr(mscra, "_SPARSE_RATIO", inst.g.p)
         full = run(inst.A, inst.b, inst.g, box, MscraConfig())
@@ -345,6 +348,31 @@ class TestSieve:
         for a, b in zip(sieved.traces, full.traces):
             assert np.array_equal(group_support(a.x, inst.g), group_support(b.x, inst.g))
         assert np.linalg.norm(sieved.x - full.x) <= 1e-9 * np.linalg.norm(full.x)
+
+    def test_sieved_run_matches_the_run_on_all_groups(self, monkeypatch):
+        inst = self._instance()
+        box = default_box(inst.x_true)
+        sieved = run(inst.A, inst.b, inst.g, box, MscraConfig())
+        assert sieved.stages >= 2
+        for t in sieved.traces:
+            s = t.inner_stats
+            assert s.sieve_rounds >= 1 and s.working_set_groups < inst.g.m
+            assert len(s.history) == s.outer_iters
+            assert t.to_dict()["inner"]["sieve_rounds"] == s.sieve_rounds
+        self._assert_matches_all_groups(sieved, inst, box, monkeypatch)
+
+    def test_a_seed_missing_true_groups_reaches_the_all_groups_support(self, monkeypatch):
+        # a stage-1 seed of 2 groups holds at most 2 of the 6 true ones
+        inst = self._instance()
+        box = default_box(inst.x_true)
+        monkeypatch.setattr(mscra, "_SPARSE_RATIO", 2)
+        seed = mscra._stage1_seed(inst.A.T @ inst.b, inst.g)
+        assert np.count_nonzero(seed) == 2
+        assert not seed[group_support(inst.x_true, inst.g)].all()
+        sieved = run(inst.A, inst.b, inst.g, box, MscraConfig())
+        s = sieved.traces[0].inner_stats
+        assert s.sieve_rounds >= 2 and s.working_set_groups < inst.g.m
+        self._assert_matches_all_groups(sieved, inst, box, monkeypatch)
 
     def test_a_working_set_missing_a_true_group_grows(self, monkeypatch):
         # stage 1's problem, started from the true support less one group
@@ -366,6 +394,10 @@ class TestSieve:
         x, _, stats, r = solve_stage(spec, cfg, None, start)
         W = masks[-1]
         assert stats.converged and stats.sieve_rounds == len(masks) >= 2
+        # a round adds at most as many groups as its working set holds
+        sizes = [np.count_nonzero(mask) for mask in masks]
+        assert all(b <= 2 * a for a, b in zip(sizes, sizes[1:]))
+        assert all(b[a].all() for a, b in zip(masks, masks[1:]))
         assert W[true[0]] and stats.working_set_groups == np.count_nonzero(W)
         assert np.allclose(r, inst.A @ x - inst.b, rtol=0, atol=1e-9 * np.linalg.norm(inst.b))
         assert np.max(group_norms(inst.A.T @ r, inst.g)[~W] / omega[~W]) <= 1
