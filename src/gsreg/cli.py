@@ -255,11 +255,15 @@ def _failure_reason(result, inst: Instance) -> str:
         free = unpenalized_columns(result.traces[-2].w, inst.g)
         reasons.append(f"stage {result.stages} left {free} columns unpenalized, at least"
                        f" n = {inst.A.shape[0]}, so its fit interpolates b")
-    if result.inner_failures:
+    causes = [t.inner_stats.stop_cause for t in result.traces]
+    if "max_outer" in causes:
+        reasons.append(f"{causes.count('max_outer')} of {result.stages} stage ALM solves"
+                       f" hit max_outer")
+    if "line_search" in causes:
         stalls = sum(t.inner_stats.sncg_stalls for t in result.traces
-                     if not t.inner_stats.converged)
-        reasons.append(f"{result.inner_failures} of {result.stages} stage ALM solves hit max_outer"
-                       f" or stopped at a line search that moved nothing twice in a row"
+                     if t.inner_stats.stop_cause == "line_search")
+        reasons.append(f"{causes.count('line_search')} of {result.stages} stage ALM solves"
+                       f" stopped after two line searches in a row that moved nothing"
                        f" ({stalls} stalled SNCG calls)")
     return "; ".join(reasons)
 

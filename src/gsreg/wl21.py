@@ -17,6 +17,17 @@ system is factored directly on its smaller Gram form.  This is the
 SSNAL structure of Li, Sun & Toh (SIAM J. Optim. 2018).  The ALM
 multiplier converges to the negated primal solution, so
 :func:`alm_solve` flips its sign on return.
+
+The Newton matrix is ``I + sigma B B^T`` with ``B = A_J E``: ``A_J`` the
+columns of the active groups and ``E`` a small block-structured factor of
+the prox Jacobian.  When ``B`` has fewer columns than ``A`` has rows, the
+Woodbury form needs only ``E^T G_JJ E``, where ``G_JJ`` is the ``J``
+block of the Gram ``G = A^T A``.  A narrow instance (p <= n, such as the
+working sets of the multi-stage loop) computes ``G`` once, on its first
+such system, and keeps it for as long as the instance lives
+(:meth:`SubproblemSpec.gram`); being p x p, it is never larger than
+``A``.  A wide instance builds no Gram and forms ``B`` from a gathered
+copy of ``A_J`` (:func:`newton_direction`).
 """
 
 from __future__ import annotations
@@ -32,13 +43,18 @@ from .groups import BoxConstraint, GroupStructure, group_norms, prox_group_box
 
 @dataclass(frozen=True)
 class SubproblemSpec:
-    """One weighted l2,1 instance: design, response, weights, box radius."""
+    """One weighted l2,1 instance: design, response, weights, box radius.
+
+    A narrow instance (p <= n) also keeps the Gram ``A^T A`` once
+    :meth:`gram` has computed it.
+    """
 
     A: np.ndarray
     b: np.ndarray
     g: GroupStructure
     omega: np.ndarray
     box: BoxConstraint
+    _gram: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         A = np.ascontiguousarray(self.A, dtype=float)
@@ -65,20 +81,48 @@ class SubproblemSpec:
     def p(self) -> int:
         return self.A.shape[1]
 
-    def restrict(self, mask) -> tuple[np.ndarray, "SubproblemSpec"]:
+    def gram(self) -> np.ndarray | None:
+        """``A^T A`` of a narrow instance (p <= n), computed on the first call and kept; else None.
+
+        Being p x p, the Gram of a narrow instance is never larger than
+        ``A``; it is freed with the instance.  A wide instance never
+        builds one.
+        """
+        if self._gram is None and self.p <= self.n:
+            object.__setattr__(self, "_gram", self.A.T @ self.A)
+        return self._gram
+
+    def restrict(self, mask, within=None) -> tuple[np.ndarray, "SubproblemSpec"]:
         """The instance on the groups selected by ``mask``: ``(cols, spec)``.
 
         ``spec`` keeps ``b``, the box and the selected weights, and its
-        design is ``A[:, cols]``, gathered once (see
-        :meth:`GroupStructure.subset`).  Its solution, set into ``x[cols]``
-        of a zero ``x``, solves this instance when every group outside
-        ``mask`` has ``||A_i^T (Ax - b)|| <= omega_i``.
+        design is ``A[:, cols]`` (see :meth:`GroupStructure.subset`).  Its
+        solution, set into ``x[cols]`` of a zero ``x``, solves this
+        instance when every group outside ``mask`` has
+        ``||A_i^T (Ax - b)|| <= omega_i``.
+
+        ``within``, when given, is the ``(cols, spec)`` of an earlier
+        restriction of an instance with the same ``A``.  If it holds every
+        column of ``cols``, the design is copied from its smaller one, and
+        its Gram, if it has computed one, is sliced rather than computed
+        again; otherwise the design is gathered from ``A``.
         """
         mask = np.asarray(mask, dtype=bool)
         cols, g = self.g.subset(mask)
+        src, idx, gram = self.A, cols, None
+        if within is not None:
+            outer_cols, outer = within
+            pos = np.full(self.p, -1)
+            pos[outer_cols] = np.arange(outer_cols.size)
+            if np.all(pos[cols] >= 0):
+                src, idx = outer.A, pos[cols]
+                if outer._gram is not None:
+                    gram = outer._gram[np.ix_(idx, idx)]
         # "clip" keeps take from buffering (every index is valid)
-        A = np.take(self.A, cols, axis=1, mode="clip")
-        return cols, SubproblemSpec(A=A, b=self.b, g=g, omega=self.omega[mask], box=self.box)
+        A = np.take(src, idx, axis=1, mode="clip")
+        spec = SubproblemSpec(A=A, b=self.b, g=g, omega=self.omega[mask], box=self.box)
+        object.__setattr__(spec, "_gram", gram)
+        return cols, spec
 
 
 @dataclass
@@ -144,6 +188,10 @@ class AlmConfig:
 @dataclass
 class SolveStats:
     converged: bool = False
+    # why the solve stopped: "converged", "max_outer", or "line_search" after
+    # _MAX_STUCK outer iterations in a row whose line search refused its
+    # first step ("" before it has run)
+    stop_cause: str = ""
     outer_iters: int = 0
     sncg_iters: int = 0
     eps_pinf: float = np.inf
@@ -381,7 +429,12 @@ def _jacobian_factor(y, spec: SubproblemSpec, R: float, prox: ProxPoint | None =
     ``A (I - W_y) A^T = Z Z^T + W W^T``.  Both have ``n`` rows; an empty
     ``J`` gives no columns.
     """
-    cols, starts, seg, a, c = _active_groups(y, spec, R, prox)
+    return _gathered_factor(y, spec, _active_groups(y, spec, R, prox))
+
+
+def _gathered_factor(y, spec: SubproblemSpec, active):
+    """``(Z, W)`` of :func:`_jacobian_factor`, given the output of :func:`_active_groups`."""
+    cols, starts, seg, a, c = active
     # "clip" keeps take from buffering (every index is valid)
     Z = np.take(spec.A, cols, axis=1, mode="clip")
     curved = np.flatnonzero(c > 0.0)
@@ -404,25 +457,44 @@ def gen_hessian_apply(d, xi, eta, state: DualState, spec: SubproblemSpec) -> np.
     return d + state.sigma * (Z @ (Z.T @ d) + W @ (W.T @ d))
 
 
-def newton_direction(v, y, sigma: float, spec: SubproblemSpec, prox: ProxPoint | None = None):
+def newton_direction(v, y, sigma: float, spec: SubproblemSpec, prox: ProxPoint | None = None,
+                     counts: dict | None = None):
     """Solve ``(I + sigma A (I - W) A^T) d = v`` directly, with ``W`` taken at ``y``.
 
     ``I - W`` is the Jacobian of the prox at ``y`` for the box radius
-    ``R / sigma``, and ``A (I - W) A^T = B B^T`` for the factor
-    ``B = [Z, W]`` of :func:`_jacobian_factor` (given ``prox``, the
-    :class:`ProxPoint` there, or computing it), which has
+    ``R / sigma`` (see :func:`_active_groups`, given ``prox``, the
+    :class:`ProxPoint` there, or computing it), and
+    ``A (I - W) A^T = B B^T`` with ``B = A_J E``: ``A_J`` the columns of
+    the active coordinates ``J`` and ``E = [diag(sqrt(a)), Y sqrt(C)]``,
+    whose column for a curved group i (``c_i > 0``) holds
+    ``sqrt(c_i) y_i`` on the rows of that group.  ``B`` has
     ``r = |J| + #{c_i > 0}`` columns.  If ``r >= n`` the n x n system is
-    solved; otherwise the Woodbury identity
-    ``d = v - sigma B (I_r + sigma B^T B)^{-1} B^T v`` needs only an
-    r x r one.  An empty ``J`` gives ``d = v``.  Returns ``d`` and ``r``
-    (0 for an empty ``J``).
+    solved with ``B = [Z, W]`` of :func:`_jacobian_factor`; otherwise the
+    Woodbury identity ``d = v - sigma B (I_r + sigma B^T B)^{-1} B^T v``
+    needs only an r x r one.  On a narrow instance (p <= n) that system
+    is ``I_r + sigma E^T G_JJ E``, with ``G_JJ`` the ``J`` block of the
+    Gram the instance keeps (:meth:`SubproblemSpec.gram`), and its right
+    side and ``d`` take one product each with the whole (narrow) ``A``:
+    ``E^T (A^T v)_J`` and ``d = v - sigma A u``, ``u`` being ``E t`` on
+    ``J`` and 0 elsewhere.  A wide instance forms ``B^T B`` from the
+    gathered ``Z`` and ``W`` instead.  ``counts``, when given, gets two
+    more ``"dense_products"`` for a system solved on the Gram.
+
+    An empty ``J`` gives ``d = v``.  Returns ``d`` and ``r`` (0 for an
+    empty ``J``).
     """
     v = np.asarray(v, dtype=float)
-    Z, W = _jacobian_factor(y, spec, spec.box.R / sigma, prox)
-    k = Z.shape[1]
+    active = cols, _, _, _, c = _active_groups(y, spec, spec.box.R / sigma, prox)
+    k = cols.size
     if k == 0:
         return v.copy(), 0
-    n, r = spec.n, k + W.shape[1]
+    n, r = spec.n, k + int(np.count_nonzero(c > 0.0))
+    G = spec.gram() if r < n else None
+    if G is not None:
+        if counts is not None:
+            counts["dense_products"] += 2
+        return _gram_woodbury(v, y, sigma, spec, G, active), r
+    Z, W = _gathered_factor(y, spec, active)
     if r >= n:
         M = Z @ Z.T
         M += W @ W.T
@@ -438,6 +510,27 @@ def newton_direction(v, y, sigma: float, spec: SubproblemSpec, prox: ProxPoint |
     K[np.diag_indices(r)] += 1.0
     t = np.linalg.solve(K, np.concatenate((Z.T @ v, W.T @ v)))
     return v - sigma * (Z @ t[:k] + W @ t[k:]), r
+
+
+def _gram_woodbury(v, y, sigma: float, spec: SubproblemSpec, G, active):
+    """The Woodbury direction of :func:`newton_direction` from the Gram ``G`` of a narrow instance."""
+    cols, _, seg, a, c = active
+    curved = np.flatnonzero(c > 0.0)
+    k, r = cols.size, cols.size + curved.size
+    # E = [diag(sqrt(a)), Y sqrt(C)], so that B = A_J E; the rows of a curved
+    # group hold sqrt(c_i) y_i in that group's column
+    E = np.zeros((k, r))
+    E.flat[::r + 1] = np.sqrt(a)[seg]
+    rows = np.flatnonzero(c[seg] > 0.0)
+    on = seg[rows]
+    E[rows, k + np.searchsorted(curved, on)] = np.sqrt(c[on]) * y[cols[rows]]
+    K = E.T @ (G[cols][:, cols] @ E)
+    K *= sigma
+    K.flat[::r + 1] += 1.0
+    t = np.linalg.solve(K, E.T @ (spec.A.T @ v)[cols])
+    u = np.zeros(spec.p)
+    u[cols] = E @ t
+    return v - sigma * (spec.A @ u)
 
 
 # relative rounding error allowed for in the Armijo test of sncg_solve
@@ -472,13 +565,14 @@ def sncg_solve(state: DualState, spec: SubproblemSpec, grad_tol: float, max_iter
 
     ``At_xi0``, when given, is ``A^T xi0``, so that the start costs no
     product with ``A^T``.  Each Newton step then makes one dense product,
-    ``A^T d``; the gradient's ``A s`` at the start and at each accepted
-    point runs over the nonzero columns of the prox ``s`` only
-    (:func:`_support_product`).  Returns the final xi and per-call
-    statistics; ``met`` says whether the gradient norm ``gnorm`` ended at
-    or below ``grad_tol``, ``nn_systems``, ``woodbury_systems`` and
-    ``max_r`` count the Newton systems by form and size (see
-    :func:`newton_direction`), and ``dense_products`` and
+    ``A^T d``, and two more when its system is solved on the Gram of a
+    narrow instance (:func:`newton_direction`); the gradient's ``A s`` at
+    the start and at each accepted point runs over the nonzero columns of
+    the prox ``s`` only (:func:`_support_product`).  Returns the final xi
+    and per-call statistics; ``met`` says whether the gradient norm
+    ``gnorm`` ended at or below ``grad_tol``, ``nn_systems``,
+    ``woodbury_systems`` and ``max_r`` count the Newton systems by form
+    and size (see :func:`newton_direction`), and ``dense_products`` and
     ``support_products`` count the products with ``A`` and ``A^T``.
     """
     xi = np.zeros(spec.n) if xi0 is None else np.asarray(xi0, dtype=float).copy()
@@ -498,7 +592,7 @@ def sncg_solve(state: DualState, spec: SubproblemSpec, grad_tol: float, max_iter
     for _ in range(max_iter):
         if gnorm <= grad_tol:
             break
-        d, r = newton_direction(-g, y, sigma, spec, prox)
+        d, r = newton_direction(-g, y, sigma, spec, prox, stats)
         if r >= spec.n:
             stats["nn_systems"] += 1
         elif r:
@@ -659,7 +753,9 @@ def alm_solve(spec: SubproblemSpec, cfg: AlmConfig | None = None,
     ``max_outer`` is flagged not-converged, and so is one that stops
     early after two outer iterations in a row whose SNCG line search
     refused every trial step of its first Newton step: xi did not move,
-    and a larger sigma did not move it either.  ``x`` is the box
+    and a larger sigma did not move it either.  ``stats.stop_cause`` says
+    which of the three ended the run: ``"converged"``, ``"max_outer"`` or
+    ``"line_search"``.  ``x`` is the box
     projection of ``-state.x`` set to exactly 0 on the groups where the
     last prox ``s`` is 0; the multiplier equals ``sigma s`` up to
     rounding, so it holds only rounding residue there.
@@ -675,9 +771,12 @@ def alm_solve(spec: SubproblemSpec, cfg: AlmConfig | None = None,
 
     ``stats.dense_products`` and ``stats.support_products`` count the
     products with ``A`` and ``A^T`` (see :func:`_support_product`).  The
-    dense ones are one ``A^T d`` per Newton step, one ``A^T xi`` per outer
-    iteration, and at the start one ``A^T xi`` for the first SNCG call and,
-    from a warm state, one for :func:`_ball_scale`.  The support ones are
+    dense ones are one ``A^T d`` per Newton step, two per Newton system
+    solved on the Gram of a narrow instance (:func:`newton_direction`;
+    the one matrix product that computes the Gram is not counted), one
+    ``A^T xi`` per outer iteration, and at the start one ``A^T xi`` for
+    the first SNCG call and, from a warm state, one for
+    :func:`_ball_scale`.  The support ones are
     the gradient's ``A s`` at the start of each SNCG call and at each
     accepted Newton step, and ``A x`` in :func:`primal_objective` once per
     outer iteration; each of them is counted as dense instead when its
@@ -701,6 +800,7 @@ def alm_solve(spec: SubproblemSpec, cfg: AlmConfig | None = None,
     sncg_tol = 1e-11 * bnorm
     eps_dinf_prev = np.inf
     stuck = 0  # outer iterations in a row that left xi where it was
+    stats.stop_cause = "max_outer"
     for j in range(cfg.max_outer):
         eta, xi, zeta, x_new, a_stats = abcd_solve(state, spec, sncg_tol, cfg.sncg_max_iter,
                                                    At_xi)
@@ -743,10 +843,12 @@ def alm_solve(spec: SubproblemSpec, cfg: AlmConfig | None = None,
         )
         if max(eps_pinf, eps_dinf, eps_gap) <= cfg.tol:
             stats.converged = True
+            stats.stop_cause = "converged"
             break
         # a stall without an accepted step is a line search that refused the first one
         stuck = stuck + 1 if s_stats["stalls"] and not s_stats["iters"] else 0
         if stuck == _MAX_STUCK:
+            stats.stop_cause = "line_search"
             break
         growth = _STALL_GROWTH if stalled else _SIGMA_GROWTH
         state.sigma = min(growth * state.sigma, cfg.sigma_max)

@@ -102,7 +102,8 @@ class TestSolve:
         assert code == 1
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1
-        assert err[0].startswith("not converged:") and "hit max_outer" in err[0]
+        assert err[0].startswith("not converged:") and "stage ALM solves hit max_outer" in err[0]
+        assert "line search" not in err[0]
         with open(tmp_path / "run" / "summary.csv") as fh:
             row = next(csv.DictReader(fh))
         assert int(row["inner_failures"]) > 0
@@ -121,6 +122,8 @@ class TestSolve:
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1
         assert err[0].startswith("not converged:") and "stalled SNCG calls" in err[0]
+        assert "stopped after two line searches in a row that moved nothing" in err[0]
+        assert "max_outer" not in err[0]
         assert (tmp_path / "run" / "traces.jsonl").exists()
         with open(tmp_path / "run" / "summary.csv") as fh:
             row = next(csv.DictReader(fh))
@@ -131,6 +134,8 @@ class TestSolve:
         # two refused line searches in a row end the stalled solve early
         # (it took all 200 outer iterations when it could not)
         assert any(not s["converged"] and s["outer_iters"] < wl21.AlmConfig().max_outer
+                   for s in inner)
+        assert all(s["stop_cause"] == ("converged" if s["converged"] else "line_search")
                    for s in inner)
 
     def test_nested_alm_configs_reach_the_solver(self, tmp_path, capsys):

@@ -296,7 +296,7 @@ class TestWarmStart:
 
 class TestProductCounts:
     @pytest.mark.parametrize("seed, sparse", [(7000, True), (7001, False)])
-    def test_products_with_a_on_a_wide_instance(self, seed, sparse):
+    def test_products_with_a_on_a_wide_instance(self, seed, sparse, monkeypatch):
         # every stage sieves: its only product with all of A is the A^T r of
         # each round's KKT check.  The rest are with A_W: per round the
         # products of an ALM solve (below), r = A_W x_W - b and, from stage 2
@@ -304,31 +304,77 @@ class TestProductCounts:
         # Newton step, one A^T xi per outer iteration and one for its first
         # SNCG call; the gradient's A s at each SNCG start and accepted step
         # and the objective's A x once per outer iteration run over their
-        # support when it is below p/8
+        # support when it is below p/8.  A_W has fewer than p/8 = n columns,
+        # so each r x r Newton system is built from its Gram, with one
+        # A_W^T v and one A_W u; only a spec with p <= n ever keeps a Gram
         from gsreg.wl21 import AlmConfig, SubproblemSpec
 
         inst = make_instance("I", "i", n=128, p=1024, m=128, r_bar=6, alpha=2.0,
                              theta1=0.1, theta2=0.1, seed=seed)
         box = default_box(inst.x_true)
+        grams = []  # (p <= n, a Gram came back) for each call
+        gram = SubproblemSpec.gram
+
+        def recording(self):
+            G = gram(self)
+            grams.append((self.p <= self.n, G is not None))
+            return G
+
+        monkeypatch.setattr(SubproblemSpec, "gram", recording)
         res = run(inst.A, inst.b, inst.g, box, MscraConfig())
+        monkeypatch.undo()
         assert res.converged and res.stages >= 2
+        assert (True, True) in grams and all(narrow == built for narrow, built in grams)
         for t in res.traces:
             s = t.inner_stats
             assert s.sieve_rounds >= 1 and s.dense_products == s.sieve_rounds
+            assert s.sncg_woodbury_systems > 0
             per_round = 2 + (t.k > 1)
             assert s.support_products == (2 * s.sncg_iters + 3 * s.outer_iters
+                                          + 2 * s.sncg_woodbury_systems
                                           + per_round * s.sieve_rounds)
         # stage 1's problem on all groups: every product that is not over the
         # support is dense, always for seed 7000, not for some of seed 7001
         n = inst.A.shape[0]
         spec = SubproblemSpec(A=inst.A, b=inst.b, g=inst.g, omega=np.full(inst.g.m, n / res.nu),
                               box=box)
-        _, _, s, _ = solve_stage(spec, AlmConfig(tol=MscraConfig().tol0), None,
-                                 np.ones(inst.g.m, dtype=bool))
+        _, _, s, _, last = solve_stage(spec, AlmConfig(tol=MscraConfig().tol0), None,
+                                       np.ones(inst.g.m, dtype=bool))
+        assert last is None
         assert s.sieve_rounds == 0 and s.working_set_groups == inst.g.m
         moved = s.dense_products - (s.sncg_iters + s.outer_iters + 1)
         assert s.support_products == s.sncg_iters + 2 * s.outer_iters - moved
         assert moved >= 0 and (moved == 0) == sparse
+
+
+class TestDesignReuse:
+    def test_a_working_set_inside_the_last_one_reuses_its_design(self, monkeypatch):
+        # the support shrinks from stage to stage, so each later stage's
+        # first working set lies inside the last one before it; its A_W is
+        # copied from that one, bit for bit, and its Gram sliced from that
+        # one's Gram.  A later round of a stage adds groups, so it gathers
+        from gsreg.wl21 import SubproblemSpec
+
+        inst = make_instance("I", "i", n=128, p=1024, m=128, r_bar=6, alpha=2.0,
+                             theta1=0.1, theta2=0.1, seed=7000)
+        made = []
+        restrict = SubproblemSpec.restrict
+
+        def recording(self, mask, within=None):
+            cols, sub = restrict(self, mask, within)
+            made.append((cols, sub, sub._gram is not None))
+            return cols, sub
+
+        monkeypatch.setattr(SubproblemSpec, "restrict", recording)
+        res = run(inst.A, inst.b, inst.g, default_box(inst.x_true), MscraConfig())
+        assert res.converged and res.stages >= 2
+        expected = [flag for t in res.traces
+                    for flag in [t.k > 1] + [False] * (t.inner_stats.sieve_rounds - 1)]
+        assert [sliced for _, _, sliced in made] == expected
+        for cols, sub, sliced in made:
+            assert np.array_equal(sub.A, inst.A[:, cols]) and sub.A.flags.c_contiguous
+            G = sub.A.T @ sub.A
+            assert np.allclose(sub.gram(), G, rtol=0, atol=1e-13 * np.max(np.abs(G)))
 
 
 class TestSieve:
@@ -389,10 +435,12 @@ class TestSieve:
         masks = []
         restrict = SubproblemSpec.restrict
         monkeypatch.setattr(SubproblemSpec, "restrict",
-                            lambda self, mask: masks.append(mask.copy()) or restrict(self, mask))
+                            lambda self, mask, within=None:
+                            masks.append(mask.copy()) or restrict(self, mask, within))
         cfg = AlmConfig(tol=1e-6)
-        x, _, stats, r = solve_stage(spec, cfg, None, start)
+        x, _, stats, r, (cols, _) = solve_stage(spec, cfg, None, start)
         W = masks[-1]
+        assert np.array_equal(cols, inst.g.segments(W)[0])
         assert stats.converged and stats.sieve_rounds == len(masks) >= 2
         # a round adds at most as many groups as its working set holds
         sizes = [np.count_nonzero(mask) for mask in masks]

@@ -284,7 +284,8 @@ class TestNewtonDirection:
     def test_woodbury_branch(self, shuffled, sigma, monkeypatch):
         # n = 40 exceeds p + m = 30, so r < n; the zero-weight groups enter with
         # c = 0 and the boundary group not at all; at sigma = 1e6 the box
-        # clips, and clipped coordinates (a whole group, once) leave J
+        # clips, and clipped coordinates (a whole group, once) leave J.
+        # p <= n, so the system is built from the spec's Gram
         g, y, omega = shuffled
         spec = self._spec(g, omega, n=40)
         (shape,) = self._solve(spec, y, sigma, monkeypatch)
@@ -297,6 +298,39 @@ class TestNewtonDirection:
         curved = sum(1 for i in range(g.m) if outside[i] and omega[i] > 0 and free[i] > 0)
         assert shape == (J + curved, J + curved) and J + curved < spec.n
         assert (J < sum(SIZES[i] for i in range(g.m) if outside[i])) == (sigma == 1e6)
+
+    @pytest.mark.parametrize("sigma", [3.0, 1e6])
+    def test_gram_and_gathered_woodbury_agree(self, shuffled, sigma, monkeypatch):
+        # the narrow spec (p = 23 <= n = 40) builds its r x r system from the
+        # Gram it keeps; with the Gram withheld the same system is formed
+        # from the gathered A_J.  At sigma = 1e6 the box clips a whole group
+        # (which leaves J) and parts of others; two groups have weight 0
+        g, y, omega = shuffled
+        spec = self._spec(g, omega, n=40)
+        assert spec.p <= spec.n and spec._gram is None
+        ((r, _),) = self._solve(spec, y, sigma, monkeypatch)
+        assert np.allclose(spec._gram, spec.A.T @ spec.A, rtol=0, atol=1e-14)
+        v = np.random.default_rng(8).standard_normal(spec.n)
+        counts = {"dense_products": 0}
+        d_gram, r_gram = newton_direction(v, y, sigma, spec, counts=counts)
+        assert r_gram == r < spec.n and counts == {"dense_products": 2}
+        monkeypatch.setattr(SubproblemSpec, "gram", lambda self: None)
+        counts = {"dense_products": 0}
+        d_gathered, r_gathered = newton_direction(v, y, sigma, spec, counts=counts)
+        assert r_gathered == r and counts == {"dense_products": 0}
+        assert np.linalg.norm(d_gram - d_gathered) <= 1e-12 * np.linalg.norm(d_gathered)
+        R = spec.box.R / sigma
+        x = bisection_prox(y, g, omega, R)
+        whole = [i for i, idx in enumerate(g.groups) if np.all(np.abs(x[idx]) == R)]
+        assert bool(whole) == (sigma == 1e6)
+
+    def test_wide_spec_builds_no_gram(self, shuffled, monkeypatch):
+        # p = 23 > n = 20: the Woodbury system is formed from the gathered A_J
+        g, y, omega = shuffled
+        spec = self._spec(g, omega, n=20)
+        assert spec.gram() is None
+        (shape,) = self._solve(spec, y, 1e6, monkeypatch)
+        assert shape[0] < spec.n and spec._gram is None
 
     def test_only_zero_weight_groups(self, shuffled, monkeypatch):
         # every group at weight 0: I - W = I, nothing is curved, and r = p

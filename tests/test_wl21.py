@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from conftest import clarke_block, dense_hessian, random_subproblem
-from gsreg.groups import BoxConstraint, contiguous_groups, group_norms, group_support
+from gsreg.groups import (BoxConstraint, GroupStructure, contiguous_groups, group_norms,
+                          group_support)
 from gsreg.wl21 import (
     AlmConfig,
     DualState,
@@ -591,6 +592,33 @@ class TestRestrict:
         assert np.array_equal(sub.omega, spec.omega[mask])
         assert sub.box == spec.box and np.array_equal(sub.b, spec.b)
         assert sub.g.m == 3 and sub.p == cols.size
+
+    def test_a_design_inside_an_earlier_one_is_copied_from_it(self, rng):
+        # groups scattered over the columns; the outer working set has
+        # 20 <= n = 30 columns, so it keeps a Gram
+        p, m = 48, 12
+        g = GroupStructure(p, np.split(rng.permutation(p), m))
+        base = random_subproblem(5, p=p, m=m)
+        spec = SubproblemSpec(A=base.A, b=base.b, g=g, omega=base.omega, box=base.box)
+        outer_mask = np.zeros(m, dtype=bool)
+        outer_mask[[1, 2, 5, 7, 9]] = True
+        outer = spec.restrict(outer_mask)
+        assert outer[1]._gram is None and outer[1].gram() is not None
+        inner_mask = np.zeros(m, dtype=bool)
+        inner_mask[[9, 2, 7]] = True
+        cols, sub = spec.restrict(inner_mask, within=outer)
+        assert np.array_equal(sub.A, spec.A[:, cols]) and sub.A.flags.c_contiguous
+        G = sub.A.T @ sub.A
+        assert sub._gram is not None
+        assert np.allclose(sub._gram, G, rtol=0, atol=1e-13 * np.max(np.abs(G)))
+        # a working set with a group outside is gathered from A, with no Gram yet
+        inner_mask[3] = True
+        cols, sub = spec.restrict(inner_mask, within=outer)
+        assert np.array_equal(sub.A, spec.A[:, cols]) and sub._gram is None
+        # an earlier working set that never computed its Gram lends none
+        inner_mask[3] = False
+        cols, sub = spec.restrict(inner_mask, within=spec.restrict(outer_mask))
+        assert np.array_equal(sub.A, spec.A[:, cols]) and sub._gram is None
 
     def test_state_is_restricted_and_lifted_back(self, rng):
         spec = random_subproblem(5)
