@@ -22,11 +22,14 @@ import numpy as np
 
 from .groups import BoxConstraint, GroupStructure, equilibrium_residual, group_norms, group_support
 from .penalties import PhiSpec, weight_from_subgradient
-from .wl21 import (_SPARSE_RATIO, AlmConfig, DualState, SolveStats, SubproblemSpec,
-                   _support_product, alm_solve)
+from .wl21 import AlmConfig, DualState, SolveStats, SubproblemSpec, alm_solve
 
 # numerator of the cap on the dynamic penalty factor (see rho_schedule)
 _RHO_CAP = 1e8
+# a stage is solved on a working set of groups only when its start covers
+# fewer than p / _SPARSE_RATIO columns, and stage 1 starts from
+# _SPARSE_RATIO groups (see solve_stage and _stage1_seed)
+_SPARSE_RATIO = 8
 
 
 @dataclass(frozen=True)
@@ -115,10 +118,27 @@ class MscraResult:
 
 
 def default_nu(A, b, factor: float = 0.1) -> float:
-    """Scaling rule making the stage-1 level ``lambda = (factor/n) ||A^T b||_inf``."""
+    """Scaling rule making the stage-1 level ``lambda = (factor/n) ||A^T b||_inf``.
+
+    Raises ValueError when ``A`` or ``b`` has a non-finite entry (see :func:`_finite_Atb`).
+    """
     A = np.asarray(A, dtype=float)
     b = np.asarray(b, dtype=float)
-    return _nu_from(A.T @ b, A.shape[0], factor)
+    return _nu_from(_finite_Atb(A, b), A.shape[0], factor)
+
+
+def _finite_Atb(A, b) -> np.ndarray:
+    """``A^T b``, or ValueError when it or ``b`` has a NaN or inf.
+
+    Any NaN or inf in ``A`` or ``b`` reaches some entry of ``A^T b``, so
+    ``A`` needs no pass of its own.  The product's own floating-point
+    warnings are silenced: the error says what went wrong.
+    """
+    with np.errstate(invalid="ignore", over="ignore"):
+        Atb = A.T @ b
+    if not (np.isfinite(b).all() and np.isfinite(Atb).all()):
+        raise ValueError("A and b must be finite: A^T b has a NaN or inf entry")
+    return Atb
 
 
 def _nu_from(Atb, n: int, factor: float) -> float:
@@ -173,7 +193,7 @@ def subproblem_tolerance(prev: float | None, cfg: MscraConfig) -> float:
 # the SolveStats counters that the rounds of a sieved stage add up
 _ROUND_SUMS = ("outer_iters", "sncg_iters", "wall_time", "sncg_fallbacks", "sncg_backtracks",
                "sncg_stalls", "sncg_unmet", "sncg_nn_systems", "sncg_woodbury_systems",
-               "dense_products", "support_products")
+               "dense_products", "working_set_products")
 
 
 def _merged(rounds, sieve_rounds: int, working_set_groups: int) -> SolveStats:
@@ -235,8 +255,9 @@ def solve_stage(spec: SubproblemSpec, cfg: AlmConfig, warm: DualState | None, st
     ``converged`` and ``stop_cause``; ``sieve_rounds`` counts its solves
     on a working set, and ``working_set_groups`` is the size of the last
     one, or m when the stage ended on all groups.  The products with
-    ``A_W``, and ``r``, count as ``support_products``, and the one
-    ``A^T r`` of each round as a dense product.
+    ``A_W``, ``r``'s among them, count as ``working_set_products``, and
+    the one ``A^T r`` of each round as a dense product; after a solve on
+    all groups, ``r`` counts as one more dense product.
     """
     def columns(mask) -> int:
         return int(np.count_nonzero(spec.g.broadcast(mask)))
@@ -247,8 +268,8 @@ def solve_stage(spec: SubproblemSpec, cfg: AlmConfig, warm: DualState | None, st
     while mask is not None:
         cols, sub = within = spec.restrict(mask, within)
         x_w, dual, stats = alm_solve(sub, cfg, warm=None if warm is None else warm.restrict(cols))
-        r = _support_product(sub.A, x_w) - spec.b
-        stats.support_products += stats.dense_products + 1
+        r = sub.A @ x_w - spec.b
+        stats.working_set_products += stats.dense_products + 1
         stats.dense_products = 1
         rounds.append(stats)
         add = _violators(spec, r, mask)
@@ -261,8 +282,9 @@ def solve_stage(spec: SubproblemSpec, cfg: AlmConfig, warm: DualState | None, st
         if columns(mask) > limit:
             break
     x, dual, stats = alm_solve(spec, cfg, warm=warm)
+    stats.dense_products += 1
     stats = _merged(rounds + [stats], len(rounds), spec.g.m)
-    return x, dual, stats, _support_product(spec.A, x) - spec.b, within
+    return x, dual, stats, spec.A @ x - spec.b, within
 
 
 def stopping_check(curr: StageTrace, prev: StageTrace | None, cfg: MscraConfig) -> str | None:
@@ -278,12 +300,15 @@ def stopping_check(curr: StageTrace, prev: StageTrace | None, cfg: MscraConfig) 
 
 def run(A, b, g: GroupStructure, box: BoxConstraint,
         cfg: MscraConfig | None = None) -> MscraResult:
-    """Run the full multi-stage loop and return the final iterate with traces."""
+    """Run the full multi-stage loop and return the final iterate with traces.
+
+    Raises ValueError when ``A`` or ``b`` has a non-finite entry, whatever ``cfg.nu`` is.
+    """
     cfg = cfg or MscraConfig()
     A = np.asarray(A, dtype=float)
     b = np.asarray(b, dtype=float)
     n = A.shape[0]
-    Atb = A.T @ b
+    Atb = _finite_Atb(A, b)
     nu = cfg.nu if cfg.nu is not None else _nu_from(Atb, n, cfg.nu_factor)
     if not nu > 0:
         raise ValueError("nu must be positive")

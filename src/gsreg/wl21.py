@@ -27,7 +27,9 @@ working sets of the multi-stage loop) computes ``G`` once, on its first
 such system, and keeps it for as long as the instance lives
 (:meth:`SubproblemSpec.gram`); being p x p, it is never larger than
 ``A``.  A wide instance builds no Gram and forms ``B`` from a gathered
-copy of ``A_J`` (:func:`newton_direction`).
+copy of ``A_J`` (:func:`newton_direction`).  Every other product is with
+the instance's whole ``A``; the multi-stage loop keeps them small by
+solving on the narrow ``A_W`` of a working set (:func:`gsreg.mscra.solve_stage`).
 """
 
 from __future__ import annotations
@@ -210,10 +212,10 @@ class SolveStats:
     sncg_nn_systems: int = 0
     sncg_woodbury_systems: int = 0
     sncg_max_r: int = 0
-    # products with A or A^T over all p columns, and products A v taken
-    # over the nonzero columns of v only (see _support_product)
+    # products with A or A^T over all p columns, and, in a stage solved on a
+    # working set of groups, products with its A_W (see mscra.solve_stage)
     dense_products: int = 0
-    support_products: int = 0
+    working_set_products: int = 0
     # set by the multi-stage loop (see mscra.solve_stage): the rounds of a
     # stage solved on a working set of groups (0 for a stage on all groups),
     # and the groups of the last round's working set (m on all groups)
@@ -279,30 +281,6 @@ def lagrangian_value(state: DualState, spec: SubproblemSpec) -> float:
 def _reduced_point(xi, eta, state: DualState, spec: SubproblemSpec) -> np.ndarray:
     """``y = A^T xi + eta + x/sigma``, the point the prox acts on."""
     return spec.A.T @ np.asarray(xi, dtype=float) + eta + state.x / state.sigma
-
-
-# a product with A gathers the nonzero columns of its vector, and a stage of
-# the multi-stage loop starts on a working set of groups, only when they are
-# fewer than p / _SPARSE_RATIO columns; stage 1 starts from _SPARSE_RATIO
-# groups (see mscra.solve_stage)
-_SPARSE_RATIO = 8
-
-
-def _support_product(A, v, counts: dict | None = None) -> np.ndarray:
-    """``A @ v``, multiplying only the columns where ``v`` is nonzero when they are fewer than p/8.
-
-    At p/8 nonzeros or more it is ``A @ v`` itself.  ``counts``, when
-    given, gets one more ``"support_products"`` or ``"dense_products"``.
-    """
-    if _SPARSE_RATIO * np.count_nonzero(v) >= v.size:
-        if counts is not None:
-            counts["dense_products"] += 1
-        return A @ v
-    if counts is not None:
-        counts["support_products"] += 1
-    nz = np.flatnonzero(v)
-    # "clip" keeps take from buffering (every index is valid)
-    return np.take(A, nz, axis=1, mode="clip") @ v[nz]
 
 
 def _box_clip(s, spec: SubproblemSpec, R: float):
@@ -564,22 +542,21 @@ def sncg_solve(state: DualState, spec: SubproblemSpec, grad_tol: float, max_iter
     that refuses every trial step, which leaves xi where it was.
 
     ``At_xi0``, when given, is ``A^T xi0``, so that the start costs no
-    product with ``A^T``.  Each Newton step then makes one dense product,
-    ``A^T d``, and two more when its system is solved on the Gram of a
-    narrow instance (:func:`newton_direction`); the gradient's ``A s`` at
-    the start and at each accepted point runs over the nonzero columns of
-    the prox ``s`` only (:func:`_support_product`).  Returns the final xi
-    and per-call statistics; ``met`` says whether the gradient norm
+    product with ``A^T``.  The gradient takes one product ``A s`` at the
+    start and one at each accepted point.  Each Newton step makes one
+    more, ``A^T d``, and two more when its system is solved on the Gram
+    of a narrow instance (:func:`newton_direction`).  Returns the final
+    xi and per-call statistics; ``met`` says whether the gradient norm
     ``gnorm`` ended at or below ``grad_tol``, ``nn_systems``,
     ``woodbury_systems`` and ``max_r`` count the Newton systems by form
-    and size (see :func:`newton_direction`), and ``dense_products`` and
-    ``support_products`` count the products with ``A`` and ``A^T``.
+    and size (see :func:`newton_direction`), and ``dense_products``
+    counts the products with ``A`` and ``A^T``.
     """
     xi = np.zeros(spec.n) if xi0 is None else np.asarray(xi0, dtype=float).copy()
     # "cg_iters" stays 0: the benchmark tracer still reads it (ROADMAP item 1 removes it)
     stats = {"iters": 0, "cg_iters": 0, "fallbacks": 0, "backtracks": 0, "stalls": 0,
              "nn_systems": 0, "woodbury_systems": 0, "max_r": 0,
-             "dense_products": 0, "support_products": 0, "met": False}
+             "dense_products": 0, "met": False}
     sigma = state.sigma
     R = spec.box.R / sigma
     if At_xi0 is None:
@@ -587,7 +564,8 @@ def sncg_solve(state: DualState, spec: SubproblemSpec, grad_tol: float, max_iter
         stats["dense_products"] += 1
     y = At_xi0 + state.x / sigma
     f, prox = _psi(xi, y, sigma, R, spec)
-    g = spec.b + xi + sigma * _support_product(spec.A, prox.s, stats)
+    g = spec.b + xi + sigma * (spec.A @ prox.s)
+    stats["dense_products"] += 1
     gnorm = np.linalg.norm(g)
     for _ in range(max_iter):
         if gnorm <= grad_tol:
@@ -619,7 +597,8 @@ def sncg_solve(state: DualState, spec: SubproblemSpec, grad_tol: float, max_iter
             stats["stalls"] += 1
             break
         stats["iters"] += 1
-        g_new = spec.b + xi_new + sigma * _support_product(spec.A, prox_new.s, stats)
+        g_new = spec.b + xi_new + sigma * (spec.A @ prox_new.s)
+        stats["dense_products"] += 1
         gnorm_new = np.linalg.norm(g_new)
         stalled = f_new >= f and gnorm_new >= gnorm
         xi, y, f, g, gnorm, prox = xi_new, y_new, f_new, g_new, gnorm_new, prox_new
@@ -652,8 +631,8 @@ def abcd_solve(state: DualState, spec: SubproblemSpec, sncg_tol: float, max_iter
     ``(eta, xi, zeta, x_new, stats)``: ``stats["sncg"]`` holds the
     statistics of the SNCG call, ``stats["At_xi"]`` that product, for the
     next call to start from, ``stats["keep"]`` the groups where the prox
-    ``s`` is nonzero, and ``stats["dense_products"]`` and
-    ``stats["support_products"]`` count the products of the whole call.
+    ``s`` is nonzero, and ``stats["dense_products"]`` counts the products
+    of the whole call.
 
     The name and the 5-tuple with the statistics last are those of the
     block coordinate descent this replaced: the benchmark tracer looks
@@ -676,20 +655,18 @@ def abcd_solve(state: DualState, spec: SubproblemSpec, sncg_tol: float, max_iter
     return eta, xi, zeta, x_new, {
         "iters": 1, "sncg": s_stats, "At_xi": At_xi, "keep": nrm > spec.omega,
         "dense_products": s_stats["dense_products"] + 1,
-        "support_products": s_stats["support_products"],
     }
 
 
-def primal_objective(x, spec: SubproblemSpec, counts: dict | None = None) -> float:
+def primal_objective(x, spec: SubproblemSpec) -> float:
     """Stage objective ``(1/2n)||Ax-b||^2 + (1/n) sum omega_i ||x_Ji||``; +inf outside the box.
 
-    ``A x`` runs over the nonzero columns of ``x`` when they are fewer
-    than p/8 (:func:`_support_product`, which counts it in ``counts``).
+    Inside the box it takes one product, ``A x``.
     """
     x = np.asarray(x, dtype=float)
     if np.max(np.abs(x)) > spec.box.R:
         return np.inf
-    r = _support_product(spec.A, x, counts) - spec.b
+    r = spec.A @ x - spec.b
     return float((0.5 * (r @ r) + spec.omega @ group_norms(x, spec.g)) / spec.n)
 
 
@@ -769,18 +746,15 @@ def alm_solve(spec: SubproblemSpec, cfg: AlmConfig | None = None,
     strongly convex in xi, so the scaling changes only the path of the
     first SNCG call.
 
-    ``stats.dense_products`` and ``stats.support_products`` count the
-    products with ``A`` and ``A^T`` (see :func:`_support_product`).  The
-    dense ones are one ``A^T d`` per Newton step, two per Newton system
-    solved on the Gram of a narrow instance (:func:`newton_direction`;
-    the one matrix product that computes the Gram is not counted), one
-    ``A^T xi`` per outer iteration, and at the start one ``A^T xi`` for
-    the first SNCG call and, from a warm state, one for
-    :func:`_ball_scale`.  The support ones are
-    the gradient's ``A s`` at the start of each SNCG call and at each
-    accepted Newton step, and ``A x`` in :func:`primal_objective` once per
-    outer iteration; each of them is counted as dense instead when its
-    vector has p/8 nonzeros or more.
+    ``stats.dense_products`` counts the products with ``A`` and ``A^T``:
+    two per Newton step, ``A^T d`` and the gradient's ``A s`` at the
+    accepted point; two more per Newton system solved on the Gram of a
+    narrow instance (:func:`newton_direction`; the one matrix product
+    that computes the Gram is not counted); three per outer iteration,
+    the gradient's ``A s`` at the start of its SNCG call, the exact
+    ``A^T xi`` and ``A x`` in :func:`primal_objective`; and at the start
+    one ``A^T xi`` for the first SNCG call and, from a warm state, one
+    for :func:`_ball_scale`.
     """
     cfg = cfg or AlmConfig()
     t0 = time.perf_counter()
@@ -813,8 +787,7 @@ def alm_solve(spec: SubproblemSpec, cfg: AlmConfig | None = None,
         # the primal solution is the negated multiplier under this
         # Lagrangian sign convention; gap evaluated at its box projection
         x_feas = np.clip(-x_new, -spec.box.R, spec.box.R)
-        # vars(stats) holds the product counters primal_objective adds to
-        pobj = primal_objective(x_feas, spec, vars(stats))
+        pobj = primal_objective(x_feas, spec)
         dobj = dual_objective(state, spec)
         eps_gap = abs(pobj + dobj) / (1.0 + abs(pobj)) if np.isfinite(dobj) else np.inf
         stats.outer_iters = j + 1
@@ -826,8 +799,7 @@ def alm_solve(spec: SubproblemSpec, cfg: AlmConfig | None = None,
         stats.sncg_nn_systems += s_stats["nn_systems"]
         stats.sncg_woodbury_systems += s_stats["woodbury_systems"]
         stats.sncg_max_r = max(stats.sncg_max_r, s_stats["max_r"])
-        stats.dense_products += a_stats["dense_products"]
-        stats.support_products += a_stats["support_products"]
+        stats.dense_products += a_stats["dense_products"] + 1  # and primal_objective's A x
         stats.eps_pinf, stats.eps_dinf, stats.eps_gap = eps_pinf, eps_dinf, eps_gap
         stalled = bool(eps_dinf > _STALL_RATIO * eps_dinf_prev)
         eps_dinf_prev = eps_dinf

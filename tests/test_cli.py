@@ -85,14 +85,15 @@ class TestSolve:
         assert main(["solve", str(d), "--out", str(tmp_path / "run")]) == 0
         with open(tmp_path / "run" / "traces.jsonl") as fh:
             stages = [json.loads(line) for line in fh]
-        # dense: A^T d per Newton step, A^T xi per outer iteration, one A^T xi
-        # at the start and one more for a warm start; A s per Newton step and
-        # A s and A x per outer iteration go to either counter
+        # groups of 8 columns and p/8 = 12: every stage runs on all groups, so
+        # every product is with all of A: A^T d and A s per Newton step, A s,
+        # A^T xi and A x per outer iteration, one A^T xi at the start, one more
+        # for a warm start, and r = Ax - b
         for t in stages:
             s, warm = t["inner"], t["k"] > 1
-            assert s["dense_products"] >= s["sncg_iters"] + s["outer_iters"] + 1 + warm
-            assert s["dense_products"] + s["support_products"] == (
-                2 * s["sncg_iters"] + 3 * s["outer_iters"] + 1 + warm)
+            assert s["sieve_rounds"] == 0
+            assert s["dense_products"] + s["working_set_products"] == (
+                2 * s["sncg_iters"] + 3 * s["outer_iters"] + 2 + warm)
 
     def test_inner_failures_exit_1_with_reason(self, tmp_path, capsys):
         d = self._instance_dir(tmp_path)
@@ -215,6 +216,19 @@ class TestSolve:
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1
         assert err[0].startswith("error:") and name in err[0] and message in err[0]
+        assert not (tmp_path / "run").exists()
+
+    @pytest.mark.parametrize("config", [{}, {"nu": 1.0}], ids=["default_nu", "nu_set"])
+    def test_non_finite_b_exits_2(self, tmp_path, capsys, config):
+        inst = make_instance("I", "i", 48, 96, 12, 3, 1.0, 0.1, 0.1, seed=41)
+        inst.b[3] = np.nan
+        d = gio.save_instance(tmp_path / "inst", inst)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        code = main(["solve", str(d), "--config", str(cfg), "--out", str(tmp_path / "run")])
+        assert code == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert err == ["error: A and b must be finite: A^T b has a NaN or inf entry"]
         assert not (tmp_path / "run").exists()
 
     def test_missing_instance_exits_2(self, tmp_path, capsys):

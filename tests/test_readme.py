@@ -20,3 +20,12 @@ def test_readme_python_blocks_run(capsys):
         exec(compile(block, f"README.md python block {i}", "exec"), namespace)
     assert namespace["result"].converged
     assert namespace["stats"].converged
+
+
+def test_solve_statistics_table_lists_every_solve_stats_key():
+    from gsreg.wl21 import SolveStats
+
+    text = README.read_text()
+    table = text[text.index("### Solve statistics"):].split("\n\n")[2]
+    keys = re.findall(r"^\| `(\w+)` \|", table, flags=re.M)
+    assert keys == list(SolveStats().to_dict())

@@ -23,7 +23,6 @@ from gsreg.wl21 import (
     DualState,
     SubproblemSpec,
     _psi,
-    _support_product,
     gen_hessian_apply,
     newton_direction,
     project_group_balls,
@@ -345,39 +344,3 @@ class TestNewtonDirection:
         d, r = newton_direction(v, np.ones(spec.p), 1e6, spec)
         assert np.array_equal(d, v) and d is not v and r == 0
 
-
-class TestSupportProduct:
-    """``_support_product`` matches ``A @ v`` on both sides of its switch at p/8 nonzeros."""
-
-    P = 1024
-
-    def _check(self, v, on_support):
-        A = np.random.default_rng(5).standard_normal((16, v.size))
-        counts = {"dense_products": 0, "support_products": 0}
-        out = _support_product(A, v, counts)
-        expected = A @ v
-        assert np.linalg.norm(out - expected) <= 1e-12 * np.linalg.norm(expected)
-        assert counts == {"dense_products": int(not on_support),
-                          "support_products": int(on_support)}
-        if not on_support:
-            assert np.array_equal(out, expected)
-
-    @pytest.mark.parametrize("k, on_support", [
-        (0, True), (1, True), (P // 8 - 1, True), (P // 8, False), (P, False),
-    ])
-    def test_matches_the_dense_product(self, k, on_support):
-        rng = np.random.default_rng(k)
-        v = np.zeros(self.P)
-        v[rng.choice(self.P, k, replace=False)] = rng.uniform(0.5, 2.0, k) * rng.choice([-1, 1], k)
-        self._check(v, on_support)
-
-    def test_support_on_groups_of_a_shuffled_partition(self):
-        # the prox is nonzero on whole groups, here scattered over the columns
-        rng = np.random.default_rng(6)
-        g = GroupStructure(self.P, np.split(rng.permutation(self.P), 128))
-        assert g.perm is not None
-        on = np.zeros(g.m, dtype=bool)
-        on[[3, 40, 41, 97, 127]] = True
-        v = g.broadcast(on) * rng.standard_normal(self.P)
-        assert 0 < np.count_nonzero(v) < self.P // 8
-        self._check(v, on_support=True)
