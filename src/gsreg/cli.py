@@ -50,6 +50,12 @@ class ExperimentPlan:
     reps: int = 10
     seed: int = 0
 
+    def __post_init__(self):
+        if not self.betas or not all(1 <= beta <= self.p for beta in self.betas):
+            raise ValueError(f"each beta must lie in [1, p = {self.p}], got {list(self.betas)}")
+        if self.reps < 1:
+            raise ValueError(f"reps must be at least 1, got {self.reps}")
+
     def cells(self):
         """Deterministic enumeration of (signal, beta, rep, seed) cells."""
         idx = 0
@@ -307,6 +313,8 @@ def cmd_bench(args) -> int:
 
 
 def cmd_oracle(args) -> int:
+    if args.nu is not None and not (np.isfinite(args.nu) and args.nu > 0):
+        raise ValueError(f"nu must be positive and finite, got {args.nu}")
     inst = gio.load_instance(args.instance)
     report = {}
     res = oracle_ls(inst)

@@ -134,9 +134,18 @@ class GroupStructure:
 
     @classmethod
     def from_json(cls, text: str) -> "GroupStructure":
+        """The structure of :meth:`to_json`'s text; raises ValueError on any other shape."""
         obj = json.loads(text)
-        groups = [np.asarray(idx, dtype=np.intp) - 1 for idx in obj["groups"]]
-        return cls(int(obj["p"]), groups)
+        groups = obj.get("groups") if isinstance(obj, dict) else None
+        if not (isinstance(groups, list) and _is_int(obj.get("p"))
+                and all(isinstance(idx, list) and all(map(_is_int, idx)) for idx in groups)):
+            raise ValueError('expected an object with an integer "p" and a list of'
+                             ' integer lists under "groups"')
+        return cls(obj["p"], [np.asarray(idx, dtype=np.intp) - 1 for idx in groups])
+
+
+def _is_int(v) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool)
 
 
 def contiguous_groups(p: int, m: int) -> GroupStructure:

@@ -80,8 +80,13 @@ def load_instance(directory) -> Instance:
     A = read_matrix(d / "A.gsrm")
     n, p = A.shape
     b = read_vector(d / "b.f64", n)
-    g = GroupStructure.from_json((d / "groups.json").read_text())
+    try:
+        g = GroupStructure.from_json((d / "groups.json").read_text())
+    except ValueError as exc:
+        raise ValueError(f"{d / 'groups.json'}: {exc}") from None
     meta = json.loads((d / "meta.json").read_text())
+    if not isinstance(meta, dict):
+        raise ValueError(f"{d / 'meta.json'}: expected a JSON object, got {type(meta).__name__}")
     seed = meta.pop("seed", None)
     support = meta.pop("support_true", None)
     x_true = read_vector(d / "x_true.f64", p) if (d / "x_true.f64").exists() else None

@@ -222,8 +222,7 @@ def _violators(spec: SubproblemSpec, r, mask) -> np.ndarray:
     return add
 
 
-def solve_stage(spec: SubproblemSpec, cfg: AlmConfig, warm: DualState | None, start,
-                within=None):
+def solve_stage(spec: SubproblemSpec, cfg: AlmConfig, warm: DualState | None, start):
     """Solve one stage subproblem, on a working set of groups when ``start`` is small.
 
     ``start`` masks the groups to start from.  When it covers p/8 columns
@@ -243,15 +242,12 @@ def solve_stage(spec: SubproblemSpec, cfg: AlmConfig, warm: DualState | None, st
     whose ``W`` holds every group the solve on all groups ever makes
     active repeats that solve's iterates.
 
-    ``within``, the last working set of an earlier stage as
-    :meth:`SubproblemSpec.restrict` returned it, lends ``A_W`` and its Gram
-    to a round whose ``W`` it holds, as happens when the support shrinks.
+    Each round gathers its ``A_W`` from ``A`` (:meth:`SubproblemSpec.restrict`),
+    and a narrow one computes its Gram on its first Woodbury system.
 
-    Returns ``(x, dual, stats, r, last)`` with ``r = Ax - b``, ``dual`` on
-    all p coordinates and ``last`` the ``(cols, spec)`` of this stage's
-    last working set (``within`` when it has none), for the next stage's
-    ``within``.  A sieved stage's stats sum its rounds' counters and wall
-    times and concatenate their histories, and keep the last round's
+    Returns ``(x, dual, stats, r)`` with ``r = Ax - b`` and ``dual`` on
+    all p coordinates.  A sieved stage's stats sum its rounds' counters
+    and wall times and concatenate their histories, and keep the last round's
     ``converged`` and ``stop_cause``; ``sieve_rounds`` counts its solves
     on a working set, and ``working_set_groups`` is the size of the last
     one, or m when the stage ended on all groups.  The products with
@@ -266,7 +262,7 @@ def solve_stage(spec: SubproblemSpec, cfg: AlmConfig, warm: DualState | None, st
     mask = None if columns(start) >= limit else np.array(start, dtype=bool)
     rounds = []
     while mask is not None:
-        cols, sub = within = spec.restrict(mask, within)
+        cols, sub = spec.restrict(mask)
         x_w, dual, stats = alm_solve(sub, cfg, warm=None if warm is None else warm.restrict(cols))
         r = sub.A @ x_w - spec.b
         stats.working_set_products += stats.dense_products + 1
@@ -277,14 +273,14 @@ def solve_stage(spec: SubproblemSpec, cfg: AlmConfig, warm: DualState | None, st
             x = np.zeros(spec.p)
             x[cols] = x_w
             stats = _merged(rounds, len(rounds), int(np.count_nonzero(mask)))
-            return x, dual.lifted(cols, spec.p), stats, r, within
+            return x, dual.lifted(cols, spec.p), stats, r
         mask |= add
         if columns(mask) > limit:
             break
     x, dual, stats = alm_solve(spec, cfg, warm=warm)
     stats.dense_products += 1
     stats = _merged(rounds + [stats], len(rounds), spec.g.m)
-    return x, dual, stats, spec.A @ x - spec.b, within
+    return x, dual, stats, spec.A @ x - spec.b
 
 
 def stopping_check(curr: StageTrace, prev: StageTrace | None, cfg: MscraConfig) -> str | None:
@@ -322,7 +318,6 @@ def run(A, b, g: GroupStructure, box: BoxConstraint,
     x = np.zeros(g.p)
     start = _stage1_seed(Atb, g)
     support = None
-    design = None  # the last working set, lent to the next stage (see solve_stage)
     stop_reason = "max_stages"
 
     for k in range(1, cfg.max_stages + 1):
@@ -333,8 +328,7 @@ def run(A, b, g: GroupStructure, box: BoxConstraint,
         if support is not None:
             start = omega == 0.0
             start[support] = True
-        x, warm, stats, r, design = solve_stage(spec, replace(cfg.alm, tol=tol), warm, start,
-                                                design)
+        x, warm, stats, r = solve_stage(spec, replace(cfg.alm, tol=tol), warm, start)
         loss = float(0.5 * (r @ r) / n)
         eq = equilibrium_residual(x, w, g)  # uses the stage-(k-1) weights
         support = group_support(x, g)

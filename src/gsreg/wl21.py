@@ -29,7 +29,8 @@ such system, and keeps it for as long as the instance lives
 ``A``.  A wide instance builds no Gram and forms ``B`` from a gathered
 copy of ``A_J`` (:func:`newton_direction`).  Every other product is with
 the instance's whole ``A``; the multi-stage loop keeps them small by
-solving on the narrow ``A_W`` of a working set (:func:`gsreg.mscra.solve_stage`).
+solving on the narrow ``A_W`` of a working set, gathered from ``A`` for
+each solve (:meth:`SubproblemSpec.restrict`, :func:`gsreg.mscra.solve_stage`).
 """
 
 from __future__ import annotations
@@ -94,37 +95,21 @@ class SubproblemSpec:
             object.__setattr__(self, "_gram", self.A.T @ self.A)
         return self._gram
 
-    def restrict(self, mask, within=None) -> tuple[np.ndarray, "SubproblemSpec"]:
+    def restrict(self, mask) -> tuple[np.ndarray, "SubproblemSpec"]:
         """The instance on the groups selected by ``mask``: ``(cols, spec)``.
 
         ``spec`` keeps ``b``, the box and the selected weights, and its
-        design is ``A[:, cols]`` (see :meth:`GroupStructure.subset`).  Its
-        solution, set into ``x[cols]`` of a zero ``x``, solves this
-        instance when every group outside ``mask`` has
-        ``||A_i^T (Ax - b)|| <= omega_i``.
-
-        ``within``, when given, is the ``(cols, spec)`` of an earlier
-        restriction of an instance with the same ``A``.  If it holds every
-        column of ``cols``, the design is copied from its smaller one, and
-        its Gram, if it has computed one, is sliced rather than computed
-        again; otherwise the design is gathered from ``A``.
+        design is ``A[:, cols]`` (see :meth:`GroupStructure.subset`),
+        gathered from ``A``; like any instance, it computes its own Gram
+        when a Newton system first needs one.  Its solution, set into
+        ``x[cols]`` of a zero ``x``, solves this instance when every group
+        outside ``mask`` has ``||A_i^T (Ax - b)|| <= omega_i``.
         """
         mask = np.asarray(mask, dtype=bool)
         cols, g = self.g.subset(mask)
-        src, idx, gram = self.A, cols, None
-        if within is not None:
-            outer_cols, outer = within
-            pos = np.full(self.p, -1)
-            pos[outer_cols] = np.arange(outer_cols.size)
-            if np.all(pos[cols] >= 0):
-                src, idx = outer.A, pos[cols]
-                if outer._gram is not None:
-                    gram = outer._gram[np.ix_(idx, idx)]
         # "clip" keeps take from buffering (every index is valid)
-        A = np.take(src, idx, axis=1, mode="clip")
-        spec = SubproblemSpec(A=A, b=self.b, g=g, omega=self.omega[mask], box=self.box)
-        object.__setattr__(spec, "_gram", gram)
-        return cols, spec
+        A = np.take(self.A, cols, axis=1, mode="clip")
+        return cols, SubproblemSpec(A=A, b=self.b, g=g, omega=self.omega[mask], box=self.box)
 
 
 @dataclass
@@ -231,14 +216,6 @@ class SolveStats:
 # elementary maps
 
 
-def prox_l1(z, gamma: float) -> np.ndarray:
-    """Componentwise soft threshold at level ``gamma >= 0``."""
-    if gamma < 0:
-        raise ValueError("gamma must be nonnegative")
-    z = np.asarray(z, dtype=float)
-    return np.sign(z) * np.maximum(np.abs(z) - gamma, 0.0)
-
-
 def project_group_balls(y, g: GroupStructure, omega, nrm=None) -> np.ndarray:
     """Projection onto the product of group balls of radii ``omega``.
 
@@ -263,7 +240,8 @@ def eta_update(state: DualState, spec: SubproblemSpec) -> np.ndarray:
     if not state.sigma > 0:
         raise ValueError("sigma must be positive")
     arg = state.zeta - spec.A.T @ state.xi - state.x / state.sigma
-    return prox_l1(arg, spec.box.R / state.sigma)
+    # soft threshold at R / sigma
+    return np.sign(arg) * np.maximum(np.abs(arg) - spec.box.R / state.sigma, 0.0)
 
 
 def lagrangian_value(state: DualState, spec: SubproblemSpec) -> float:
@@ -397,21 +375,15 @@ def _active_groups(y, spec: SubproblemSpec, R: float, prox: ProxPoint | None = N
     return cols, np.cumsum(sizes) - sizes, seg, a[active], c[active]
 
 
-def _jacobian_factor(y, spec: SubproblemSpec, R: float, prox: ProxPoint | None = None):
+def _gathered_factor(y, spec: SubproblemSpec, active):
     """A factor ``B = [Z, W]`` with ``B B^T = A (I - W_y) A^T``, ``I - W_y`` the prox Jacobian at ``y``.
 
-    The prox has the box radius ``R`` (see :func:`_active_groups`, which
-    takes ``prox``, the :class:`ProxPoint` at ``y``, or computes it).
+    ``active`` is the output of :func:`_active_groups` at ``y``.
     ``Z = A_J diag(sqrt(a))`` and, on the groups with ``c_i > 0``, the
     columns of ``W`` are ``sqrt(c_i) A_{J_i} y_i``, so that
     ``A (I - W_y) A^T = Z Z^T + W W^T``.  Both have ``n`` rows; an empty
     ``J`` gives no columns.
     """
-    return _gathered_factor(y, spec, _active_groups(y, spec, R, prox))
-
-
-def _gathered_factor(y, spec: SubproblemSpec, active):
-    """``(Z, W)`` of :func:`_jacobian_factor`, given the output of :func:`_active_groups`."""
     cols, starts, seg, a, c = active
     # "clip" keeps take from buffering (every index is valid)
     Z = np.take(spec.A, cols, axis=1, mode="clip")
@@ -427,11 +399,12 @@ def gen_hessian_apply(d, xi, eta, state: DualState, spec: SubproblemSpec) -> np.
     """Apply the generalized Hessian ``I + sigma A (I - W) A^T`` of :func:`phi_kj_value` to ``d``.
 
     It is ``d + sigma (Z (Z^T d) + W (W^T d))`` with the factor of
-    :func:`_jacobian_factor` that :func:`newton_direction` solves with,
+    :func:`_gathered_factor` that :func:`newton_direction` solves with,
     taken where the box clips nothing: an oracle for that factor.
     """
     d = np.asarray(d, dtype=float)
-    Z, W = _jacobian_factor(_reduced_point(xi, eta, state, spec), spec, np.inf)
+    y = _reduced_point(xi, eta, state, spec)
+    Z, W = _gathered_factor(y, spec, _active_groups(y, spec, np.inf))
     return d + state.sigma * (Z @ (Z.T @ d) + W @ (W.T @ d))
 
 
@@ -447,7 +420,7 @@ def newton_direction(v, y, sigma: float, spec: SubproblemSpec, prox: ProxPoint |
     whose column for a curved group i (``c_i > 0``) holds
     ``sqrt(c_i) y_i`` on the rows of that group.  ``B`` has
     ``r = |J| + #{c_i > 0}`` columns.  If ``r >= n`` the n x n system is
-    solved with ``B = [Z, W]`` of :func:`_jacobian_factor`; otherwise the
+    solved with ``B = [Z, W]`` of :func:`_gathered_factor`; otherwise the
     Woodbury identity ``d = v - sigma B (I_r + sigma B^T B)^{-1} B^T v``
     needs only an r x r one.  On a narrow instance (p <= n) that system
     is ``I_r + sigma E^T G_JJ E``, with ``G_JJ`` the ``J`` block of the

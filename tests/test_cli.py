@@ -231,6 +231,23 @@ class TestSolve:
         assert err == ["error: A and b must be finite: A^T b has a NaN or inf entry"]
         assert not (tmp_path / "run").exists()
 
+    @pytest.mark.parametrize("name, text", [
+        ("groups.json", '{"p": 96}'),
+        ("groups.json", '{"p": 96, "groups": 5}'),
+        ("groups.json", "[[1, 2], [3, 4]]"),
+        ("meta.json", '[1, 2]'),
+    ], ids=["groups_missing", "groups_not_a_list", "groups_top_level_list",
+            "meta_top_level_list"])
+    def test_malformed_instance_file_exits_2(self, tmp_path, capsys, monkeypatch, name, text):
+        d = self._instance_dir(tmp_path)
+        (d / name).write_text(text)
+        monkeypatch.setattr("gsreg.cli.run", lambda *a, **k: pytest.fail("solve ran"))
+        assert main(["solve", str(d), "--out", str(tmp_path / "run")]) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1
+        assert err[0].startswith("error:") and str(d / name) in err[0]
+        assert not (tmp_path / "run").exists()
+
     def test_missing_instance_exits_2(self, tmp_path, capsys):
         assert main(["solve", str(tmp_path / "nope")]) == 2
 
@@ -327,7 +344,36 @@ class TestBench:
         assert all(r["gep_relerr"] != r["stage1_relerr"] for r in rows)
 
 
+class TestPlanFlags:
+    @pytest.mark.parametrize("command", ["gen", "bench"])
+    @pytest.mark.parametrize("flag, value, message", [
+        ("betas", "0", "each beta must lie in [1, p = 48], got [0]"),
+        ("betas", "4,49", "each beta must lie in [1, p = 48], got [4, 49]"),
+        ("reps", "0", "reps must be at least 1, got 0"),
+        ("reps", "-1", "reps must be at least 1, got -1"),
+    ], ids=["beta_zero", "beta_above_p", "reps_zero", "reps_negative"])
+    def test_bad_plan_exits_2(self, tmp_path, capsys, command, flag, value, message):
+        out = tmp_path / "out"
+        args = (_gen_args if command == "gen" else _bench_args)(out)
+        args[args.index(f"--{flag}") + 1] = value
+        assert main(args) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert err == [f"error: {message}"]
+        assert not out.exists()
+
+
 class TestOracle:
+    @pytest.mark.parametrize("nu", ["-1", "0", "nan", "inf"])
+    def test_bad_nu_exits_2(self, tmp_path, capsys, nu):
+        inst = make_instance(design="I", signal="i", n=20, p=16, m=8, r_bar=2,
+                             alpha=1.0, theta1=0.0, theta2=0.05, seed=42)
+        d = gio.save_instance(tmp_path / "inst", inst)
+        assert main(["oracle", str(d), "--nu", nu]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.strip().splitlines() == [
+            f"error: nu must be positive and finite, got {float(nu)}"]
+
     def test_report(self, tmp_path, capsys):
         inst = make_instance(design="I", signal="i", n=20, p=16, m=8, r_bar=2,
                              alpha=1.0, theta1=0.0, theta2=0.05, seed=42)

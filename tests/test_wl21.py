@@ -19,35 +19,9 @@ from gsreg.wl21 import (
     phi_kj_value,
     primal_objective,
     project_group_balls,
-    prox_l1,
     sncg_solve,
 )
 from reference import fista_reference
-
-
-class TestProx:
-    def test_prox_l1_values(self):
-        out = prox_l1(np.array([3.0, -0.5, -2.0]), 1.0)
-        assert out.tolist() == [2.0, 0.0, -1.0]
-
-    def test_prox_l1_zero_gamma_is_identity(self, rng):
-        z = rng.standard_normal(20)
-        assert np.array_equal(prox_l1(z, 0.0), z)
-
-    def test_prox_l1_rejects_negative(self):
-        with pytest.raises(ValueError):
-            prox_l1(np.ones(3), -1.0)
-
-    def test_prox_l1_is_moreau_optimal(self, rng):
-        # prox minimizes gamma||u||_1 + (1/2)||u - z||^2; check against perturbations
-        z = rng.standard_normal(10)
-        gamma = 0.7
-        u = prox_l1(z, gamma)
-        obj = lambda v: gamma * np.abs(v).sum() + 0.5 * np.sum((v - z) ** 2)
-        best = obj(u)
-        for _ in range(100):
-            v = u + 0.01 * rng.standard_normal(10)
-            assert obj(v) >= best - 1e-12
 
 
 class TestProjection:
@@ -582,8 +556,13 @@ class TestAbcd:
 
 
 class TestRestrict:
-    def test_keeps_the_weights_box_and_response(self):
+    @pytest.mark.parametrize("scattered", [False, True], ids=["contiguous", "scattered"])
+    def test_keeps_the_weights_box_and_response(self, scattered, rng):
         spec = random_subproblem(5)
+        if scattered:
+            # groups scattered over the columns
+            g = GroupStructure(spec.p, np.split(rng.permutation(spec.p), spec.g.m))
+            spec = SubproblemSpec(A=spec.A, b=spec.b, g=g, omega=spec.omega, box=spec.box)
         mask = np.zeros(spec.g.m, dtype=bool)
         mask[[2, 5, 7]] = True
         cols, sub = spec.restrict(mask)
@@ -592,33 +571,8 @@ class TestRestrict:
         assert np.array_equal(sub.omega, spec.omega[mask])
         assert sub.box == spec.box and np.array_equal(sub.b, spec.b)
         assert sub.g.m == 3 and sub.p == cols.size
-
-    def test_a_design_inside_an_earlier_one_is_copied_from_it(self, rng):
-        # groups scattered over the columns; the outer working set has
-        # 20 <= n = 30 columns, so it keeps a Gram
-        p, m = 48, 12
-        g = GroupStructure(p, np.split(rng.permutation(p), m))
-        base = random_subproblem(5, p=p, m=m)
-        spec = SubproblemSpec(A=base.A, b=base.b, g=g, omega=base.omega, box=base.box)
-        outer_mask = np.zeros(m, dtype=bool)
-        outer_mask[[1, 2, 5, 7, 9]] = True
-        outer = spec.restrict(outer_mask)
-        assert outer[1]._gram is None and outer[1].gram() is not None
-        inner_mask = np.zeros(m, dtype=bool)
-        inner_mask[[9, 2, 7]] = True
-        cols, sub = spec.restrict(inner_mask, within=outer)
-        assert np.array_equal(sub.A, spec.A[:, cols]) and sub.A.flags.c_contiguous
-        G = sub.A.T @ sub.A
-        assert sub._gram is not None
-        assert np.allclose(sub._gram, G, rtol=0, atol=1e-13 * np.max(np.abs(G)))
-        # a working set with a group outside is gathered from A, with no Gram yet
-        inner_mask[3] = True
-        cols, sub = spec.restrict(inner_mask, within=outer)
-        assert np.array_equal(sub.A, spec.A[:, cols]) and sub._gram is None
-        # an earlier working set that never computed its Gram lends none
-        inner_mask[3] = False
-        cols, sub = spec.restrict(inner_mask, within=spec.restrict(outer_mask))
-        assert np.array_equal(sub.A, spec.A[:, cols]) and sub._gram is None
+        # narrow (12 columns, n = 30): it computes its own Gram when first asked
+        assert sub._gram is None and np.array_equal(sub.gram(), sub.A.T @ sub.A)
 
     def test_state_is_restricted_and_lifted_back(self, rng):
         spec = random_subproblem(5)
