@@ -16,7 +16,7 @@ KKT conditions, and otherwise on all groups (:func:`solve_stage`).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
@@ -45,12 +45,20 @@ class MscraConfig:
     alm: AlmConfig = field(default_factory=AlmConfig)
 
     def __post_init__(self):
+        if self.nu is not None and not (self.nu > 0 and math.isfinite(self.nu)):
+            raise ValueError(f"nu must be None or positive and finite, got {self.nu}")
         if not (self.nu_factor > 0 and math.isfinite(self.nu_factor)):
             raise ValueError(f"nu_factor must be positive and finite, got {self.nu_factor}")
+        if not (self.eps_loss > 0 and math.isfinite(self.eps_loss)):
+            raise ValueError(f"eps_loss must be positive and finite, got {self.eps_loss}")
+        if not (self.eps_gap >= 0 and math.isfinite(self.eps_gap)):
+            raise ValueError(f"eps_gap must be nonnegative and finite, got {self.eps_gap}")
         if not self.max_stages > 0:
             raise ValueError(f"max_stages must be positive, got {self.max_stages}")
         if not self.tol_floor > 0:
             raise ValueError(f"tol_floor must be positive, got {self.tol_floor}")
+        if not math.isfinite(self.tol_floor):
+            raise ValueError(f"tol_floor must be finite, got {self.tol_floor}")
         if not 0 < self.tol_decay <= 1:
             raise ValueError(f"tol_decay must lie in (0, 1], got {self.tol_decay}")
 
@@ -190,10 +198,10 @@ def subproblem_tolerance(prev: float | None, cfg: MscraConfig) -> float:
     return max(cfg.tol_floor, cfg.tol_decay * prev)
 
 
-# the SolveStats counters that the rounds of a sieved stage add up
-_ROUND_SUMS = ("outer_iters", "sncg_iters", "wall_time", "sncg_fallbacks", "sncg_backtracks",
-               "sncg_stalls", "sncg_unmet", "sncg_nn_systems", "sncg_woodbury_systems",
-               "dense_products", "working_set_products")
+# the SolveStats fields that a sieved stage does not add up over its rounds;
+# it sums every other one (see _merged)
+_NOT_SUMMED = frozenset({"converged", "stop_cause", "eps_pinf", "eps_dinf", "eps_gap",
+                         "sncg_max_r", "sieve_rounds", "working_set_groups", "history"})
 
 
 def _merged(rounds, sieve_rounds: int, working_set_groups: int) -> SolveStats:
@@ -201,8 +209,9 @@ def _merged(rounds, sieve_rounds: int, working_set_groups: int) -> SolveStats:
     stats = replace(rounds[-1], history=[h for st in rounds for h in st.history],
                     sncg_max_r=max(st.sncg_max_r for st in rounds),
                     sieve_rounds=sieve_rounds, working_set_groups=working_set_groups)
-    for name in _ROUND_SUMS:
-        setattr(stats, name, sum(getattr(st, name) for st in rounds))
+    for f in fields(SolveStats):
+        if f.name not in _NOT_SUMMED:
+            setattr(stats, f.name, sum(getattr(st, f.name) for st in rounds))
     return stats
 
 
@@ -306,8 +315,6 @@ def run(A, b, g: GroupStructure, box: BoxConstraint,
     n = A.shape[0]
     Atb = _finite_Atb(A, b)
     nu = cfg.nu if cfg.nu is not None else _nu_from(Atb, n, cfg.nu_factor)
-    if not nu > 0:
-        raise ValueError("nu must be positive")
     w = np.zeros(g.m)
 
     lam = 1.0 / nu

@@ -26,7 +26,7 @@ _FAMILIES = (SCAD, MCP, CAPPED_L1, LQ)
 class PhiSpec:
     """Descriptor of one penalty family and its parameters.
 
-    ``a`` parametrizes SCAD (a > 1) and MCP (a > 0); ``q`` and ``eps``
+    ``a`` parametrizes SCAD (finite a > 1) and MCP (finite a > 0); ``q`` and ``eps``
     parametrize the Lq family (0 < q < 1, 0 < eps < 0.1).
     """
 
@@ -38,10 +38,10 @@ class PhiSpec:
     def __post_init__(self):
         if self.family not in _FAMILIES:
             raise ValueError(f"unknown family {self.family!r}, expected one of {_FAMILIES}")
-        if self.family == SCAD and not self.a > 1:
-            raise ValueError("scad requires a > 1")
-        if self.family == MCP and not self.a > 0:
-            raise ValueError("mcp requires a > 0")
+        if self.family == SCAD and not 1 < self.a < np.inf:
+            raise ValueError(f"scad requires a finite a > 1, got {self.a}")
+        if self.family == MCP and not 0 < self.a < np.inf:
+            raise ValueError(f"mcp requires a finite a > 0, got {self.a}")
         if self.family == LQ:
             if not 0 < self.q < 1:
                 raise ValueError("lq requires 0 < q < 1")

@@ -166,6 +166,8 @@ class AlmConfig:
     sncg_max_iter: int = 50
 
     def __post_init__(self):
+        if not _SIGMA_START <= self.sigma_max < np.inf:
+            raise ValueError(f"sigma_max must be finite and at least 1, got {self.sigma_max}")
         if not self.max_outer > 0:
             raise ValueError(f"max_outer must be positive, got {self.max_outer}")
         if not self.sncg_max_iter > 0:
@@ -409,7 +411,7 @@ def gen_hessian_apply(d, xi, eta, state: DualState, spec: SubproblemSpec) -> np.
 
 
 def newton_direction(v, y, sigma: float, spec: SubproblemSpec, prox: ProxPoint | None = None,
-                     counts: dict | None = None):
+                     stats: SolveStats | None = None):
     """Solve ``(I + sigma A (I - W) A^T) d = v`` directly, with ``W`` taken at ``y``.
 
     ``I - W`` is the Jacobian of the prox at ``y`` for the box radius
@@ -428,8 +430,10 @@ def newton_direction(v, y, sigma: float, spec: SubproblemSpec, prox: ProxPoint |
     side and ``d`` take one product each with the whole (narrow) ``A``:
     ``E^T (A^T v)_J`` and ``d = v - sigma A u``, ``u`` being ``E t`` on
     ``J`` and 0 elsewhere.  A wide instance forms ``B^T B`` from the
-    gathered ``Z`` and ``W`` instead.  ``counts``, when given, gets two
-    more ``"dense_products"`` for a system solved on the Gram.
+    gathered ``Z`` and ``W`` instead.  ``stats``, when given, counts the
+    system by its form and its ``r`` (``sncg_nn_systems``,
+    ``sncg_woodbury_systems``, ``sncg_max_r``), and two ``dense_products``
+    for one solved on the Gram.
 
     An empty ``J`` gives ``d = v``.  Returns ``d`` and ``r`` (0 for an
     empty ``J``).
@@ -441,9 +445,12 @@ def newton_direction(v, y, sigma: float, spec: SubproblemSpec, prox: ProxPoint |
         return v.copy(), 0
     n, r = spec.n, k + int(np.count_nonzero(c > 0.0))
     G = spec.gram() if r < n else None
+    if stats is not None:
+        stats.sncg_nn_systems += r >= n
+        stats.sncg_woodbury_systems += r < n
+        stats.sncg_max_r = max(stats.sncg_max_r, r)
+        stats.dense_products += 2 * (G is not None)
     if G is not None:
-        if counts is not None:
-            counts["dense_products"] += 2
         return _gram_woodbury(v, y, sigma, spec, G, active), r
     Z, W = _gathered_factor(y, spec, active)
     if r >= n:
@@ -495,7 +502,7 @@ _MAX_BACKTRACKS = 50
 
 
 def sncg_solve(state: DualState, spec: SubproblemSpec, grad_tol: float, max_iter: int,
-               xi0=None, At_xi0=None):
+               stats: SolveStats, xi0=None, At_xi0=None):
     """Semismooth Newton on the reduced gradient system in xi.
 
     The reduced function is the augmented Lagrangian minimized over
@@ -518,44 +525,38 @@ def sncg_solve(state: DualState, spec: SubproblemSpec, grad_tol: float, max_iter
     product with ``A^T``.  The gradient takes one product ``A s`` at the
     start and one at each accepted point.  Each Newton step makes one
     more, ``A^T d``, and two more when its system is solved on the Gram
-    of a narrow instance (:func:`newton_direction`).  Returns the final
-    xi and per-call statistics; ``met`` says whether the gradient norm
-    ``gnorm`` ended at or below ``grad_tol``, ``nn_systems``,
-    ``woodbury_systems`` and ``max_r`` count the Newton systems by form
-    and size (see :func:`newton_direction`), and ``dense_products``
-    counts the products with ``A`` and ``A^T``.
+    of a narrow instance (:func:`newton_direction`).  ``stats`` gets them
+    all as ``dense_products``, each Newton system as :func:`newton_direction`
+    counts it, this call's steps, backtracks, fallbacks and stalls, and one
+    ``sncg_unmet`` if it ends above ``grad_tol``.  Returns the final xi
+    and this call's record.
     """
     xi = np.zeros(spec.n) if xi0 is None else np.asarray(xi0, dtype=float).copy()
-    # "cg_iters" stays 0: the benchmark tracer still reads it (ROADMAP item 1 removes it)
-    stats = {"iters": 0, "cg_iters": 0, "fallbacks": 0, "backtracks": 0, "stalls": 0,
-             "nn_systems": 0, "woodbury_systems": 0, "max_r": 0,
-             "dense_products": 0, "met": False}
+    # this call's record: alm_solve reads iters, backtracks, stalls, met and
+    # gnorm; fallbacks and the always-0 cg_iters only the benchmark tracer
+    # reads (ROADMAP item 1 removes cg_iters)
+    call = {"iters": 0, "backtracks": 0, "fallbacks": 0, "stalls": 0, "cg_iters": 0}
     sigma = state.sigma
     R = spec.box.R / sigma
     if At_xi0 is None:
         At_xi0 = spec.A.T @ xi
-        stats["dense_products"] += 1
+        stats.dense_products += 1
     y = At_xi0 + state.x / sigma
     f, prox = _psi(xi, y, sigma, R, spec)
     g = spec.b + xi + sigma * (spec.A @ prox.s)
-    stats["dense_products"] += 1
+    stats.dense_products += 1
     gnorm = np.linalg.norm(g)
     for _ in range(max_iter):
         if gnorm <= grad_tol:
             break
-        d, r = newton_direction(-g, y, sigma, spec, prox, stats)
-        if r >= spec.n:
-            stats["nn_systems"] += 1
-        elif r:
-            stats["woodbury_systems"] += 1
-        stats["max_r"] = max(stats["max_r"], r)
+        d, _ = newton_direction(-g, y, sigma, spec, prox, stats)
         slope = g @ d
         if slope >= 0 or not np.all(np.isfinite(d)):
             d = -g  # no descent from the Newton system; steepest descent fallback
             slope = -gnorm**2
-            stats["fallbacks"] += 1
+            call["fallbacks"] += 1
         At_d = spec.A.T @ d
-        stats["dense_products"] += 1
+        stats.dense_products += 1
         # below this, a change of f is rounding noise and cannot veto a step
         slack = _ROUNDING_SLACK * max(1.0, abs(f))
         alpha = 1.0
@@ -565,26 +566,31 @@ def sncg_solve(state: DualState, spec: SubproblemSpec, grad_tol: float, max_iter
             if f_new <= f + _ARMIJO_MU * alpha * slope + slack:
                 break
             alpha *= _ARMIJO_SHRINK
-            stats["backtracks"] += 1
+            call["backtracks"] += 1
         else:
-            stats["stalls"] += 1
+            call["stalls"] += 1
             break
-        stats["iters"] += 1
+        call["iters"] += 1
         g_new = spec.b + xi_new + sigma * (spec.A @ prox_new.s)
-        stats["dense_products"] += 1
+        stats.dense_products += 1
         gnorm_new = np.linalg.norm(g_new)
         stalled = f_new >= f and gnorm_new >= gnorm
         xi, y, f, g, gnorm, prox = xi_new, y_new, f_new, g_new, gnorm_new, prox_new
         if stalled:
-            stats["stalls"] += 1
+            call["stalls"] += 1
             break
-    stats["met"] = bool(gnorm <= grad_tol)
-    stats["gnorm"] = float(gnorm)
-    return xi, stats
+    call["met"] = bool(gnorm <= grad_tol)
+    call["gnorm"] = float(gnorm)
+    stats.sncg_iters += call["iters"]
+    stats.sncg_backtracks += call["backtracks"]
+    stats.sncg_fallbacks += call["fallbacks"]
+    stats.sncg_stalls += call["stalls"]
+    stats.sncg_unmet += not call["met"]
+    return xi, call
 
 
 def abcd_solve(state: DualState, spec: SubproblemSpec, sncg_tol: float, max_iter: int,
-               At_xi=None):
+               stats: SolveStats, At_xi=None):
     """Minimize the augmented Lagrangian over (eta, xi, zeta) by one :func:`sncg_solve` call.
 
     SNCG finds xi in at most ``max_iter`` Newton steps; with
@@ -597,24 +603,24 @@ def abcd_solve(state: DualState, spec: SubproblemSpec, sncg_tol: float, max_iter
     ``sigma s = prox_{sigma p}(sigma y)``.
 
     ``At_xi``, when given, is ``A^T`` times the start ``state.xi`` and
-    goes to SNCG as ``At_xi0``.  The call makes one dense product of its
-    own, the exact ``A^T xi`` of the new xi, from which ``y``, the blocks
-    and the multiplier are computed; the prox at ``y`` and the group norms
-    of ``y`` are computed again, once, rather than taken from SNCG.  Returns
-    ``(eta, xi, zeta, x_new, stats)``: ``stats["sncg"]`` holds the
-    statistics of the SNCG call, ``stats["At_xi"]`` that product, for the
-    next call to start from, ``stats["keep"]`` the groups where the prox
-    ``s`` is nonzero, and ``stats["dense_products"]`` counts the products
-    of the whole call.
+    goes to SNCG as ``At_xi0``.  Besides SNCG's, the call adds one dense
+    product of its own to ``stats``: the exact ``A^T xi`` of the new xi,
+    from which ``y``, the blocks and the multiplier are computed; the prox
+    at ``y`` and the group norms of ``y`` are computed again, once, rather
+    than taken from SNCG.  Returns ``(eta, xi, zeta, x_new, out)``:
+    ``out["sncg"]`` is SNCG's record, ``out["At_xi"]`` that product, for
+    the next call to start from, and ``out["keep"]`` the groups where the
+    prox ``s`` is nonzero.
 
     The name and the 5-tuple with the statistics last are those of the
     block coordinate descent this replaced: the benchmark tracer looks
-    the function up by name and counts ``stats["iters"]``, always 1
+    the function up by name and counts ``out["iters"]``, always 1
     here, as its sweeps.
     """
-    xi, s_stats = sncg_solve(state, spec, sncg_tol, max_iter, xi0=state.xi, At_xi0=At_xi)
+    xi, call = sncg_solve(state, spec, sncg_tol, max_iter, stats, xi0=state.xi, At_xi0=At_xi)
     R = spec.box.R / state.sigma
     At_xi = spec.A.T @ xi
+    stats.dense_products += 1
     y = At_xi + state.x / state.sigma
     s, nrm, box = _prox_point(y, spec, R)
     zeta = project_group_balls(y, spec.g, spec.omega, nrm)
@@ -625,10 +631,8 @@ def abcd_solve(state: DualState, spec: SubproblemSpec, sncg_tol: float, max_iter
         zeta[on] = (t[spec.g.group_id] * s)[on]
         eta[clipped] = zeta[clipped] - (y - s)[clipped]
     x_new = state.x + state.sigma * (At_xi + eta - zeta)
-    return eta, xi, zeta, x_new, {
-        "iters": 1, "sncg": s_stats, "At_xi": At_xi, "keep": nrm > spec.omega,
-        "dense_products": s_stats["dense_products"] + 1,
-    }
+    return eta, xi, zeta, x_new, {"iters": 1, "sncg": call, "At_xi": At_xi,
+                                  "keep": nrm > spec.omega}
 
 
 def primal_objective(x, spec: SubproblemSpec) -> float:
@@ -698,17 +702,19 @@ def alm_solve(spec: SubproblemSpec, cfg: AlmConfig | None = None,
     stalls, that is when ``eps_dinf`` stays above half of its value at the
     previous outer iteration, and by 1.3 when it falls faster (and after
     the first iteration, which has no previous value).  Each ``history``
-    entry logs the ``sigma`` of its iteration and whether the multiplier
-    ``stalled`` there.  Returns ``(x, state, stats)``; a run hitting
-    ``max_outer`` is flagged not-converged, and so is one that stops
-    early after two outer iterations in a row whose SNCG line search
+    entry logs the ``sigma`` of its iteration, whether the multiplier
+    ``stalled`` there, and the record of its SNCG call: its steps and
+    backtracks, whether it met its target, its final gradient norm and
+    that target (``sncg_iters``, ``sncg_backtracks``, ``sncg_met``,
+    ``sncg_gnorm``, ``sncg_target``).  Returns ``(x, state, stats)``; a
+    run hitting ``max_outer`` is flagged not-converged, and so is one that
+    stops early after two outer iterations in a row whose SNCG line search
     refused every trial step of its first Newton step: xi did not move,
     and a larger sigma did not move it either.  ``stats.stop_cause`` says
     which of the three ended the run: ``"converged"``, ``"max_outer"`` or
-    ``"line_search"``.  ``x`` is the box
-    projection of ``-state.x`` set to exactly 0 on the groups where the
-    last prox ``s`` is 0; the multiplier equals ``sigma s`` up to
-    rounding, so it holds only rounding residue there.
+    ``"line_search"``.  ``x`` is the box projection of ``-state.x`` set to
+    exactly 0 on the groups where the last prox ``s`` is 0; the multiplier
+    equals ``sigma s`` up to rounding, so it holds only rounding residue there.
 
     A ``warm`` state, the one an earlier solve returned, carries over the
     multiplier x, sigma (raised to 1 if below it) and xi scaled by
@@ -719,15 +725,13 @@ def alm_solve(spec: SubproblemSpec, cfg: AlmConfig | None = None,
     strongly convex in xi, so the scaling changes only the path of the
     first SNCG call.
 
-    ``stats.dense_products`` counts the products with ``A`` and ``A^T``:
-    two per Newton step, ``A^T d`` and the gradient's ``A s`` at the
-    accepted point; two more per Newton system solved on the Gram of a
-    narrow instance (:func:`newton_direction`; the one matrix product
-    that computes the Gram is not counted); three per outer iteration,
-    the gradient's ``A s`` at the start of its SNCG call, the exact
-    ``A^T xi`` and ``A x`` in :func:`primal_objective`; and at the start
-    one ``A^T xi`` for the first SNCG call and, from a warm state, one
-    for :func:`_ball_scale`.
+    ``stats`` goes down through :func:`abcd_solve` and :func:`sncg_solve`
+    to :func:`newton_direction`, and each adds its counts to it where they
+    happen.  So ``stats.dense_products`` counts the products with ``A``
+    and ``A^T`` of the SNCG calls, the exact ``A^T xi`` of each outer
+    iteration, its ``A x`` in :func:`primal_objective` and, from a warm
+    state, the one of :func:`_ball_scale`; the one matrix product that
+    computes a Gram is not counted.
     """
     cfg = cfg or AlmConfig()
     t0 = time.perf_counter()
@@ -749,49 +753,35 @@ def alm_solve(spec: SubproblemSpec, cfg: AlmConfig | None = None,
     stuck = 0  # outer iterations in a row that left xi where it was
     stats.stop_cause = "max_outer"
     for j in range(cfg.max_outer):
-        eta, xi, zeta, x_new, a_stats = abcd_solve(state, spec, sncg_tol, cfg.sncg_max_iter,
-                                                   At_xi)
+        eta, xi, zeta, x_new, out = abcd_solve(state, spec, sncg_tol, cfg.sncg_max_iter, stats,
+                                               At_xi)
         x_old = state.x
         state.eta, state.xi, state.zeta, state.x = eta, xi, zeta, x_new
-        At_xi, keep = a_stats["At_xi"], a_stats["keep"]
-        s_stats = a_stats["sncg"]
-        eps_pinf = s_stats["gnorm"] / bnorm
+        At_xi, keep, call = out["At_xi"], out["keep"], out["sncg"]
+        eps_pinf = call["gnorm"] / bnorm
         eps_dinf = np.linalg.norm(x_new - x_old) / state.sigma
         # the primal solution is the negated multiplier under this
         # Lagrangian sign convention; gap evaluated at its box projection
         x_feas = np.clip(-x_new, -spec.box.R, spec.box.R)
         pobj = primal_objective(x_feas, spec)
+        stats.dense_products += 1
         dobj = dual_objective(state, spec)
         eps_gap = abs(pobj + dobj) / (1.0 + abs(pobj)) if np.isfinite(dobj) else np.inf
         stats.outer_iters = j + 1
-        stats.sncg_iters += s_stats["iters"]
-        stats.sncg_fallbacks += s_stats["fallbacks"]
-        stats.sncg_backtracks += s_stats["backtracks"]
-        stats.sncg_stalls += s_stats["stalls"]
-        stats.sncg_unmet += not s_stats["met"]
-        stats.sncg_nn_systems += s_stats["nn_systems"]
-        stats.sncg_woodbury_systems += s_stats["woodbury_systems"]
-        stats.sncg_max_r = max(stats.sncg_max_r, s_stats["max_r"])
-        stats.dense_products += a_stats["dense_products"] + 1  # and primal_objective's A x
         stats.eps_pinf, stats.eps_dinf, stats.eps_gap = eps_pinf, eps_dinf, eps_gap
         stalled = bool(eps_dinf > _STALL_RATIO * eps_dinf_prev)
         eps_dinf_prev = eps_dinf
-        stats.history.append(
-            {
-                "eps_pinf": eps_pinf,
-                "eps_dinf": eps_dinf,
-                "eps_gap": eps_gap,
-                "sigma": state.sigma,
-                "sncg_iters": s_stats["iters"],
-                "stalled": stalled,
-            }
-        )
+        stats.history.append({
+            "eps_pinf": eps_pinf, "eps_dinf": eps_dinf, "eps_gap": eps_gap, "sigma": state.sigma,
+            "sncg_iters": call["iters"], "sncg_backtracks": call["backtracks"],
+            "sncg_met": call["met"], "sncg_gnorm": call["gnorm"], "sncg_target": sncg_tol,
+            "stalled": stalled})
         if max(eps_pinf, eps_dinf, eps_gap) <= cfg.tol:
             stats.converged = True
             stats.stop_cause = "converged"
             break
         # a stall without an accepted step is a line search that refused the first one
-        stuck = stuck + 1 if s_stats["stalls"] and not s_stats["iters"] else 0
+        stuck = stuck + 1 if call["stalls"] and not call["iters"] else 0
         if stuck == _MAX_STUCK:
             stats.stop_cause = "line_search"
             break

@@ -189,10 +189,21 @@ class TestSolve:
         ({"rho_cap_numerator": 1}, "unknown config key 'rho_cap_numerator'"),
         ({"nu_factor": 0}, "nu_factor must be positive and finite, got 0"),
         ({"nu_factor": -0.5}, "nu_factor must be positive and finite, got -0.5"),
+        ({"alm": {"sigma_max": 0}}, "sigma_max must be finite and at least 1, got 0"),
+        # JSON reads 1e400 as inf
+        ({"phi": {"family": "mcp", "a": 1e400}}, "mcp requires a finite a > 0, got inf"),
+        ({"nu": 1e400}, "nu must be None or positive and finite, got inf"),
+        ({"eps_loss": -0.5}, "eps_loss must be positive and finite, got -0.5"),
+        ({"eps_loss": 1e400}, "eps_loss must be positive and finite, got inf"),
+        ({"eps_gap": -1}, "eps_gap must be nonnegative and finite, got -1"),
+        ({"eps_gap": float("nan")}, "eps_gap must be nonnegative and finite, got nan"),
+        ({"tol_floor": 1e400}, "tol_floor must be finite, got inf"),
     ], ids=["bad_type", "unknown_key", "unknown_nested_key", "alm_abcd", "alm_sncg",
             "alm_sigma0", "static_rho", "w0", "alm_tol",
             "max_stages_zero", "tol_floor_negative", "rho_cap_numerator",
-            "nu_factor_zero", "nu_factor_negative"])
+            "nu_factor_zero", "nu_factor_negative", "sigma_max_zero", "mcp_a_inf", "nu_inf",
+            "eps_loss_negative", "eps_loss_inf", "eps_gap_negative", "eps_gap_nan",
+            "tol_floor_inf"])
     def test_bad_config_exits_2(self, tmp_path, capsys, config, message):
         d = self._instance_dir(tmp_path)
         cfg = tmp_path / "cfg.json"

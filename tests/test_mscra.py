@@ -123,11 +123,16 @@ class TestToleranceSchedule:
         ("tol_decay", 0.0), ("tol_decay", 1.5),
         ("nu_factor", 0.0), ("nu_factor", -0.1), ("nu_factor", float("inf")),
         ("nu_factor", float("nan")),
+        ("nu", 0.0), ("nu", -1.0), ("nu", float("inf")), ("nu", float("nan")),
+        ("eps_loss", 0.0), ("eps_loss", -1e-2), ("eps_loss", float("inf")),
+        ("eps_loss", float("nan")),
+        ("eps_gap", -1e-6), ("eps_gap", float("inf")), ("eps_gap", float("nan")),
+        ("tol_floor", float("inf")),
     ])
     def test_config_ranges(self, field, value):
         with pytest.raises(ValueError, match=field):
             MscraConfig(**{field: value})
-        MscraConfig(tol_decay=1.0)
+        MscraConfig(tol_decay=1.0, eps_gap=0.0)
 
 
 class TestStopping:
@@ -404,6 +409,25 @@ class TestSieve:
         s = sieved.traces[0].inner_stats
         assert s.sieve_rounds >= 2 and s.working_set_groups < inst.g.m
         self._assert_matches_all_groups(sieved, inst, box, monkeypatch)
+
+    def test_rounds_sum_every_field_but_the_declared_ones(self):
+        # a counter added to SolveStats is summed over the rounds without an edit to mscra
+        from dataclasses import fields
+
+        from gsreg.wl21 import SolveStats
+
+        rounds = [SolveStats(converged=k == 1, stop_cause=f"round {k}", eps_gap=k,
+                             sncg_max_r=9 - k, history=[{"round": k}]) for k in range(2)]
+        summed = [f.name for f in fields(SolveStats) if f.name not in mscra._NOT_SUMMED]
+        assert {"outer_iters", "wall_time", "dense_products", "sncg_unmet"} <= set(summed)
+        for k, stats in enumerate(rounds):
+            for name in summed:
+                setattr(stats, name, k + 1)
+        merged = mscra._merged(rounds, 2, 7)
+        assert all(getattr(merged, name) == 3 for name in summed)
+        assert (merged.converged, merged.stop_cause, merged.eps_gap) == (True, "round 1", 1)
+        assert (merged.sncg_max_r, merged.sieve_rounds, merged.working_set_groups) == (9, 2, 7)
+        assert merged.history == [{"round": 0}, {"round": 1}]
 
     def test_a_working_set_missing_a_true_group_grows(self, monkeypatch):
         # stage 1's problem, started from the true support less one group

@@ -52,6 +52,12 @@ class TestPhiSpec:
         with pytest.raises(ValueError):
             PhiSpec(LQ, eps=0.5)
 
+    @pytest.mark.parametrize("family", [SCAD, MCP])
+    def test_rejects_infinite_a(self, family):
+        # an infinite a made every stage weight NaN
+        with pytest.raises(ValueError, match=f"{family} requires a finite a"):
+            PhiSpec(family, a=float("inf"))
+
 
 class TestPhiEval:
     @pytest.mark.parametrize("spec", ALL_SPECS, ids=IDS)

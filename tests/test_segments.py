@@ -21,6 +21,7 @@ from gsreg.groups import (
 )
 from gsreg.wl21 import (
     DualState,
+    SolveStats,
     SubproblemSpec,
     _psi,
     gen_hessian_apply,
@@ -310,13 +311,17 @@ class TestNewtonDirection:
         ((r, _),) = self._solve(spec, y, sigma, monkeypatch)
         assert np.allclose(spec._gram, spec.A.T @ spec.A, rtol=0, atol=1e-14)
         v = np.random.default_rng(8).standard_normal(spec.n)
-        counts = {"dense_products": 0}
-        d_gram, r_gram = newton_direction(v, y, sigma, spec, counts=counts)
-        assert r_gram == r < spec.n and counts == {"dense_products": 2}
+        # each form counts one Woodbury system of its r; only the Gram's
+        # makes products with A, two
+        stats = SolveStats()
+        d_gram, r_gram = newton_direction(v, y, sigma, spec, stats=stats)
+        assert r_gram == r < spec.n
+        assert stats == SolveStats(sncg_woodbury_systems=1, sncg_max_r=r, dense_products=2)
         monkeypatch.setattr(SubproblemSpec, "gram", lambda self: None)
-        counts = {"dense_products": 0}
-        d_gathered, r_gathered = newton_direction(v, y, sigma, spec, counts=counts)
-        assert r_gathered == r and counts == {"dense_products": 0}
+        stats = SolveStats()
+        d_gathered, r_gathered = newton_direction(v, y, sigma, spec, stats=stats)
+        assert r_gathered == r
+        assert stats == SolveStats(sncg_woodbury_systems=1, sncg_max_r=r)
         assert np.linalg.norm(d_gram - d_gathered) <= 1e-12 * np.linalg.norm(d_gathered)
         R = spec.box.R / sigma
         x = bisection_prox(y, g, omega, R)

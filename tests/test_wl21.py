@@ -7,6 +7,7 @@ from gsreg.groups import (BoxConstraint, GroupStructure, contiguous_groups, grou
 from gsreg.wl21 import (
     AlmConfig,
     DualState,
+    SolveStats,
     SubproblemSpec,
     _psi,
     abcd_solve,
@@ -156,7 +157,7 @@ class TestReducedFunction:
         # (up to the constant ||x||^2 / 2 sigma), and no nearby (eta, zeta) is lower
         spec, state, xi = self._clipping_point(rng)
         state.xi = xi
-        eta, xi, zeta, x_new, _ = abcd_solve(state, spec, 1e-11, 50)
+        eta, xi, zeta, x_new, _ = abcd_solve(state, spec, 1e-11, 50, SolveStats())
         assert np.any(eta)
         y = spec.A.T @ xi + state.x / state.sigma
         f, prox = _psi(xi, y, state.sigma, spec.box.R / state.sigma, spec)
@@ -192,11 +193,12 @@ class TestSncg:
     def test_drives_gradient_below_tolerance(self, rng):
         spec = random_subproblem(7)
         state = DualState.cold(spec, 1.0)
-        xi, stats = sncg_solve(state, spec, 1e-9, 50)
+        stats = SolveStats()
+        xi, call = sncg_solve(state, spec, 1e-9, 50, stats)
         # the box does not clip here, so the gradient is that of the no-box function at eta = 0
         gnorm = np.linalg.norm(phi_kj_grad(xi, np.zeros(spec.p), state, spec))
-        assert gnorm <= 1e-9 and stats["met"] and stats["gnorm"] <= 1e-9
-        assert stats["iters"] >= 1
+        assert gnorm <= 1e-9 and call["met"] and call["gnorm"] <= 1e-9
+        assert stats.sncg_iters == call["iters"] >= 1 and stats.sncg_unmet == 0
 
     def test_newton_systems_are_counted_by_form(self, rng, monkeypatch):
         # the active set shrinks from every group (r = p + m >= n) to a few
@@ -211,12 +213,13 @@ class TestSncg:
             return solve(M, rhs)
 
         monkeypatch.setattr(np.linalg, "solve", recording)
-        _, stats = sncg_solve(state, spec, 1e-9, 50)
+        stats = SolveStats()
+        sncg_solve(state, spec, 1e-9, 50, stats)
         monkeypatch.undo()
         woodbury = [r for r in shapes if r < spec.n]
-        assert stats["nn_systems"] == len(shapes) - len(woodbury) > 0
-        assert stats["woodbury_systems"] == len(woodbury) > 0
-        assert stats["max_r"] >= max(shapes)
+        assert stats.sncg_nn_systems == len(shapes) - len(woodbury) > 0
+        assert stats.sncg_woodbury_systems == len(woodbury) > 0
+        assert stats.sncg_max_r >= max(shapes)
 
     def test_fallback_takes_a_steepest_descent_step(self, monkeypatch):
         # the Newton system gives descent whenever it is solved exactly, so an
@@ -233,8 +236,10 @@ class TestSncg:
 
         monkeypatch.setattr(wl21, "newton_direction", ascent_first)
         spec = random_subproblem(7)
-        _, stats = sncg_solve(DualState.cold(spec, 1.0), spec, 1e-9, 50)
-        assert stats["fallbacks"] == 1 and stats["met"] and stats["gnorm"] <= 1e-9
+        stats = SolveStats()
+        _, call = sncg_solve(DualState.cold(spec, 1.0), spec, 1e-9, 50, stats)
+        assert stats.sncg_fallbacks == call["fallbacks"] == 1
+        assert call["met"] and call["gnorm"] <= 1e-9
 
         steps.clear()
         _, _, alm_stats = alm_solve(spec, AlmConfig(tol=1e-8))
@@ -248,12 +253,13 @@ class TestSncg:
         state = DualState.cold(spec, 2.0)
         state.x = rng.standard_normal(spec.p)
         xi0 = rng.standard_normal(spec.n)
-        xi, stats = sncg_solve(state, spec, 1e-9, 50, xi0=xi0)
-        xi_c, stats_c = sncg_solve(state, spec, 1e-9, 50, xi0=xi0, At_xi0=spec.A.T @ xi0)
-        assert np.array_equal(xi_c, xi) and stats["iters"] > 0
-        assert stats_c["dense_products"] == stats["dense_products"] - 1
-        assert {k: v for k, v in stats_c.items() if k != "dense_products"} == {
-            k: v for k, v in stats.items() if k != "dense_products"}
+        stats, stats_c = SolveStats(), SolveStats()
+        xi, call = sncg_solve(state, spec, 1e-9, 50, stats, xi0=xi0)
+        xi_c, call_c = sncg_solve(state, spec, 1e-9, 50, stats_c, xi0=xi0, At_xi0=spec.A.T @ xi0)
+        assert np.array_equal(xi_c, xi) and call["iters"] > 0 and call_c == call
+        assert stats_c.dense_products == stats.dense_products - 1
+        stats_c.dense_products += 1
+        assert stats_c == stats
 
     def test_monotone_descent(self, rng):
         spec = random_subproblem(8)
@@ -262,7 +268,7 @@ class TestSncg:
         eta = np.zeros(spec.p)
         xi0 = rng.standard_normal(spec.n)
         f0 = phi_kj_value(xi0, eta, state, spec)
-        xi, _ = sncg_solve(state, spec, 1e-8, 50, xi0=xi0)
+        xi, _ = sncg_solve(state, spec, 1e-8, 50, SolveStats(), xi0=xi0)
         assert phi_kj_value(xi, eta, state, spec) <= f0 + 1e-12
 
     def test_failed_line_search_is_a_stall(self, monkeypatch):
@@ -283,9 +289,11 @@ class TestSncg:
             return psi(xi, *args)
 
         monkeypatch.setattr(wl21, "_psi", recording)
-        xi, stats = sncg_solve(state, spec, 1e-9, 50)
-        assert stats["stalls"] == 1 and not stats["met"] and stats["backtracks"] == 1
-        assert stats["iters"] == len(points) - 2 > 0
+        stats = SolveStats()
+        xi, call = sncg_solve(state, spec, 1e-9, 50, stats)
+        assert call["stalls"] == 1 and not call["met"] and call["backtracks"] == 1
+        assert call["iters"] == len(points) - 2 > 0
+        assert (stats.sncg_stalls, stats.sncg_unmet, stats.sncg_backtracks) == (1, 1, 1)
         # the last trial point was refused; xi is the one accepted before it
         assert np.array_equal(xi, points[-2]) and not np.array_equal(xi, points[-1])
 
@@ -349,27 +357,39 @@ class TestAlm:
     def test_sncg_counters_roll_up(self, monkeypatch):
         import gsreg.wl21 as wl21
 
-        calls = []
-        sncg = wl21.sncg_solve
+        calls, systems = [], []
+        sncg, newton = wl21.sncg_solve, wl21.newton_direction
 
-        def recording(state, spec, grad_tol, max_iter, xi0=None, At_xi0=None):
+        def recording(state, spec, grad_tol, max_iter, stats, xi0=None, At_xi0=None):
             # a zero gradient tolerance lies below every rounding floor, so each call stalls
-            xi, s = sncg(state, spec, 0.0, max_iter, xi0=xi0, At_xi0=At_xi0)
+            xi, s = sncg(state, spec, 0.0, max_iter, stats, xi0=xi0, At_xi0=At_xi0)
             calls.append(s)
             return xi, s
 
+        def sizes(*args, **kwargs):
+            d, r = newton(*args, **kwargs)
+            systems.append(r)
+            return d, r
+
         monkeypatch.setattr(wl21, "sncg_solve", recording)
+        monkeypatch.setattr(wl21, "newton_direction", sizes)
         spec = random_subproblem(16, omega_scale=0.5)
         # mu near 1/2 makes the Armijo test turn down some full Newton steps
         monkeypatch.setattr(wl21, "_ARMIJO_MU", 0.49)
         _, _, stats = alm_solve(spec, AlmConfig(tol=1e-8))
+        # the ALM's totals are the sums of the per-call records the benchmark tracer reads
+        assert set(calls[0]) == {"iters", "backtracks", "fallbacks", "stalls", "cg_iters",
+                                 "met", "gnorm"}
         assert stats.sncg_iters == sum(s["iters"] for s in calls)
         assert stats.sncg_fallbacks == sum(s["fallbacks"] for s in calls)
         assert stats.sncg_backtracks == sum(s["backtracks"] for s in calls) > 0
         assert stats.sncg_stalls == sum(s["stalls"] for s in calls) > 0
-        assert stats.sncg_nn_systems == sum(s["nn_systems"] for s in calls)
-        assert stats.sncg_woodbury_systems == sum(s["woodbury_systems"] for s in calls)
-        assert stats.sncg_max_r == max(s["max_r"] for s in calls) > 0
+        assert stats.sncg_unmet == sum(not s["met"] for s in calls) > 0
+        assert all(s["cg_iters"] == 0 for s in calls)
+        # and each Newton system is counted once, by its r
+        assert stats.sncg_nn_systems == sum(r >= spec.n for r in systems)
+        assert stats.sncg_woodbury_systems == sum(0 < r < spec.n for r in systems)
+        assert stats.sncg_max_r == max(systems) > 0
         d = stats.to_dict()
         assert (d["sncg_fallbacks"], d["sncg_backtracks"], d["sncg_stalls"]) == (
             stats.sncg_fallbacks, stats.sncg_backtracks, stats.sncg_stalls)
@@ -385,8 +405,9 @@ class TestAlm:
         calls = []
         sncg = wl21.sncg_solve
 
-        def recording(state, spec, grad_tol, max_iter, xi0=None, At_xi0=None, floor=False):
-            xi, s = sncg(state, spec, 0.0 if floor else grad_tol, max_iter, xi0=xi0, At_xi0=At_xi0)
+        def recording(state, spec, grad_tol, max_iter, stats, xi0=None, At_xi0=None, floor=False):
+            xi, s = sncg(state, spec, 0.0 if floor else grad_tol, max_iter, stats, xi0=xi0,
+                         At_xi0=At_xi0)
             gnorm = np.linalg.norm(phi_kj_grad(xi, np.zeros(spec.p), state, spec))
             calls.append((s, gnorm, grad_tol))
             return xi, s
@@ -430,8 +451,8 @@ class TestAlm:
         calls = []
         sncg = wl21.sncg_solve
 
-        def recording(state, spec, grad_tol, max_iter, xi0=None, At_xi0=None):
-            xi, s = sncg(state, spec, grad_tol, max_iter, xi0=xi0, At_xi0=At_xi0)
+        def recording(state, spec, grad_tol, max_iter, stats, xi0=None, At_xi0=None):
+            xi, s = sncg(state, spec, grad_tol, max_iter, stats, xi0=xi0, At_xi0=At_xi0)
             gnorm = np.linalg.norm(phi_kj_grad(xi, np.zeros(spec.p), state, spec))
             calls.append((s, gnorm, grad_tol))
             return xi, s
@@ -449,6 +470,10 @@ class TestAlm:
         bnorm = 1.0 + np.linalg.norm(spec.b)
         assert [h["eps_pinf"] for h in stats.history] == [s["gnorm"] / bnorm for s, _, _ in calls]
         assert all(gnorm == pytest.approx(s["gnorm"], rel=1e-6) for s, gnorm, _ in unmet)
+        # each history entry carries its call's record and target
+        assert [(h["sncg_iters"], h["sncg_backtracks"], h["sncg_met"], h["sncg_gnorm"],
+                 h["sncg_target"]) for h in stats.history] == [
+            (s["iters"], s["backtracks"], s["met"], s["gnorm"], tol) for s, _, tol in calls]
 
     def test_warm_start_converges_faster(self):
         spec = random_subproblem(14, n=50, p=80, m=16)
@@ -473,11 +498,12 @@ class TestAlm:
         starts = []
         sncg = wl21.sncg_solve
 
-        def recording(state, spec, grad_tol, max_iter, xi0=None, At_xi0=None, unscaled=False):
+        def recording(state, spec, grad_tol, max_iter, stats, xi0=None, At_xi0=None,
+                      unscaled=False):
             if unscaled and not starts:
                 xi0 = xi_warm  # the first call starts where the warm solve ended
             starts.append(xi0)
-            return sncg(state, spec, grad_tol, max_iter, xi0=xi0, At_xi0=At_xi0)
+            return sncg(state, spec, grad_tol, max_iter, stats, xi0=xi0, At_xi0=At_xi0)
 
         monkeypatch.setattr(wl21, "sncg_solve", recording)
         x, _, stats = alm_solve(small, AlmConfig(tol=1e-8), warm=warm)
@@ -546,11 +572,14 @@ class TestAbcd:
         _, state, stats = alm_solve(spec, AlmConfig(tol=1e-6))
         assert stats.converged
         sncg_tol = 1e-11 * (1 + np.linalg.norm(spec.b))
-        first = abcd_solve(state, spec, sncg_tol, 50)
+        first = abcd_solve(state, spec, sncg_tol, 50, SolveStats())
         assert first[4]["iters"] == 1 and first[4]["sncg"]["met"]
         state.xi = first[1]
-        again = abcd_solve(state, spec, sncg_tol, 50)
-        assert again[4]["sncg"]["iters"] == 0
+        stats = SolveStats()
+        again = abcd_solve(state, spec, sncg_tol, 50, stats)
+        assert again[4]["sncg"]["iters"] == 0 == stats.sncg_iters
+        # given no A^T xi, SNCG makes it and its gradient's A s; then the call's exact A^T xi
+        assert stats.dense_products == 3
         for before, after in zip(first[:4], again[:4]):
             assert np.array_equal(before, after)
 
@@ -604,7 +633,12 @@ class TestSpecValidation:
 
     @pytest.mark.parametrize("cls, field, value", [
         (AlmConfig, "max_outer", 0), (AlmConfig, "sncg_max_iter", 0),
+        # sigma starts at 1; sigma_max 0 divided by zero, and -1 never stopped
+        (AlmConfig, "sigma_max", 0.0), (AlmConfig, "sigma_max", -1.0),
+        (AlmConfig, "sigma_max", 0.5), (AlmConfig, "sigma_max", float("inf")),
+        (AlmConfig, "sigma_max", float("nan")),
     ])
     def test_config_ranges(self, cls, field, value):
         with pytest.raises(ValueError, match=field):
             cls(**{field: value})
+        AlmConfig(sigma_max=1.0)
