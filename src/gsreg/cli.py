@@ -142,6 +142,10 @@ def _solve_one(inst: Instance, cfg: MscraConfig):
         "stop_reason": result.stop_reason,
         "converged": result.converged,
         "inner_failures": result.inner_failures,
+        # SNCG calls over all stages that ended short of both their targets,
+        # and those that ended at SSNAL's criterion (B)
+        "sncg_unmet": sum(t.inner_stats.sncg_unmet for t in result.traces),
+        "sncg_early": sum(t.inner_stats.sncg_early for t in result.traces),
         "time": elapsed,
         "nu": result.nu,
     }
@@ -152,7 +156,8 @@ def _solve_one(inst: Instance, cfg: MscraConfig):
     return row, result
 
 
-_BENCH_KEYS = ("relerr", "group_sparsity", "time", "stages", "exact_support", "inner_failures")
+_BENCH_KEYS = ("relerr", "group_sparsity", "time", "stages", "exact_support", "inner_failures",
+               "sncg_unmet", "sncg_early")
 _BENCH_FIELDS = ["signal", "beta", "n", "rep", "seed", "plan_hash", "error"] + [
     f"{mode}_{key}" for mode in ("gep", "stage1") for key in _BENCH_KEYS]
 _AGG_KEYS = {"relerr": "mean_relerr", "time": "mean_time", "group_sparsity": "mean_sparsity"}

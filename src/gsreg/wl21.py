@@ -157,7 +157,10 @@ class AlmConfig:
     by 1.3, or by 5 when the multiplier stalls, that is when ``eps_dinf``
     kept more than half of its previous value; it never exceeds
     ``sigma_max``.  ``max_outer`` bounds the outer iterations and
-    ``sncg_max_iter`` the Newton steps of each one.
+    ``sncg_max_iter`` the Newton steps of each one.  Each outer
+    iteration's SNCG call stops at the rounding-floor target or at SSNAL's
+    criterion (B), whichever it meets first (see :func:`alm_solve`); both
+    are fixed, not settings.
     """
 
     sigma_max: float = 1e6
@@ -190,9 +193,12 @@ class SolveStats:
     sncg_fallbacks: int = 0
     sncg_backtracks: int = 0
     sncg_stalls: int = 0
-    # SNCG calls that returned above their gradient target: at max_iter,
-    # or at a stall (those are in sncg_stalls as well)
+    # SNCG calls that returned above their gradient target and short of
+    # SSNAL's criterion (B): at max_iter, or at a stall (those are in
+    # sncg_stalls as well)
     sncg_unmet: int = 0
+    # SNCG calls that returned above their gradient target at criterion (B)
+    sncg_early: int = 0
     # Newton systems solved in the n x n form and in the r x r Woodbury
     # form, and the largest r = |J| + #{c_i > 0} among them (see
     # newton_direction)
@@ -502,7 +508,7 @@ _MAX_BACKTRACKS = 50
 
 
 def sncg_solve(state: DualState, spec: SubproblemSpec, grad_tol: float, max_iter: int,
-               stats: SolveStats, xi0=None, At_xi0=None):
+               stats: SolveStats, xi0=None, At_xi0=None, delta: float = 0.0):
     """Semismooth Newton on the reduced gradient system in xi.
 
     The reduced function is the augmented Lagrangian minimized over
@@ -515,11 +521,16 @@ def sncg_solve(state: DualState, spec: SubproblemSpec, grad_tol: float, max_iter
     backtracking rule that allows for the rounding error of the function
     values it compares.  ``y`` moves with ``xi`` along ``A^T d``, so a
     trial step needs no product with ``A^T``, and the prox of the
-    accepted trial goes on to the next Newton system.  The loop stops at
-    ``grad_tol``, after ``max_iter`` steps, or at a stall: an accepted
-    step that lowers neither the function nor the gradient norm, which
-    means ``grad_tol`` lies below the rounding floor, or a line search
-    that refuses every trial step, which leaves xi where it was.
+    accepted trial goes on to the next Newton system.  The loop has two
+    exits that meet a target.  One is ``grad_tol``.  The other is SSNAL's
+    criterion (B) (Li, Sun & Toh, SIAM J. Optim. 2018, §3):
+    ``||grad|| <= delta / sqrt(sigma) * ||sigma s - x||``, with ``s`` the
+    prox at the current point, so that ``sigma s - x`` is the multiplier
+    step :func:`abcd_solve` takes from there; ``delta = 0`` turns it off.
+    Otherwise the loop ends after ``max_iter`` steps, or at a stall: an
+    accepted step that lowers neither the function nor the gradient norm,
+    which means ``grad_tol`` lies below the rounding floor, or a line
+    search that refuses every trial step, which leaves xi where it was.
 
     ``At_xi0``, when given, is ``A^T xi0``, so that the start costs no
     product with ``A^T``.  The gradient takes one product ``A s`` at the
@@ -527,14 +538,16 @@ def sncg_solve(state: DualState, spec: SubproblemSpec, grad_tol: float, max_iter
     more, ``A^T d``, and two more when its system is solved on the Gram
     of a narrow instance (:func:`newton_direction`).  ``stats`` gets them
     all as ``dense_products``, each Newton system as :func:`newton_direction`
-    counts it, this call's steps, backtracks, fallbacks and stalls, and one
-    ``sncg_unmet`` if it ends above ``grad_tol``.  Returns the final xi
-    and this call's record.
+    counts it, this call's steps, backtracks, fallbacks and stalls, one
+    ``sncg_early`` if it ends above ``grad_tol`` at criterion (B), and one
+    ``sncg_unmet`` if it ends short of both.  Returns the final xi and
+    this call's record; its ``met`` and ``early`` say which target the
+    call ended at, if any.
     """
     xi = np.zeros(spec.n) if xi0 is None else np.asarray(xi0, dtype=float).copy()
-    # this call's record: alm_solve reads iters, backtracks, stalls, met and
-    # gnorm; fallbacks and the always-0 cg_iters only the benchmark tracer
-    # reads (ROADMAP item 1 removes cg_iters)
+    # this call's record: alm_solve reads iters, backtracks, stalls, met,
+    # early and gnorm; fallbacks and the always-0 cg_iters only the benchmark
+    # tracer reads (ROADMAP item 1 removes cg_iters)
     call = {"iters": 0, "backtracks": 0, "fallbacks": 0, "stalls": 0, "cg_iters": 0}
     sigma = state.sigma
     R = spec.box.R / sigma
@@ -546,8 +559,14 @@ def sncg_solve(state: DualState, spec: SubproblemSpec, grad_tol: float, max_iter
     g = spec.b + xi + sigma * (spec.A @ prox.s)
     stats.dense_products += 1
     gnorm = np.linalg.norm(g)
+    coef = delta / np.sqrt(sigma)
+
+    def early():
+        # SSNAL's criterion (B): sigma s - x is the multiplier step abcd_solve takes from here
+        return gnorm <= coef * np.linalg.norm(sigma * prox.s - state.x)
+
     for _ in range(max_iter):
-        if gnorm <= grad_tol:
+        if gnorm <= grad_tol or early():
             break
         d, _ = newton_direction(-g, y, sigma, spec, prox, stats)
         slope = g @ d
@@ -580,20 +599,23 @@ def sncg_solve(state: DualState, spec: SubproblemSpec, grad_tol: float, max_iter
             call["stalls"] += 1
             break
     call["met"] = bool(gnorm <= grad_tol)
+    call["early"] = bool(not call["met"] and early())
     call["gnorm"] = float(gnorm)
     stats.sncg_iters += call["iters"]
     stats.sncg_backtracks += call["backtracks"]
     stats.sncg_fallbacks += call["fallbacks"]
     stats.sncg_stalls += call["stalls"]
-    stats.sncg_unmet += not call["met"]
+    stats.sncg_early += call["early"]
+    stats.sncg_unmet += not (call["met"] or call["early"])
     return xi, call
 
 
 def abcd_solve(state: DualState, spec: SubproblemSpec, sncg_tol: float, max_iter: int,
-               stats: SolveStats, At_xi=None):
+               stats: SolveStats, At_xi=None, delta: float = 0.0):
     """Minimize the augmented Lagrangian over (eta, xi, zeta) by one :func:`sncg_solve` call.
 
-    SNCG finds xi in at most ``max_iter`` Newton steps; with
+    SNCG finds xi in at most ``max_iter`` Newton steps, stopping at
+    ``sncg_tol`` or at criterion (B) with coefficient ``delta``; with
     ``y = A^T xi + x/sigma`` and ``s`` the prox at ``y`` for the box radius
     ``R/sigma``, the minimizing zeta is the projection of ``y`` onto the
     group balls where the box clips nothing and ``omega_i s_i/||s_i||``
@@ -617,7 +639,8 @@ def abcd_solve(state: DualState, spec: SubproblemSpec, sncg_tol: float, max_iter
     the function up by name and counts ``out["iters"]``, always 1
     here, as its sweeps.
     """
-    xi, call = sncg_solve(state, spec, sncg_tol, max_iter, stats, xi0=state.xi, At_xi0=At_xi)
+    xi, call = sncg_solve(state, spec, sncg_tol, max_iter, stats, xi0=state.xi, At_xi0=At_xi,
+                          delta=delta)
     R = spec.box.R / state.sigma
     At_xi = spec.A.T @ xi
     stats.dense_products += 1
@@ -671,6 +694,10 @@ _SIGMA_START = 1.0
 _SIGMA_GROWTH = 1.3
 _STALL_RATIO = 0.5
 _STALL_GROWTH = 5.0
+# outer iteration k hands SNCG delta_k = _DELTA_START _DELTA_RATIO^k for
+# SSNAL's criterion (B), a summable sequence (see sncg_solve)
+_DELTA_START = 0.1
+_DELTA_RATIO = 0.9
 # the solve gives up after this many outer iterations in a row whose SNCG
 # line search refused its first step, so that xi has not moved
 _MAX_STUCK = 2
@@ -694,18 +721,24 @@ def alm_solve(spec: SubproblemSpec, cfg: AlmConfig | None = None,
 
     Each outer iteration minimizes the augmented Lagrangian with one
     :func:`abcd_solve` call, which hands its exact ``A^T xi`` on to the
-    next one.  It stops when the three residuals fall
-    below ``cfg.tol``: ``eps_pinf``, the final gradient norm of that
-    SNCG solve over ``1 + ||b||``; ``eps_dinf``, the multiplier step over
-    sigma; and ``eps_gap``, the normalized primal-dual gap.  Otherwise
+    next one.  Its SNCG call stops at the first of two exits: the gradient
+    target ``1e-11 (1 + ||b||)``, the rounding floor, or SSNAL's
+    criterion (B) with ``delta_k = 0.1 * 0.9^k`` at outer iteration k,
+    which ends the call once its gradient is small against the multiplier
+    step it leads to (see :func:`sncg_solve`).  The solve stops when the
+    three residuals fall below ``cfg.tol``: ``eps_pinf``, the final
+    gradient norm of that SNCG solve over ``1 + ||b||``, whichever exit
+    ended it; ``eps_dinf``, the multiplier step over sigma; and
+    ``eps_gap``, the normalized primal-dual gap.  Otherwise
     sigma grows from 1, up to ``cfg.sigma_max``: by 5 when the multiplier
     stalls, that is when ``eps_dinf`` stays above half of its value at the
     previous outer iteration, and by 1.3 when it falls faster (and after
     the first iteration, which has no previous value).  Each ``history``
     entry logs the ``sigma`` of its iteration, whether the multiplier
     ``stalled`` there, and the record of its SNCG call: its steps and
-    backtracks, whether it met its target, its final gradient norm and
-    that target (``sncg_iters``, ``sncg_backtracks``, ``sncg_met``,
+    backtracks, whether it met its gradient target or ended at
+    criterion (B), its final gradient norm and the gradient target
+    (``sncg_iters``, ``sncg_backtracks``, ``sncg_met``, ``sncg_early``,
     ``sncg_gnorm``, ``sncg_target``).  Returns ``(x, state, stats)``; a
     run hitting ``max_outer`` is flagged not-converged, and so is one that
     stops early after two outer iterations in a row whose SNCG line search
@@ -745,16 +778,19 @@ def alm_solve(spec: SubproblemSpec, cfg: AlmConfig | None = None,
         state = DualState.cold(spec, _SIGMA_START)
     At_xi = None  # A^T state.xi, once an outer iteration has computed it
     bnorm = 1.0 + np.linalg.norm(spec.b)
-    # Newton steps are exact, so SNCG solves each subproblem close to the
-    # rounding floor for about one more step; a target scaled by tol * ||b||
-    # left xi too loose for eps_gap when ||b|| is large, and stages cycled
+    # SNCG's gradient target is the rounding floor: a target scaled by
+    # tol * ||b|| left xi too loose for eps_gap when ||b|| is large, and
+    # stages cycled.  Far from the solution criterion (B) ends a call
+    # earlier, where its gradient is small against the multiplier step; near
+    # it that step shrinks, so the calls return to the floor.  eps_pinf reads
+    # the gradient either exit leaves, so converged keeps its meaning
     sncg_tol = 1e-11 * bnorm
     eps_dinf_prev = np.inf
     stuck = 0  # outer iterations in a row that left xi where it was
     stats.stop_cause = "max_outer"
     for j in range(cfg.max_outer):
         eta, xi, zeta, x_new, out = abcd_solve(state, spec, sncg_tol, cfg.sncg_max_iter, stats,
-                                               At_xi)
+                                               At_xi, _DELTA_START * _DELTA_RATIO**j)
         x_old = state.x
         state.eta, state.xi, state.zeta, state.x = eta, xi, zeta, x_new
         At_xi, keep, call = out["At_xi"], out["keep"], out["sncg"]
@@ -774,7 +810,8 @@ def alm_solve(spec: SubproblemSpec, cfg: AlmConfig | None = None,
         stats.history.append({
             "eps_pinf": eps_pinf, "eps_dinf": eps_dinf, "eps_gap": eps_gap, "sigma": state.sigma,
             "sncg_iters": call["iters"], "sncg_backtracks": call["backtracks"],
-            "sncg_met": call["met"], "sncg_gnorm": call["gnorm"], "sncg_target": sncg_tol,
+            "sncg_met": call["met"], "sncg_early": call["early"], "sncg_gnorm": call["gnorm"],
+            "sncg_target": sncg_tol,
             "stalled": stalled})
         if max(eps_pinf, eps_dinf, eps_gap) <= cfg.tol:
             stats.converged = True

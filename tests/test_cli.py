@@ -95,6 +95,32 @@ class TestSolve:
             assert s["dense_products"] + s["working_set_products"] == (
                 2 * s["sncg_iters"] + 3 * s["outer_iters"] + 2 + warm)
 
+    def test_rows_carry_the_sncg_exit_counts(self, tmp_path, capsys):
+        # summary.csv and bench.csv sum each stage's SolveStats over the run
+        d = self._instance_dir(tmp_path)
+        assert main(["solve", str(d), "--out", str(tmp_path / "run")]) == 0
+        with open(tmp_path / "run" / "traces.jsonl") as fh:
+            inner = [json.loads(line)["inner"] for line in fh]
+        with open(tmp_path / "run" / "summary.csv") as fh:
+            row = next(csv.DictReader(fh))
+        for key in ("sncg_unmet", "sncg_early"):
+            assert int(row[key]) == sum(s[key] for s in inner)
+        assert int(row["sncg_early"]) > 0
+
+        out = tmp_path / "bench"
+        assert main(_bench_args(out, "--mode", "both", "--reps", "1")) == 0
+        bench = _bench_rows(out)[0]
+        inst = ExperimentPlan(p=48, m=8, r_bar=2, betas=(4,), alpha=1.0, theta1=0.0,
+                              theta2=0.0, reps=1).instance("i", 4, 0)
+        # this cell's GEP-MSCRA run interpolates, so solve exits 1 but writes its summary
+        assert main(["solve", str(gio.save_instance(tmp_path / "cell", inst)),
+                     "--out", str(tmp_path / "cell_run")]) == 1
+        with open(tmp_path / "cell_run" / "summary.csv") as fh:
+            cell = next(csv.DictReader(fh))
+        assert (bench["gep_sncg_unmet"], bench["gep_sncg_early"]) == (
+            cell["sncg_unmet"], cell["sncg_early"])
+        assert int(bench["stage1_sncg_early"]) > 0 and bench["stage1_sncg_unmet"] != ""
+
     def test_inner_failures_exit_1_with_reason(self, tmp_path, capsys):
         d = self._instance_dir(tmp_path)
         cfg = tmp_path / "cfg.json"

@@ -3,7 +3,7 @@ import pytest
 
 from conftest import clarke_block, dense_hessian, random_subproblem
 from gsreg.groups import (BoxConstraint, GroupStructure, contiguous_groups, group_norms,
-                          group_support)
+                          group_support, prox_group_box)
 from gsreg.wl21 import (
     AlmConfig,
     DualState,
@@ -23,6 +23,14 @@ from gsreg.wl21 import (
     sncg_solve,
 )
 from reference import fista_reference
+
+
+def _multiplier_bound(xi, state, spec, delta):
+    """Criterion (B) at xi: ``delta / sqrt(sigma)`` times the multiplier step ``sigma s - x``."""
+    sigma = state.sigma
+    y = spec.A.T @ xi + state.x / sigma
+    s = prox_group_box(y, spec.g, spec.omega, spec.box.R / sigma)
+    return delta / np.sqrt(sigma) * np.linalg.norm(sigma * s - state.x)
 
 
 class TestProjection:
@@ -246,6 +254,34 @@ class TestSncg:
         assert alm_stats.sncg_fallbacks == alm_stats.to_dict()["sncg_fallbacks"] == 1
         assert alm_stats.converged and alm_stats.sncg_unmet == 0
 
+    def test_stops_at_the_multiplier_criterion(self, rng):
+        # far from the multiplier's fixed point, criterion (B) ends the call
+        # well above a rounding-floor target, counted as early, not as unmet
+        spec = random_subproblem(7)
+        state = DualState.cold(spec, 2.0)
+        state.x = rng.standard_normal(spec.p)
+        grad_tol = 1e-11 * (1 + np.linalg.norm(spec.b))
+        stats, stats_off = SolveStats(), SolveStats()
+        xi, call = sncg_solve(state, spec, grad_tol, 50, stats, delta=0.1)
+        _, call_off = sncg_solve(state, spec, grad_tol, 50, stats_off)
+        assert call["early"] and not call["met"] and call["gnorm"] > grad_tol
+        # the box does not clip here, so the gradient is that of the no-box function at eta = 0
+        gnorm = np.linalg.norm(phi_kj_grad(xi, np.zeros(spec.p), state, spec))
+        assert gnorm <= _multiplier_bound(xi, state, spec, 0.1) * (1 + 1e-9)
+        assert (stats.sncg_early, stats.sncg_unmet) == (1, 0)
+        # without it the same call runs on to its target
+        assert call_off["met"] and not call_off["early"] and stats_off.sncg_early == 0
+        assert 0 < call["iters"] < call_off["iters"]
+
+        # the ALM solve that exits this way still solves the subproblem
+        spec = random_subproblem(9, n=60, p=90, m=18)
+        x, _, alm_stats = alm_solve(spec, AlmConfig(tol=1e-7))
+        assert alm_stats.converged and alm_stats.sncg_early > 0
+        assert alm_stats.sncg_early == sum(h["sncg_early"] for h in alm_stats.history)
+        x_ref, _ = fista_reference(spec, grad_map_tol=1e-10)
+        p_alm, p_ref = primal_objective(x, spec), primal_objective(x_ref, spec)
+        assert abs(p_alm - p_ref) <= 1e-6 * abs(p_ref)
+
     def test_carried_product_gives_the_same_solve(self, rng):
         # handing SNCG the exact A^T xi0 saves its first dense product and
         # changes nothing else, bit for bit
@@ -360,8 +396,9 @@ class TestAlm:
         calls, systems = [], []
         sncg, newton = wl21.sncg_solve, wl21.newton_direction
 
-        def recording(state, spec, grad_tol, max_iter, stats, xi0=None, At_xi0=None):
-            # a zero gradient tolerance lies below every rounding floor, so each call stalls
+        def recording(state, spec, grad_tol, max_iter, stats, xi0=None, At_xi0=None, delta=0.0):
+            # a zero gradient tolerance lies below every rounding floor, so with
+            # criterion (B) off each call stalls
             xi, s = sncg(state, spec, 0.0, max_iter, stats, xi0=xi0, At_xi0=At_xi0)
             calls.append(s)
             return xi, s
@@ -379,12 +416,13 @@ class TestAlm:
         _, _, stats = alm_solve(spec, AlmConfig(tol=1e-8))
         # the ALM's totals are the sums of the per-call records the benchmark tracer reads
         assert set(calls[0]) == {"iters", "backtracks", "fallbacks", "stalls", "cg_iters",
-                                 "met", "gnorm"}
+                                 "met", "early", "gnorm"}
         assert stats.sncg_iters == sum(s["iters"] for s in calls)
         assert stats.sncg_fallbacks == sum(s["fallbacks"] for s in calls)
         assert stats.sncg_backtracks == sum(s["backtracks"] for s in calls) > 0
         assert stats.sncg_stalls == sum(s["stalls"] for s in calls) > 0
         assert stats.sncg_unmet == sum(not s["met"] for s in calls) > 0
+        assert stats.sncg_early == sum(s["early"] for s in calls) == 0
         assert all(s["cg_iters"] == 0 for s in calls)
         # and each Newton system is counted once, by its r
         assert stats.sncg_nn_systems == sum(r >= spec.n for r in systems)
@@ -405,27 +443,34 @@ class TestAlm:
         calls = []
         sncg = wl21.sncg_solve
 
-        def recording(state, spec, grad_tol, max_iter, stats, xi0=None, At_xi0=None, floor=False):
+        def recording(state, spec, grad_tol, max_iter, stats, xi0=None, At_xi0=None, delta=0.0,
+                      floor=False):
             xi, s = sncg(state, spec, 0.0 if floor else grad_tol, max_iter, stats, xi0=xi0,
-                         At_xi0=At_xi0)
+                         At_xi0=At_xi0, delta=0.0 if floor else delta)
             gnorm = np.linalg.norm(phi_kj_grad(xi, np.zeros(spec.p), state, spec))
-            calls.append((s, gnorm, grad_tol))
+            calls.append((s, gnorm, grad_tol, _multiplier_bound(xi, state, spec, delta)))
             return xi, s
 
         monkeypatch.setattr(wl21, "sncg_solve", recording)
         spec = random_subproblem(16, omega_scale=0.5)
         _, _, stats = alm_solve(spec, AlmConfig(tol=1e-8))
-        assert stats.converged and stats.sncg_stalls == 0
+        assert stats.converged and stats.sncg_stalls == stats.sncg_unmet == 0
+        # each call ends at its target or at criterion (B), none at max_iter
         max_iter = AlmConfig().sncg_max_iter
-        assert all(s["iters"] < max_iter and gnorm <= tol for s, gnorm, tol in calls)
+        assert all(s["iters"] < max_iter for s, _, _, _ in calls)
+        assert all(gnorm <= tol for s, gnorm, tol, _ in calls if s["met"])
+        early = [(gnorm, bound) for s, gnorm, _, bound in calls if s["early"]]
+        assert stats.sncg_early == len(early) > 0
+        assert all(gnorm <= bound * (1 + 1e-6) for gnorm, bound in early)
+        assert all(s["met"] != s["early"] for s, _, _, _ in calls)
         assert stats.sncg_backtracks < stats.sncg_iters
 
-        # below the floor each call ends in a stall, not at max_iter
+        # with criterion (B) off, below the floor each call ends in a stall, not at max_iter
         calls.clear()
         monkeypatch.setattr(wl21, "sncg_solve", lambda *a, **k: recording(*a, **k, floor=True))
         _, _, stats = alm_solve(spec, AlmConfig(tol=1e-8))
-        assert stats.sncg_stalls == len(calls) > 0
-        assert all(s["stalls"] == 1 and s["iters"] < max_iter for s, _, _ in calls)
+        assert stats.sncg_stalls == len(calls) > 0 and stats.sncg_early == 0
+        assert all(s["stalls"] == 1 and s["iters"] < max_iter for s, _, _, _ in calls)
 
     def test_sigma_grows_until_converged(self):
         # sigma grows by 5 after an iteration whose eps_dinf kept more than
@@ -451,8 +496,9 @@ class TestAlm:
         calls = []
         sncg = wl21.sncg_solve
 
-        def recording(state, spec, grad_tol, max_iter, stats, xi0=None, At_xi0=None):
-            xi, s = sncg(state, spec, grad_tol, max_iter, stats, xi0=xi0, At_xi0=At_xi0)
+        def recording(state, spec, grad_tol, max_iter, stats, xi0=None, At_xi0=None, delta=0.0):
+            xi, s = sncg(state, spec, grad_tol, max_iter, stats, xi0=xi0, At_xi0=At_xi0,
+                         delta=delta)
             gnorm = np.linalg.norm(phi_kj_grad(xi, np.zeros(spec.p), state, spec))
             calls.append((s, gnorm, grad_tol))
             return xi, s
@@ -460,20 +506,21 @@ class TestAlm:
         monkeypatch.setattr(wl21, "sncg_solve", recording)
         spec = random_subproblem(16)
         _, _, stats = alm_solve(spec, AlmConfig(sncg_max_iter=1))
-        unmet = [(s, gnorm, tol) for s, gnorm, tol in calls if not s["met"]]
+        unmet = [(s, gnorm, tol) for s, gnorm, tol in calls if not (s["met"] or s["early"])]
         assert stats.sncg_unmet == stats.to_dict()["sncg_unmet"] == len(unmet) > 0
         assert stats.sncg_stalls == 0
         # an unmet call ran its one step and ended above its target
         assert all(s["iters"] == 1 and gnorm > tol for s, gnorm, tol in unmet)
-        assert all(s["met"] for s, _, _ in calls if s["iters"] == 0)
+        assert all(s["met"] or s["early"] for s, _, _ in calls if s["iters"] == 0)
         # eps_pinf is the gradient norm each call ended at, over 1 + ||b||
         bnorm = 1.0 + np.linalg.norm(spec.b)
         assert [h["eps_pinf"] for h in stats.history] == [s["gnorm"] / bnorm for s, _, _ in calls]
         assert all(gnorm == pytest.approx(s["gnorm"], rel=1e-6) for s, gnorm, _ in unmet)
         # each history entry carries its call's record and target
-        assert [(h["sncg_iters"], h["sncg_backtracks"], h["sncg_met"], h["sncg_gnorm"],
-                 h["sncg_target"]) for h in stats.history] == [
-            (s["iters"], s["backtracks"], s["met"], s["gnorm"], tol) for s, _, tol in calls]
+        assert [(h["sncg_iters"], h["sncg_backtracks"], h["sncg_met"], h["sncg_early"],
+                 h["sncg_gnorm"], h["sncg_target"]) for h in stats.history] == [
+            (s["iters"], s["backtracks"], s["met"], s["early"], s["gnorm"], tol)
+            for s, _, tol in calls]
 
     def test_warm_start_converges_faster(self):
         spec = random_subproblem(14, n=50, p=80, m=16)
@@ -498,12 +545,13 @@ class TestAlm:
         starts = []
         sncg = wl21.sncg_solve
 
-        def recording(state, spec, grad_tol, max_iter, stats, xi0=None, At_xi0=None,
+        def recording(state, spec, grad_tol, max_iter, stats, xi0=None, At_xi0=None, delta=0.0,
                       unscaled=False):
             if unscaled and not starts:
                 xi0 = xi_warm  # the first call starts where the warm solve ended
             starts.append(xi0)
-            return sncg(state, spec, grad_tol, max_iter, stats, xi0=xi0, At_xi0=At_xi0)
+            return sncg(state, spec, grad_tol, max_iter, stats, xi0=xi0, At_xi0=At_xi0,
+                        delta=delta)
 
         monkeypatch.setattr(wl21, "sncg_solve", recording)
         x, _, stats = alm_solve(small, AlmConfig(tol=1e-8), warm=warm)
