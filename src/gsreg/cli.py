@@ -142,10 +142,12 @@ def _solve_one(inst: Instance, cfg: MscraConfig):
         "stop_reason": result.stop_reason,
         "converged": result.converged,
         "inner_failures": result.inner_failures,
-        # SNCG calls over all stages that ended short of both their targets,
-        # and those that ended at SSNAL's criterion (B)
+        # SNCG calls over all stages that met none of their exits, and those
+        # that ended at SSNAL's criterion (B) on the gradient and on the
+        # Newton decrement
         "sncg_unmet": sum(t.inner_stats.sncg_unmet for t in result.traces),
         "sncg_early": sum(t.inner_stats.sncg_early for t in result.traces),
+        "sncg_decrement": sum(t.inner_stats.sncg_decrement for t in result.traces),
         "time": elapsed,
         "nu": result.nu,
     }
@@ -157,7 +159,7 @@ def _solve_one(inst: Instance, cfg: MscraConfig):
 
 
 _BENCH_KEYS = ("relerr", "group_sparsity", "time", "stages", "exact_support", "inner_failures",
-               "sncg_unmet", "sncg_early")
+               "sncg_unmet", "sncg_early", "sncg_decrement")
 _BENCH_FIELDS = ["signal", "beta", "n", "rep", "seed", "plan_hash", "error"] + [
     f"{mode}_{key}" for mode in ("gep", "stage1") for key in _BENCH_KEYS]
 _AGG_KEYS = {"relerr": "mean_relerr", "time": "mean_time", "group_sparsity": "mean_sparsity"}

@@ -158,9 +158,11 @@ class AlmConfig:
     kept more than half of its previous value; it never exceeds
     ``sigma_max``.  ``max_outer`` bounds the outer iterations and
     ``sncg_max_iter`` the Newton steps of each one.  Each outer
-    iteration's SNCG call stops at the rounding-floor target or at SSNAL's
-    criterion (B), whichever it meets first (see :func:`alm_solve`); both
-    are fixed, not settings.
+    iteration's SNCG call stops at the rounding-floor target or at
+    criterion (B), in gradient form or on the Newton decrement, whichever
+    it meets first (see :func:`alm_solve`); these are fixed, not settings,
+    and ``tol`` is the one setting they read: the decrement exit is not
+    taken where the ALM's ``eps_dinf`` would meet it.
     """
 
     sigma_max: float = 1e6
@@ -193,12 +195,14 @@ class SolveStats:
     sncg_fallbacks: int = 0
     sncg_backtracks: int = 0
     sncg_stalls: int = 0
-    # SNCG calls that returned above their gradient target and short of
-    # SSNAL's criterion (B): at max_iter, or at a stall (those are in
-    # sncg_stalls as well)
+    # SNCG calls that met none of their exits (see sncg_solve): they returned
+    # at max_iter, or at a stall (those are in sncg_stalls as well)
     sncg_unmet: int = 0
-    # SNCG calls that returned above their gradient target at criterion (B)
+    # SNCG calls that returned above their gradient target at SSNAL's
+    # criterion (B) on the gradient, and at the same criterion on the
+    # Newton decrement
     sncg_early: int = 0
+    sncg_decrement: int = 0
     # Newton systems solved in the n x n form and in the r x r Woodbury
     # form, and the largest r = |J| + #{c_i > 0} among them (see
     # newton_direction)
@@ -508,7 +512,7 @@ _MAX_BACKTRACKS = 50
 
 
 def sncg_solve(state: DualState, spec: SubproblemSpec, grad_tol: float, max_iter: int,
-               stats: SolveStats, xi0=None, At_xi0=None, delta: float = 0.0):
+               stats: SolveStats, xi0=None, At_xi0=None, delta: float = 0.0, tol: float = 0.0):
     """Semismooth Newton on the reduced gradient system in xi.
 
     The reduced function is the augmented Lagrangian minimized over
@@ -521,16 +525,39 @@ def sncg_solve(state: DualState, spec: SubproblemSpec, grad_tol: float, max_iter
     backtracking rule that allows for the rounding error of the function
     values it compares.  ``y`` moves with ``xi`` along ``A^T d``, so a
     trial step needs no product with ``A^T``, and the prox of the
-    accepted trial goes on to the next Newton system.  The loop has two
-    exits that meet a target.  One is ``grad_tol``.  The other is SSNAL's
-    criterion (B) (Li, Sun & Toh, SIAM J. Optim. 2018, §3):
-    ``||grad|| <= delta / sqrt(sigma) * ||sigma s - x||``, with ``s`` the
-    prox at the current point, so that ``sigma s - x`` is the multiplier
-    step :func:`abcd_solve` takes from there; ``delta = 0`` turns it off.
-    Otherwise the loop ends after ``max_iter`` steps, or at a stall: an
-    accepted step that lowers neither the function nor the gradient norm,
-    which means ``grad_tol`` lies below the rounding floor, or a line
-    search that refuses every trial step, which leaves xi where it was.
+    accepted trial goes on to the next Newton system.
+
+    With ``s`` the prox at the current point, ``sigma s - x`` is the
+    multiplier step :func:`abcd_solve` takes from there.  The loop has
+    three exits that meet a target.  Before each Newton system it tests
+    two of them:
+
+    - ``met``: the gradient target ``grad_tol``;
+    - ``early``: SSNAL's criterion (B) (Li, Sun & Toh, SIAM J. Optim.
+      2018, §3) on the gradient,
+      ``||grad|| <= delta / sqrt(sigma) * ||sigma s - x||``.
+
+    After the Newton system it tests the third, ``decrement``: criterion
+    (B) as Rockafellar (Math. Oper. Res. 1976) states it, on the gap
+    ``psi - inf psi <= delta^2 ||sigma s - x||^2 / (2 sigma)``, with the
+    gap taken as that of the Newton model, ``-grad^T d / 2``.  When it
+    holds, the call takes that step, with its line search, and returns,
+    unless the step leaves a multiplier step of at most ``tol * sigma``.
+    There :func:`alm_solve` would find its ``eps_dinf`` at most ``tol``
+    and might stop and return this call's point, which the ALM's own
+    test, measuring the gradient against ``1 + ||b||``, does not make
+    accurate.  So the call runs on to one of the other two exits, and, up
+    to rounding, no ALM solve stops on a call that ended at the
+    decrement.  The gradient form bounds the gap by ``||grad||^2 / 2``,
+    which overstates it by up to the condition number of the Newton
+    matrix (about ``sigma ||A_J||^2``), so at a large sigma the decrement
+    form ends a call steps sooner.  ``delta = 0`` turns both forms of (B)
+    off.  Otherwise the loop ends after ``max_iter`` steps, or at a
+    stall: an accepted step that lowers neither the function nor the
+    gradient norm, which means ``grad_tol`` lies below the rounding
+    floor, or a line search that refuses every trial step, which leaves
+    xi where it was.  A call that ends so is counted at ``met`` or
+    ``early`` when its last point meets one of them.
 
     ``At_xi0``, when given, is ``A^T xi0``, so that the start costs no
     product with ``A^T``.  The gradient takes one product ``A s`` at the
@@ -539,14 +566,14 @@ def sncg_solve(state: DualState, spec: SubproblemSpec, grad_tol: float, max_iter
     of a narrow instance (:func:`newton_direction`).  ``stats`` gets them
     all as ``dense_products``, each Newton system as :func:`newton_direction`
     counts it, this call's steps, backtracks, fallbacks and stalls, one
-    ``sncg_early`` if it ends above ``grad_tol`` at criterion (B), and one
-    ``sncg_unmet`` if it ends short of both.  Returns the final xi and
-    this call's record; its ``met`` and ``early`` say which target the
-    call ended at, if any.
+    ``sncg_early`` or ``sncg_decrement`` for the exit of that name, and
+    one ``sncg_unmet`` if it met no exit.  Returns the final xi and this
+    call's record; its ``met``, ``early`` and ``decrement`` say which exit
+    ended the call, if any.
     """
     xi = np.zeros(spec.n) if xi0 is None else np.asarray(xi0, dtype=float).copy()
-    # this call's record: alm_solve reads iters, backtracks, stalls, met,
-    # early and gnorm; fallbacks and the always-0 cg_iters only the benchmark
+    # this call's record: alm_solve reads iters, backtracks, stalls, gnorm
+    # and the exits; fallbacks and the always-0 cg_iters only the benchmark
     # tracer reads (ROADMAP item 1 removes cg_iters)
     call = {"iters": 0, "backtracks": 0, "fallbacks": 0, "stalls": 0, "cg_iters": 0}
     sigma = state.sigma
@@ -561,12 +588,17 @@ def sncg_solve(state: DualState, spec: SubproblemSpec, grad_tol: float, max_iter
     gnorm = np.linalg.norm(g)
     coef = delta / np.sqrt(sigma)
 
-    def early():
-        # SSNAL's criterion (B): sigma s - x is the multiplier step abcd_solve takes from here
-        return gnorm <= coef * np.linalg.norm(sigma * prox.s - state.x)
+    def exit_met():
+        # the exit the current point meets before a Newton system, if any
+        if gnorm <= grad_tol:
+            return "met"
+        return "early" if gnorm <= coef * step else None
 
+    reason = None
+    step = np.linalg.norm(sigma * prox.s - state.x)  # the multiplier step from here
     for _ in range(max_iter):
-        if gnorm <= grad_tol or early():
+        reason = exit_met()
+        if reason is not None:
             break
         d, _ = newton_direction(-g, y, sigma, spec, prox, stats)
         slope = g @ d
@@ -574,6 +606,7 @@ def sncg_solve(state: DualState, spec: SubproblemSpec, grad_tol: float, max_iter
             d = -g  # no descent from the Newton system; steepest descent fallback
             slope = -gnorm**2
             call["fallbacks"] += 1
+        decrement = -slope <= (coef * step) ** 2  # criterion (B) on the Newton decrement
         At_d = spec.A.T @ d
         stats.dense_products += 1
         # below this, a change of f is rounding noise and cannot veto a step
@@ -595,27 +628,36 @@ def sncg_solve(state: DualState, spec: SubproblemSpec, grad_tol: float, max_iter
         gnorm_new = np.linalg.norm(g_new)
         stalled = f_new >= f and gnorm_new >= gnorm
         xi, y, f, g, gnorm, prox = xi_new, y_new, f_new, g_new, gnorm_new, prox_new
+        step = np.linalg.norm(sigma * prox.s - state.x)
         if stalled:
             call["stalls"] += 1
             break
-    call["met"] = bool(gnorm <= grad_tol)
-    call["early"] = bool(not call["met"] and early())
+        # not where alm_solve's eps_dinf would pass: the solve's last call runs on
+        if decrement and step > tol * sigma:
+            reason = "decrement"
+            break
+    if reason is None:
+        reason = exit_met()
+    call.update({key: reason == key for key in ("met", "early", "decrement")})
     call["gnorm"] = float(gnorm)
     stats.sncg_iters += call["iters"]
     stats.sncg_backtracks += call["backtracks"]
     stats.sncg_fallbacks += call["fallbacks"]
     stats.sncg_stalls += call["stalls"]
     stats.sncg_early += call["early"]
-    stats.sncg_unmet += not (call["met"] or call["early"])
+    stats.sncg_decrement += call["decrement"]
+    stats.sncg_unmet += reason is None
     return xi, call
 
 
 def abcd_solve(state: DualState, spec: SubproblemSpec, sncg_tol: float, max_iter: int,
-               stats: SolveStats, At_xi=None, delta: float = 0.0):
+               stats: SolveStats, At_xi=None, delta: float = 0.0, tol: float = 0.0):
     """Minimize the augmented Lagrangian over (eta, xi, zeta) by one :func:`sncg_solve` call.
 
     SNCG finds xi in at most ``max_iter`` Newton steps, stopping at
-    ``sncg_tol`` or at criterion (B) with coefficient ``delta``; with
+    ``sncg_tol`` or at criterion (B) with coefficient ``delta``, in
+    gradient form or, where it leaves a multiplier step above
+    ``tol * sigma``, on the Newton decrement; with
     ``y = A^T xi + x/sigma`` and ``s`` the prox at ``y`` for the box radius
     ``R/sigma``, the minimizing zeta is the projection of ``y`` onto the
     group balls where the box clips nothing and ``omega_i s_i/||s_i||``
@@ -640,7 +682,7 @@ def abcd_solve(state: DualState, spec: SubproblemSpec, sncg_tol: float, max_iter
     here, as its sweeps.
     """
     xi, call = sncg_solve(state, spec, sncg_tol, max_iter, stats, xi0=state.xi, At_xi0=At_xi,
-                          delta=delta)
+                          delta=delta, tol=tol)
     R = spec.box.R / state.sigma
     At_xi = spec.A.T @ xi
     stats.dense_products += 1
@@ -695,7 +737,7 @@ _SIGMA_GROWTH = 1.3
 _STALL_RATIO = 0.5
 _STALL_GROWTH = 5.0
 # outer iteration k hands SNCG delta_k = _DELTA_START _DELTA_RATIO^k for
-# SSNAL's criterion (B), a summable sequence (see sncg_solve)
+# both forms of criterion (B), a summable sequence (see sncg_solve)
 _DELTA_START = 0.1
 _DELTA_RATIO = 0.9
 # the solve gives up after this many outer iterations in a row whose SNCG
@@ -721,11 +763,15 @@ def alm_solve(spec: SubproblemSpec, cfg: AlmConfig | None = None,
 
     Each outer iteration minimizes the augmented Lagrangian with one
     :func:`abcd_solve` call, which hands its exact ``A^T xi`` on to the
-    next one.  Its SNCG call stops at the first of two exits: the gradient
-    target ``1e-11 (1 + ||b||)``, the rounding floor, or SSNAL's
-    criterion (B) with ``delta_k = 0.1 * 0.9^k`` at outer iteration k,
-    which ends the call once its gradient is small against the multiplier
-    step it leads to (see :func:`sncg_solve`).  The solve stops when the
+    next one.  Its SNCG call stops at the first of three exits: the
+    gradient target ``1e-11 (1 + ||b||)``, the rounding floor, or
+    criterion (B) with ``delta_k = 0.1 * 0.9^k`` at outer iteration k, in
+    SSNAL's gradient form or on the Newton decrement, which end the call
+    once its gradient or its Newton decrement is small against the
+    multiplier step it leads to (see :func:`sncg_solve`).  The solve
+    hands SNCG ``cfg.tol``, so that a call does not end at the decrement
+    with a multiplier step where ``eps_dinf`` passes: the solve's last
+    call runs on to one of the other two exits.  The solve stops when the
     three residuals fall below ``cfg.tol``: ``eps_pinf``, the final
     gradient norm of that SNCG solve over ``1 + ||b||``, whichever exit
     ended it; ``eps_dinf``, the multiplier step over sigma; and
@@ -737,8 +783,9 @@ def alm_solve(spec: SubproblemSpec, cfg: AlmConfig | None = None,
     entry logs the ``sigma`` of its iteration, whether the multiplier
     ``stalled`` there, and the record of its SNCG call: its steps and
     backtracks, whether it met its gradient target or ended at
-    criterion (B), its final gradient norm and the gradient target
-    (``sncg_iters``, ``sncg_backtracks``, ``sncg_met``, ``sncg_early``,
+    criterion (B) in gradient form or on the decrement, its final
+    gradient norm and the gradient target (``sncg_iters``,
+    ``sncg_backtracks``, ``sncg_met``, ``sncg_early``, ``sncg_decrement``,
     ``sncg_gnorm``, ``sncg_target``).  Returns ``(x, state, stats)``; a
     run hitting ``max_outer`` is flagged not-converged, and so is one that
     stops early after two outer iterations in a row whose SNCG line search
@@ -781,16 +828,17 @@ def alm_solve(spec: SubproblemSpec, cfg: AlmConfig | None = None,
     # SNCG's gradient target is the rounding floor: a target scaled by
     # tol * ||b|| left xi too loose for eps_gap when ||b|| is large, and
     # stages cycled.  Far from the solution criterion (B) ends a call
-    # earlier, where its gradient is small against the multiplier step; near
-    # it that step shrinks, so the calls return to the floor.  eps_pinf reads
-    # the gradient either exit leaves, so converged keeps its meaning
+    # earlier, where its gradient or Newton decrement is small against the
+    # multiplier step; near it that step shrinks, so the calls return to the
+    # floor.  eps_pinf reads the gradient any exit leaves, so converged keeps
+    # its meaning
     sncg_tol = 1e-11 * bnorm
     eps_dinf_prev = np.inf
     stuck = 0  # outer iterations in a row that left xi where it was
     stats.stop_cause = "max_outer"
     for j in range(cfg.max_outer):
         eta, xi, zeta, x_new, out = abcd_solve(state, spec, sncg_tol, cfg.sncg_max_iter, stats,
-                                               At_xi, _DELTA_START * _DELTA_RATIO**j)
+                                               At_xi, _DELTA_START * _DELTA_RATIO**j, cfg.tol)
         x_old = state.x
         state.eta, state.xi, state.zeta, state.x = eta, xi, zeta, x_new
         At_xi, keep, call = out["At_xi"], out["keep"], out["sncg"]
@@ -810,7 +858,8 @@ def alm_solve(spec: SubproblemSpec, cfg: AlmConfig | None = None,
         stats.history.append({
             "eps_pinf": eps_pinf, "eps_dinf": eps_dinf, "eps_gap": eps_gap, "sigma": state.sigma,
             "sncg_iters": call["iters"], "sncg_backtracks": call["backtracks"],
-            "sncg_met": call["met"], "sncg_early": call["early"], "sncg_gnorm": call["gnorm"],
+            "sncg_met": call["met"], "sncg_early": call["early"],
+            "sncg_decrement": call["decrement"], "sncg_gnorm": call["gnorm"],
             "sncg_target": sncg_tol,
             "stalled": stalled})
         if max(eps_pinf, eps_dinf, eps_gap) <= cfg.tol:

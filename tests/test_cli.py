@@ -103,9 +103,9 @@ class TestSolve:
             inner = [json.loads(line)["inner"] for line in fh]
         with open(tmp_path / "run" / "summary.csv") as fh:
             row = next(csv.DictReader(fh))
-        for key in ("sncg_unmet", "sncg_early"):
+        for key in ("sncg_unmet", "sncg_early", "sncg_decrement"):
             assert int(row[key]) == sum(s[key] for s in inner)
-        assert int(row["sncg_early"]) > 0
+        assert int(row["sncg_early"]) > 0 and int(row["sncg_decrement"]) > 0
 
         out = tmp_path / "bench"
         assert main(_bench_args(out, "--mode", "both", "--reps", "1")) == 0
@@ -117,8 +117,8 @@ class TestSolve:
                      "--out", str(tmp_path / "cell_run")]) == 1
         with open(tmp_path / "cell_run" / "summary.csv") as fh:
             cell = next(csv.DictReader(fh))
-        assert (bench["gep_sncg_unmet"], bench["gep_sncg_early"]) == (
-            cell["sncg_unmet"], cell["sncg_early"])
+        assert (bench["gep_sncg_unmet"], bench["gep_sncg_early"], bench["gep_sncg_decrement"]) == (
+            cell["sncg_unmet"], cell["sncg_early"], cell["sncg_decrement"])
         assert int(bench["stage1_sncg_early"]) > 0 and bench["stage1_sncg_unmet"] != ""
 
     def test_inner_failures_exit_1_with_reason(self, tmp_path, capsys):

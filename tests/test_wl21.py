@@ -282,6 +282,41 @@ class TestSncg:
         p_alm, p_ref = primal_objective(x, spec), primal_objective(x_ref, spec)
         assert abs(p_alm - p_ref) <= 1e-6 * abs(p_ref)
 
+    def test_stops_at_the_newton_decrement(self, rng):
+        # at sigma = 100 the gradient form of criterion (B) overstates the
+        # subproblem gap, and the decrement form ends the call first
+        spec = random_subproblem(7)
+        state = DualState.cold(spec, 100.0)
+        state.x = rng.standard_normal(spec.p)
+        grad_tol = 1e-11 * (1 + np.linalg.norm(spec.b))
+        stats, stats_off = SolveStats(), SolveStats()
+        _, call = sncg_solve(state, spec, grad_tol, 50, stats, delta=0.1)
+        _, call_off = sncg_solve(state, spec, grad_tol, 50, stats_off)
+        assert call["decrement"] and not (call["met"] or call["early"])
+        assert (stats.sncg_decrement, stats.sncg_early, stats.sncg_unmet) == (1, 0, 0)
+        assert call_off["met"] and stats_off.sncg_decrement == 0
+        assert 0 < call["iters"] < call_off["iters"]
+        # the point before the last step: the exits do not change the steps,
+        # so the call with (B) off passes through it
+        xi, _ = sncg_solve(state, spec, 0.0, call["iters"] - 1, SolveStats())
+        eta = np.zeros(spec.p)
+        y = spec.A.T @ xi + state.x / state.sigma
+        s = prox_group_box(y, spec.g, spec.omega, np.inf)
+        assert np.max(np.abs(s)) < spec.box.R / state.sigma
+        # the box does not clip here, so the gradient and the Newton matrix
+        # are those of the no-box function at eta = 0
+        grad = phi_kj_grad(xi, eta, state, spec)
+        d = np.linalg.solve(dense_hessian(xi, eta, state, spec), -grad)
+        bound = _multiplier_bound(xi, state, spec, 0.1)
+        assert -grad @ d <= bound**2 * (1 + 1e-9)
+        # where the gradient form of (B) fails
+        assert np.linalg.norm(grad) > bound
+
+        # where the step leaves a multiplier step of at most tol * sigma, the
+        # call runs on past the decrement to another exit
+        _, call_tol = sncg_solve(state, spec, grad_tol, 50, SolveStats(), delta=0.1, tol=1e6)
+        assert not call_tol["decrement"] and call_tol["iters"] > call["iters"]
+
     def test_carried_product_gives_the_same_solve(self, rng):
         # handing SNCG the exact A^T xi0 saves its first dense product and
         # changes nothing else, bit for bit
@@ -396,10 +431,11 @@ class TestAlm:
         calls, systems = [], []
         sncg, newton = wl21.sncg_solve, wl21.newton_direction
 
-        def recording(state, spec, grad_tol, max_iter, stats, xi0=None, At_xi0=None, delta=0.0):
+        def recording(state, spec, grad_tol, max_iter, stats, xi0=None, At_xi0=None, delta=0.0,
+                      tol=0.0):
             # a zero gradient tolerance lies below every rounding floor, so with
-            # criterion (B) off each call stalls
-            xi, s = sncg(state, spec, 0.0, max_iter, stats, xi0=xi0, At_xi0=At_xi0)
+            # both forms of criterion (B) off each call stalls
+            xi, s = sncg(state, spec, 0.0, max_iter, stats, xi0=xi0, At_xi0=At_xi0, tol=tol)
             calls.append(s)
             return xi, s
 
@@ -416,13 +452,14 @@ class TestAlm:
         _, _, stats = alm_solve(spec, AlmConfig(tol=1e-8))
         # the ALM's totals are the sums of the per-call records the benchmark tracer reads
         assert set(calls[0]) == {"iters", "backtracks", "fallbacks", "stalls", "cg_iters",
-                                 "met", "early", "gnorm"}
+                                 "met", "early", "decrement", "gnorm"}
         assert stats.sncg_iters == sum(s["iters"] for s in calls)
         assert stats.sncg_fallbacks == sum(s["fallbacks"] for s in calls)
         assert stats.sncg_backtracks == sum(s["backtracks"] for s in calls) > 0
         assert stats.sncg_stalls == sum(s["stalls"] for s in calls) > 0
         assert stats.sncg_unmet == sum(not s["met"] for s in calls) > 0
         assert stats.sncg_early == sum(s["early"] for s in calls) == 0
+        assert stats.sncg_decrement == sum(s["decrement"] for s in calls) == 0
         assert all(s["cg_iters"] == 0 for s in calls)
         # and each Newton system is counted once, by its r
         assert stats.sncg_nn_systems == sum(r >= spec.n for r in systems)
@@ -444,9 +481,9 @@ class TestAlm:
         sncg = wl21.sncg_solve
 
         def recording(state, spec, grad_tol, max_iter, stats, xi0=None, At_xi0=None, delta=0.0,
-                      floor=False):
+                      tol=0.0, floor=False):
             xi, s = sncg(state, spec, 0.0 if floor else grad_tol, max_iter, stats, xi0=xi0,
-                         At_xi0=At_xi0, delta=0.0 if floor else delta)
+                         At_xi0=At_xi0, delta=0.0 if floor else delta, tol=tol)
             gnorm = np.linalg.norm(phi_kj_grad(xi, np.zeros(spec.p), state, spec))
             calls.append((s, gnorm, grad_tol, _multiplier_bound(xi, state, spec, delta)))
             return xi, s
@@ -455,14 +492,16 @@ class TestAlm:
         spec = random_subproblem(16, omega_scale=0.5)
         _, _, stats = alm_solve(spec, AlmConfig(tol=1e-8))
         assert stats.converged and stats.sncg_stalls == stats.sncg_unmet == 0
-        # each call ends at its target or at criterion (B), none at max_iter
+        # each call ends at its target or at either form of criterion (B),
+        # none at max_iter
         max_iter = AlmConfig().sncg_max_iter
         assert all(s["iters"] < max_iter for s, _, _, _ in calls)
         assert all(gnorm <= tol for s, gnorm, tol, _ in calls if s["met"])
         early = [(gnorm, bound) for s, gnorm, _, bound in calls if s["early"]]
         assert stats.sncg_early == len(early) > 0
         assert all(gnorm <= bound * (1 + 1e-6) for gnorm, bound in early)
-        assert all(s["met"] != s["early"] for s, _, _, _ in calls)
+        assert stats.sncg_decrement == sum(s["decrement"] for s, _, _, _ in calls)
+        assert all(s["met"] + s["early"] + s["decrement"] == 1 for s, _, _, _ in calls)
         assert stats.sncg_backtracks < stats.sncg_iters
 
         # with criterion (B) off, below the floor each call ends in a stall, not at max_iter
@@ -496,9 +535,10 @@ class TestAlm:
         calls = []
         sncg = wl21.sncg_solve
 
-        def recording(state, spec, grad_tol, max_iter, stats, xi0=None, At_xi0=None, delta=0.0):
+        def recording(state, spec, grad_tol, max_iter, stats, xi0=None, At_xi0=None, delta=0.0,
+                      tol=0.0):
             xi, s = sncg(state, spec, grad_tol, max_iter, stats, xi0=xi0, At_xi0=At_xi0,
-                         delta=delta)
+                         delta=delta, tol=tol)
             gnorm = np.linalg.norm(phi_kj_grad(xi, np.zeros(spec.p), state, spec))
             calls.append((s, gnorm, grad_tol))
             return xi, s
@@ -506,7 +546,8 @@ class TestAlm:
         monkeypatch.setattr(wl21, "sncg_solve", recording)
         spec = random_subproblem(16)
         _, _, stats = alm_solve(spec, AlmConfig(sncg_max_iter=1))
-        unmet = [(s, gnorm, tol) for s, gnorm, tol in calls if not (s["met"] or s["early"])]
+        unmet = [(s, gnorm, tol) for s, gnorm, tol in calls
+                 if not (s["met"] or s["early"] or s["decrement"])]
         assert stats.sncg_unmet == stats.to_dict()["sncg_unmet"] == len(unmet) > 0
         assert stats.sncg_stalls == 0
         # an unmet call ran its one step and ended above its target
@@ -518,9 +559,25 @@ class TestAlm:
         assert all(gnorm == pytest.approx(s["gnorm"], rel=1e-6) for s, gnorm, _ in unmet)
         # each history entry carries its call's record and target
         assert [(h["sncg_iters"], h["sncg_backtracks"], h["sncg_met"], h["sncg_early"],
-                 h["sncg_gnorm"], h["sncg_target"]) for h in stats.history] == [
-            (s["iters"], s["backtracks"], s["met"], s["early"], s["gnorm"], tol)
+                 h["sncg_decrement"], h["sncg_gnorm"], h["sncg_target"])
+                for h in stats.history] == [
+            (s["iters"], s["backtracks"], s["met"], s["early"], s["decrement"], s["gnorm"], tol)
             for s, _, tol in calls]
+
+    def test_alm_solve_does_not_stop_on_a_decrement_exit(self):
+        # a call that ends at the decrement leaves eps_dinf above tol, so the
+        # solve runs on; here the last call would end at the decrement if
+        # that exit were taken wherever the decrement meets criterion (B)
+        spec = random_subproblem(11)
+        cfg = AlmConfig()
+        x, _, stats = alm_solve(spec, cfg)
+        ends = [h for h in stats.history if h["sncg_decrement"]]
+        assert stats.converged and stats.sncg_decrement == len(ends) > 0
+        assert all(h["eps_dinf"] > cfg.tol for h in ends)
+        assert stats.history[-1]["sncg_met"] or stats.history[-1]["sncg_early"]
+        x_ref, _ = fista_reference(spec, grad_map_tol=1e-10)
+        p_alm, p_ref = primal_objective(x, spec), primal_objective(x_ref, spec)
+        assert abs(p_alm - p_ref) <= 1e-6 * abs(p_ref)
 
     def test_warm_start_converges_faster(self):
         spec = random_subproblem(14, n=50, p=80, m=16)
@@ -546,12 +603,12 @@ class TestAlm:
         sncg = wl21.sncg_solve
 
         def recording(state, spec, grad_tol, max_iter, stats, xi0=None, At_xi0=None, delta=0.0,
-                      unscaled=False):
+                      tol=0.0, unscaled=False):
             if unscaled and not starts:
                 xi0 = xi_warm  # the first call starts where the warm solve ended
             starts.append(xi0)
             return sncg(state, spec, grad_tol, max_iter, stats, xi0=xi0, At_xi0=At_xi0,
-                        delta=delta)
+                        delta=delta, tol=tol)
 
         monkeypatch.setattr(wl21, "sncg_solve", recording)
         x, _, stats = alm_solve(small, AlmConfig(tol=1e-8), warm=warm)
