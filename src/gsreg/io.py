@@ -16,10 +16,11 @@ from pathlib import Path
 import numpy as np
 
 from .data import Instance
-from .groups import GroupStructure
+from .groups import GroupStructure, group_support
 
 _MAGIC = b"GSRM"
 _DTYPE_F64 = 0
+_HEADER_BYTES = 13  # magic, u32 n, u32 p, u8 dtype
 
 
 def write_matrix(path, A) -> None:
@@ -33,10 +34,14 @@ def write_matrix(path, A) -> None:
 
 def read_matrix(path) -> np.ndarray:
     with open(path, "rb") as fh:
-        magic = fh.read(4)
+        header = fh.read(_HEADER_BYTES)
+        if len(header) < _HEADER_BYTES:
+            raise ValueError(f"{path}: {len(header)} bytes is shorter than the "
+                             f"{_HEADER_BYTES}-byte header")
+        magic = header[:4]
         if magic != _MAGIC:
             raise ValueError(f"{path}: bad magic {magic!r}")
-        n, p, dtype = struct.unpack("<IIB", fh.read(9))
+        n, p, dtype = struct.unpack("<IIB", header[4:])
         if dtype != _DTYPE_F64:
             raise ValueError(f"{path}: unsupported dtype code {dtype}")
         payload = fh.read(8 * n * p)
@@ -88,17 +93,22 @@ def load_instance(directory) -> Instance:
     if not isinstance(meta, dict):
         raise ValueError(f"{d / 'meta.json'}: expected a JSON object, got {type(meta).__name__}")
     seed = meta.pop("seed", None)
-    support = meta.pop("support_true", None)
     x_true = read_vector(d / "x_true.f64", p) if (d / "x_true.f64").exists() else None
-    return Instance(
-        A=A,
-        b=b,
-        g=g,
-        x_true=x_true,
-        support_true=None if support is None else np.asarray(support, dtype=np.intp) - 1,
-        seed=seed,
-        meta=meta,
-    )
+    if "support_true" in meta:
+        support = _support_from(meta.pop("support_true"), g.m, d / "meta.json")
+    else:
+        support = None if x_true is None else group_support(x_true, g)
+    return Instance(A=A, b=b, g=g, x_true=x_true, support_true=support, seed=seed, meta=meta)
+
+
+def _support_from(raw, m: int, path) -> np.ndarray:
+    """The sorted 0-based group ids of ``meta.json``'s 1-based ``support_true``."""
+    if not (isinstance(raw, list)
+            and all(isinstance(i, int) and not isinstance(i, bool) and 1 <= i <= m for i in raw)
+            and len(set(raw)) == len(raw)):
+        raise ValueError(f"{path}: support_true must be a list of distinct integers in "
+                         f"1..{m}, got {raw!r}")
+    return np.sort(np.asarray(raw, dtype=np.intp)) - 1
 
 
 def write_traces_jsonl(path, traces, include_x: bool = True) -> None:

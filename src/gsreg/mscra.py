@@ -200,7 +200,7 @@ def subproblem_tolerance(prev: float | None, cfg: MscraConfig) -> float:
 
 # the SolveStats fields that a sieved stage does not add up over its rounds;
 # it sums every other one (see _merged)
-_NOT_SUMMED = frozenset({"converged", "stop_cause", "eps_pinf", "eps_dinf", "eps_gap",
+_NOT_SUMMED = frozenset({"converged", "stop_cause", "eps_pinf", "eps_dinf", "eps_gap", "cert_gap",
                          "sncg_max_r", "sieve_rounds", "working_set_groups", "history"})
 
 

@@ -191,6 +191,9 @@ class SolveStats:
     eps_pinf: float = np.inf
     eps_dinf: float = np.inf
     eps_gap: float = np.inf
+    # the certified relative duality gap of the point returned at the last
+    # outer iteration, None where that iteration computed none (see alm_solve)
+    cert_gap: float | None = None
     wall_time: float = 0.0
     sncg_fallbacks: int = 0
     sncg_backtracks: int = 0
@@ -700,6 +703,11 @@ def abcd_solve(state: DualState, spec: SubproblemSpec, sncg_tol: float, max_iter
                                   "keep": nrm > spec.omega}
 
 
+def _objective(x, r, spec: SubproblemSpec) -> float:
+    """Stage objective at ``x`` inside the box, given its residual ``r = Ax - b``."""
+    return float((0.5 * (r @ r) + spec.omega @ group_norms(x, spec.g)) / spec.n)
+
+
 def primal_objective(x, spec: SubproblemSpec) -> float:
     """Stage objective ``(1/2n)||Ax-b||^2 + (1/n) sum omega_i ||x_Ji||``; +inf outside the box.
 
@@ -708,8 +716,7 @@ def primal_objective(x, spec: SubproblemSpec) -> float:
     x = np.asarray(x, dtype=float)
     if np.max(np.abs(x)) > spec.box.R:
         return np.inf
-    r = spec.A @ x - spec.b
-    return float((0.5 * (r @ r) + spec.omega @ group_norms(x, spec.g)) / spec.n)
+    return _objective(x, spec.A @ x - spec.b, spec)
 
 
 def dual_objective(state: DualState, spec: SubproblemSpec) -> float:
@@ -757,6 +764,27 @@ def _ball_scale(xi, spec: SubproblemSpec) -> float:
     return float(np.min(spec.omega[outside] / nrm[outside])) if outside.any() else 1.0
 
 
+def _certified_gap(x, spec: SubproblemSpec) -> float:
+    """Relative duality gap ``(P - D)/P`` at ``x``, with the dual point built from its residual.
+
+    ``x`` lies in the box and every ``omega_i`` is positive.  With
+    ``r = Ax - b`` the dual point is ``theta = s r``, scaled by
+    :func:`_ball_scale` into the group balls, and
+    ``D = (-||theta||^2/2 - b^T theta)/n``: the dual of the subproblem
+    without the box, whose optimum the box can only raise, so ``D`` is a
+    lower bound on every feasible objective and ``P``, the
+    :func:`primal_objective` at ``x``, is within ``(P - D)/P`` of the
+    optimum relative to itself.  ``P = 0`` is a zero residual at zero
+    penalty, optimal, and gives 0.  Takes two products, ``A x`` and
+    ``A^T r``.
+    """
+    r = spec.A @ x - spec.b
+    theta = _ball_scale(r, spec) * r
+    pobj = _objective(x, r, spec)
+    dobj = float((-0.5 * (theta @ theta) - spec.b @ theta) / spec.n)
+    return (pobj - dobj) / pobj if pobj > 0 else 0.0
+
+
 def alm_solve(spec: SubproblemSpec, cfg: AlmConfig | None = None,
               warm: DualState | None = None):
     """Inexact ALM on the dual; the primal solution is the negated multiplier.
@@ -775,12 +803,21 @@ def alm_solve(spec: SubproblemSpec, cfg: AlmConfig | None = None,
     three residuals fall below ``cfg.tol``: ``eps_pinf``, the final
     gradient norm of that SNCG solve over ``1 + ||b||``, whichever exit
     ended it; ``eps_dinf``, the multiplier step over sigma; and
-    ``eps_gap``, the normalized primal-dual gap.  Otherwise
+    ``eps_gap``, the normalized primal-dual gap.  ``eps_dinf`` is
+    absolute and ``eps_gap`` bounds no suboptimality, so where every
+    ``omega_i`` is positive the solve also stops, as converged, at an
+    outer iteration whose ``eps_pinf`` passes and whose certified gap
+    (:func:`_certified_gap`) at the point it would return is at most
+    ``cfg.tol``.  An unpenalized group leaves ``A_F^T theta = 0`` to
+    satisfy, which the scaled residual does not, so such a subproblem
+    stops on the three residuals alone.  Otherwise
     sigma grows from 1, up to ``cfg.sigma_max``: by 5 when the multiplier
     stalls, that is when ``eps_dinf`` stays above half of its value at the
     previous outer iteration, and by 1.3 when it falls faster (and after
     the first iteration, which has no previous value).  Each ``history``
-    entry logs the ``sigma`` of its iteration, whether the multiplier
+    entry logs the residuals of its iteration, its ``cert_gap`` (None
+    where it computed none, as ``stats.cert_gap`` is for the last one),
+    its ``sigma``, whether the multiplier
     ``stalled`` there, and the record of its SNCG call: its steps and
     backtracks, whether it met its gradient target or ended at
     criterion (B) in gradient form or on the decrement, its final
@@ -809,9 +846,10 @@ def alm_solve(spec: SubproblemSpec, cfg: AlmConfig | None = None,
     to :func:`newton_direction`, and each adds its counts to it where they
     happen.  So ``stats.dense_products`` counts the products with ``A``
     and ``A^T`` of the SNCG calls, the exact ``A^T xi`` of each outer
-    iteration, its ``A x`` in :func:`primal_objective` and, from a warm
-    state, the one of :func:`_ball_scale`; the one matrix product that
-    computes a Gram is not counted.
+    iteration, its ``A x`` in :func:`primal_objective`, the ``A x`` and
+    ``A^T r`` of each certified gap and, from a warm state, the one of
+    :func:`_ball_scale`; the one matrix product that computes a Gram is
+    not counted.
     """
     cfg = cfg or AlmConfig()
     t0 = time.perf_counter()
@@ -834,6 +872,8 @@ def alm_solve(spec: SubproblemSpec, cfg: AlmConfig | None = None,
     # its meaning
     sncg_tol = 1e-11 * bnorm
     eps_dinf_prev = np.inf
+    # a subproblem with an unpenalized group stops on the residuals alone
+    penalized = bool(np.all(spec.omega > 0))
     stuck = 0  # outer iterations in a row that left xi where it was
     stats.stop_cause = "max_outer"
     for j in range(cfg.max_outer):
@@ -851,18 +891,28 @@ def alm_solve(spec: SubproblemSpec, cfg: AlmConfig | None = None,
         stats.dense_products += 1
         dobj = dual_objective(state, spec)
         eps_gap = abs(pobj + dobj) / (1.0 + abs(pobj)) if np.isfinite(dobj) else np.inf
+        converged = max(eps_pinf, eps_dinf, eps_gap) <= cfg.tol
+        cert_gap = None
+        if not converged and penalized and eps_pinf <= cfg.tol:
+            # the point this solve would return here
+            x_feas[~keep[spec.g.group_id]] = 0.0
+            cert_gap = _certified_gap(x_feas, spec)
+            stats.dense_products += 2
+            converged = cert_gap <= cfg.tol
         stats.outer_iters = j + 1
         stats.eps_pinf, stats.eps_dinf, stats.eps_gap = eps_pinf, eps_dinf, eps_gap
+        stats.cert_gap = cert_gap
         stalled = bool(eps_dinf > _STALL_RATIO * eps_dinf_prev)
         eps_dinf_prev = eps_dinf
         stats.history.append({
-            "eps_pinf": eps_pinf, "eps_dinf": eps_dinf, "eps_gap": eps_gap, "sigma": state.sigma,
+            "eps_pinf": eps_pinf, "eps_dinf": eps_dinf, "eps_gap": eps_gap, "cert_gap": cert_gap,
+            "sigma": state.sigma,
             "sncg_iters": call["iters"], "sncg_backtracks": call["backtracks"],
             "sncg_met": call["met"], "sncg_early": call["early"],
             "sncg_decrement": call["decrement"], "sncg_gnorm": call["gnorm"],
             "sncg_target": sncg_tol,
             "stalled": stalled})
-        if max(eps_pinf, eps_dinf, eps_gap) <= cfg.tol:
+        if converged:
             stats.converged = True
             stats.stop_cause = "converged"
             break

@@ -87,13 +87,16 @@ class TestSolve:
             stages = [json.loads(line) for line in fh]
         # groups of 8 columns and p/8 = 12: every stage runs on all groups, so
         # every product is with all of A: A^T d and A s per Newton step, A s,
-        # A^T xi and A x per outer iteration, one A^T xi at the start, one more
-        # for a warm start, and r = Ax - b
+        # A^T xi and A x per outer iteration, A x and A^T r per certified
+        # duality gap, one A^T xi at the start, one more for a warm start, and
+        # r = Ax - b
         for t in stages:
             s, warm = t["inner"], t["k"] > 1
+            certs = sum(h["cert_gap"] is not None for h in s["history"])
             assert s["sieve_rounds"] == 0
             assert s["dense_products"] + s["working_set_products"] == (
-                2 * s["sncg_iters"] + 3 * s["outer_iters"] + 2 + warm)
+                2 * s["sncg_iters"] + 3 * s["outer_iters"] + 2 * certs + 2 + warm)
+        assert any(h["cert_gap"] is not None for h in stages[0]["inner"]["history"])
 
     def test_rows_carry_the_sncg_exit_counts(self, tmp_path, capsys):
         # summary.csv and bench.csv sum each stage's SolveStats over the run
@@ -284,6 +287,38 @@ class TestSolve:
         assert len(err) == 1
         assert err[0].startswith("error:") and str(d / name) in err[0]
         assert not (tmp_path / "run").exists()
+
+    @pytest.mark.parametrize("support", [{"a": 1}, [0, 1], [1, 99]],
+                             ids=["object", "zero", "above_m"])
+    def test_bad_support_exits_2(self, tmp_path, capsys, monkeypatch, support):
+        d = self._instance_dir(tmp_path)
+        meta = json.loads((d / "meta.json").read_text())
+        meta["support_true"] = support
+        (d / "meta.json").write_text(json.dumps(meta))
+        monkeypatch.setattr("gsreg.cli.run", lambda *a, **k: pytest.fail("solve ran"))
+        assert main(["solve", str(d), "--out", str(tmp_path / "run")]) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1
+        assert err[0].startswith(f"error: {d / 'meta.json'}: support_true must be")
+        assert not (tmp_path / "run").exists()
+
+    def test_short_matrix_file_exits_2(self, tmp_path, capsys, monkeypatch):
+        d = self._instance_dir(tmp_path)
+        (d / "A.gsrm").write_bytes(b"GSRM\x00\x00")
+        monkeypatch.setattr("gsreg.cli.run", lambda *a, **k: pytest.fail("solve ran"))
+        assert main(["solve", str(d), "--out", str(tmp_path / "run")]) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert err == [f"error: {d / 'A.gsrm'}: 6 bytes is shorter than the 13-byte header"]
+
+    def test_missing_support_is_that_of_x_true(self, tmp_path, capsys):
+        d = self._instance_dir(tmp_path)
+        meta = json.loads((d / "meta.json").read_text())
+        del meta["support_true"]
+        (d / "meta.json").write_text(json.dumps(meta))
+        assert main(["solve", str(d), "--out", str(tmp_path / "run")]) == 0
+        with open(tmp_path / "run" / "summary.csv") as fh:
+            row = next(csv.DictReader(fh))
+        assert float(row["support_precision"]) == float(row["support_recall"]) == 1.0
 
     def test_missing_instance_exits_2(self, tmp_path, capsys):
         assert main(["solve", str(tmp_path / "nope")]) == 2

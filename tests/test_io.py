@@ -31,6 +31,14 @@ class TestMatrixFormat:
         with pytest.raises(ValueError, match="magic"):
             gio.read_matrix(path)
 
+    @pytest.mark.parametrize("size", [0, 6, 12])
+    def test_truncated_header(self, tmp_path, size):
+        path = tmp_path / "short.gsrm"
+        gio.write_matrix(path, np.ones((2, 2)))
+        path.write_bytes(path.read_bytes()[:size])
+        with pytest.raises(ValueError, match=f"{path}: {size} bytes is shorter than the 13-byte"):
+            gio.read_matrix(path)
+
     def test_truncated_payload(self, tmp_path):
         path = tmp_path / "trunc.gsrm"
         gio.write_matrix(path, np.ones((4, 4)))
@@ -72,6 +80,31 @@ class TestInstanceDirectory:
         d = gio.save_instance(tmp_path / "inst", inst)
         meta = json.loads((d / "meta.json").read_text())
         assert meta["support_true"] == (inst.support_true + 1).tolist()
+
+    @pytest.mark.parametrize("support", [{"a": 1}, [0, 1], [1, 99], [2, 2], [1.0], [True], "1"],
+                             ids=["object", "zero", "above_m", "repeated", "float", "bool",
+                                  "string"])
+    def test_bad_support_is_rejected(self, tmp_path, support):
+        inst = make_instance(design="I", signal="i", n=12, p=24, m=6, r_bar=2,
+                             alpha=1.0, theta1=0.0, theta2=0.0, seed=32)
+        d = gio.save_instance(tmp_path / "inst", inst)
+        meta = json.loads((d / "meta.json").read_text())
+        meta["support_true"] = support
+        (d / "meta.json").write_text(json.dumps(meta))
+        with pytest.raises(ValueError, match="support_true must be a list of distinct integers "
+                                             "in 1..6"):
+            gio.load_instance(d)
+
+    def test_missing_support_is_that_of_x_true(self, tmp_path):
+        inst = make_instance(design="I", signal="i", n=12, p=24, m=6, r_bar=2,
+                             alpha=1.0, theta1=0.0, theta2=0.0, seed=32)
+        d = gio.save_instance(tmp_path / "inst", inst)
+        meta = json.loads((d / "meta.json").read_text())
+        del meta["support_true"]
+        (d / "meta.json").write_text(json.dumps(meta))
+        back = gio.load_instance(d)
+        assert np.array_equal(back.support_true, inst.support_true)
+        assert "support_true" not in back.meta
 
     def test_instance_without_truth(self, tmp_path, rng):
         from gsreg.data import Instance

@@ -579,6 +579,44 @@ class TestAlm:
         p_alm, p_ref = primal_objective(x, spec), primal_objective(x_ref, spec)
         assert abs(p_alm - p_ref) <= 1e-6 * abs(p_ref)
 
+    @staticmethod
+    def _scaled_subproblem(omega0=None):
+        # b and omega scaled by 1e3 scale x by 1e3, and with it the absolute
+        # eps_dinf, so that the residual test is the last to pass
+        spec = random_subproblem(9, R=1e8)
+        omega = 1e3 * spec.omega
+        if omega0 is not None:
+            omega[0] = omega0
+        return SubproblemSpec(A=spec.A, b=1e3 * spec.b, g=spec.g, omega=omega, box=spec.box)
+
+    def test_stops_on_a_certified_duality_gap(self):
+        spec = self._scaled_subproblem()
+        cfg = AlmConfig(tol=1e-6)
+        x, _, stats = alm_solve(spec, cfg)
+        last = stats.history[-1]
+        assert stats.converged and stats.stop_cause == "converged"
+        assert last["eps_dinf"] > cfg.tol and last["eps_pinf"] <= cfg.tol
+        assert stats.cert_gap == last["cert_gap"] <= cfg.tol
+        # the dual point of the returned x, computed here group by group
+        r = spec.A @ x - spec.b
+        corr = np.array([np.linalg.norm(spec.A[:, J].T @ r) for J in spec.g.groups])
+        theta = min(1.0, np.min(spec.omega / corr)) * r
+        p_x = (0.5 * r @ r + sum(w * np.linalg.norm(x[J])
+                                 for w, J in zip(spec.omega, spec.g.groups))) / spec.n
+        d_theta = (-0.5 * theta @ theta - spec.b @ theta) / spec.n
+        assert stats.cert_gap == pytest.approx((p_x - d_theta) / p_x, rel=1e-12)
+        x_ref, _ = fista_reference(spec, grad_map_tol=1e-6)
+        p_ref = primal_objective(x_ref, spec)
+        assert abs(primal_objective(x, spec) - p_ref) <= stats.cert_gap * p_x
+
+    def test_an_unpenalized_group_keeps_the_residual_test(self):
+        spec = self._scaled_subproblem(omega0=0.0)
+        cfg = AlmConfig(tol=1e-6)
+        _, _, stats = alm_solve(spec, cfg)
+        assert stats.converged and stats.cert_gap is None
+        assert all(h["cert_gap"] is None for h in stats.history)
+        assert max(stats.eps_pinf, stats.eps_dinf, stats.eps_gap) <= cfg.tol
+
     def test_warm_start_converges_faster(self):
         spec = random_subproblem(14, n=50, p=80, m=16)
         x1, state, stats_cold = alm_solve(spec, AlmConfig(tol=1e-6))
