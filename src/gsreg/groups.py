@@ -210,7 +210,17 @@ def _box_roots(a, starts, seg, omega, nrm, R: float) -> np.ndarray:
     return t
 
 
-def prox_group_box(z, g: GroupStructure, omega, R: float, nrm=None) -> np.ndarray:
+def group_soft_threshold(z, g: GroupStructure, omega, nrm) -> np.ndarray:
+    """Block soft threshold ``z_i (1 - omega_i/||z_i||)^+`` of ``z``, whose group norms are ``nrm``.
+
+    It is the prox of ``sum_i omega_i ||x_i||`` at ``z``, and the prox of
+    :func:`prox_group_box` on every group where it stays in the box.
+    """
+    scale = 1.0 - np.divide(omega, nrm, out=np.ones(g.m), where=nrm > omega)
+    return z * g.broadcast(scale)
+
+
+def prox_group_box(z, g: GroupStructure, omega, R: float, nrm=None, soft=None) -> np.ndarray:
     """Prox of ``p(x) = sum_i omega_i ||x_i|| + delta_{||x||_inf <= R}(x)`` at ``z``.
 
     On a group where the block soft threshold ``z_i (1 - omega_i/||z_i||)^+``
@@ -220,18 +230,17 @@ def prox_group_box(z, g: GroupStructure, omega, R: float, nrm=None) -> np.ndarra
     equation ``t ||clip(z_i / (1 + t), -R, R)|| = omega_i`` (``t_i = 0``,
     a plain clip, when ``omega_i = 0``), solved on all of them at once.
     There ``t_i = omega_i / ||x_i||``, and the clipped coordinates are
-    exactly ``+-R``.  ``nrm``, the group norms of ``z``, is computed when
-    not given.
+    exactly ``+-R``.  ``nrm``, the group norms of ``z``, and ``soft``, its
+    :func:`group_soft_threshold`, are computed when not given; ``soft`` is
+    returned as it is when it stays in the box, and copied otherwise.
     """
     z = _check_dim(z, g)
     omega = np.asarray(omega, dtype=float)
     nrm = group_norms(z, g) if nrm is None else nrm
-    keep = nrm > omega
-    scale = np.zeros(g.m)
-    scale[keep] = 1.0 - omega[keep] / nrm[keep]
-    x = z * g.broadcast(scale)
+    x = group_soft_threshold(z, g, omega, nrm) if soft is None else soft
     over = np.abs(x) > R
     if over.any():
+        x = x.copy()
         hit = np.zeros(g.m, dtype=bool)
         hit[g.group_id[over]] = True
         cols, starts, seg = g.segments(hit)

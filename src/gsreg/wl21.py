@@ -41,7 +41,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .groups import BoxConstraint, GroupStructure, group_norms, prox_group_box
+from .groups import (BoxConstraint, GroupStructure, group_norms, group_soft_threshold,
+                     prox_group_box)
 
 
 @dataclass(frozen=True)
@@ -304,24 +305,41 @@ class ProxPoint(NamedTuple):
     box: tuple | None
 
 
-def _prox_point(y, spec: SubproblemSpec, R: float) -> ProxPoint:
-    """The prox at ``y`` with the weights omega and the box radius ``R``, as a :class:`ProxPoint`."""
+def _soft_threshold(y, spec: SubproblemSpec):
+    """``(nrm, u, top)``: the group norms of ``y``, its block soft threshold ``u``, and ``max |u|``.
+
+    ``u`` has the weights omega; it is the prox of :func:`prox_group_box`
+    at ``y`` for every box radius of at least ``top``.
+    """
     nrm = group_norms(y, spec.g)
-    s = prox_group_box(y, spec.g, spec.omega, R, nrm)
-    return ProxPoint(s, nrm, _box_clip(s, spec, R))
+    u = group_soft_threshold(y, spec.g, spec.omega, nrm)
+    return nrm, u, np.abs(u).max()
 
 
-def _psi(xi, y, sigma: float, R: float, spec: SubproblemSpec):
+def _prox_point(y, spec: SubproblemSpec, R: float, soft=None) -> ProxPoint:
+    """The prox at ``y`` with the weights omega and the box radius ``R``, as a :class:`ProxPoint`.
+
+    ``soft``, the :func:`_soft_threshold` of ``y``, is computed when not
+    given.  Its ``u`` is the prox unless it leaves the box; only then is
+    :func:`prox_group_box` called, with ``u``.  On the small restricted
+    subproblems the fixed cost of that call is about a fifth of a trial's.
+    """
+    nrm, u, top = _soft_threshold(y, spec) if soft is None else soft
+    s = prox_group_box(y, spec.g, spec.omega, R, nrm, u) if top > R else u
+    return ProxPoint(s, nrm, _box_clip(s, spec, R) if top >= R else None)
+
+
+def _psi(xi, y, sigma: float, R: float, spec: SubproblemSpec, soft=None):
     """The reduced function at ``(xi, y)`` for the box radius ``R``, and the prox at ``y``.
 
     The prox is a :class:`ProxPoint` whose ``s`` is :func:`prox_group_box`
-    at ``y`` with the weights omega and the radius ``R``; the gradient in
-    xi is ``b + xi + sigma A s``.  The function is
-    ``||xi||^2/2 + b^T xi + sigma (||s||^2/2 + r)``: ``r`` is 0 where
-    nothing clips, and ``R (|y_j| - (1 + t_i) R)`` summed over the clipped
-    coordinates otherwise.
+    at ``y`` with the weights omega and the radius ``R`` (``soft`` goes to
+    :func:`_prox_point`); the gradient in xi is ``b + xi + sigma A s``.
+    The function is ``||xi||^2/2 + b^T xi + sigma (||s||^2/2 + r)``: ``r``
+    is 0 where nothing clips, and ``R (|y_j| - (1 + t_i) R)`` summed over
+    the clipped coordinates otherwise.
     """
-    prox = _prox_point(y, spec, R)
+    prox = _prox_point(y, spec, R, soft)
     s = prox.s
     f = 0.5 * sigma * (s @ s) + 0.5 * xi @ xi + spec.b @ xi
     if prox.box is not None:
@@ -329,6 +347,33 @@ def _psi(xi, y, sigma: float, R: float, spec: SubproblemSpec):
         over = np.abs(y[clipped]) - (1.0 + t[spec.g.group_id[clipped]]) * R
         f += sigma * R * over.sum()
     return f, prox
+
+
+# rounding margin of _psi_floor relative to the magnitudes of its terms, far
+# above the rounding error of either formula (about 1e-15 of them)
+_FLOOR_MARGIN = 1e-9
+
+
+def _psi_floor(xi, y, sigma: float, R: float, spec: SubproblemSpec, soft) -> float:
+    """A lower bound on :func:`_psi` at ``(xi, y)``, less a rounding margin.
+
+    ``soft`` is the :func:`_soft_threshold` of ``y``.  The sigma term of
+    the reduced function is ``sigma max_{|x| <= R} [x^T y - ||x||^2/2 -
+    sum_i omega_i ||x_i||]``, attained at the prox, so any point of the
+    box bounds it from below.  The point taken is the clipped soft
+    threshold ``clip(u, -R, R)``, at the cost of one group-norm pass.  The
+    bound is lowered by ``1e-9`` times the sum of its terms' magnitudes,
+    so that it stays below the value :func:`_psi` computes.  Where the
+    soft threshold stays in the box it is the prox, whose value is as
+    cheap, and the bound is -inf.
+    """
+    _, u, top = soft
+    if not top > R:
+        return -np.inf
+    x = np.clip(u, -R, R)
+    terms = np.array([sigma * (x @ y), -0.5 * sigma * (x @ x),
+                      -sigma * (spec.omega @ group_norms(x, spec.g)), 0.5 * xi @ xi, spec.b @ xi])
+    return float(terms.sum() - _FLOOR_MARGIN * np.abs(terms).sum())
 
 
 def phi_kj_value(xi, eta, state: DualState, spec: SubproblemSpec) -> float:
@@ -367,11 +412,10 @@ def _active_groups(y, spec: SubproblemSpec, R: float, prox: ProxPoint | None = N
     nrm = prox.nrm
     outside = nrm > omega
     active = outside | (omega == 0.0)
-    scale = np.zeros(g.m)  # omega_i / ||y_i||; stays 0 where omega = 0
-    scale[outside] = omega[outside] / nrm[outside]
+    # omega_i / ||y_i||; stays 0 where omega = 0
+    scale = np.divide(omega, nrm, out=np.zeros(g.m), where=outside)
     a = 1.0 - scale
-    c = np.zeros(g.m)
-    c[outside] = scale[outside] / nrm[outside] ** 2
+    c = np.divide(scale, nrm**2, out=np.zeros(g.m), where=outside)
     if prox.box is None:
         cols, starts, seg = g.segments(active)
         return cols, starts, seg, a[active], c[active]
@@ -382,12 +426,12 @@ def _active_groups(y, spec: SubproblemSpec, R: float, prox: ProxPoint | None = N
     s2_free = g.segment_sum(np.where(clipped, 0.0, s2))[hit]
     a[hit] = 1.0 / (1.0 + th)
     c[hit] = th / ((1.0 + th) ** 3 * ((1.0 + th) * g.segment_sum(s2)[hit] - th * s2_free))
-    active &= g.segment_sum(~clipped) > 0
+    free = g.segment_sum(~clipped)
+    active &= free > 0
     cols, _, seg = g.segments(active)
     kept = ~clipped[cols]
-    cols, seg = cols[kept], seg[kept]
-    sizes = np.bincount(seg, minlength=np.count_nonzero(active))
-    return cols, np.cumsum(sizes) - sizes, seg, a[active], c[active]
+    sizes = free[active].astype(np.intp)
+    return cols[kept], np.cumsum(sizes) - sizes, seg[kept], a[active], c[active]
 
 
 def _gathered_factor(y, spec: SubproblemSpec, active):
@@ -470,7 +514,7 @@ def newton_direction(v, y, sigma: float, spec: SubproblemSpec, prox: ProxPoint |
         M = Z @ Z.T
         M += W @ W.T
         M *= sigma
-        M[np.diag_indices(n)] += 1.0
+        M.flat[::n + 1] += 1.0
         return np.linalg.solve(M, v), r
     K = np.empty((r, r))
     K[:k, :k] = Z.T @ Z
@@ -478,7 +522,7 @@ def newton_direction(v, y, sigma: float, spec: SubproblemSpec, prox: ProxPoint |
     K[k:, :k] = K[:k, k:].T
     K[k:, k:] = W.T @ W
     K *= sigma
-    K[np.diag_indices(r)] += 1.0
+    K.flat[::r + 1] += 1.0
     t = np.linalg.solve(K, np.concatenate((Z.T @ v, W.T @ v)))
     return v - sigma * (Z @ t[:k] + W @ t[k:]), r
 
@@ -528,7 +572,16 @@ def sncg_solve(state: DualState, spec: SubproblemSpec, grad_tol: float, max_iter
     backtracking rule that allows for the rounding error of the function
     values it compares.  ``y`` moves with ``xi`` along ``A^T d``, so a
     trial step needs no product with ``A^T``, and the prox of the
-    accepted trial goes on to the next Newton system.
+    accepted trial goes on to the next Newton system.  A trial whose soft
+    threshold leaves the box is first held to a lower bound on its
+    function value (:func:`_psi_floor`): the sigma term of the function is
+    a maximum over the box, so the clipped soft threshold, a point of the
+    box, bounds it from below.  When that bound, less a rounding margin,
+    is above the Armijo bound, the trial is refused without its exact
+    prox, sparing the box roots that prox solves (:func:`prox_group_box`).
+    The refusal counts as one backtrack and halves the step, as any other
+    does, so the iterates and counts are those of evaluating every trial
+    exactly.
 
     With ``s`` the prox at the current point, ``sigma s - x`` is the
     multiplier step :func:`abcd_solve` takes from there.  The loop has
@@ -617,9 +670,13 @@ def sncg_solve(state: DualState, spec: SubproblemSpec, grad_tol: float, max_iter
         alpha = 1.0
         for _ in range(_MAX_BACKTRACKS + 1):
             xi_new, y_new = xi + alpha * d, y + alpha * At_d
-            f_new, prox_new = _psi(xi_new, y_new, sigma, R, spec)
-            if f_new <= f + _ARMIJO_MU * alpha * slope + slack:
-                break
+            bound = f + _ARMIJO_MU * alpha * slope + slack
+            soft = _soft_threshold(y_new, spec)
+            # refused on its floor, the trial solves no box roots
+            if not _psi_floor(xi_new, y_new, sigma, R, spec, soft) > bound:
+                f_new, prox_new = _psi(xi_new, y_new, sigma, R, spec, soft)
+                if f_new <= bound:
+                    break
             alpha *= _ARMIJO_SHRINK
             call["backtracks"] += 1
         else:

@@ -212,10 +212,20 @@ class TestRun:
         x_ref, _, _ = alm_solve(spec, AlmConfig(tol=1e-8))
         assert np.linalg.norm(res.x - x_ref) <= 1e-3 * max(1.0, np.linalg.norm(x_ref))
 
-    def test_interpolating_stage_is_not_converged(self):
+    def test_interpolating_stage_is_not_converged(self, monkeypatch):
         # stage 4 of this large-signal run leaves 9 groups of 8 columns at
         # weight 1: 72 unpenalized columns for n = 64, so it fits b exactly,
         # its equilibrium residual is 0, and relerr is 0.99
+        import gsreg.groups as groups
+
+        box_roots = groups._box_roots
+        root_calls = []
+
+        def counted(*args):
+            root_calls.append(1)
+            return box_roots(*args)
+
+        monkeypatch.setattr(groups, "_box_roots", counted)
         inst = make_instance(design="I", signal="ii", n=64, p=512, m=64, r_bar=6,
                              alpha=1e5, theta1=0.1, theta2=0.1, seed=7001)
         res = run(inst.A, inst.b, inst.g, default_box(inst.x_true), MscraConfig())
@@ -224,6 +234,13 @@ class TestRun:
         assert unpenalized_columns(res.traces[-2].w, inst.g) == 72
         assert [unpenalized_columns(t.w, inst.g) for t in res.traces[:-2]] == [8, 40]
         assert metrics(res.x, inst)["relerr"] > 0.9
+        # the path of every stage: outer iterations, Newton steps, backtracks.
+        # 39 line-search trials of its high-sigma SNCG calls overshoot the box;
+        # each is refused on the line search's floor, so no box roots are solved
+        assert [(t.inner_stats.outer_iters, t.inner_stats.sncg_iters,
+                 t.inner_stats.sncg_backtracks) for t in res.traces] == [
+            (3, 15, 17), (15, 38, 4), (4, 21, 77), (4, 8, 0)]
+        assert not root_calls
 
     def test_rejects_nonpositive_nu(self):
         g = contiguous_groups(6, 3)

@@ -17,6 +17,7 @@ from gsreg.groups import (
     GroupStructure,
     contiguous_groups,
     group_norms,
+    group_soft_threshold,
     prox_group_box,
 )
 from gsreg.wl21 import (
@@ -140,6 +141,7 @@ class TestKernels:
         assert np.allclose(out, loop_block_soft_threshold(y, g, omega), rtol=1e-14, atol=1e-15)
         assert np.all(out[g.groups[BOUNDARY]] == 0.0)
         assert np.array_equal(out[g.groups[ZERO_WEIGHT]], y[g.groups[ZERO_WEIGHT]])
+        assert np.array_equal(group_soft_threshold(y, g, omega, group_norms(y, g)), out)
 
 
 class TestProxGroupBox:
@@ -165,6 +167,15 @@ class TestProxGroupBox:
     def test_without_clipping_is_block_soft_threshold(self, shuffled):
         g, y, omega = shuffled
         assert np.array_equal(prox_group_box(y, g, omega, 1e6), block_soft_threshold(y, g, omega))
+
+    def test_given_soft_threshold_is_used_and_left_unchanged(self, shuffled):
+        g, y, omega = shuffled
+        nrm = group_norms(y, g)
+        soft = group_soft_threshold(y, g, omega, nrm)
+        kept = soft.copy()
+        out = prox_group_box(y, g, omega, CLIP_R, nrm, soft)
+        assert np.array_equal(out, prox_group_box(y, g, omega, CLIP_R))
+        assert np.array_equal(soft, kept)
 
     def test_far_outside_the_box(self, shuffled):
         # trial points of a line search can land thousands of radii outside the box

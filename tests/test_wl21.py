@@ -3,13 +3,15 @@ import pytest
 
 from conftest import clarke_block, dense_hessian, random_subproblem
 from gsreg.groups import (BoxConstraint, GroupStructure, contiguous_groups, group_norms,
-                          group_support, prox_group_box)
+                          group_soft_threshold, group_support, prox_group_box)
 from gsreg.wl21 import (
     AlmConfig,
     DualState,
     SolveStats,
     SubproblemSpec,
     _psi,
+    _psi_floor,
+    _soft_threshold,
     abcd_solve,
     alm_solve,
     dual_objective,
@@ -179,6 +181,42 @@ class TestReducedFunction:
             blocks.zeta = project_group_balls(zeta + 1e-3 * rng.standard_normal(spec.p),
                                               spec.g, spec.omega)
             assert lagrangian_value(blocks, spec) >= L - 1e-10 * abs(L)
+
+    @pytest.mark.parametrize("sigma", [1.0, 1e3])
+    @pytest.mark.parametrize("R", [1e-2, 1.0, 1e2])
+    def test_clipped_soft_threshold_bounds_the_value(self, sigma, R):
+        # the sigma term of psi is sigma max over the box of x^T y - ||x||^2/2 -
+        # sum omega_i ||x_i||, attained at the prox, so the clipped soft
+        # threshold, a point of the box, gives a lower bound; the line search's
+        # floor, that bound less its margin, never refuses a trial whose exact
+        # value meets the Armijo bound, the tightest of which is psi itself
+        rng = np.random.default_rng(int(np.log10(sigma * R)) + 10)
+        base = random_subproblem(8, n=12, p=24, m=6)
+        r = R / sigma  # the box radius of the prox in sncg_solve
+        spec = SubproblemSpec(A=base.A, b=base.b, g=base.g, omega=r * (1.0 + 2.0 * rng.random(6)),
+                              box=BoxConstraint(R))
+
+        def value(x, xi, y):
+            inner = x @ y - 0.5 * (x @ x) - spec.omega @ group_norms(x, spec.g)
+            return sigma * inner + 0.5 * (xi @ xi) + spec.b @ xi
+
+        floors = []
+        for k in range(40):
+            # y mostly inside the balls, across the box, and far outside it,
+            # where every coordinate clips and the bound is tight up to
+            # rounding; xi keeps the terms of psi of the same order
+            scale = (0.5, 2.0, 50.0, 2.0)[k % 4] * r
+            xi = np.sqrt(sigma) * scale * rng.standard_normal(spec.n)
+            y = scale * rng.standard_normal(spec.p)
+            f, prox = _psi(xi, y, sigma, r, spec)
+            assert value(prox.s, xi, y) == pytest.approx(f, rel=1e-12)
+            u = group_soft_threshold(y, spec.g, spec.omega, group_norms(y, spec.g))
+            assert value(np.clip(u, -r, r), xi, y) <= f + 1e-12 * abs(f)
+            floor = _psi_floor(xi, y, sigma, r, spec, _soft_threshold(y, spec))
+            assert not floor > f
+            floors.append(floor)
+        # the soft threshold leaves the box, and a floor is taken, at most points
+        assert 20 <= np.isfinite(floors).sum() < len(floors)
 
     def test_eta_update_minimizes_lagrangian_block(self, rng):
         spec = random_subproblem(6)
