@@ -11,6 +11,12 @@ previous stage's support and the unpenalized ones.  When the set covers
 fewer than p/8 columns, the stage is solved on a working set grown from
 it until one product with ``A^T`` shows no group outside breaking the
 KKT conditions, and otherwise on all groups (:func:`solve_stage`).
+From stage 2 on, the groups of weight 1 are unpenalized;
+:func:`gsreg.wl21.alm_solve` eliminates their columns exactly, so that,
+but for the cases it names, each stage's ALM solves a problem whose
+weights are all positive and stops on a certified duality gap.  A stage
+whose unpenalized groups hold at least n columns is one of them: it
+interpolates ``b``, is solved as given and ends the run.
 """
 
 from __future__ import annotations
@@ -201,7 +207,8 @@ def subproblem_tolerance(prev: float | None, cfg: MscraConfig) -> float:
 # the SolveStats fields that a sieved stage does not add up over its rounds;
 # it sums every other one (see _merged)
 _NOT_SUMMED = frozenset({"converged", "stop_cause", "eps_pinf", "eps_dinf", "eps_gap", "cert_gap",
-                         "sncg_max_r", "sieve_rounds", "working_set_groups", "history"})
+                         "sncg_max_r", "sieve_rounds", "working_set_groups", "eliminated_columns",
+                         "closed_form", "history"})
 
 
 def _merged(rounds, sieve_rounds: int, working_set_groups: int) -> SolveStats:
@@ -253,6 +260,8 @@ def solve_stage(spec: SubproblemSpec, cfg: AlmConfig, warm: DualState | None, st
 
     Each round gathers its ``A_W`` from ``A`` (:meth:`SubproblemSpec.restrict`),
     and a narrow one computes its Gram on its first Woodbury system.
+    ``W`` holds every unpenalized group, so that each round's
+    :func:`alm_solve` can eliminate all of them.
 
     Returns ``(x, dual, stats, r)`` with ``r = Ax - b`` and ``dual`` on
     all p coordinates.  A sieved stage's stats sum its rounds' counters
@@ -260,7 +269,9 @@ def solve_stage(spec: SubproblemSpec, cfg: AlmConfig, warm: DualState | None, st
     ``converged`` and ``stop_cause``; ``sieve_rounds`` counts its solves
     on a working set, and ``working_set_groups`` is the size of the last
     one, or m when the stage ended on all groups.  The products with
-    ``A_W``, ``r``'s among them, count as ``working_set_products``, and
+    ``A_W`` (or with the ``A'`` :func:`alm_solve` makes from it by
+    eliminating the unpenalized columns), ``r``'s among them, count as
+    ``working_set_products``, and
     the one ``A^T r`` of each round as a dense product; after a solve on
     all groups, ``r`` counts as one more dense product.
     """

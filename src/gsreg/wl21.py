@@ -18,6 +18,15 @@ SSNAL structure of Li, Sun & Toh (SIAM J. Optim. 2018).  The ALM
 multiplier converges to the negated primal solution, so
 :func:`alm_solve` flips its sign on return.
 
+Groups with ``omega_i = 0`` are unpenalized, and :func:`alm_solve`
+eliminates their columns exactly before the ALM runs: one thin QR of
+those columns projects them out of the design and the response, the ALM
+solves the projected problem, whose weights are all positive, and one
+triangular solve recovers them.  A problem whose weights are all
+positive stops on a certified duality gap, the gap-safe dual scaling of
+Ndiaye, Fercoq, Gramfort & Salmon (JMLR 2017) applied to the residual
+and, on an eliminated problem, to the ALM's own dual point.
+
 The Newton matrix is ``I + sigma B B^T`` with ``B = A_J E``: ``A_J`` the
 columns of the active groups and ``E`` a small block-structured factor of
 the prox Jacobian.  When ``B`` has fewer columns than ``A`` has rows, the
@@ -160,10 +169,12 @@ class AlmConfig:
     ``sigma_max``.  ``max_outer`` bounds the outer iterations and
     ``sncg_max_iter`` the Newton steps of each one.  Each outer
     iteration's SNCG call stops at the rounding-floor target or at
-    criterion (B), in gradient form or on the Newton decrement, whichever
-    it meets first (see :func:`alm_solve`); these are fixed, not settings,
-    and ``tol`` is the one setting they read: the decrement exit is not
-    taken where the ALM's ``eps_dinf`` would meet it.
+    criterion (B), in gradient form or on the Newton decrement, or, on a
+    problem whose unpenalized columns were eliminated, at a certified
+    point, whichever it meets first (see :func:`alm_solve`); these are
+    fixed, not settings, and ``tol`` is the one setting they read: the
+    decrement exit is not taken where the ALM's ``eps_dinf`` would meet
+    it, and the certified exit needs a gap of at most ``tol``.
     """
 
     sigma_max: float = 1e6
@@ -207,6 +218,10 @@ class SolveStats:
     # Newton decrement
     sncg_early: int = 0
     sncg_decrement: int = 0
+    # SNCG calls that returned once the point they would hand back met its
+    # certified gap, on a problem whose unpenalized columns alm_solve
+    # eliminated (see sncg_solve)
+    sncg_certified: int = 0
     # Newton systems solved in the n x n form and in the r x r Woodbury
     # form, and the largest r = |J| + #{c_i > 0} among them (see
     # newton_direction)
@@ -222,6 +237,11 @@ class SolveStats:
     # and the groups of the last round's working set (m on all groups)
     sieve_rounds: int = 0
     working_set_groups: int = 0
+    # the columns of the unpenalized groups that alm_solve eliminated (0 where
+    # it solved the problem as given), and whether it solved them in closed
+    # form, there being no penalized group left
+    eliminated_columns: int = 0
+    closed_form: bool = False
     history: list = field(default_factory=list)
 
     def to_dict(self) -> dict:
@@ -559,7 +579,8 @@ _MAX_BACKTRACKS = 50
 
 
 def sncg_solve(state: DualState, spec: SubproblemSpec, grad_tol: float, max_iter: int,
-               stats: SolveStats, xi0=None, At_xi0=None, delta: float = 0.0, tol: float = 0.0):
+               stats: SolveStats, xi0=None, At_xi0=None, delta: float = 0.0, tol: float = 0.0,
+               certify: bool = False):
     """Semismooth Newton on the reduced gradient system in xi.
 
     The reduced function is the augmented Lagrangian minimized over
@@ -608,12 +629,22 @@ def sncg_solve(state: DualState, spec: SubproblemSpec, grad_tol: float, max_iter
     which overstates it by up to the condition number of the Newton
     matrix (about ``sigma ||A_J||^2``), so at a large sigma the decrement
     form ends a call steps sooner.  ``delta = 0`` turns both forms of (B)
-    off.  Otherwise the loop ends after ``max_iter`` steps, or at a
-    stall: an accepted step that lowers neither the function nor the
-    gradient norm, which means ``grad_tol`` lies below the rounding
-    floor, or a line search that refuses every trial step, which leaves
-    xi where it was.  A call that ends so is counted at ``met`` or
-    ``early`` when its last point meets one of them.
+    off.
+
+    With ``certify``, a fourth exit, ``certified``, is tested before each
+    Newton system after the other two, where ``||grad|| <= tol (1 + ||b||)``,
+    so that :func:`alm_solve`'s ``eps_pinf`` would pass: the call returns
+    once the point it would hand back, ``x = -sigma s``, has a certified
+    gap (:func:`_relative_gap`) of at most ``tol`` against the dual point
+    ``xi`` scaled into the group balls (:func:`_scaled_dual`).  That costs
+    no product with ``A``: the residual ``Ax - b`` is ``xi - grad``, and
+    ``A^T xi`` is ``y - x/sigma``.  Otherwise the loop ends after
+    ``max_iter`` steps, or at a stall: an accepted step that lowers
+    neither the function nor the gradient norm, which means ``grad_tol``
+    lies below the rounding floor, or a line search that refuses every
+    trial step, which leaves xi where it was.  A call that ends so is
+    counted at ``met``, ``early`` or ``certified`` when its last point
+    meets one of them.
 
     ``At_xi0``, when given, is ``A^T xi0``, so that the start costs no
     product with ``A^T``.  The gradient takes one product ``A s`` at the
@@ -622,10 +653,10 @@ def sncg_solve(state: DualState, spec: SubproblemSpec, grad_tol: float, max_iter
     of a narrow instance (:func:`newton_direction`).  ``stats`` gets them
     all as ``dense_products``, each Newton system as :func:`newton_direction`
     counts it, this call's steps, backtracks, fallbacks and stalls, one
-    ``sncg_early`` or ``sncg_decrement`` for the exit of that name, and
-    one ``sncg_unmet`` if it met no exit.  Returns the final xi and this
-    call's record; its ``met``, ``early`` and ``decrement`` say which exit
-    ended the call, if any.
+    ``sncg_early``, ``sncg_decrement`` or ``sncg_certified`` for the exit
+    of that name, and one ``sncg_unmet`` if it met no exit.  Returns the
+    final xi and this call's record; its ``met``, ``early``,
+    ``decrement`` and ``certified`` say which exit ended the call, if any.
     """
     xi = np.zeros(spec.n) if xi0 is None else np.asarray(xi0, dtype=float).copy()
     # this call's record: alm_solve reads iters, backtracks, stalls, gnorm
@@ -643,12 +674,21 @@ def sncg_solve(state: DualState, spec: SubproblemSpec, grad_tol: float, max_iter
     stats.dense_products += 1
     gnorm = np.linalg.norm(g)
     coef = delta / np.sqrt(sigma)
+    cert_tol = tol * (1.0 + np.linalg.norm(spec.b)) if certify else -np.inf
+
+    def certifies():
+        # the point this call would hand back, x = -sigma s, whose residual
+        # A x - b is xi - g, against xi, whose A^T xi is y - x/sigma
+        pobj = _objective(-sigma * prox.s, xi - g, spec)
+        return _relative_gap(pobj, _scaled_dual(xi, y - state.x / sigma, spec)) <= tol
 
     def exit_met():
         # the exit the current point meets before a Newton system, if any
         if gnorm <= grad_tol:
             return "met"
-        return "early" if gnorm <= coef * step else None
+        if gnorm <= coef * step:
+            return "early"
+        return "certified" if gnorm <= cert_tol and certifies() else None
 
     reason = None
     step = np.linalg.norm(sigma * prox.s - state.x)  # the multiplier step from here
@@ -698,7 +738,7 @@ def sncg_solve(state: DualState, spec: SubproblemSpec, grad_tol: float, max_iter
             break
     if reason is None:
         reason = exit_met()
-    call.update({key: reason == key for key in ("met", "early", "decrement")})
+    call.update({key: reason == key for key in ("met", "early", "decrement", "certified")})
     call["gnorm"] = float(gnorm)
     stats.sncg_iters += call["iters"]
     stats.sncg_backtracks += call["backtracks"]
@@ -706,18 +746,21 @@ def sncg_solve(state: DualState, spec: SubproblemSpec, grad_tol: float, max_iter
     stats.sncg_stalls += call["stalls"]
     stats.sncg_early += call["early"]
     stats.sncg_decrement += call["decrement"]
+    stats.sncg_certified += call["certified"]
     stats.sncg_unmet += reason is None
     return xi, call
 
 
 def abcd_solve(state: DualState, spec: SubproblemSpec, sncg_tol: float, max_iter: int,
-               stats: SolveStats, At_xi=None, delta: float = 0.0, tol: float = 0.0):
+               stats: SolveStats, At_xi=None, delta: float = 0.0, tol: float = 0.0,
+               certify: bool = False):
     """Minimize the augmented Lagrangian over (eta, xi, zeta) by one :func:`sncg_solve` call.
 
     SNCG finds xi in at most ``max_iter`` Newton steps, stopping at
-    ``sncg_tol`` or at criterion (B) with coefficient ``delta``, in
+    ``sncg_tol``, at criterion (B) with coefficient ``delta``, in
     gradient form or, where it leaves a multiplier step above
-    ``tol * sigma``, on the Newton decrement; with
+    ``tol * sigma``, on the Newton decrement, or, with ``certify``, at a
+    point certified within ``tol``; with
     ``y = A^T xi + x/sigma`` and ``s`` the prox at ``y`` for the box radius
     ``R/sigma``, the minimizing zeta is the projection of ``y`` onto the
     group balls where the box clips nothing and ``omega_i s_i/||s_i||``
@@ -742,7 +785,7 @@ def abcd_solve(state: DualState, spec: SubproblemSpec, sncg_tol: float, max_iter
     here, as its sweeps.
     """
     xi, call = sncg_solve(state, spec, sncg_tol, max_iter, stats, xi0=state.xi, At_xi0=At_xi,
-                          delta=delta, tol=tol)
+                          delta=delta, tol=tol, certify=certify)
     R = spec.box.R / state.sigma
     At_xi = spec.A.T @ xi
     stats.dense_products += 1
@@ -809,36 +852,37 @@ _DELTA_RATIO = 0.9
 _MAX_STUCK = 2
 
 
-def _ball_scale(xi, spec: SubproblemSpec) -> float:
-    """``min(1, min over omega_i > 0 of omega_i / ||A_i^T xi||)``.
+def _ball_scale(At_v, spec: SubproblemSpec) -> float:
+    """``min(1, min over omega_i > 0 of omega_i / ||(A^T v)_i||)``, given ``At_v = A^T v``.
 
-    Scaled by it, ``A^T xi`` lies in the group balls of radii omega on
+    Scaled by it, ``A^T v`` lies in the group balls of radii omega on
     every penalized group: the dual-scaling step of gap-safe screening
     (Ndiaye, Fercoq, Gramfort & Salmon, JMLR 2017).
     """
-    nrm = group_norms(spec.A.T @ xi, spec.g)
+    nrm = group_norms(At_v, spec.g)
     outside = (spec.omega > 0) & (nrm > spec.omega)
     return float(np.min(spec.omega[outside] / nrm[outside])) if outside.any() else 1.0
 
 
-def _certified_gap(x, spec: SubproblemSpec) -> float:
-    """Relative duality gap ``(P - D)/P`` at ``x``, with the dual point built from its residual.
+def _scaled_dual(v, At_v, spec: SubproblemSpec) -> float:
+    """The dual value at ``theta = s v``, with ``s`` the :func:`_ball_scale` of ``At_v = A^T v``.
 
-    ``x`` lies in the box and every ``omega_i`` is positive.  With
-    ``r = Ax - b`` the dual point is ``theta = s r``, scaled by
-    :func:`_ball_scale` into the group balls, and
-    ``D = (-||theta||^2/2 - b^T theta)/n``: the dual of the subproblem
-    without the box, whose optimum the box can only raise, so ``D`` is a
-    lower bound on every feasible objective and ``P``, the
-    :func:`primal_objective` at ``x``, is within ``(P - D)/P`` of the
-    optimum relative to itself.  ``P = 0`` is a zero residual at zero
-    penalty, optimal, and gives 0.  Takes two products, ``A x`` and
-    ``A^T r``.
+    Where every ``omega_i`` is positive, ``theta`` lies in the group
+    balls, and ``D = (-||theta||^2/2 - b^T theta)/n`` is the dual of the
+    subproblem without the box, whose optimum the box can only raise: a
+    lower bound on every feasible objective (:func:`primal_objective`).
     """
-    r = spec.A @ x - spec.b
-    theta = _ball_scale(r, spec) * r
-    pobj = _objective(x, r, spec)
-    dobj = float((-0.5 * (theta @ theta) - spec.b @ theta) / spec.n)
+    theta = _ball_scale(At_v, spec) * v
+    return float((-0.5 * (theta @ theta) - spec.b @ theta) / spec.n)
+
+
+def _relative_gap(pobj: float, dobj: float) -> float:
+    """The certified gap ``(P - D)/P`` of a point in the box whose objective is ``P``.
+
+    ``D`` is a lower bound from :func:`_scaled_dual`, so the point is
+    within ``(P - D)/P`` of the optimum relative to ``P``.  ``P = 0`` is a
+    zero residual at zero penalty, optimal, and gives 0.
+    """
     return (pobj - dobj) / pobj if pobj > 0 else 0.0
 
 
@@ -846,9 +890,20 @@ def alm_solve(spec: SubproblemSpec, cfg: AlmConfig | None = None,
               warm: DualState | None = None):
     """Inexact ALM on the dual; the primal solution is the negated multiplier.
 
+    Where some groups are unpenalized (``omega_i = 0``), their columns
+    ``F`` are eliminated first: with one thin QR ``A_F = Q R``, the ALM
+    runs on ``A' = A_P - Q (Q^T A_P)`` and ``b' = b - Q (Q^T b)``, whose
+    weights are all positive, and ``x_F = R^{-1} Q^T (b - A_P x_P)``
+    minimizes over ``F`` exactly, so both problems have the same
+    objective at ``x`` (:func:`_eliminated`).  Where every group is
+    unpenalized the solve is the least squares in closed form, with no
+    outer iteration.  A problem with no unpenalized group, or whose ``F``
+    holds n columns or more, has a rank-deficient ``A_F``, or gives an
+    ``x_F`` outside the box, is solved as given.
+
     Each outer iteration minimizes the augmented Lagrangian with one
     :func:`abcd_solve` call, which hands its exact ``A^T xi`` on to the
-    next one.  Its SNCG call stops at the first of three exits: the
+    next one.  Its SNCG call stops at the first of its exits: the
     gradient target ``1e-11 (1 + ||b||)``, the rounding floor, or
     criterion (B) with ``delta_k = 0.1 * 0.9^k`` at outer iteration k, in
     SSNAL's gradient form or on the Newton decrement, which end the call
@@ -856,30 +911,42 @@ def alm_solve(spec: SubproblemSpec, cfg: AlmConfig | None = None,
     multiplier step it leads to (see :func:`sncg_solve`).  The solve
     hands SNCG ``cfg.tol``, so that a call does not end at the decrement
     with a multiplier step where ``eps_dinf`` passes: the solve's last
-    call runs on to one of the other two exits.  The solve stops when the
-    three residuals fall below ``cfg.tol``: ``eps_pinf``, the final
-    gradient norm of that SNCG solve over ``1 + ||b||``, whichever exit
-    ended it; ``eps_dinf``, the multiplier step over sigma; and
-    ``eps_gap``, the normalized primal-dual gap.  ``eps_dinf`` is
-    absolute and ``eps_gap`` bounds no suboptimality, so where every
-    ``omega_i`` is positive the solve also stops, as converged, at an
-    outer iteration whose ``eps_pinf`` passes and whose certified gap
-    (:func:`_certified_gap`) at the point it would return is at most
-    ``cfg.tol``.  An unpenalized group leaves ``A_F^T theta = 0`` to
-    satisfy, which the scaled residual does not, so such a subproblem
-    stops on the three residuals alone.  Otherwise
-    sigma grows from 1, up to ``cfg.sigma_max``: by 5 when the multiplier
-    stalls, that is when ``eps_dinf`` stays above half of its value at the
-    previous outer iteration, and by 1.3 when it falls faster (and after
-    the first iteration, which has no previous value).  Each ``history``
-    entry logs the residuals of its iteration, its ``cert_gap`` (None
-    where it computed none, as ``stats.cert_gap`` is for the last one),
-    its ``sigma``, whether the multiplier
-    ``stalled`` there, and the record of its SNCG call: its steps and
-    backtracks, whether it met its gradient target or ended at
-    criterion (B) in gradient form or on the decrement, its final
-    gradient norm and the gradient target (``sncg_iters``,
-    ``sncg_backtracks``, ``sncg_met``, ``sncg_early``, ``sncg_decrement``,
+    call runs on to another exit.  On an eliminated problem SNCG also
+    ends a call once the point it would hand back is certified within
+    ``cfg.tol`` from its own ``xi``.  The solve stops when the three
+    residuals fall below ``cfg.tol``: ``eps_pinf``, the final gradient
+    norm of that SNCG solve over ``1 + ||b||``, whichever exit ended it;
+    ``eps_dinf``, the multiplier step over sigma; and ``eps_gap``, the
+    normalized primal-dual gap.  ``eps_dinf`` is absolute and ``eps_gap``
+    bounds no suboptimality, so where every ``omega_i`` is positive, at
+    an outer iteration whose ``eps_pinf`` passes, the solve also
+    certifies the point ``x`` it would return: ``P`` is its objective,
+    from its residual ``r = Ax - b``, and ``D`` the dual value at ``r``
+    scaled into the group balls (:func:`_scaled_dual`) or, on an
+    eliminated problem, the better of that and the ALM's ``xi`` scaled
+    the same way, whose ``A^T xi`` the solve holds.  The solve stops, as
+    converged, when the certified gap ``(P - D)/P`` is at most
+    ``cfg.tol``.  On an eliminated problem that is the only way to stop
+    where the box clips nothing: there the three residuals passed at
+    points the certificate put above ``cfg.tol``.  Where the box clips
+    (``eta`` nonzero), neither dual point, both taken without the box,
+    can certify, and the residuals stop the solve.  A problem solved as
+    given takes ``r`` alone: there ``xi`` stopped some one-stage
+    group-lasso solves at points that the residual recipe puts above
+    ``cfg.tol``.  A problem left with an unpenalized group stops on the
+    three residuals alone.  Otherwise sigma grows from 1, up to
+    ``cfg.sigma_max``: by 5 when the multiplier stalls, that is when
+    ``eps_dinf`` stays above half of its value at the previous outer
+    iteration, and by 1.3 when it falls faster (and after the first
+    iteration, which has no previous value).  Each ``history`` entry logs
+    the residuals of its iteration, its ``cert_gap`` (None where it
+    computed none, as ``stats.cert_gap`` is for the last one), its
+    ``sigma``, whether the multiplier ``stalled`` there, and the record
+    of its SNCG call: its steps and backtracks, whether it met its
+    gradient target or ended at criterion (B) in gradient form, on the
+    decrement or at a certificate, its final gradient norm and the
+    gradient target (``sncg_iters``, ``sncg_backtracks``, ``sncg_met``,
+    ``sncg_early``, ``sncg_decrement``, ``sncg_certified``,
     ``sncg_gnorm``, ``sncg_target``).  Returns ``(x, state, stats)``; a
     run hitting ``max_outer`` is flagged not-converged, and so is one that
     stops early after two outer iterations in a row whose SNCG line search
@@ -888,33 +955,102 @@ def alm_solve(spec: SubproblemSpec, cfg: AlmConfig | None = None,
     which of the three ended the run: ``"converged"``, ``"max_outer"`` or
     ``"line_search"``.  ``x`` is the box projection of ``-state.x`` set to
     exactly 0 on the groups where the last prox ``s`` is 0; the multiplier
-    equals ``sigma s`` up to rounding, so it holds only rounding residue there.
+    equals ``sigma s`` up to rounding, so it holds only rounding residue
+    there.  ``stats.eliminated_columns`` counts the columns of ``F`` that
+    were eliminated, and ``stats.closed_form`` flags a least-squares
+    solve, which reports converged with zero residuals and gap.
 
     A ``warm`` state, the one an earlier solve returned, carries over the
     multiplier x, sigma (raised to 1 if below it) and xi scaled by
-    :func:`_ball_scale` into this problem's group balls.  When the weights
-    shrink, as between stages of the multi-stage loop, the old xi lies
-    outside the new balls, and unscaled it would make nearly every group
-    active in the first Newton systems.  Each subproblem is
-    strongly convex in xi, so the scaling changes only the path of the
-    first SNCG call.
+    :func:`_ball_scale` into this problem's group balls; an eliminated
+    problem first projects xi off ``range(Q)``, where its optimum has no
+    component.  When the weights shrink, as between stages of the
+    multi-stage loop, the old xi lies outside the new balls, and
+    unscaled it would make nearly every group active in the first Newton
+    systems.  Each subproblem is strongly convex in xi, so the scaling
+    changes only the path of the first SNCG call.  The returned state is
+    on all p coordinates; on ``F`` its multiplier is ``-x_F``.
 
     ``stats`` goes down through :func:`abcd_solve` and :func:`sncg_solve`
     to :func:`newton_direction`, and each adds its counts to it where they
     happen.  So ``stats.dense_products`` counts the products with ``A``
-    and ``A^T`` of the SNCG calls, the exact ``A^T xi`` of each outer
-    iteration, its ``A x`` in :func:`primal_objective`, the ``A x`` and
-    ``A^T r`` of each certified gap and, from a warm state, the one of
-    :func:`_ball_scale`; the one matrix product that computes a Gram is
-    not counted.
+    (with ``A'`` on an eliminated problem) and its transpose of the SNCG
+    calls, the exact ``A^T xi`` and the residual ``A x`` of each outer
+    iteration, the ``A^T r`` of each certified gap and, from a warm
+    state, the one of :func:`_ball_scale`.  The matrix products that
+    compute a Gram, the QR of ``A_F`` and ``Q^T A_P`` are not counted.
     """
     cfg = cfg or AlmConfig()
     t0 = time.perf_counter()
+    solved = _eliminated(spec, cfg, warm)
+    x, state, stats = solved if solved is not None else _alm(spec, cfg, warm)
+    stats.wall_time = time.perf_counter() - t0
+    return x, state, stats
+
+
+def _eliminated(spec: SubproblemSpec, cfg: AlmConfig, warm: DualState | None):
+    """:func:`alm_solve` with the unpenalized columns ``F`` eliminated, or None where it does not apply.
+
+    It applies where ``F`` holds ``0 < k < n`` columns, the thin QR
+    ``A_F = Q R`` has no diagonal entry of ``R`` at or below
+    ``n * eps`` times the largest (a rank-deficient ``A_F``), and the
+    ``x_F`` it recovers lies in the box.  Only then is every minimizer
+    over ``F`` unique and feasible, so that the two problems share their
+    optimum.  ``Q`` is n x k; no n x n factor is formed.  A solve whose
+    ``x_F`` leaves the box is dropped, with its counts, for the solve as
+    given.
+    """
+    free = spec.omega == 0.0
+    cols_F, _, _ = spec.g.segments(free)
+    k = cols_F.size
+    if not 0 < k < spec.n:
+        return None
+    # "clip" keeps take from buffering (every index is valid)
+    Q, R_F = np.linalg.qr(np.take(spec.A, cols_F, axis=1, mode="clip"))
+    diag = np.abs(np.diag(R_F))
+    if diag.min() <= spec.n * np.finfo(float).eps * diag.max():
+        return None
+    Qtb = Q.T @ spec.b
+    b_red = spec.b - Q @ Qtb
+    if free.all():
+        cols_P = np.zeros(0, dtype=np.intp)
+        x_P = np.zeros(0)
+        x_F = np.linalg.solve(R_F, Qtb)
+        # the least-squares residual A x - b is the optimal xi
+        sigma = _SIGMA_START if warm is None else max(warm.sigma, _SIGMA_START)
+        state = DualState(x_P, -b_red, x_P, x_P, sigma)
+        stats = SolveStats(converged=True, stop_cause="converged", eps_pinf=0.0, eps_dinf=0.0,
+                           eps_gap=0.0, cert_gap=0.0, closed_form=True)
+    else:
+        pen = ~free
+        cols_P, g_P = spec.g.subset(pen)
+        A_P = np.take(spec.A, cols_P, axis=1, mode="clip")
+        C = Q.T @ A_P
+        A_P -= Q @ C
+        red = SubproblemSpec(A=A_P, b=b_red, g=g_P, omega=spec.omega[pen], box=spec.box)
+        if warm is not None:
+            warm = warm.restrict(cols_P)
+            warm.xi -= Q @ (Q.T @ warm.xi)
+        x_P, state, stats = _alm(red, cfg, warm, certify=True)
+        x_F = np.linalg.solve(R_F, Qtb - C @ x_P)
+    if np.max(np.abs(x_F)) > spec.box.R:
+        return None
+    x = np.zeros(spec.p)
+    x[cols_P] = x_P
+    x[cols_F] = x_F
+    state = state.lifted(cols_P, spec.p)
+    state.x[cols_F] = -x_F
+    stats.eliminated_columns = k
+    return x, state, stats
+
+
+def _alm(spec: SubproblemSpec, cfg: AlmConfig, warm: DualState | None, certify: bool = False):
+    """The ALM loop of :func:`alm_solve` on ``spec`` as given; ``certify`` on an eliminated problem."""
     stats = SolveStats()
     if warm is not None:
         state = warm.copy()
         state.sigma = max(warm.sigma, _SIGMA_START)
-        state.xi *= _ball_scale(state.xi, spec)
+        state.xi *= _ball_scale(spec.A.T @ state.xi, spec)
         stats.dense_products += 1
     else:
         state = DualState.cold(spec, _SIGMA_START)
@@ -929,33 +1065,41 @@ def alm_solve(spec: SubproblemSpec, cfg: AlmConfig | None = None,
     # its meaning
     sncg_tol = 1e-11 * bnorm
     eps_dinf_prev = np.inf
-    # a subproblem with an unpenalized group stops on the residuals alone
+    # a problem left with an unpenalized group stops on the residuals alone
     penalized = bool(np.all(spec.omega > 0))
     stuck = 0  # outer iterations in a row that left xi where it was
     stats.stop_cause = "max_outer"
     for j in range(cfg.max_outer):
         eta, xi, zeta, x_new, out = abcd_solve(state, spec, sncg_tol, cfg.sncg_max_iter, stats,
-                                               At_xi, _DELTA_START * _DELTA_RATIO**j, cfg.tol)
+                                               At_xi, _DELTA_START * _DELTA_RATIO**j, cfg.tol,
+                                               certify)
         x_old = state.x
         state.eta, state.xi, state.zeta, state.x = eta, xi, zeta, x_new
         At_xi, keep, call = out["At_xi"], out["keep"], out["sncg"]
         eps_pinf = call["gnorm"] / bnorm
         eps_dinf = np.linalg.norm(x_new - x_old) / state.sigma
-        # the primal solution is the negated multiplier under this
-        # Lagrangian sign convention; gap evaluated at its box projection
-        x_feas = np.clip(-x_new, -spec.box.R, spec.box.R)
-        pobj = primal_objective(x_feas, spec)
+        # the point this solve would return here: the negated multiplier (the
+        # primal solution under this Lagrangian sign convention) projected
+        # onto the box, 0 off the groups where the prox is 0
+        x = np.clip(-x_new, -spec.box.R, spec.box.R)
+        x[~keep[spec.g.group_id]] = 0.0
+        r = spec.A @ x - spec.b
         stats.dense_products += 1
+        pobj = _objective(x, r, spec)
         dobj = dual_objective(state, spec)
         eps_gap = abs(pobj + dobj) / (1.0 + abs(pobj)) if np.isfinite(dobj) else np.inf
         converged = max(eps_pinf, eps_dinf, eps_gap) <= cfg.tol
         cert_gap = None
-        if not converged and penalized and eps_pinf <= cfg.tol:
-            # the point this solve would return here
-            x_feas[~keep[spec.g.group_id]] = 0.0
-            cert_gap = _certified_gap(x_feas, spec)
-            stats.dense_products += 2
-            converged = cert_gap <= cfg.tol
+        if penalized and eps_pinf <= cfg.tol:
+            lower = _scaled_dual(r, spec.A.T @ r, spec)
+            stats.dense_products += 1
+            if certify:
+                lower = max(lower, _scaled_dual(xi, At_xi, spec))
+                # the residual test stops an eliminated problem only where the
+                # box clips, which neither dual point, both without it, certifies
+                converged = converged and bool(np.any(eta))
+            cert_gap = _relative_gap(pobj, lower)
+            converged = converged or cert_gap <= cfg.tol
         stats.outer_iters = j + 1
         stats.eps_pinf, stats.eps_dinf, stats.eps_gap = eps_pinf, eps_dinf, eps_gap
         stats.cert_gap = cert_gap
@@ -966,8 +1110,8 @@ def alm_solve(spec: SubproblemSpec, cfg: AlmConfig | None = None,
             "sigma": state.sigma,
             "sncg_iters": call["iters"], "sncg_backtracks": call["backtracks"],
             "sncg_met": call["met"], "sncg_early": call["early"],
-            "sncg_decrement": call["decrement"], "sncg_gnorm": call["gnorm"],
-            "sncg_target": sncg_tol,
+            "sncg_decrement": call["decrement"], "sncg_certified": call["certified"],
+            "sncg_gnorm": call["gnorm"], "sncg_target": sncg_tol,
             "stalled": stalled})
         if converged:
             stats.converged = True
@@ -980,7 +1124,4 @@ def alm_solve(spec: SubproblemSpec, cfg: AlmConfig | None = None,
             break
         growth = _STALL_GROWTH if stalled else _SIGMA_GROWTH
         state.sigma = min(growth * state.sigma, cfg.sigma_max)
-    stats.wall_time = time.perf_counter() - t0
-    x = np.clip(-state.x, -spec.box.R, spec.box.R)
-    x[~keep[spec.g.group_id]] = 0.0
     return x, state, stats

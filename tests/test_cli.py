@@ -86,17 +86,19 @@ class TestSolve:
         with open(tmp_path / "run" / "traces.jsonl") as fh:
             stages = [json.loads(line) for line in fh]
         # groups of 8 columns and p/8 = 12: every stage runs on all groups, so
-        # every product is with all of A: A^T d and A s per Newton step, A s,
-        # A^T xi and A x per outer iteration, A x and A^T r per certified
-        # duality gap, one A^T xi at the start, one more for a warm start, and
-        # r = Ax - b
+        # every product is with all of A, or with the A' that alm_solve makes
+        # from it by eliminating the unpenalized columns: A^T d and A s per
+        # Newton step, A s, A^T xi and A x per outer iteration, A^T r per
+        # certified duality gap, one A^T xi at the start, one more for a warm
+        # start, and r = Ax - b
         for t in stages:
             s, warm = t["inner"], t["k"] > 1
             certs = sum(h["cert_gap"] is not None for h in s["history"])
-            assert s["sieve_rounds"] == 0
+            assert s["sieve_rounds"] == 0 and not s["closed_form"]
             assert s["dense_products"] + s["working_set_products"] == (
-                2 * s["sncg_iters"] + 3 * s["outer_iters"] + 2 * certs + 2 + warm)
+                2 * s["sncg_iters"] + 3 * s["outer_iters"] + certs + 2 + warm)
         assert any(h["cert_gap"] is not None for h in stages[0]["inner"]["history"])
+        assert any(t["inner"]["eliminated_columns"] > 0 for t in stages)
 
     def test_rows_carry_the_sncg_exit_counts(self, tmp_path, capsys):
         # summary.csv and bench.csv sum each stage's SolveStats over the run
@@ -106,7 +108,7 @@ class TestSolve:
             inner = [json.loads(line)["inner"] for line in fh]
         with open(tmp_path / "run" / "summary.csv") as fh:
             row = next(csv.DictReader(fh))
-        for key in ("sncg_unmet", "sncg_early", "sncg_decrement"):
+        for key in ("sncg_unmet", "sncg_early", "sncg_decrement", "sncg_certified"):
             assert int(row[key]) == sum(s[key] for s in inner)
         assert int(row["sncg_early"]) > 0 and int(row["sncg_decrement"]) > 0
 
@@ -120,8 +122,8 @@ class TestSolve:
                      "--out", str(tmp_path / "cell_run")]) == 1
         with open(tmp_path / "cell_run" / "summary.csv") as fh:
             cell = next(csv.DictReader(fh))
-        assert (bench["gep_sncg_unmet"], bench["gep_sncg_early"], bench["gep_sncg_decrement"]) == (
-            cell["sncg_unmet"], cell["sncg_early"], cell["sncg_decrement"])
+        keys = ("sncg_unmet", "sncg_early", "sncg_decrement", "sncg_certified")
+        assert [bench[f"gep_{key}"] for key in keys] == [cell[key] for key in keys]
         assert int(bench["stage1_sncg_early"]) > 0 and bench["stage1_sncg_unmet"] != ""
 
     def test_inner_failures_exit_1_with_reason(self, tmp_path, capsys):
@@ -332,7 +334,7 @@ class TestSolve:
         d = gio.save_instance(tmp_path / "inst", inst)
         assert main(["solve", str(d), "--out", str(tmp_path / "run")]) == 1
         err = capsys.readouterr().err.strip().splitlines()
-        assert err == ["not converged: stage 4 left 72 columns unpenalized, at least n = 64,"
+        assert err == ["not converged: stage 4 left 80 columns unpenalized, at least n = 64,"
                        " so its fit interpolates b"]
         with open(tmp_path / "run" / "summary.csv") as fh:
             row = next(csv.DictReader(fh))

@@ -213,9 +213,9 @@ class TestRun:
         assert np.linalg.norm(res.x - x_ref) <= 1e-3 * max(1.0, np.linalg.norm(x_ref))
 
     def test_interpolating_stage_is_not_converged(self, monkeypatch):
-        # stage 4 of this large-signal run leaves 9 groups of 8 columns at
-        # weight 1: 72 unpenalized columns for n = 64, so it fits b exactly,
-        # its equilibrium residual is 0, and relerr is 0.99
+        # stage 4 of this large-signal run leaves 10 groups of 8 columns at
+        # weight 1: 80 unpenalized columns for n = 64, so it fits b exactly,
+        # its equilibrium residual is 0, and relerr is 0.92
         import gsreg.groups as groups
 
         box_roots = groups._box_roots
@@ -231,15 +231,18 @@ class TestRun:
         res = run(inst.A, inst.b, inst.g, default_box(inst.x_true), MscraConfig())
         assert res.stop_reason == "interpolating" and not res.converged
         assert res.stages == 4 and res.inner_failures == 0
-        assert unpenalized_columns(res.traces[-2].w, inst.g) == 72
+        assert unpenalized_columns(res.traces[-2].w, inst.g) == 80
         assert [unpenalized_columns(t.w, inst.g) for t in res.traces[:-2]] == [8, 40]
         assert metrics(res.x, inst)["relerr"] > 0.9
         # the path of every stage: outer iterations, Newton steps, backtracks.
-        # 39 line-search trials of its high-sigma SNCG calls overshoot the box;
-        # each is refused on the line search's floor, so no box roots are solved
+        # Stages 2 and 3 eliminate their 8 and 40 unpenalized columns; stage 4's
+        # 80 are at least n, so it is solved as given.  The line-search trials
+        # of its high-sigma SNCG calls that overshoot the box are each refused
+        # on the line search's floor, so no box roots are solved
         assert [(t.inner_stats.outer_iters, t.inner_stats.sncg_iters,
                  t.inner_stats.sncg_backtracks) for t in res.traces] == [
-            (3, 15, 17), (15, 38, 4), (4, 21, 77), (4, 8, 0)]
+            (3, 15, 17), (13, 31, 3), (3, 15, 55), (2, 2, 0)]
+        assert [t.inner_stats.eliminated_columns for t in res.traces] == [0, 8, 40, 0]
         assert not root_calls
 
     def test_rejects_nonpositive_nu(self):
@@ -329,7 +332,7 @@ class TestWarmStart:
         assert res.converged and res.stages >= 2
         assert res.traces[1].inner_stats.history[0]["sncg_iters"] <= 8
         err = np.linalg.norm(res.x - inst.x_true) / np.linalg.norm(inst.x_true)
-        relerr = {7000: 0.005026758355846409, 7001: 0.00444570356156064}[seed]
+        relerr = {7000: 0.005026759491266874, 7001: 0.0044457004194008}[seed]
         assert err == pytest.approx(relerr, rel=1e-9)
 
 
@@ -342,16 +345,18 @@ class TestProductCounts:
     @pytest.mark.parametrize("seed", [7000, 7001])
     def test_products_with_a_on_a_wide_instance(self, seed, monkeypatch):
         # every stage sieves: its only product with all of A is the A^T r of
-        # each round's KKT check.  The rest are with A_W: per round the
-        # products of an ALM solve (below), r = A_W x_W - b and, from stage 2
-        # on, the warm xi's ball scaling.  An ALM solve makes one A^T xi for
-        # its first SNCG call; per outer iteration the gradient's A s at its
-        # SNCG start, the exact A^T xi and the objective's A x; per certified
-        # duality gap A x and A^T r; per Newton step A^T d and the
-        # gradient's A s at the accepted point.  A_W has
-        # fewer than p/8 = n columns, so each r x r Newton system is built
-        # from its Gram, with one A_W^T v and one A_W u; only a spec with
-        # p <= n ever keeps a Gram
+        # each round's KKT check.  The rest are with A_W, or with the A' that
+        # alm_solve makes from it by eliminating the unpenalized columns: per
+        # round r = A_W x_W - b and, unless every group of W is unpenalized
+        # and the round is a least squares in closed form with no product,
+        # the products of an ALM solve (below) and, from stage 2 on, the warm
+        # xi's ball scaling.  An ALM solve makes one A^T xi for its first SNCG
+        # call; per outer iteration the gradient's A s at its SNCG start, the
+        # exact A^T xi and the residual's A x; per certified duality gap
+        # A^T r; per Newton step A^T d and the gradient's A s at the accepted
+        # point.  A_W has fewer than p/8 = n columns, so each r x r Newton
+        # system is built from its Gram, with one A_W^T v and one A_W u; only
+        # a spec with p <= n ever keeps a Gram
         from gsreg.wl21 import AlmConfig, SubproblemSpec
 
         inst = make_instance("I", "i", n=128, p=1024, m=128, r_bar=6, alpha=2.0,
@@ -370,15 +375,20 @@ class TestProductCounts:
         monkeypatch.undo()
         assert res.converged and res.stages >= 2
         assert (True, True) in grams and all(narrow == built for narrow, built in grams)
+        # stage 2 eliminates its unpenalized columns; the last stage's working
+        # set is unpenalized, and its one round is solved in closed form
+        assert res.traces[1].inner_stats.eliminated_columns > 0
+        assert res.traces[-1].inner_stats.closed_form
         for t in res.traces:
             s = t.inner_stats
             assert s.sieve_rounds >= 1 and s.dense_products == s.sieve_rounds
-            assert s.sncg_woodbury_systems > 0
-            per_round = 2 + (t.k > 1)
+            assert s.sncg_woodbury_systems > 0 or s.closed_form
+            # a closed-form stage here has one round, the one so solved
+            assert not s.closed_form or s.sieve_rounds == 1
+            solved = s.sieve_rounds - s.closed_form
             assert s.working_set_products == (2 * s.sncg_iters + 3 * s.outer_iters
-                                              + 2 * s.sncg_woodbury_systems
-                                              + 2 * _certified(s)
-                                              + per_round * s.sieve_rounds)
+                                              + 2 * s.sncg_woodbury_systems + _certified(s)
+                                              + s.sieve_rounds + (1 + (t.k > 1)) * solved)
         # stage 1's problem on all groups: the same products, each with all of
         # A, plus r = Ax - b; the design is wide, so no Newton system uses a Gram
         n = inst.A.shape[0]
@@ -389,7 +399,7 @@ class TestProductCounts:
         assert s.sieve_rounds == 0 and s.working_set_groups == inst.g.m
         assert s.working_set_products == 0
         assert _certified(s) > 0
-        assert s.dense_products == 2 * s.sncg_iters + 3 * s.outer_iters + 2 * _certified(s) + 2
+        assert s.dense_products == 2 * s.sncg_iters + 3 * s.outer_iters + _certified(s) + 2
 
 
 class TestSieve:
@@ -500,3 +510,34 @@ class TestSncgTolerance:
         res = run(inst.A, inst.b, inst.g, default_box(inst.x_true), MscraConfig())
         assert res.inner_failures == 0
         assert max(t.inner_stats.outer_iters for t in res.traces) < 100
+
+
+class TestCertifiedStages:
+    # the large-signal cells of TestExactSupport, TestSigmaRule, TestSncgTolerance
+    # and the interpolating run of TestRun
+    @pytest.mark.parametrize("design, signal, seed", [
+        ("I", "i", 7000), ("II", "i", 7000), ("I", "i", 7001), ("I", "ii", 7001),
+        ("II", "ii", 7000),
+    ])
+    def test_every_converged_stage_is_certified(self, design, signal, seed):
+        # every stage solves a problem whose weights are all positive, after
+        # alm_solve eliminates the unpenalized columns, and each that
+        # converged carries a certified gap within its tolerance; only an
+        # interpolating stage, with at least n unpenalized columns, has none
+        inst = make_instance(design=design, signal=signal, n=64, p=512, m=64, r_bar=6,
+                             alpha=1e5, theta1=0.1, theta2=0.1, seed=seed)
+        cfg = MscraConfig()
+        res = run(inst.A, inst.b, inst.g, default_box(inst.x_true), cfg)
+        tol, w = None, np.zeros(inst.g.m)
+        for t in res.traces:
+            tol = subproblem_tolerance(tol, cfg)
+            s = t.inner_stats
+            assert s.converged, f"stage {t.k}"
+            if unpenalized_columns(w, inst.g) >= inst.A.shape[0]:
+                assert res.stop_reason == "interpolating" and t is res.traces[-1]
+                assert s.eliminated_columns == 0 and s.cert_gap is None
+            else:
+                assert s.eliminated_columns == unpenalized_columns(w, inst.g), f"stage {t.k}"
+                assert s.cert_gap is not None and s.cert_gap <= tol, f"stage {t.k}"
+            w = t.w
+        assert any(t.inner_stats.eliminated_columns for t in res.traces)

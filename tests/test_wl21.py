@@ -470,10 +470,11 @@ class TestAlm:
         sncg, newton = wl21.sncg_solve, wl21.newton_direction
 
         def recording(state, spec, grad_tol, max_iter, stats, xi0=None, At_xi0=None, delta=0.0,
-                      tol=0.0):
+                      tol=0.0, certify=False):
             # a zero gradient tolerance lies below every rounding floor, so with
             # both forms of criterion (B) off each call stalls
-            xi, s = sncg(state, spec, 0.0, max_iter, stats, xi0=xi0, At_xi0=At_xi0, tol=tol)
+            xi, s = sncg(state, spec, 0.0, max_iter, stats, xi0=xi0, At_xi0=At_xi0, tol=tol,
+                         certify=certify)
             calls.append(s)
             return xi, s
 
@@ -490,7 +491,7 @@ class TestAlm:
         _, _, stats = alm_solve(spec, AlmConfig(tol=1e-8))
         # the ALM's totals are the sums of the per-call records the benchmark tracer reads
         assert set(calls[0]) == {"iters", "backtracks", "fallbacks", "stalls", "cg_iters",
-                                 "met", "early", "decrement", "gnorm"}
+                                 "met", "early", "decrement", "certified", "gnorm"}
         assert stats.sncg_iters == sum(s["iters"] for s in calls)
         assert stats.sncg_fallbacks == sum(s["fallbacks"] for s in calls)
         assert stats.sncg_backtracks == sum(s["backtracks"] for s in calls) > 0
@@ -519,9 +520,9 @@ class TestAlm:
         sncg = wl21.sncg_solve
 
         def recording(state, spec, grad_tol, max_iter, stats, xi0=None, At_xi0=None, delta=0.0,
-                      tol=0.0, floor=False):
+                      tol=0.0, certify=False, floor=False):
             xi, s = sncg(state, spec, 0.0 if floor else grad_tol, max_iter, stats, xi0=xi0,
-                         At_xi0=At_xi0, delta=0.0 if floor else delta, tol=tol)
+                         At_xi0=At_xi0, delta=0.0 if floor else delta, tol=tol, certify=certify)
             gnorm = np.linalg.norm(phi_kj_grad(xi, np.zeros(spec.p), state, spec))
             calls.append((s, gnorm, grad_tol, _multiplier_bound(xi, state, spec, delta)))
             return xi, s
@@ -574,9 +575,9 @@ class TestAlm:
         sncg = wl21.sncg_solve
 
         def recording(state, spec, grad_tol, max_iter, stats, xi0=None, At_xi0=None, delta=0.0,
-                      tol=0.0):
+                      tol=0.0, certify=False):
             xi, s = sncg(state, spec, grad_tol, max_iter, stats, xi0=xi0, At_xi0=At_xi0,
-                         delta=delta, tol=tol)
+                         delta=delta, tol=tol, certify=certify)
             gnorm = np.linalg.norm(phi_kj_grad(xi, np.zeros(spec.p), state, spec))
             calls.append((s, gnorm, grad_tol))
             return xi, s
@@ -618,14 +619,17 @@ class TestAlm:
         assert abs(p_alm - p_ref) <= 1e-6 * abs(p_ref)
 
     @staticmethod
-    def _scaled_subproblem(omega0=None):
+    def _scaled_subproblem(omega0=None, duplicate=False):
         # b and omega scaled by 1e3 scale x by 1e3, and with it the absolute
         # eps_dinf, so that the residual test is the last to pass
         spec = random_subproblem(9, R=1e8)
         omega = 1e3 * spec.omega
         if omega0 is not None:
             omega[0] = omega0
-        return SubproblemSpec(A=spec.A, b=1e3 * spec.b, g=spec.g, omega=omega, box=spec.box)
+        A = spec.A.copy()
+        if duplicate:
+            A[:, 1] = A[:, 0]  # a repeated column in group 0
+        return SubproblemSpec(A=A, b=1e3 * spec.b, g=spec.g, omega=omega, box=spec.box)
 
     def test_stops_on_a_certified_duality_gap(self):
         spec = self._scaled_subproblem()
@@ -648,10 +652,12 @@ class TestAlm:
         assert abs(primal_objective(x, spec) - p_ref) <= stats.cert_gap * p_x
 
     def test_an_unpenalized_group_keeps_the_residual_test(self):
-        spec = self._scaled_subproblem(omega0=0.0)
+        # a repeated column makes A_F rank-deficient, so the unpenalized group
+        # is not eliminated and stays in the problem
+        spec = self._scaled_subproblem(omega0=0.0, duplicate=True)
         cfg = AlmConfig(tol=1e-6)
         _, _, stats = alm_solve(spec, cfg)
-        assert stats.converged and stats.cert_gap is None
+        assert stats.converged and stats.cert_gap is None and stats.eliminated_columns == 0
         assert all(h["cert_gap"] is None for h in stats.history)
         assert max(stats.eps_pinf, stats.eps_dinf, stats.eps_gap) <= cfg.tol
 
@@ -679,12 +685,12 @@ class TestAlm:
         sncg = wl21.sncg_solve
 
         def recording(state, spec, grad_tol, max_iter, stats, xi0=None, At_xi0=None, delta=0.0,
-                      tol=0.0, unscaled=False):
+                      tol=0.0, certify=False, unscaled=False):
             if unscaled and not starts:
                 xi0 = xi_warm  # the first call starts where the warm solve ended
             starts.append(xi0)
             return sncg(state, spec, grad_tol, max_iter, stats, xi0=xi0, At_xi0=At_xi0,
-                        delta=delta, tol=tol)
+                        delta=delta, tol=tol, certify=certify)
 
         monkeypatch.setattr(wl21, "sncg_solve", recording)
         x, _, stats = alm_solve(small, AlmConfig(tol=1e-8), warm=warm)
@@ -743,6 +749,93 @@ class TestAlm:
         # solver's relative tolerance on this badly scaled instance
         p_alm, p_ref = primal_objective(x, spec), primal_objective(x_pg, spec)
         assert p_alm <= p_ref + 1e-6 * (1.0 + abs(p_ref))
+
+
+class TestElimination:
+    @staticmethod
+    def _with_free_groups(free, seed=19):
+        spec = random_subproblem(seed, n=60, p=90, m=18)
+        omega = spec.omega.copy()
+        omega[free] = 0.0
+        return SubproblemSpec(A=spec.A, b=spec.b, g=spec.g, omega=omega, box=spec.box)
+
+    @pytest.mark.parametrize("free", [[3], [3, 11]], ids=["one", "two"])
+    def test_matches_the_reference_within_its_certified_gap(self, free):
+        spec = self._with_free_groups(free)
+        cols_F = spec.g.segments(spec.omega == 0.0)[0]
+        x, state, stats = alm_solve(spec, AlmConfig(tol=1e-7))
+        assert stats.converged and stats.eliminated_columns == cols_F.size == 5 * len(free)
+        # the residual test may pass first; the certificate is computed all the same
+        assert not stats.closed_form and stats.cert_gap is not None
+        x_ref, _ = fista_reference(spec, grad_map_tol=1e-10)
+        p_x = primal_objective(x, spec)
+        assert abs(p_x - primal_objective(x_ref, spec)) <= stats.cert_gap * p_x
+        # the multiplier on the eliminated columns is -x_F, with no dual blocks there
+        assert np.array_equal(state.x[cols_F], -x[cols_F])
+        assert not state.eta[cols_F].any() and not state.zeta[cols_F].any()
+        # x_F minimizes over F exactly: A_F^T (Ax - b) = 0 up to rounding
+        r = spec.A @ x - spec.b
+        assert np.linalg.norm(spec.A[:, cols_F].T @ r) <= 1e-10 * np.linalg.norm(spec.b)
+
+    def test_warm_start_from_an_eliminated_solve(self):
+        # the next stage's weights: another group unpenalized, the others smaller
+        spec = self._with_free_groups([3])
+        _, warm, _ = alm_solve(spec, AlmConfig(tol=1e-7))
+        nxt = self._with_free_groups([3, 11])
+        nxt = SubproblemSpec(A=nxt.A, b=nxt.b, g=nxt.g, omega=0.5 * nxt.omega, box=nxt.box)
+        x, _, stats = alm_solve(nxt, AlmConfig(tol=1e-7), warm=warm)
+        x_cold, _, _ = alm_solve(nxt, AlmConfig(tol=1e-7))
+        assert stats.converged and stats.eliminated_columns == 10
+        assert np.linalg.norm(x - x_cold) <= 1e-5 * np.linalg.norm(x_cold)
+
+    def test_all_groups_unpenalized_is_the_least_squares_in_closed_form(self, rng):
+        n, p = 40, 20
+        A = rng.standard_normal((n, p))
+        b = rng.standard_normal(n)
+        g = contiguous_groups(p, 5)
+        spec = SubproblemSpec(A=A, b=b, g=g, omega=np.zeros(5), box=BoxConstraint(1e3))
+        x, state, stats = alm_solve(spec, AlmConfig(tol=1e-8))
+        x_ls, *_ = np.linalg.lstsq(A, b, rcond=None)
+        assert np.allclose(x, x_ls, rtol=0, atol=1e-12 * np.linalg.norm(x_ls))
+        assert stats.converged and stats.closed_form and stats.stop_cause == "converged"
+        assert stats.outer_iters == stats.sncg_iters == stats.dense_products == 0
+        assert stats.eliminated_columns == p and stats.history == []
+        # the optimal dual point is the residual
+        assert np.allclose(state.xi, A @ x - b, rtol=0, atol=1e-12 * np.linalg.norm(b))
+        assert np.array_equal(state.x, -x)
+
+    def test_an_eliminated_problem_whose_box_binds_stops_on_the_residual_test(self, rng):
+        # orthonormal columns: x_F = 0.5 whatever x_P, while the box of radius 1
+        # clips x_P at 1 against its least squares 5.  The certificate drops
+        # the box, so it cannot pass there; the residual test stops the solve
+        n, p = 40, 20
+        A, _ = np.linalg.qr(rng.standard_normal((n, p)))
+        x_true = np.full(p, 5.0)
+        x_true[:4] = 0.5
+        g = contiguous_groups(p, 5)
+        omega = np.full(5, 0.01)
+        omega[0] = 0.0
+        spec = SubproblemSpec(A=A, b=A @ x_true, g=g, omega=omega, box=BoxConstraint(1.0))
+        cfg = AlmConfig(tol=1e-8)
+        x, state, stats = alm_solve(spec, cfg)
+        assert stats.converged and stats.eliminated_columns == 4 and np.any(state.eta)
+        assert stats.cert_gap > cfg.tol
+        assert max(stats.eps_pinf, stats.eps_dinf, stats.eps_gap) <= cfg.tol
+        assert np.allclose(x[:4], 0.5, rtol=0, atol=1e-12)
+        assert np.allclose(x[4:], 1.0, rtol=0, atol=1e-8)
+
+    def test_unpenalized_columns_outside_the_box_take_the_full_solve(self, rng):
+        # the least squares over group 0 puts x_F near 5, outside the box of radius 1
+        n, p = 40, 20
+        A = rng.standard_normal((n, p))
+        b = A @ np.full(p, 5.0)
+        g = contiguous_groups(p, 5)
+        omega = np.full(5, 0.01)
+        omega[0] = 0.0
+        spec = SubproblemSpec(A=A, b=b, g=g, omega=omega, box=BoxConstraint(1.0))
+        x, state, stats = alm_solve(spec, AlmConfig(tol=1e-8))
+        assert stats.converged and stats.eliminated_columns == 0 and stats.cert_gap is None
+        assert np.max(np.abs(x)) <= 1.0 and np.any(state.eta)  # the box binds
 
 
 class TestAbcd:
