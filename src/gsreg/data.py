@@ -9,10 +9,19 @@ global minimizer of the group zero-norm objective for tiny instances.
 
 All randomness flows through the counter-based Philox generator so that
 instances are bit-reproducible across platforms.
+
+A design of 4 MiB or more, such as the 512 x 4096 designs of the
+benchmark's ``wide`` workload, is drawn into its own private anonymous
+mapping (:func:`gen_design`), which goes back to the OS when the array
+dies.  Drawn on the heap, a freed design left a hole that the next one
+of the same size refilled only while no small allocation had split it,
+so the peak memory of a run that regenerates its designs depended on
+where the allocator had placed them.
 """
 
 from __future__ import annotations
 
+import mmap
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -55,15 +64,42 @@ class SingularDesignError(ValueError):
 # generators
 
 
+# designs of at least this many bytes get their own mapping: numpy's own
+# threshold for asking for huge pages
+_MAPPED_BYTES = 4 << 20
+
+
+def _design_array(n: int, p: int) -> np.ndarray:
+    """An empty n x p float array, over a private anonymous mapping from ``_MAPPED_BYTES`` on."""
+    nbytes = n * p * np.dtype(float).itemsize
+    if nbytes < _MAPPED_BYTES or not hasattr(mmap, "MAP_ANONYMOUS"):
+        return np.empty((n, p))
+    # private, not mmap's default shared mapping, which gets no transparent huge pages
+    buf = mmap.mmap(-1, nbytes, flags=mmap.MAP_PRIVATE | mmap.MAP_ANONYMOUS)
+    if hasattr(mmap, "MADV_HUGEPAGE"):
+        buf.madvise(mmap.MADV_HUGEPAGE)
+    return np.ndarray((n, p), buffer=buf)
+
+
 def gen_design(kind: str, n: int, p: int, seed: int) -> np.ndarray:
-    """Design matrix of kind I (Gaussian), II (signs), or III (Hadamard rows)."""
+    """Design matrix of kind I (Gaussian), II (signs), or III (Hadamard rows).
+
+    A design of 4 MiB or more lies over its own private anonymous
+    ``mmap``, unmapped when the array dies, so that regenerating large
+    designs leaves no heap hole for a small allocation to split; a
+    smaller one is an ordinary heap array.  Both are drawn in place
+    (``out=``), with the same values as drawing a new array.
+    """
     rng = make_rng(seed)
     if kind == "I":
-        return rng.standard_normal((n, p))
+        return rng.standard_normal(out=_design_array(n, p))
     if kind == "II":
-        A = np.sign(rng.random((n, p)) - 0.5)
-        A[A == 0] = 1.0
-        return A
+        A = _design_array(n, p)
+        rng.random(out=A)
+        A -= 0.5
+        # the sign of U - 1/2, with 0 sent to +1 (U - 1/2 is never -0.0); an
+        # in-place np.sign runs several times slower on mixed signs
+        return np.copysign(1.0, A, out=A)
     if kind == "III":
         if p & (p - 1) != 0 or p <= 0:
             raise ValueError("kind III requires p to be a power of two")
@@ -74,7 +110,8 @@ def gen_design(kind: str, n: int, p: int, seed: int) -> np.ndarray:
         while H.shape[0] < p:
             H = np.block([[H, H], [H, -H]])
         picks = np.sort(rng.permutation(p)[:n])
-        return H[picks, :]
+        # "clip" keeps take from buffering (every index is valid)
+        return np.take(H, picks, axis=0, out=_design_array(n, p), mode="clip")
     raise ValueError(f"unknown design kind {kind!r}")
 
 

@@ -163,11 +163,13 @@ class DualState:
 class AlmConfig:
     """Settings of :func:`alm_solve`.
 
-    Sigma starts at 1 and, after each unconverged outer iteration, grows
-    by 1.3, or by 5 when the multiplier stalls, that is when ``eps_dinf``
-    kept more than half of its previous value; it never exceeds
-    ``sigma_max``.  ``max_outer`` bounds the outer iterations and
-    ``sncg_max_iter`` the Newton steps of each one.  Each outer
+    Sigma starts at 1, or on a warm solve at the largest of the warm
+    sigma, 1 and ``||x||_inf / max omega`` for the warm multiplier ``x``,
+    and, after each unconverged outer iteration, grows by 1.3, or by 5
+    when the multiplier stalls, that is when ``eps_dinf`` kept more than
+    half of its previous value; it never exceeds ``sigma_max``.
+    ``max_outer`` bounds the outer iterations and ``sncg_max_iter`` the
+    Newton steps of each one.  Each outer
     iteration's SNCG call stops at the rounding-floor target or at
     criterion (B), in gradient form or on the Newton decrement, or, on a
     problem whose unpenalized columns were eliminated, at a certified
@@ -934,7 +936,7 @@ def alm_solve(spec: SubproblemSpec, cfg: AlmConfig | None = None,
     given takes ``r`` alone: there ``xi`` stopped some one-stage
     group-lasso solves at points that the residual recipe puts above
     ``cfg.tol``.  A problem left with an unpenalized group stops on the
-    three residuals alone.  Otherwise sigma grows from 1, up to
+    three residuals alone.  Otherwise sigma grows from its start, up to
     ``cfg.sigma_max``: by 5 when the multiplier stalls, that is when
     ``eps_dinf`` stays above half of its value at the previous outer
     iteration, and by 1.3 when it falls faster (and after the first
@@ -961,10 +963,15 @@ def alm_solve(spec: SubproblemSpec, cfg: AlmConfig | None = None,
     solve, which reports converged with zero residuals and gap.
 
     A ``warm`` state, the one an earlier solve returned, carries over the
-    multiplier x, sigma (raised to 1 if below it) and xi scaled by
-    :func:`_ball_scale` into this problem's group balls; an eliminated
-    problem first projects xi off ``range(Q)``, where its optimum has no
-    component.  When the weights shrink, as between stages of the
+    multiplier x, sigma and xi scaled by :func:`_ball_scale` into this
+    problem's group balls; an eliminated problem first projects xi off
+    ``range(Q)``, where its optimum has no component.  Sigma starts at
+    the largest of the warm sigma, 1 and ``||x||_inf / max omega``,
+    capped at ``cfg.sigma_max`` (:func:`_warm_sigma`): ``x / sigma`` is
+    added to ``A^T xi``, whose group norms omega bounds, so below that
+    ratio, as at the sigma where stage 1 of the multi-stage loop ends,
+    the first outer iterations barely move a multiplier far larger than
+    the weights.  When the weights shrink, as between stages of the
     multi-stage loop, the old xi lies outside the new balls, and
     unscaled it would make nearly every group active in the first Newton
     systems.  Each subproblem is strongly convex in xi, so the scaling
@@ -1044,12 +1051,26 @@ def _eliminated(spec: SubproblemSpec, cfg: AlmConfig, warm: DualState | None):
     return x, state, stats
 
 
+def _warm_sigma(warm: DualState, spec: SubproblemSpec, cfg: AlmConfig) -> float:
+    """The sigma a warm solve starts at: ``min(max(warm.sigma, 1, ||x||_inf / max omega), sigma_max)``.
+
+    ``x / sigma`` is added to ``A^T xi``, whose group norms omega bounds,
+    so the ratio has the units of sigma.  It only raises the start.
+    Where every omega is 0 the start is ``max(warm.sigma, 1)``.
+    """
+    sigma = max(warm.sigma, _SIGMA_START)
+    top = float(np.max(spec.omega, initial=0.0))
+    if top > 0:
+        sigma = max(sigma, float(np.max(np.abs(warm.x), initial=0.0)) / top)
+    return min(sigma, cfg.sigma_max)
+
+
 def _alm(spec: SubproblemSpec, cfg: AlmConfig, warm: DualState | None, certify: bool = False):
     """The ALM loop of :func:`alm_solve` on ``spec`` as given; ``certify`` on an eliminated problem."""
     stats = SolveStats()
     if warm is not None:
         state = warm.copy()
-        state.sigma = max(warm.sigma, _SIGMA_START)
+        state.sigma = _warm_sigma(warm, spec, cfg)
         state.xi *= _ball_scale(spec.A.T @ state.xi, spec)
         stats.dense_products += 1
     else:

@@ -1,4 +1,7 @@
+import gc
 import hashlib
+import mmap
+import weakref
 
 import numpy as np
 import pytest
@@ -13,6 +16,7 @@ from gsreg.data import (
     gen_signal,
     gsparse_objective,
     make_instance,
+    make_rng,
     metrics,
     oracle_ls,
 )
@@ -43,6 +47,41 @@ class TestGenDesign:
     def test_hadamard_requires_n_le_p(self):
         with pytest.raises(ValueError, match="n <= p"):
             gen_design("III", 64, 32, seed=0)
+
+    @pytest.mark.parametrize("kind", ["I", "II", "III"])
+    def test_a_mapped_design_equals_the_heap_draw(self, kind):
+        # 512 x 1024 doubles are exactly 4 MiB, the smallest design drawn into a mapping
+        n, p = 512, 1024
+        rng = make_rng(5)
+        if kind == "I":
+            expected = rng.standard_normal((n, p))
+        elif kind == "II":
+            expected = np.sign(rng.random((n, p)) - 0.5)
+            expected[expected == 0] = 1.0
+        else:
+            # Sylvester's Hadamard matrix: H_ij = (-1)^popcount(i & j)
+            picks = np.sort(rng.permutation(p)[:n])
+            both = picks[:, None] & np.arange(p)
+            parity = sum((both >> k) & 1 for k in range(p.bit_length())) % 2
+            expected = 1.0 - 2.0 * parity
+        A = gen_design(kind, n, p, seed=5)
+        assert isinstance(A.base, mmap.mmap)
+        assert np.array_equal(A, expected)
+
+    def test_a_mapped_design_is_unmapped_with_its_array(self):
+        A = gen_design("I", 512, 1024, seed=5)
+        root = A
+        while isinstance(root, np.ndarray):
+            root = root.base
+        assert isinstance(root, mmap.mmap) and A.flags.writeable
+        ref = weakref.ref(root)
+        del A, root
+        gc.collect()
+        assert ref() is None
+
+    def test_a_small_design_owns_its_data(self):
+        A = gen_design("II", 64, 512, seed=5)
+        assert A.base is None and A.flags.owndata
 
     def test_unknown_kind(self):
         with pytest.raises(ValueError):

@@ -241,7 +241,7 @@ class TestRun:
         # on the line search's floor, so no box roots are solved
         assert [(t.inner_stats.outer_iters, t.inner_stats.sncg_iters,
                  t.inner_stats.sncg_backtracks) for t in res.traces] == [
-            (3, 15, 17), (13, 31, 3), (3, 15, 55), (2, 2, 0)]
+            (3, 15, 17), (8, 25, 20), (3, 15, 52), (2, 2, 0)]
         assert [t.inner_stats.eliminated_columns for t in res.traces] == [0, 8, 40, 0]
         assert not root_calls
 

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -705,6 +707,35 @@ class TestAlm:
         x_unscaled, _, stats = alm_solve(small, AlmConfig(tol=1e-8), warm=warm)
         assert stats.converged and np.array_equal(starts[0], xi_warm)
         assert np.linalg.norm(x - x_unscaled) <= 1e-8 * np.linalg.norm(x_unscaled)
+
+    @pytest.mark.parametrize("sigma_max", [1e6, 500.0], ids=["ratio", "capped"])
+    def test_warm_sigma_starts_at_the_multiplier_over_the_weights(self, sigma_max):
+        spec = random_subproblem(14, n=50, p=80, m=16)
+        _, warm, _ = alm_solve(spec, AlmConfig(tol=1e-6))
+        # much smaller weights: ||x||_inf / max omega lies above the warm sigma
+        small = SubproblemSpec(A=spec.A, b=spec.b, g=spec.g, omega=0.01 * spec.omega,
+                               box=spec.box)
+        ratio = np.max(np.abs(warm.x)) / np.max(small.omega)
+        assert ratio > max(warm.sigma, 1.0) and ratio > 500.0
+        cfg = AlmConfig(tol=1e-6, sigma_max=sigma_max)
+        _, _, stats = alm_solve(small, cfg, warm=warm)
+        assert stats.converged
+        assert stats.history[0]["sigma"] == min(max(warm.sigma, 1.0, ratio), cfg.sigma_max)
+
+    def test_warm_solve_with_every_weight_zero_keeps_its_sigma(self):
+        # p > n: the unpenalized columns are not eliminated, and no ratio is taken
+        spec = random_subproblem(14, n=50, p=80, m=16)
+        _, warm, _ = alm_solve(spec, AlmConfig(tol=1e-6))
+        free = SubproblemSpec(A=spec.A, b=spec.b, g=spec.g, omega=np.zeros(spec.g.m),
+                              box=spec.box)
+        low = warm.copy()
+        low.sigma = 0.5
+        for start, expected in ((warm, warm.sigma), (low, 1.0)):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                _, _, stats = alm_solve(free, AlmConfig(tol=1e-6, max_outer=3), warm=start)
+            assert stats.eliminated_columns == 0
+            assert stats.history[0]["sigma"] == expected
 
     def test_group_sparsity_in_solution(self):
         # moderately large weights should zero out entire groups exactly
