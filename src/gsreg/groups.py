@@ -64,19 +64,30 @@ class GroupStructure:
             raise ValueError(f"coordinate {missing} belongs to no group")
         group_id = np.empty(p, dtype=np.intp)
         group_id[order] = owner
+        perm = None if np.array_equal(order, np.arange(p)) else order
+        self._set(p, sizes, group_id, np.cumsum(sizes) - sizes, perm, groups)
+
+    def _set(self, p: int, sizes, group_id, starts, perm, groups=None) -> None:
         self.p = int(p)
-        self.groups = groups
         self.group_id = group_id
-        self.starts = np.cumsum(sizes) - sizes
-        self.perm = None if np.array_equal(order, np.arange(p)) else order
+        self.starts = starts
+        self.perm = perm
         self._sizes = sizes
-        for arr in (self.group_id, self.starts, self.perm, self._sizes):
+        self._groups = groups
+        for arr in (group_id, starts, perm, sizes):
             if arr is not None:
                 arr.setflags(write=False)
 
     @property
     def m(self) -> int:
-        return len(self.groups)
+        return self._sizes.size
+
+    @property
+    def groups(self) -> tuple:
+        """The 0-based coordinates of each group, group after group."""
+        if self._groups is None:
+            self._groups = tuple(np.split(self._order(), self.starts[1:]))
+        return self._groups
 
     def segment_sum(self, v) -> np.ndarray:
         """Per-group sums of the per-coordinate vector ``v``."""
@@ -106,10 +117,18 @@ class GroupStructure:
         Returns ``(cols, sub)``: ``cols`` from :meth:`segments`, and the
         structure on ``0..len(cols)-1`` whose group k is the k-th selected
         group, with its coordinate j standing for coordinate ``cols[j]``
-        here, so that ``x[cols]`` is a vector of ``sub``.
+        here, so that ``x[cols]`` is a vector of ``sub``.  ``sub`` equals
+        the structure the constructor builds from those groups, but comes
+        from the segments alone, with no validation and no per-group
+        array; its :attr:`groups` are derived when first read.
         """
-        cols, starts, _ = self.segments(mask)
-        return cols, GroupStructure(cols.size, np.split(np.arange(cols.size), starts[1:]))
+        mask = np.asarray(mask, dtype=bool)
+        cols, starts, seg = self.segments(mask)
+        if not cols.size:
+            raise ValueError("mask selects no group")
+        sub = GroupStructure.__new__(GroupStructure)
+        sub._set(cols.size, self._sizes[mask], seg, starts, None)
+        return cols, sub
 
     def __eq__(self, other):
         return (

@@ -44,6 +44,7 @@ each solve (:meth:`SubproblemSpec.restrict`, :func:`gsreg.mscra.solve_stage`).
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import asdict, dataclass, field
 from typing import NamedTuple
@@ -331,10 +332,16 @@ def _soft_threshold(y, spec: SubproblemSpec):
     """``(nrm, u, top)``: the group norms of ``y``, its block soft threshold ``u``, and ``max |u|``.
 
     ``u`` has the weights omega; it is the prox of :func:`prox_group_box`
-    at ``y`` for every box radius of at least ``top``.
+    at ``y`` for every box radius of at least ``top``.  Every line-search
+    trial of :func:`sncg_solve` computes it, so it does the floating-point
+    operations of :func:`group_norms` and :func:`group_soft_threshold`
+    with no call to either.
     """
-    nrm = group_norms(y, spec.g)
-    u = group_soft_threshold(y, spec.g, spec.omega, nrm)
+    g, omega = spec.g, spec.omega
+    sq = y * y
+    nrm = np.sqrt(np.add.reduceat(sq if g.perm is None else sq[g.perm], g.starts))
+    scale = 1.0 - np.divide(omega, nrm, out=np.ones(g.m), where=nrm > omega)
+    u = y * scale[g.group_id]
     return nrm, u, np.abs(u).max()
 
 
@@ -425,7 +432,8 @@ def _active_groups(y, spec: SubproblemSpec, R: float, prox: ProxPoint | None = N
     ``F``, with ``a_i = 1/(1 + t_i)`` and
     ``c_i = t_i / ((1 + t_i)^3 ((1 + t_i) ||s_i||^2 - t_i ||s_F||^2))``.
     Returns the segments ``(cols, starts, seg)`` of the coordinates where
-    it is nonzero, and the ``a`` and ``c`` of their groups.  ``prox``, the
+    it is nonzero, the ``a`` and ``c`` of their groups, and ``curved``,
+    the ranks of the groups among them with ``c_i > 0``.  ``prox``, the
     :class:`ProxPoint` at ``y``, is computed when not given.
     """
     g, omega = spec.g, spec.omega
@@ -440,7 +448,8 @@ def _active_groups(y, spec: SubproblemSpec, R: float, prox: ProxPoint | None = N
     c = np.divide(scale, nrm**2, out=np.zeros(g.m), where=outside)
     if prox.box is None:
         cols, starts, seg = g.segments(active)
-        return cols, starts, seg, a[active], c[active]
+        c = c[active]
+        return cols, starts, seg, a[active], c, np.flatnonzero(c > 0.0)
     s = prox.s
     clipped, t = prox.box
     hit = g.segment_sum(clipped) > 0
@@ -453,7 +462,8 @@ def _active_groups(y, spec: SubproblemSpec, R: float, prox: ProxPoint | None = N
     cols, _, seg = g.segments(active)
     kept = ~clipped[cols]
     sizes = free[active].astype(np.intp)
-    return cols[kept], np.cumsum(sizes) - sizes, seg[kept], a[active], c[active]
+    c = c[active]
+    return cols[kept], np.cumsum(sizes) - sizes, seg[kept], a[active], c, np.flatnonzero(c > 0.0)
 
 
 def _gathered_factor(y, spec: SubproblemSpec, active):
@@ -465,13 +475,15 @@ def _gathered_factor(y, spec: SubproblemSpec, active):
     ``A (I - W_y) A^T = Z Z^T + W W^T``.  Both have ``n`` rows; an empty
     ``J`` gives no columns.
     """
-    cols, starts, seg, a, c = active
+    cols, starts, seg, a, c, curved = active
     # "clip" keeps take from buffering (every index is valid)
     Z = np.take(spec.A, cols, axis=1, mode="clip")
-    curved = np.flatnonzero(c > 0.0)
-    W = np.empty((spec.n, 0))
     if curved.size:
+        # the column selection leaves W in Fortran order; the BLAS products
+        # of newton_direction round differently on a C-ordered copy
         W = np.add.reduceat(Z * y[cols], starts, axis=1)[:, curved] * np.sqrt(c[curved])
+    else:
+        W = np.empty((spec.n, 0))
     Z *= np.sqrt(a)[seg]
     return Z, W
 
@@ -518,21 +530,22 @@ def newton_direction(v, y, sigma: float, spec: SubproblemSpec, prox: ProxPoint |
     empty ``J``).
     """
     v = np.asarray(v, dtype=float)
-    active = cols, _, _, _, c = _active_groups(y, spec, spec.box.R / sigma, prox)
-    k = cols.size
+    active = _active_groups(y, spec, spec.box.R / sigma, prox)
+    k = active[0].size
     if k == 0:
         return v.copy(), 0
-    n, r = spec.n, k + int(np.count_nonzero(c > 0.0))
-    G = spec.gram() if r < n else None
+    n, r = spec.n, k + active[5].size
+    woodbury = r < n
+    G = spec.gram() if woodbury else None
     if stats is not None:
-        stats.sncg_nn_systems += r >= n
-        stats.sncg_woodbury_systems += r < n
+        stats.sncg_nn_systems += not woodbury
+        stats.sncg_woodbury_systems += woodbury
         stats.sncg_max_r = max(stats.sncg_max_r, r)
         stats.dense_products += 2 * (G is not None)
     if G is not None:
         return _gram_woodbury(v, y, sigma, spec, G, active), r
     Z, W = _gathered_factor(y, spec, active)
-    if r >= n:
+    if not woodbury:
         M = Z @ Z.T
         M += W @ W.T
         M *= sigma
@@ -551,8 +564,7 @@ def newton_direction(v, y, sigma: float, spec: SubproblemSpec, prox: ProxPoint |
 
 def _gram_woodbury(v, y, sigma: float, spec: SubproblemSpec, G, active):
     """The Woodbury direction of :func:`newton_direction` from the Gram ``G`` of a narrow instance."""
-    cols, _, seg, a, c = active
-    curved = np.flatnonzero(c > 0.0)
+    cols, _, seg, a, c, curved = active
     k, r = cols.size, cols.size + curved.size
     # E = [diag(sqrt(a)), Y sqrt(C)], so that B = A_J E; the rows of a curved
     # group hold sqrt(c_i) y_i in that group's column
@@ -582,7 +594,7 @@ _MAX_BACKTRACKS = 50
 
 def sncg_solve(state: DualState, spec: SubproblemSpec, grad_tol: float, max_iter: int,
                stats: SolveStats, xi0=None, At_xi0=None, delta: float = 0.0, tol: float = 0.0,
-               certify: bool = False):
+               certify: bool = False, bnorm: float | None = None):
     """Semismooth Newton on the reduced gradient system in xi.
 
     The reduced function is the augmented Lagrangian minimized over
@@ -640,7 +652,8 @@ def sncg_solve(state: DualState, spec: SubproblemSpec, grad_tol: float, max_iter
     gap (:func:`_relative_gap`) of at most ``tol`` against the dual point
     ``xi`` scaled into the group balls (:func:`_scaled_dual`).  That costs
     no product with ``A``: the residual ``Ax - b`` is ``xi - grad``, and
-    ``A^T xi`` is ``y - x/sigma``.  Otherwise the loop ends after
+    ``A^T xi`` is ``y - x/sigma``; ``bnorm``, ``1 + ||b||``, is computed
+    when not given.  Otherwise the loop ends after
     ``max_iter`` steps, or at a stall: an accepted step that lowers
     neither the function nor the gradient norm, which means ``grad_tol``
     lies below the rounding floor, or a line search that refuses every
@@ -674,9 +687,13 @@ def sncg_solve(state: DualState, spec: SubproblemSpec, grad_tol: float, max_iter
     f, prox = _psi(xi, y, sigma, R, spec)
     g = spec.b + xi + sigma * (spec.A @ prox.s)
     stats.dense_products += 1
-    gnorm = np.linalg.norm(g)
-    coef = delta / np.sqrt(sigma)
-    cert_tol = tol * (1.0 + np.linalg.norm(spec.b)) if certify else -np.inf
+    # the norms below are sqrt(v @ v), which is what np.linalg.norm computes
+    # for a vector, without its checks
+    gnorm = math.sqrt(g @ g)
+    coef = delta / math.sqrt(sigma)
+    if certify and bnorm is None:
+        bnorm = 1.0 + np.linalg.norm(spec.b)
+    cert_tol = tol * bnorm if certify else -np.inf
 
     def certifies():
         # the point this call would hand back, x = -sigma s, whose residual
@@ -692,15 +709,21 @@ def sncg_solve(state: DualState, spec: SubproblemSpec, grad_tol: float, max_iter
             return "early"
         return "certified" if gnorm <= cert_tol and certifies() else None
 
+    def multiplier_step():
+        # the multiplier step from the current point
+        v = sigma * prox.s - state.x
+        return math.sqrt(v @ v)
+
     reason = None
-    step = np.linalg.norm(sigma * prox.s - state.x)  # the multiplier step from here
+    step = multiplier_step()
     for _ in range(max_iter):
         reason = exit_met()
         if reason is not None:
             break
         d, _ = newton_direction(-g, y, sigma, spec, prox, stats)
         slope = g @ d
-        if slope >= 0 or not np.all(np.isfinite(d)):
+        # a non-finite entry of d makes the slope non-finite
+        if not slope < 0 or not math.isfinite(slope):
             d = -g  # no descent from the Newton system; steepest descent fallback
             slope = -gnorm**2
             call["fallbacks"] += 1
@@ -714,8 +737,9 @@ def sncg_solve(state: DualState, spec: SubproblemSpec, grad_tol: float, max_iter
             xi_new, y_new = xi + alpha * d, y + alpha * At_d
             bound = f + _ARMIJO_MU * alpha * slope + slack
             soft = _soft_threshold(y_new, spec)
-            # refused on its floor, the trial solves no box roots
-            if not _psi_floor(xi_new, y_new, sigma, R, spec, soft) > bound:
+            # refused on its floor, the trial solves no box roots; a soft
+            # threshold inside the box is the prox and has no floor
+            if not (soft[2] > R and _psi_floor(xi_new, y_new, sigma, R, spec, soft) > bound):
                 f_new, prox_new = _psi(xi_new, y_new, sigma, R, spec, soft)
                 if f_new <= bound:
                     break
@@ -727,10 +751,10 @@ def sncg_solve(state: DualState, spec: SubproblemSpec, grad_tol: float, max_iter
         call["iters"] += 1
         g_new = spec.b + xi_new + sigma * (spec.A @ prox_new.s)
         stats.dense_products += 1
-        gnorm_new = np.linalg.norm(g_new)
+        gnorm_new = math.sqrt(g_new @ g_new)
         stalled = f_new >= f and gnorm_new >= gnorm
         xi, y, f, g, gnorm, prox = xi_new, y_new, f_new, g_new, gnorm_new, prox_new
-        step = np.linalg.norm(sigma * prox.s - state.x)
+        step = multiplier_step()
         if stalled:
             call["stalls"] += 1
             break
@@ -755,7 +779,7 @@ def sncg_solve(state: DualState, spec: SubproblemSpec, grad_tol: float, max_iter
 
 def abcd_solve(state: DualState, spec: SubproblemSpec, sncg_tol: float, max_iter: int,
                stats: SolveStats, At_xi=None, delta: float = 0.0, tol: float = 0.0,
-               certify: bool = False):
+               certify: bool = False, bnorm: float | None = None):
     """Minimize the augmented Lagrangian over (eta, xi, zeta) by one :func:`sncg_solve` call.
 
     SNCG finds xi in at most ``max_iter`` Newton steps, stopping at
@@ -772,11 +796,12 @@ def abcd_solve(state: DualState, spec: SubproblemSpec, sncg_tol: float, max_iter
     ``sigma s = prox_{sigma p}(sigma y)``.
 
     ``At_xi``, when given, is ``A^T`` times the start ``state.xi`` and
-    goes to SNCG as ``At_xi0``.  Besides SNCG's, the call adds one dense
-    product of its own to ``stats``: the exact ``A^T xi`` of the new xi,
-    from which ``y``, the blocks and the multiplier are computed; the prox
-    at ``y`` and the group norms of ``y`` are computed again, once, rather
-    than taken from SNCG.  Returns ``(eta, xi, zeta, x_new, out)``:
+    goes to SNCG as ``At_xi0``; ``bnorm``, ``1 + ||b||``, goes to SNCG as
+    it is.  Besides SNCG's, the call adds one dense product of its own to
+    ``stats``: the exact ``A^T xi`` of the new xi, from which ``y``, the
+    blocks and the multiplier are computed; the prox at ``y`` and the
+    group norms of ``y`` are computed again, once, rather than taken from
+    SNCG.  Returns ``(eta, xi, zeta, x_new, out)``:
     ``out["sncg"]`` is SNCG's record, ``out["At_xi"]`` that product, for
     the next call to start from, and ``out["keep"]`` the groups where the
     prox ``s`` is nonzero.
@@ -787,7 +812,7 @@ def abcd_solve(state: DualState, spec: SubproblemSpec, sncg_tol: float, max_iter
     here, as its sweeps.
     """
     xi, call = sncg_solve(state, spec, sncg_tol, max_iter, stats, xi0=state.xi, At_xi0=At_xi,
-                          delta=delta, tol=tol, certify=certify)
+                          delta=delta, tol=tol, certify=certify, bnorm=bnorm)
     R = spec.box.R / state.sigma
     At_xi = spec.A.T @ xi
     stats.dense_products += 1
@@ -1093,7 +1118,7 @@ def _alm(spec: SubproblemSpec, cfg: AlmConfig, warm: DualState | None, certify: 
     for j in range(cfg.max_outer):
         eta, xi, zeta, x_new, out = abcd_solve(state, spec, sncg_tol, cfg.sncg_max_iter, stats,
                                                At_xi, _DELTA_START * _DELTA_RATIO**j, cfg.tol,
-                                               certify)
+                                               certify, bnorm)
         x_old = state.x
         state.eta, state.xi, state.zeta, state.x = eta, xi, zeta, x_new
         At_xi, keep, call = out["At_xi"], out["keep"], out["sncg"]

@@ -68,6 +68,39 @@ class TestSubset:
         assert np.allclose(group_norms(x[cols], sub), group_norms(x, g)[mask],
                            rtol=1e-15, atol=0)
 
+    @pytest.mark.parametrize("parent", ["contiguous", "shuffled"])
+    @pytest.mark.parametrize("picked", [[0, 2, 3, 5], [1, 4], [5], [0, 1, 2, 3, 4, 5]])
+    def test_subset_is_the_validated_structure(self, parent, picked):
+        # subset builds its structure from the segments alone; it must be the
+        # one the validating constructor builds from the selected groups
+        sizes = [3, 1, 5, 2, 5, 4]
+        coords = np.arange(20)
+        if parent == "shuffled":
+            coords = np.random.default_rng(3).permutation(20)
+        g = GroupStructure(20, np.split(coords, np.cumsum(sizes)[:-1]))
+        assert (g.perm is None) == (parent == "contiguous")
+        mask = np.isin(np.arange(g.m), picked)
+        cols, sub = g.subset(mask)
+        ref = GroupStructure(cols.size, np.split(np.arange(cols.size),
+                                                 np.cumsum([sizes[i] for i in picked])[:-1]))
+        assert sub == ref and sub.p == ref.p and sub.m == ref.m and sub.perm is None
+        assert len(sub.groups) == len(ref.groups)
+        assert all(np.array_equal(a, b) for a, b in zip(sub.groups, ref.groups))
+        for name in ("group_id", "starts"):
+            assert np.array_equal(getattr(sub, name), getattr(ref, name))
+            assert getattr(sub, name).dtype == getattr(ref, name).dtype
+            assert not getattr(sub, name).flags.writeable
+        inner = np.arange(len(picked)) % 2 == 0
+        for a, b in zip(sub.segments(inner), ref.segments(inner)):
+            assert np.array_equal(a, b) and a.dtype == b.dtype
+        assert sub.to_json() == ref.to_json()
+        assert GroupStructure.from_json(sub.to_json()) == sub
+        assert [cols[idx].tolist() for idx in sub.groups] == [g.groups[i].tolist() for i in picked]
+
+    def test_subset_of_no_group_is_refused(self):
+        with pytest.raises(ValueError, match="no group"):
+            contiguous_groups(6, 3).subset(np.zeros(3, dtype=bool))
+
 
 class TestContiguousGroups:
     def test_even_split(self):

@@ -245,6 +245,25 @@ class TestRun:
         assert [t.inner_stats.eliminated_columns for t in res.traces] == [0, 8, 40, 0]
         assert not root_calls
 
+    def test_converged_large_signal_path(self):
+        # the path of every stage of a large-signal run that finds the exact
+        # support: outer iterations, Newton steps, backtracks.  Every Newton
+        # system is built from the gathered factor [Z, W] of newton_direction,
+        # in the n x n or the Woodbury form, and its rounding shows in these
+        # counts: the same W = [sqrt(c_i) A_{J_i} y_i] copied into C order
+        # before its BLAS products moves stage 3 to 83 backtracks
+        inst = make_instance(design="I", signal="iii", n=64, p=512, m=64, r_bar=6,
+                             alpha=1e5, theta1=0.1, theta2=0.1, seed=7000)
+        res = run(inst.A, inst.b, inst.g, default_box(inst.x_true), MscraConfig())
+        assert res.stop_reason == "equilibrium" and res.converged
+        assert metrics(res.x, inst)["exact_support"]
+        assert [(t.inner_stats.outer_iters, t.inner_stats.sncg_iters,
+                 t.inner_stats.sncg_backtracks) for t in res.traces] == [
+            (3, 13, 14), (7, 23, 23), (5, 41, 78), (1, 1, 0)]
+        assert [t.inner_stats.eliminated_columns for t in res.traces] == [0, 16, 40, 48]
+        assert [(t.inner_stats.sncg_nn_systems, t.inner_stats.sncg_woodbury_systems)
+                for t in res.traces] == [(11, 1), (22, 1), (0, 41), (0, 0)]
+
     def test_rejects_nonpositive_nu(self):
         g = contiguous_groups(6, 3)
         rng = np.random.default_rng(2)

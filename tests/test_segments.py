@@ -25,6 +25,7 @@ from gsreg.wl21 import (
     SolveStats,
     SubproblemSpec,
     _psi,
+    _soft_threshold,
     gen_hessian_apply,
     newton_direction,
     project_group_balls,
@@ -142,6 +143,31 @@ class TestKernels:
         assert np.all(out[g.groups[BOUNDARY]] == 0.0)
         assert np.array_equal(out[g.groups[ZERO_WEIGHT]], y[g.groups[ZERO_WEIGHT]])
         assert np.array_equal(group_soft_threshold(y, g, omega, group_norms(y, g)), out)
+
+    @pytest.mark.parametrize("layout", ["shuffled", "contiguous"])
+    def test_trial_kernel_is_bitwise_the_group_kernels(self, shuffled, layout):
+        # the line search's _soft_threshold inlines group_norms and
+        # group_soft_threshold; it must give their bits, at zero weights, at
+        # zero norms with a zero and with a positive weight, on the ball and
+        # inside it, through the permutation and without one
+        g, y, omega = shuffled
+        y = y.copy()
+        y[g.groups[INSIDE]] = 0.0
+        if layout == "contiguous":
+            order = g.perm
+            g = GroupStructure(g.p, np.split(np.arange(g.p), g.starts[1:]))
+            y = y[order]
+        spec = SubproblemSpec(A=np.ones((2, g.p)), b=np.zeros(2), g=g, omega=omega,
+                              box=BoxConstraint(1.0))
+        nrm, u, top = _soft_threshold(y, spec)
+        ref_nrm = group_norms(y, g)
+        ref_u = group_soft_threshold(y, g, omega, ref_nrm)
+        assert nrm.tobytes() == ref_nrm.tobytes()
+        assert u.tobytes() == ref_u.tobytes()
+        assert top == np.max(np.abs(ref_u)) == np.abs(u).max() > 0
+        assert nrm[INSIDE] == nrm[ZERO_WEIGHT_AT_ORIGIN] == 0.0 < omega[INSIDE]
+        assert np.all(u[g.groups[INSIDE]] == 0.0) and np.all(u[g.groups[BOUNDARY]] == 0.0)
+        assert np.array_equal(u[g.groups[ZERO_WEIGHT]], y[g.groups[ZERO_WEIGHT]])
 
 
 class TestProxGroupBox:

@@ -472,11 +472,11 @@ class TestAlm:
         sncg, newton = wl21.sncg_solve, wl21.newton_direction
 
         def recording(state, spec, grad_tol, max_iter, stats, xi0=None, At_xi0=None, delta=0.0,
-                      tol=0.0, certify=False):
+                      tol=0.0, certify=False, bnorm=None):
             # a zero gradient tolerance lies below every rounding floor, so with
             # both forms of criterion (B) off each call stalls
             xi, s = sncg(state, spec, 0.0, max_iter, stats, xi0=xi0, At_xi0=At_xi0, tol=tol,
-                         certify=certify)
+                         certify=certify, bnorm=bnorm)
             calls.append(s)
             return xi, s
 
@@ -522,9 +522,10 @@ class TestAlm:
         sncg = wl21.sncg_solve
 
         def recording(state, spec, grad_tol, max_iter, stats, xi0=None, At_xi0=None, delta=0.0,
-                      tol=0.0, certify=False, floor=False):
+                      tol=0.0, certify=False, bnorm=None, floor=False):
             xi, s = sncg(state, spec, 0.0 if floor else grad_tol, max_iter, stats, xi0=xi0,
-                         At_xi0=At_xi0, delta=0.0 if floor else delta, tol=tol, certify=certify)
+                         At_xi0=At_xi0, delta=0.0 if floor else delta, tol=tol, certify=certify,
+                         bnorm=bnorm)
             gnorm = np.linalg.norm(phi_kj_grad(xi, np.zeros(spec.p), state, spec))
             calls.append((s, gnorm, grad_tol, _multiplier_bound(xi, state, spec, delta)))
             return xi, s
@@ -577,9 +578,9 @@ class TestAlm:
         sncg = wl21.sncg_solve
 
         def recording(state, spec, grad_tol, max_iter, stats, xi0=None, At_xi0=None, delta=0.0,
-                      tol=0.0, certify=False):
+                      tol=0.0, certify=False, bnorm=None):
             xi, s = sncg(state, spec, grad_tol, max_iter, stats, xi0=xi0, At_xi0=At_xi0,
-                         delta=delta, tol=tol, certify=certify)
+                         delta=delta, tol=tol, certify=certify, bnorm=bnorm)
             gnorm = np.linalg.norm(phi_kj_grad(xi, np.zeros(spec.p), state, spec))
             calls.append((s, gnorm, grad_tol))
             return xi, s
@@ -687,12 +688,12 @@ class TestAlm:
         sncg = wl21.sncg_solve
 
         def recording(state, spec, grad_tol, max_iter, stats, xi0=None, At_xi0=None, delta=0.0,
-                      tol=0.0, certify=False, unscaled=False):
+                      tol=0.0, certify=False, bnorm=None, unscaled=False):
             if unscaled and not starts:
                 xi0 = xi_warm  # the first call starts where the warm solve ended
             starts.append(xi0)
             return sncg(state, spec, grad_tol, max_iter, stats, xi0=xi0, At_xi0=At_xi0,
-                        delta=delta, tol=tol, certify=certify)
+                        delta=delta, tol=tol, certify=certify, bnorm=bnorm)
 
         monkeypatch.setattr(wl21, "sncg_solve", recording)
         x, _, stats = alm_solve(small, AlmConfig(tol=1e-8), warm=warm)
