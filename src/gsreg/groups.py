@@ -236,7 +236,7 @@ def group_soft_threshold(z, g: GroupStructure, omega, nrm) -> np.ndarray:
     :func:`prox_group_box` on every group where it stays in the box.
     """
     scale = 1.0 - np.divide(omega, nrm, out=np.ones(g.m), where=nrm > omega)
-    return z * g.broadcast(scale)
+    return z * scale[g.group_id]
 
 
 def prox_group_box(z, g: GroupStructure, omega, R: float, nrm=None, soft=None) -> np.ndarray:

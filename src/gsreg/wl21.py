@@ -333,15 +333,11 @@ def _soft_threshold(y, spec: SubproblemSpec):
 
     ``u`` has the weights omega; it is the prox of :func:`prox_group_box`
     at ``y`` for every box radius of at least ``top``.  Every line-search
-    trial of :func:`sncg_solve` computes it, so it does the floating-point
-    operations of :func:`group_norms` and :func:`group_soft_threshold`
-    with no call to either.
+    trial of :func:`sncg_solve` computes it, so the norms skip the
+    dimension check of :func:`group_norms`.
     """
-    g, omega = spec.g, spec.omega
-    sq = y * y
-    nrm = np.sqrt(np.add.reduceat(sq if g.perm is None else sq[g.perm], g.starts))
-    scale = 1.0 - np.divide(omega, nrm, out=np.ones(g.m), where=nrm > omega)
-    u = y * scale[g.group_id]
+    nrm = np.sqrt(spec.g.segment_sum(y * y))
+    u = group_soft_threshold(y, spec.g, spec.omega, nrm)
     return nrm, u, np.abs(u).max()
 
 
@@ -392,14 +388,11 @@ def _psi_floor(xi, y, sigma: float, R: float, spec: SubproblemSpec, soft) -> flo
     box bounds it from below.  The point taken is the clipped soft
     threshold ``clip(u, -R, R)``, at the cost of one group-norm pass.  The
     bound is lowered by ``1e-9`` times the sum of its terms' magnitudes,
-    so that it stays below the value :func:`_psi` computes.  Where the
-    soft threshold stays in the box it is the prox, whose value is as
-    cheap, and the bound is -inf.
+    so that it stays below the value :func:`_psi` computes.  It is taken
+    only where the soft threshold leaves the box: inside it the soft
+    threshold is the prox, whose value is as cheap.
     """
-    _, u, top = soft
-    if not top > R:
-        return -np.inf
-    x = np.clip(u, -R, R)
+    x = np.clip(soft[1], -R, R)
     terms = np.array([sigma * (x @ y), -0.5 * sigma * (x @ x),
                       -sigma * (spec.omega @ group_norms(x, spec.g)), 0.5 * xi @ xi, spec.b @ xi])
     return float(terms.sum() - _FLOOR_MARGIN * np.abs(terms).sum())
@@ -594,7 +587,7 @@ _MAX_BACKTRACKS = 50
 
 def sncg_solve(state: DualState, spec: SubproblemSpec, grad_tol: float, max_iter: int,
                stats: SolveStats, xi0=None, At_xi0=None, delta: float = 0.0, tol: float = 0.0,
-               certify: bool = False, bnorm: float | None = None):
+               certify: bool = False):
     """Semismooth Newton on the reduced gradient system in xi.
 
     The reduced function is the augmented Lagrangian minimized over
@@ -652,8 +645,7 @@ def sncg_solve(state: DualState, spec: SubproblemSpec, grad_tol: float, max_iter
     gap (:func:`_relative_gap`) of at most ``tol`` against the dual point
     ``xi`` scaled into the group balls (:func:`_scaled_dual`).  That costs
     no product with ``A``: the residual ``Ax - b`` is ``xi - grad``, and
-    ``A^T xi`` is ``y - x/sigma``; ``bnorm``, ``1 + ||b||``, is computed
-    when not given.  Otherwise the loop ends after
+    ``A^T xi`` is ``y - x/sigma``.  Otherwise the loop ends after
     ``max_iter`` steps, or at a stall: an accepted step that lowers
     neither the function nor the gradient norm, which means ``grad_tol``
     lies below the rounding floor, or a line search that refuses every
@@ -691,9 +683,7 @@ def sncg_solve(state: DualState, spec: SubproblemSpec, grad_tol: float, max_iter
     # for a vector, without its checks
     gnorm = math.sqrt(g @ g)
     coef = delta / math.sqrt(sigma)
-    if certify and bnorm is None:
-        bnorm = 1.0 + np.linalg.norm(spec.b)
-    cert_tol = tol * bnorm if certify else -np.inf
+    cert_tol = tol * (1.0 + np.linalg.norm(spec.b)) if certify else -np.inf
 
     def certifies():
         # the point this call would hand back, x = -sigma s, whose residual
@@ -779,7 +769,7 @@ def sncg_solve(state: DualState, spec: SubproblemSpec, grad_tol: float, max_iter
 
 def abcd_solve(state: DualState, spec: SubproblemSpec, sncg_tol: float, max_iter: int,
                stats: SolveStats, At_xi=None, delta: float = 0.0, tol: float = 0.0,
-               certify: bool = False, bnorm: float | None = None):
+               certify: bool = False):
     """Minimize the augmented Lagrangian over (eta, xi, zeta) by one :func:`sncg_solve` call.
 
     SNCG finds xi in at most ``max_iter`` Newton steps, stopping at
@@ -796,12 +786,11 @@ def abcd_solve(state: DualState, spec: SubproblemSpec, sncg_tol: float, max_iter
     ``sigma s = prox_{sigma p}(sigma y)``.
 
     ``At_xi``, when given, is ``A^T`` times the start ``state.xi`` and
-    goes to SNCG as ``At_xi0``; ``bnorm``, ``1 + ||b||``, goes to SNCG as
-    it is.  Besides SNCG's, the call adds one dense product of its own to
-    ``stats``: the exact ``A^T xi`` of the new xi, from which ``y``, the
-    blocks and the multiplier are computed; the prox at ``y`` and the
-    group norms of ``y`` are computed again, once, rather than taken from
-    SNCG.  Returns ``(eta, xi, zeta, x_new, out)``:
+    goes to SNCG as ``At_xi0``.  Besides SNCG's, the call adds one dense
+    product of its own to ``stats``: the exact ``A^T xi`` of the new xi,
+    from which ``y``, the blocks and the multiplier are computed; the prox
+    at ``y`` and the group norms of ``y`` are computed again, once, rather
+    than taken from SNCG.  Returns ``(eta, xi, zeta, x_new, out)``:
     ``out["sncg"]`` is SNCG's record, ``out["At_xi"]`` that product, for
     the next call to start from, and ``out["keep"]`` the groups where the
     prox ``s`` is nonzero.
@@ -812,7 +801,7 @@ def abcd_solve(state: DualState, spec: SubproblemSpec, sncg_tol: float, max_iter
     here, as its sweeps.
     """
     xi, call = sncg_solve(state, spec, sncg_tol, max_iter, stats, xi0=state.xi, At_xi0=At_xi,
-                          delta=delta, tol=tol, certify=certify, bnorm=bnorm)
+                          delta=delta, tol=tol, certify=certify)
     R = spec.box.R / state.sigma
     At_xi = spec.A.T @ xi
     stats.dense_products += 1
@@ -1118,7 +1107,7 @@ def _alm(spec: SubproblemSpec, cfg: AlmConfig, warm: DualState | None, certify: 
     for j in range(cfg.max_outer):
         eta, xi, zeta, x_new, out = abcd_solve(state, spec, sncg_tol, cfg.sncg_max_iter, stats,
                                                At_xi, _DELTA_START * _DELTA_RATIO**j, cfg.tol,
-                                               certify, bnorm)
+                                               certify)
         x_old = state.x
         state.eta, state.xi, state.zeta, state.x = eta, xi, zeta, x_new
         At_xi, keep, call = out["At_xi"], out["keep"], out["sncg"]

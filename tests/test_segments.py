@@ -146,10 +146,10 @@ class TestKernels:
 
     @pytest.mark.parametrize("layout", ["shuffled", "contiguous"])
     def test_trial_kernel_is_bitwise_the_group_kernels(self, shuffled, layout):
-        # the line search's _soft_threshold inlines group_norms and
-        # group_soft_threshold; it must give their bits, at zero weights, at
-        # zero norms with a zero and with a positive weight, on the ball and
-        # inside it, through the permutation and without one
+        # the line search's _soft_threshold skips group_norms' checks; it
+        # must give the bits of group_norms and group_soft_threshold, at zero
+        # weights, at zero norms with a zero and with a positive weight, on
+        # the ball and inside it, through the permutation and without one
         g, y, omega = shuffled
         y = y.copy()
         y[g.groups[INSIDE]] = 0.0

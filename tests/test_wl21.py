@@ -214,11 +214,13 @@ class TestReducedFunction:
             assert value(prox.s, xi, y) == pytest.approx(f, rel=1e-12)
             u = group_soft_threshold(y, spec.g, spec.omega, group_norms(y, spec.g))
             assert value(np.clip(u, -r, r), xi, y) <= f + 1e-12 * abs(f)
-            floor = _psi_floor(xi, y, sigma, r, spec, _soft_threshold(y, spec))
-            assert not floor > f
-            floors.append(floor)
+            soft = _soft_threshold(y, spec)
+            if soft[2] > r:  # sncg_solve takes a floor only outside the box
+                floor = _psi_floor(xi, y, sigma, r, spec, soft)
+                assert np.isfinite(floor) and not floor > f
+                floors.append(floor)
         # the soft threshold leaves the box, and a floor is taken, at most points
-        assert 20 <= np.isfinite(floors).sum() < len(floors)
+        assert 20 <= len(floors) < 40
 
     def test_eta_update_minimizes_lagrangian_block(self, rng):
         spec = random_subproblem(6)
@@ -472,11 +474,11 @@ class TestAlm:
         sncg, newton = wl21.sncg_solve, wl21.newton_direction
 
         def recording(state, spec, grad_tol, max_iter, stats, xi0=None, At_xi0=None, delta=0.0,
-                      tol=0.0, certify=False, bnorm=None):
+                      tol=0.0, certify=False):
             # a zero gradient tolerance lies below every rounding floor, so with
             # both forms of criterion (B) off each call stalls
             xi, s = sncg(state, spec, 0.0, max_iter, stats, xi0=xi0, At_xi0=At_xi0, tol=tol,
-                         certify=certify, bnorm=bnorm)
+                         certify=certify)
             calls.append(s)
             return xi, s
 
@@ -522,10 +524,9 @@ class TestAlm:
         sncg = wl21.sncg_solve
 
         def recording(state, spec, grad_tol, max_iter, stats, xi0=None, At_xi0=None, delta=0.0,
-                      tol=0.0, certify=False, bnorm=None, floor=False):
+                      tol=0.0, certify=False, floor=False):
             xi, s = sncg(state, spec, 0.0 if floor else grad_tol, max_iter, stats, xi0=xi0,
-                         At_xi0=At_xi0, delta=0.0 if floor else delta, tol=tol, certify=certify,
-                         bnorm=bnorm)
+                         At_xi0=At_xi0, delta=0.0 if floor else delta, tol=tol, certify=certify)
             gnorm = np.linalg.norm(phi_kj_grad(xi, np.zeros(spec.p), state, spec))
             calls.append((s, gnorm, grad_tol, _multiplier_bound(xi, state, spec, delta)))
             return xi, s
@@ -578,9 +579,9 @@ class TestAlm:
         sncg = wl21.sncg_solve
 
         def recording(state, spec, grad_tol, max_iter, stats, xi0=None, At_xi0=None, delta=0.0,
-                      tol=0.0, certify=False, bnorm=None):
+                      tol=0.0, certify=False):
             xi, s = sncg(state, spec, grad_tol, max_iter, stats, xi0=xi0, At_xi0=At_xi0,
-                         delta=delta, tol=tol, certify=certify, bnorm=bnorm)
+                         delta=delta, tol=tol, certify=certify)
             gnorm = np.linalg.norm(phi_kj_grad(xi, np.zeros(spec.p), state, spec))
             calls.append((s, gnorm, grad_tol))
             return xi, s
@@ -688,12 +689,12 @@ class TestAlm:
         sncg = wl21.sncg_solve
 
         def recording(state, spec, grad_tol, max_iter, stats, xi0=None, At_xi0=None, delta=0.0,
-                      tol=0.0, certify=False, bnorm=None, unscaled=False):
+                      tol=0.0, certify=False, unscaled=False):
             if unscaled and not starts:
                 xi0 = xi_warm  # the first call starts where the warm solve ended
             starts.append(xi0)
             return sncg(state, spec, grad_tol, max_iter, stats, xi0=xi0, At_xi0=At_xi0,
-                        delta=delta, tol=tol, certify=certify, bnorm=bnorm)
+                        delta=delta, tol=tol, certify=certify)
 
         monkeypatch.setattr(wl21, "sncg_solve", recording)
         x, _, stats = alm_solve(small, AlmConfig(tol=1e-8), warm=warm)
