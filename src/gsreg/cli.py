@@ -53,6 +53,8 @@ class ExperimentPlan:
     def __post_init__(self):
         if not self.betas or not all(1 <= beta <= self.p for beta in self.betas):
             raise ValueError(f"each beta must lie in [1, p = {self.p}], got {list(self.betas)}")
+        if not 1 <= self.r_bar <= self.m:
+            raise ValueError(f"r_bar must lie in [1, m = {self.m}], got {self.r_bar}")
         if self.reps < 1:
             raise ValueError(f"reps must be at least 1, got {self.reps}")
 
@@ -79,7 +81,6 @@ def _hash(obj) -> str:
 
 
 _JSON_TYPES = {float: (int, float), int: (int,), str: (str,)}
-_NOT_SETTABLE = {"alm.tol": "each stage sets it from eps_loss, tol_decay and tol_floor"}
 
 
 def _scalar(kind, value, name: str):
@@ -101,8 +102,6 @@ def _build(cls, raw, where: str = ""):
     kwargs = {}
     for key, value in raw.items():
         name = where + key
-        if name in _NOT_SETTABLE:
-            raise ValueError(f"config key {name!r} is not settable: {_NOT_SETTABLE[name]}")
         if key not in hints:
             raise ValueError(f"unknown config key {name!r}")
         kind = hints[key]
@@ -117,8 +116,8 @@ def _build(cls, raw, where: str = ""):
 
 
 def _config_from_file(path) -> MscraConfig:
-    """The ``MscraConfig`` of a ``--config`` file (nested objects for ``phi``
-    and ``alm``); without a file every value is the default."""
+    """The ``MscraConfig`` of a ``--config`` file (a nested object for ``phi``);
+    without a file every value is the default."""
     raw = json.loads(Path(path).read_text()) if path else {}
     if not isinstance(raw, dict):
         raise ValueError(f"config file must hold a JSON object, got {raw!r}")

@@ -30,6 +30,9 @@ from .groups import BoxConstraint, GroupStructure, contiguous_groups, group_norm
 
 
 def make_rng(seed: int) -> np.random.Generator:
+    """The Philox generator keyed by ``seed``, which must lie in ``[0, 2**64)``."""
+    if not 0 <= seed < 2**64:
+        raise ValueError(f"seed must lie in [0, 2**64), got {seed}")
     return np.random.Generator(np.random.Philox(key=np.uint64(seed)))
 
 
@@ -117,8 +120,10 @@ def gen_design(kind: str, n: int, p: int, seed: int) -> np.ndarray:
 
 def gen_signal(kind: str, g: GroupStructure, r_bar: int, alpha: float, seed: int):
     """True coefficients with exactly ``r_bar`` nonzero groups; returns (x, support)."""
-    if r_bar > g.m:
-        raise ValueError("r_bar cannot exceed the number of groups")
+    if not 0 <= r_bar <= g.m:
+        raise ValueError(f"r_bar must lie in [0, m = {g.m}], got {r_bar}")
+    if not np.isfinite(alpha):
+        raise ValueError(f"alpha must be finite, got {alpha}")
     rng = make_rng(seed)
     support = np.sort(rng.permutation(g.m)[:r_bar])
     # the support's coordinates group after group
@@ -148,8 +153,9 @@ def gen_signal(kind: str, g: GroupStructure, r_bar: int, alpha: float, seed: int
 
 def gen_observations(A, x_bar, theta1: float, theta2: float, seed: int) -> np.ndarray:
     """Response ``b = A(x + t1 e1/||e1||) + t2 e2/||e2||`` with standard-normal noise."""
-    if theta1 < 0 or theta2 < 0:
-        raise ValueError("noise scales must be nonnegative")
+    for name, theta in (("theta1", theta1), ("theta2", theta2)):
+        if not 0 <= theta < np.inf:
+            raise ValueError(f"{name} must be nonnegative and finite, got {theta}")
     A = np.asarray(A, dtype=float)
     x_bar = np.asarray(x_bar, dtype=float)
     n, p = A.shape

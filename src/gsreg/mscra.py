@@ -16,7 +16,14 @@ From stage 2 on, the groups of weight 1 are unpenalized;
 but for the cases it names, each stage's ALM solves a problem whose
 weights are all positive and stops on a certified duality gap.  A stage
 whose unpenalized groups hold at least n columns is one of them: it
-interpolates ``b``, is solved as given and ends the run.
+interpolates ``b``, is solved as given and ends the run.  Otherwise the
+run stops once a stage's equilibrium residual is at most
+``_EPS_EQUILIBRIUM``, or its loss has settled to within ``_EPS_LOSS``
+(:func:`stopping_check`).  Stage 1's ALM tolerance is ``0.1 * _EPS_LOSS``,
+and each later stage's shrinks by ``tol_decay`` down to ``tol_floor``.
+The phi family, nu, its factor, the stage cap and this schedule are the
+settings of :class:`MscraConfig`; the rest of the solver's limits are
+module constants here and in :mod:`gsreg.wl21`.
 """
 
 from __future__ import annotations
@@ -36,6 +43,9 @@ _RHO_CAP = 1e8
 # fewer than p / _SPARSE_RATIO columns, and stage 1 starts from
 # _SPARSE_RATIO groups (see solve_stage and _stage1_seed)
 _SPARSE_RATIO = 8
+# the stopping rules of stopping_check; stage 1's ALM tolerance is 0.1 * _EPS_LOSS
+_EPS_EQUILIBRIUM = 1e-6
+_EPS_LOSS = 1e-2
 
 
 @dataclass(frozen=True)
@@ -43,22 +53,15 @@ class MscraConfig:
     phi: PhiSpec = field(default_factory=PhiSpec)
     nu: float | None = None  # None -> n / (nu_factor ||A^T b||_inf)
     nu_factor: float = 0.1
-    eps_gap: float = 1e-6
-    eps_loss: float = 1e-2
     max_stages: int = 30
     tol_decay: float = 0.8
     tol_floor: float = 1e-5
-    alm: AlmConfig = field(default_factory=AlmConfig)
 
     def __post_init__(self):
         if self.nu is not None and not (self.nu > 0 and math.isfinite(self.nu)):
             raise ValueError(f"nu must be None or positive and finite, got {self.nu}")
         if not (self.nu_factor > 0 and math.isfinite(self.nu_factor)):
             raise ValueError(f"nu_factor must be positive and finite, got {self.nu_factor}")
-        if not (self.eps_loss > 0 and math.isfinite(self.eps_loss)):
-            raise ValueError(f"eps_loss must be positive and finite, got {self.eps_loss}")
-        if not (self.eps_gap >= 0 and math.isfinite(self.eps_gap)):
-            raise ValueError(f"eps_gap must be nonnegative and finite, got {self.eps_gap}")
         if not self.max_stages > 0:
             raise ValueError(f"max_stages must be positive, got {self.max_stages}")
         if not self.tol_floor > 0:
@@ -67,10 +70,6 @@ class MscraConfig:
             raise ValueError(f"tol_floor must be finite, got {self.tol_floor}")
         if not 0 < self.tol_decay <= 1:
             raise ValueError(f"tol_decay must lie in (0, 1], got {self.tol_decay}")
-
-    @property
-    def tol0(self) -> float:
-        return 0.1 * self.eps_loss
 
 
 @dataclass
@@ -198,9 +197,9 @@ def weight_update(x_k, rho: float, phi: PhiSpec, g: GroupStructure) -> np.ndarra
 
 
 def subproblem_tolerance(prev: float | None, cfg: MscraConfig) -> float:
-    """Geometric per-stage tolerance schedule with a hard floor."""
+    """Geometric per-stage tolerance schedule with a hard floor, from ``0.1 * _EPS_LOSS``."""
     if prev is None:
-        return cfg.tol0
+        return 0.1 * _EPS_LOSS
     return max(cfg.tol_floor, cfg.tol_decay * prev)
 
 
@@ -303,13 +302,19 @@ def solve_stage(spec: SubproblemSpec, cfg: AlmConfig, warm: DualState | None, st
     return x, dual, stats, spec.A @ x - spec.b
 
 
-def stopping_check(curr: StageTrace, prev: StageTrace | None, cfg: MscraConfig) -> str | None:
-    """Returns a stop reason, or None to continue."""
-    if curr.eq_residual <= cfg.eps_gap:
+def stopping_check(curr: StageTrace, prev: StageTrace | None) -> str | None:
+    """Returns a stop reason, or None to continue.
+
+    ``"equilibrium"`` when the equilibrium residual is at most
+    ``_EPS_EQUILIBRIUM``; ``"loss"`` when the loss moved by at most
+    ``_EPS_LOSS`` relative to ``max(1, loss)`` since ``prev`` and the
+    group sparsity by at most 1.
+    """
+    if curr.eq_residual <= _EPS_EQUILIBRIUM:
         return "equilibrium"
     if prev is not None:
         rel_loss = abs(curr.loss - prev.loss) / max(1.0, curr.loss)
-        if rel_loss <= cfg.eps_loss and abs(curr.group_sparsity - prev.group_sparsity) <= 1:
+        if rel_loss <= _EPS_LOSS and abs(curr.group_sparsity - prev.group_sparsity) <= 1:
             return "loss"
     return None
 
@@ -346,7 +351,7 @@ def run(A, b, g: GroupStructure, box: BoxConstraint,
         if support is not None:
             start = omega == 0.0
             start[support] = True
-        x, warm, stats, r = solve_stage(spec, replace(cfg.alm, tol=tol), warm, start)
+        x, warm, stats, r = solve_stage(spec, AlmConfig(tol=tol), warm, start)
         loss = float(0.5 * (r @ r) / n)
         eq = equilibrium_residual(x, w, g)  # uses the stage-(k-1) weights
         support = group_support(x, g)
@@ -366,7 +371,7 @@ def run(A, b, g: GroupStructure, box: BoxConstraint,
         if unpenalized_columns(w, g) >= n:
             reason = "interpolating"
         else:
-            reason = stopping_check(trace, traces[-2] if len(traces) > 1 else None, cfg)
+            reason = stopping_check(trace, traces[-2] if len(traces) > 1 else None)
         if reason is not None:
             stop_reason = reason
             break

@@ -46,7 +46,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 from typing import NamedTuple
 
 import numpy as np
@@ -162,14 +162,14 @@ class DualState:
 
 @dataclass(frozen=True)
 class AlmConfig:
-    """Settings of :func:`alm_solve`.
+    """The one setting of :func:`alm_solve`: its tolerance ``tol``.
 
     Sigma starts at 1, or on a warm solve at the largest of the warm
     sigma, 1 and ``||x||_inf / max omega`` for the warm multiplier ``x``,
     and, after each unconverged outer iteration, grows by 1.3, or by 5
     when the multiplier stalls, that is when ``eps_dinf`` kept more than
-    half of its previous value; it never exceeds ``sigma_max``.
-    ``max_outer`` bounds the outer iterations and ``sncg_max_iter`` the
+    half of its previous value; it never exceeds ``_SIGMA_MAX``.
+    ``_MAX_OUTER`` bounds the outer iterations and ``_SNCG_MAX_ITER`` the
     Newton steps of each one.  Each outer
     iteration's SNCG call stops at the rounding-floor target or at
     criterion (B), in gradient form or on the Newton decrement, or, on a
@@ -180,18 +180,7 @@ class AlmConfig:
     it, and the certified exit needs a gap of at most ``tol``.
     """
 
-    sigma_max: float = 1e6
     tol: float = 1e-5
-    max_outer: int = 200
-    sncg_max_iter: int = 50
-
-    def __post_init__(self):
-        if not _SIGMA_START <= self.sigma_max < np.inf:
-            raise ValueError(f"sigma_max must be finite and at least 1, got {self.sigma_max}")
-        if not self.max_outer > 0:
-            raise ValueError(f"max_outer must be positive, got {self.max_outer}")
-        if not self.sncg_max_iter > 0:
-            raise ValueError(f"sncg_max_iter must be positive, got {self.sncg_max_iter}")
 
 
 @dataclass
@@ -859,6 +848,11 @@ _SIGMA_START = 1.0
 _SIGMA_GROWTH = 1.3
 _STALL_RATIO = 0.5
 _STALL_GROWTH = 5.0
+# sigma never exceeds _SIGMA_MAX; a solve stops after _MAX_OUTER outer
+# iterations, and each SNCG call after _SNCG_MAX_ITER Newton steps
+_SIGMA_MAX = 1e6
+_MAX_OUTER = 200
+_SNCG_MAX_ITER = 50
 # outer iteration k hands SNCG delta_k = _DELTA_START _DELTA_RATIO^k for
 # both forms of criterion (B), a summable sequence (see sncg_solve)
 _DELTA_START = 0.1
@@ -919,7 +913,8 @@ def alm_solve(spec: SubproblemSpec, cfg: AlmConfig | None = None,
 
     Each outer iteration minimizes the augmented Lagrangian with one
     :func:`abcd_solve` call, which hands its exact ``A^T xi`` on to the
-    next one.  Its SNCG call stops at the first of its exits: the
+    next one.  Its SNCG call takes at most ``_SNCG_MAX_ITER`` Newton
+    steps and stops at the first of its exits: the
     gradient target ``1e-11 (1 + ||b||)``, the rounding floor, or
     criterion (B) with ``delta_k = 0.1 * 0.9^k`` at outer iteration k, in
     SSNAL's gradient form or on the Newton decrement, which end the call
@@ -951,7 +946,7 @@ def alm_solve(spec: SubproblemSpec, cfg: AlmConfig | None = None,
     group-lasso solves at points that the residual recipe puts above
     ``cfg.tol``.  A problem left with an unpenalized group stops on the
     three residuals alone.  Otherwise sigma grows from its start, up to
-    ``cfg.sigma_max``: by 5 when the multiplier stalls, that is when
+    ``_SIGMA_MAX``: by 5 when the multiplier stalls, that is when
     ``eps_dinf`` stays above half of its value at the previous outer
     iteration, and by 1.3 when it falls faster (and after the first
     iteration, which has no previous value).  Each ``history`` entry logs
@@ -964,13 +959,14 @@ def alm_solve(spec: SubproblemSpec, cfg: AlmConfig | None = None,
     gradient target (``sncg_iters``, ``sncg_backtracks``, ``sncg_met``,
     ``sncg_early``, ``sncg_decrement``, ``sncg_certified``,
     ``sncg_gnorm``, ``sncg_target``).  Returns ``(x, state, stats)``; a
-    run hitting ``max_outer`` is flagged not-converged, and so is one that
-    stops early after two outer iterations in a row whose SNCG line search
-    refused every trial step of its first Newton step: xi did not move,
-    and a larger sigma did not move it either.  ``stats.stop_cause`` says
-    which of the three ended the run: ``"converged"``, ``"max_outer"`` or
-    ``"line_search"``.  ``x`` is the box projection of ``-state.x`` set to
-    exactly 0 on the groups where the last prox ``s`` is 0; the multiplier
+    run hitting ``_MAX_OUTER`` outer iterations is flagged not-converged,
+    and so is one that stops early after two outer iterations in a row
+    whose SNCG line search refused every trial step of its first Newton
+    step: xi did not move, and a larger sigma did not move it either.
+    ``stats.stop_cause`` says which of the three ended the run:
+    ``"converged"``, ``"max_outer"`` or ``"line_search"``.  ``x`` is the
+    box projection of ``-state.x`` set to exactly 0 on the groups where
+    the last prox ``s`` is 0; the multiplier
     equals ``sigma s`` up to rounding, so it holds only rounding residue
     there.  ``stats.eliminated_columns`` counts the columns of ``F`` that
     were eliminated, and ``stats.closed_form`` flags a least-squares
@@ -981,7 +977,7 @@ def alm_solve(spec: SubproblemSpec, cfg: AlmConfig | None = None,
     problem's group balls; an eliminated problem first projects xi off
     ``range(Q)``, where its optimum has no component.  Sigma starts at
     the largest of the warm sigma, 1 and ``||x||_inf / max omega``,
-    capped at ``cfg.sigma_max`` (:func:`_warm_sigma`): ``x / sigma`` is
+    capped at ``_SIGMA_MAX`` (:func:`_warm_sigma`): ``x / sigma`` is
     added to ``A^T xi``, whose group norms omega bounds, so below that
     ratio, as at the sigma where stage 1 of the multi-stage loop ends,
     the first outer iterations barely move a multiplier far larger than
@@ -1003,13 +999,13 @@ def alm_solve(spec: SubproblemSpec, cfg: AlmConfig | None = None,
     """
     cfg = cfg or AlmConfig()
     t0 = time.perf_counter()
-    solved = _eliminated(spec, cfg, warm)
-    x, state, stats = solved if solved is not None else _alm(spec, cfg, warm)
+    solved = _eliminated(spec, cfg.tol, warm)
+    x, state, stats = solved if solved is not None else _alm(spec, cfg.tol, warm)
     stats.wall_time = time.perf_counter() - t0
     return x, state, stats
 
 
-def _eliminated(spec: SubproblemSpec, cfg: AlmConfig, warm: DualState | None):
+def _eliminated(spec: SubproblemSpec, tol: float, warm: DualState | None):
     """:func:`alm_solve` with the unpenalized columns ``F`` eliminated, or None where it does not apply.
 
     It applies where ``F`` holds ``0 < k < n`` columns, the thin QR
@@ -1043,16 +1039,15 @@ def _eliminated(spec: SubproblemSpec, cfg: AlmConfig, warm: DualState | None):
         stats = SolveStats(converged=True, stop_cause="converged", eps_pinf=0.0, eps_dinf=0.0,
                            eps_gap=0.0, cert_gap=0.0, closed_form=True)
     else:
-        pen = ~free
-        cols_P, g_P = spec.g.subset(pen)
-        A_P = np.take(spec.A, cols_P, axis=1, mode="clip")
+        cols_P, red = spec.restrict(~free)
+        A_P = red.A
         C = Q.T @ A_P
-        A_P -= Q @ C
-        red = SubproblemSpec(A=A_P, b=b_red, g=g_P, omega=spec.omega[pen], box=spec.box)
+        A_P -= Q @ C  # in place: red's design becomes A'
+        red = replace(red, b=b_red)
         if warm is not None:
             warm = warm.restrict(cols_P)
             warm.xi -= Q @ (Q.T @ warm.xi)
-        x_P, state, stats = _alm(red, cfg, warm, certify=True)
+        x_P, state, stats = _alm(red, tol, warm, certify=True)
         x_F = np.linalg.solve(R_F, Qtb - C @ x_P)
     if np.max(np.abs(x_F)) > spec.box.R:
         return None
@@ -1065,8 +1060,8 @@ def _eliminated(spec: SubproblemSpec, cfg: AlmConfig, warm: DualState | None):
     return x, state, stats
 
 
-def _warm_sigma(warm: DualState, spec: SubproblemSpec, cfg: AlmConfig) -> float:
-    """The sigma a warm solve starts at: ``min(max(warm.sigma, 1, ||x||_inf / max omega), sigma_max)``.
+def _warm_sigma(warm: DualState, spec: SubproblemSpec) -> float:
+    """The sigma a warm solve starts at: ``min(max(warm.sigma, 1, ||x||_inf / max omega), _SIGMA_MAX)``.
 
     ``x / sigma`` is added to ``A^T xi``, whose group norms omega bounds,
     so the ratio has the units of sigma.  It only raises the start.
@@ -1076,15 +1071,15 @@ def _warm_sigma(warm: DualState, spec: SubproblemSpec, cfg: AlmConfig) -> float:
     top = float(np.max(spec.omega, initial=0.0))
     if top > 0:
         sigma = max(sigma, float(np.max(np.abs(warm.x), initial=0.0)) / top)
-    return min(sigma, cfg.sigma_max)
+    return min(sigma, _SIGMA_MAX)
 
 
-def _alm(spec: SubproblemSpec, cfg: AlmConfig, warm: DualState | None, certify: bool = False):
+def _alm(spec: SubproblemSpec, tol: float, warm: DualState | None, certify: bool = False):
     """The ALM loop of :func:`alm_solve` on ``spec`` as given; ``certify`` on an eliminated problem."""
     stats = SolveStats()
     if warm is not None:
         state = warm.copy()
-        state.sigma = _warm_sigma(warm, spec, cfg)
+        state.sigma = _warm_sigma(warm, spec)
         state.xi *= _ball_scale(spec.A.T @ state.xi, spec)
         stats.dense_products += 1
     else:
@@ -1104,10 +1099,9 @@ def _alm(spec: SubproblemSpec, cfg: AlmConfig, warm: DualState | None, certify: 
     penalized = bool(np.all(spec.omega > 0))
     stuck = 0  # outer iterations in a row that left xi where it was
     stats.stop_cause = "max_outer"
-    for j in range(cfg.max_outer):
-        eta, xi, zeta, x_new, out = abcd_solve(state, spec, sncg_tol, cfg.sncg_max_iter, stats,
-                                               At_xi, _DELTA_START * _DELTA_RATIO**j, cfg.tol,
-                                               certify)
+    for j in range(_MAX_OUTER):
+        eta, xi, zeta, x_new, out = abcd_solve(state, spec, sncg_tol, _SNCG_MAX_ITER, stats, At_xi,
+                                               _DELTA_START * _DELTA_RATIO**j, tol, certify)
         x_old = state.x
         state.eta, state.xi, state.zeta, state.x = eta, xi, zeta, x_new
         At_xi, keep, call = out["At_xi"], out["keep"], out["sncg"]
@@ -1123,9 +1117,9 @@ def _alm(spec: SubproblemSpec, cfg: AlmConfig, warm: DualState | None, certify: 
         pobj = _objective(x, r, spec)
         dobj = dual_objective(state, spec)
         eps_gap = abs(pobj + dobj) / (1.0 + abs(pobj)) if np.isfinite(dobj) else np.inf
-        converged = max(eps_pinf, eps_dinf, eps_gap) <= cfg.tol
+        converged = max(eps_pinf, eps_dinf, eps_gap) <= tol
         cert_gap = None
-        if penalized and eps_pinf <= cfg.tol:
+        if penalized and eps_pinf <= tol:
             lower = _scaled_dual(r, spec.A.T @ r, spec)
             stats.dense_products += 1
             if certify:
@@ -1134,7 +1128,7 @@ def _alm(spec: SubproblemSpec, cfg: AlmConfig, warm: DualState | None, certify: 
                 # box clips, which neither dual point, both without it, certifies
                 converged = converged and bool(np.any(eta))
             cert_gap = _relative_gap(pobj, lower)
-            converged = converged or cert_gap <= cfg.tol
+            converged = converged or cert_gap <= tol
         stats.outer_iters = j + 1
         stats.eps_pinf, stats.eps_dinf, stats.eps_gap = eps_pinf, eps_dinf, eps_gap
         stats.cert_gap = cert_gap
@@ -1158,5 +1152,5 @@ def _alm(spec: SubproblemSpec, cfg: AlmConfig, warm: DualState | None, certify: 
             stats.stop_cause = "line_search"
             break
         growth = _STALL_GROWTH if stalled else _SIGMA_GROWTH
-        state.sigma = min(growth * state.sigma, cfg.sigma_max)
+        state.sigma = min(growth * state.sigma, _SIGMA_MAX)
     return x, state, stats

@@ -13,7 +13,7 @@ from gsreg.data import make_instance
 def _gen_args(out, **over):
     args = ["gen", "--p", "48", "--m", "8", "--r-bar", "2", "--betas", "4",
             "--signals", "i", "--reps", "2", "--alpha", "1.0",
-            "--theta1", "0.05", "--theta2", "0.05", "--out", str(out)]
+            "--theta1", "0.05", "--theta2", "0.05", "--seed", "0", "--out", str(out)]
     for key, val in over.items():
         args += [f"--{key}", str(val)]
     return args
@@ -126,11 +126,12 @@ class TestSolve:
         assert [bench[f"gep_{key}"] for key in keys] == [cell[key] for key in keys]
         assert int(bench["stage1_sncg_early"]) > 0 and bench["stage1_sncg_unmet"] != ""
 
-    def test_inner_failures_exit_1_with_reason(self, tmp_path, capsys):
+    def test_inner_failures_exit_1_with_reason(self, tmp_path, capsys, monkeypatch):
+        from gsreg import wl21
+
         d = self._instance_dir(tmp_path)
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"alm": {"max_outer": 1}}))
-        code = main(["solve", str(d), "--config", str(cfg), "--out", str(tmp_path / "run")])
+        monkeypatch.setattr(wl21, "_MAX_OUTER", 1)
+        code = main(["solve", str(d), "--out", str(tmp_path / "run")])
         assert code == 1
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1
@@ -165,22 +166,10 @@ class TestSolve:
         assert sum(s["sncg_stalls"] for s in inner) > 0
         # two refused line searches in a row end the stalled solve early
         # (it took all 200 outer iterations when it could not)
-        assert any(not s["converged"] and s["outer_iters"] < wl21.AlmConfig().max_outer
+        assert any(not s["converged"] and s["outer_iters"] < wl21._MAX_OUTER
                    for s in inner)
         assert all(s["stop_cause"] == ("converged" if s["converged"] else "line_search")
                    for s in inner)
-
-    def test_nested_alm_configs_reach_the_solver(self, tmp_path, capsys):
-        d = self._instance_dir(tmp_path)
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"alm": {"max_outer": 5, "sncg_max_iter": 1}}))
-        code = main(["solve", str(d), "--config", str(cfg), "--out", str(tmp_path / "run")])
-        assert code in (0, 1)
-        with open(tmp_path / "run" / "traces.jsonl") as fh:
-            inner = [json.loads(line)["inner"] for line in fh]
-        # one Newton step per SNCG call falls short of its target somewhere
-        assert any(s["sncg_unmet"] > 0 for s in inner)
-        assert all(s["outer_iters"] <= 5 for s in inner)
 
     def test_config_hash_covers_the_settings_that_ran(self, tmp_path, capsys):
         # each pair runs the same settings, so it hashes the same: the
@@ -197,7 +186,7 @@ class TestSolve:
             with open(run / "summary.csv") as fh:
                 row = next(csv.DictReader(fh))
             resolved = json.loads((run / "config.json").read_text())
-            assert resolved["max_stages"] == 30 and resolved["alm"]["sncg_max_iter"] == 50
+            assert resolved["max_stages"] == 30 and resolved["phi"]["family"] == "scad"
             assert "nu_factor" not in resolved
             assert resolved["nu"] == pytest.approx(float(row["nu"]), rel=1e-15)
             assert resolved["nu"] == config.get("nu", resolved["nu"])
@@ -208,29 +197,33 @@ class TestSolve:
     @pytest.mark.parametrize("config, message", [
         ({"max_stages": "x"}, "'max_stages' must be int"),
         ({"bogus": 1}, "unknown config key 'bogus'"),
-        ({"alm": {"bogus": 1}}, "unknown config key 'alm.bogus'"),
-        ({"alm": {"abcd": {"max_iter": 1}}}, "unknown config key 'alm.abcd'"),
-        ({"alm": {"sncg": {"max_iter": 1}}}, "unknown config key 'alm.sncg'"),
-        ({"alm": {"sigma0": 2.0}}, "unknown config key 'alm.sigma0'"),
+        ({"phi": {"bogus": 1}}, "unknown config key 'phi.bogus'"),
+        # the ALM's settings are module constants, and each stage sets its tol
+        ({"alm": {"abcd": {"max_iter": 1}}}, "unknown config key 'alm'"),
+        ({"alm": {"sncg": {"max_iter": 1}}}, "unknown config key 'alm'"),
+        ({"alm": {"sigma0": 2.0}}, "unknown config key 'alm'"),
         ({"static_rho": 5.0}, "unknown config key 'static_rho'"),
         ({"w0": [0.0]}, "unknown config key 'w0'"),
-        ({"alm": {"tol": -1}}, "eps_loss, tol_decay and tol_floor"),
+        ({"alm": {"tol": -1}}, "unknown config key 'alm'"),
+        ({"alm": {}}, "unknown config key 'alm'"),
+        ({"alm": {"max_outer": 1}}, "unknown config key 'alm'"),
         ({"max_stages": 0}, "max_stages must be positive, got 0"),
         ({"tol_floor": -1}, "tol_floor must be positive, got -1"),
         ({"rho_cap_numerator": 1}, "unknown config key 'rho_cap_numerator'"),
         ({"nu_factor": 0}, "nu_factor must be positive and finite, got 0"),
         ({"nu_factor": -0.5}, "nu_factor must be positive and finite, got -0.5"),
-        ({"alm": {"sigma_max": 0}}, "sigma_max must be finite and at least 1, got 0"),
+        ({"alm": {"sigma_max": 0}}, "unknown config key 'alm'"),
         # JSON reads 1e400 as inf
         ({"phi": {"family": "mcp", "a": 1e400}}, "mcp requires a finite a > 0, got inf"),
         ({"nu": 1e400}, "nu must be None or positive and finite, got inf"),
-        ({"eps_loss": -0.5}, "eps_loss must be positive and finite, got -0.5"),
-        ({"eps_loss": 1e400}, "eps_loss must be positive and finite, got inf"),
-        ({"eps_gap": -1}, "eps_gap must be nonnegative and finite, got -1"),
-        ({"eps_gap": float("nan")}, "eps_gap must be nonnegative and finite, got nan"),
+        # the stopping thresholds are module constants too
+        ({"eps_loss": -0.5}, "unknown config key 'eps_loss'"),
+        ({"eps_loss": 1e400}, "unknown config key 'eps_loss'"),
+        ({"eps_gap": -1}, "unknown config key 'eps_gap'"),
+        ({"eps_gap": float("nan")}, "unknown config key 'eps_gap'"),
         ({"tol_floor": 1e400}, "tol_floor must be finite, got inf"),
     ], ids=["bad_type", "unknown_key", "unknown_nested_key", "alm_abcd", "alm_sncg",
-            "alm_sigma0", "static_rho", "w0", "alm_tol",
+            "alm_sigma0", "static_rho", "w0", "alm_tol", "alm", "alm_max_outer",
             "max_stages_zero", "tol_floor_negative", "rho_cap_numerator",
             "nu_factor_zero", "nu_factor_negative", "sigma_max_zero", "mcp_a_inf", "nu_inf",
             "eps_loss_negative", "eps_loss_inf", "eps_gap_negative", "eps_gap_nan",
@@ -354,7 +347,7 @@ class TestSolve:
 def _bench_args(out, *extra):
     return ["bench", "--p", "48", "--m", "8", "--r-bar", "2", "--betas", "4",
             "--signals", "i", "--reps", "2", "--alpha", "1.0",
-            "--theta1", "0.0", "--theta2", "0.0", "--out", str(out), *extra]
+            "--theta1", "0.0", "--theta2", "0.0", "--seed", "0", "--out", str(out), *extra]
 
 
 def _bench_rows(out):
@@ -425,7 +418,13 @@ class TestPlanFlags:
         ("betas", "4,49", "each beta must lie in [1, p = 48], got [4, 49]"),
         ("reps", "0", "reps must be at least 1, got 0"),
         ("reps", "-1", "reps must be at least 1, got -1"),
-    ], ids=["beta_zero", "beta_above_p", "reps_zero", "reps_negative"])
+        ("r-bar", "0", "r_bar must lie in [1, m = 8], got 0"),
+        ("r-bar", "-1", "r_bar must lie in [1, m = 8], got -1"),
+        ("r-bar", "9", "r_bar must lie in [1, m = 8], got 9"),
+        ("seed", "-5", "seed must lie in [0, 2**64), got -5"),
+        ("theta1", "nan", "theta1 must be nonnegative and finite, got nan"),
+    ], ids=["beta_zero", "beta_above_p", "reps_zero", "reps_negative", "r_bar_zero",
+            "r_bar_negative", "r_bar_above_m", "seed_negative", "theta1_nan"])
     def test_bad_plan_exits_2(self, tmp_path, capsys, command, flag, value, message):
         out = tmp_path / "out"
         args = (_gen_args if command == "gen" else _bench_args)(out)

@@ -119,6 +119,23 @@ class TestGenSignal:
         with pytest.raises(ValueError):
             gen_signal("i", g, r_bar=6, alpha=1.0, seed=0)
 
+    @pytest.mark.parametrize("r_bar", [-1, -3])
+    def test_r_bar_negative(self, r_bar):
+        # a negative r_bar once sliced the permutation from the end and drew
+        # m + r_bar groups
+        g = contiguous_groups(16, 8)
+        with pytest.raises(ValueError, match=r"r_bar must lie in \[0, m = 8\]"):
+            gen_signal("i", g, r_bar=r_bar, alpha=1.0, seed=0)
+
+    def test_r_bar_zero_is_the_zero_signal(self):
+        x, support = gen_signal("i", contiguous_groups(16, 8), r_bar=0, alpha=1.0, seed=0)
+        assert not x.any() and support.size == 0
+
+    @pytest.mark.parametrize("alpha", [float("nan"), float("inf"), -float("inf")])
+    def test_rejects_non_finite_alpha(self, alpha):
+        with pytest.raises(ValueError, match="alpha must be finite"):
+            gen_signal("i", contiguous_groups(10, 5), r_bar=2, alpha=alpha, seed=0)
+
     def test_determinism(self):
         g = contiguous_groups(30, 6)
         x1, s1 = gen_signal("ii", g, r_bar=3, alpha=1.5, seed=8)
@@ -152,6 +169,26 @@ class TestGenObservations:
         A = rng.standard_normal((4, 3))
         with pytest.raises(ValueError):
             gen_observations(A, np.zeros(3), -0.1, 0.0, seed=0)
+
+    @pytest.mark.parametrize("theta1, theta2", [
+        (float("nan"), 0.1), (0.1, float("nan")), (float("inf"), 0.1), (0.1, float("inf")),
+    ])
+    def test_rejects_non_finite_scales(self, rng, theta1, theta2):
+        # a NaN scale once failed the theta < 0 test and gave the noise-free b
+        A = rng.standard_normal((4, 3))
+        with pytest.raises(ValueError, match="theta[12] must be nonnegative and finite"):
+            gen_observations(A, np.zeros(3), theta1, theta2, seed=0)
+
+
+class TestMakeRng:
+    @pytest.mark.parametrize("seed", [-1, -5, 2**64])
+    def test_rejects_a_seed_outside_64_bits(self, seed):
+        with pytest.raises(ValueError, match=r"seed must lie in \[0, 2\*\*64\)"):
+            make_rng(seed)
+
+    def test_accepts_the_ends_of_the_64_bit_range(self):
+        make_rng(0)
+        make_rng(2**64 - 1)
 
 
 class TestMakeInstance:

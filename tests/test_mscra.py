@@ -109,7 +109,7 @@ class TestToleranceSchedule:
     def test_initial_and_decay(self):
         cfg = MscraConfig()
         t0 = subproblem_tolerance(None, cfg)
-        assert t0 == pytest.approx(1e-3)  # 0.1 * eps_loss
+        assert t0 == pytest.approx(1e-3)  # 0.1 * _EPS_LOSS
         t1 = subproblem_tolerance(t0, cfg)
         assert t1 == pytest.approx(8e-4)
 
@@ -124,15 +124,12 @@ class TestToleranceSchedule:
         ("nu_factor", 0.0), ("nu_factor", -0.1), ("nu_factor", float("inf")),
         ("nu_factor", float("nan")),
         ("nu", 0.0), ("nu", -1.0), ("nu", float("inf")), ("nu", float("nan")),
-        ("eps_loss", 0.0), ("eps_loss", -1e-2), ("eps_loss", float("inf")),
-        ("eps_loss", float("nan")),
-        ("eps_gap", -1e-6), ("eps_gap", float("inf")), ("eps_gap", float("nan")),
         ("tol_floor", float("inf")),
     ])
     def test_config_ranges(self, field, value):
         with pytest.raises(ValueError, match=field):
             MscraConfig(**{field: value})
-        MscraConfig(tol_decay=1.0, eps_gap=0.0)
+        MscraConfig(tol_decay=1.0)
 
 
 class TestStopping:
@@ -143,20 +140,17 @@ class TestStopping:
         return StageTrace(1, np.zeros(2), np.zeros(1), 1.0, 1.0, loss, eq, sparsity, SolveStats())
 
     def test_equilibrium_stop(self):
-        cfg = MscraConfig()
-        assert stopping_check(self._trace(1e-7, 1.0, 3), None, cfg) == "equilibrium"
+        assert stopping_check(self._trace(1e-7, 1.0, 3), None) == "equilibrium"
 
     def test_loss_stop_requires_stable_sparsity(self):
-        cfg = MscraConfig()
         prev = self._trace(1.0, 1.0, 5)
-        assert stopping_check(self._trace(1.0, 1.0, 5), prev, cfg) == "loss"
-        assert stopping_check(self._trace(1.0, 1.0, 6), prev, cfg) == "loss"
-        assert stopping_check(self._trace(1.0, 1.0, 8), prev, cfg) is None
+        assert stopping_check(self._trace(1.0, 1.0, 5), prev) == "loss"
+        assert stopping_check(self._trace(1.0, 1.0, 6), prev) == "loss"
+        assert stopping_check(self._trace(1.0, 1.0, 8), prev) is None
 
     def test_no_stop_when_loss_moves(self):
-        cfg = MscraConfig()
         prev = self._trace(1.0, 2.0, 5)
-        assert stopping_check(self._trace(1.0, 1.0, 5), prev, cfg) is None
+        assert stopping_check(self._trace(1.0, 1.0, 5), prev) is None
 
 
 class TestRun:
@@ -298,13 +292,13 @@ class TestRun:
         mm = metrics(res.x, inst)
         assert mm["exact_support"], f"{family} missed the support"
 
-    def test_inner_failures_make_the_run_unconverged(self):
-        from gsreg.wl21 import AlmConfig
+    def test_inner_failures_make_the_run_unconverged(self, monkeypatch):
+        from gsreg import wl21
 
         inst = make_instance(design="I", signal="i", n=48, p=96, m=12, r_bar=3,
                              alpha=2.0, theta1=0.1, theta2=0.1, seed=9)
-        res = run(inst.A, inst.b, inst.g, default_box(inst.x_true),
-                  MscraConfig(alm=AlmConfig(max_outer=1)))
+        monkeypatch.setattr(wl21, "_MAX_OUTER", 1)
+        res = run(inst.A, inst.b, inst.g, default_box(inst.x_true), MscraConfig())
         assert res.stop_reason != "max_stages"
         assert res.inner_failures == sum(not t.inner_stats.converged for t in res.traces) > 0
         assert not res.converged
@@ -413,8 +407,8 @@ class TestProductCounts:
         n = inst.A.shape[0]
         spec = SubproblemSpec(A=inst.A, b=inst.b, g=inst.g, omega=np.full(inst.g.m, n / res.nu),
                               box=box)
-        _, _, s, _ = solve_stage(spec, AlmConfig(tol=MscraConfig().tol0), None,
-                                 np.ones(inst.g.m, dtype=bool))
+        tol = subproblem_tolerance(None, MscraConfig())
+        _, _, s, _ = solve_stage(spec, AlmConfig(tol=tol), None, np.ones(inst.g.m, dtype=bool))
         assert s.sieve_rounds == 0 and s.working_set_groups == inst.g.m
         assert s.working_set_products == 0
         assert _certified(s) > 0

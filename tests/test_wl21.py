@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import clarke_block, dense_hessian, random_subproblem
+from gsreg import wl21
 from gsreg.groups import (BoxConstraint, GroupStructure, contiguous_groups, group_norms,
                           group_soft_threshold, group_support, prox_group_box)
 from gsreg.wl21 import (
@@ -274,8 +275,6 @@ class TestSncg:
     def test_fallback_takes_a_steepest_descent_step(self, monkeypatch):
         # the Newton system gives descent whenever it is solved exactly, so an
         # ascent direction is forced on the first step of the first call
-        import gsreg.wl21 as wl21
-
         newton = wl21.newton_direction
         steps = []
 
@@ -387,8 +386,6 @@ class TestSncg:
     def test_failed_line_search_is_a_stall(self, monkeypatch):
         # with no backtrack allowed, a refused full Newton step ends the call
         # as a counted stall at the last accepted xi; nothing is raised
-        import gsreg.wl21 as wl21
-
         spec = random_subproblem(8, omega_scale=0.5)
         state = DualState.cold(spec, 1.0)
         state.x = np.random.default_rng(8).standard_normal(spec.p)
@@ -422,11 +419,12 @@ class TestAlm:
         assert abs(p_alm - p_ref) <= 1e-7 * max(1.0, abs(p_ref))
         assert np.linalg.norm(x - x_ref) < 1e-4
 
-    def test_multiplier_update_identity(self):
+    def test_multiplier_update_identity(self, monkeypatch):
         # from a cold start at sigma_0 = 1, one outer step gives
         # x^1 = sigma_0 (A^T xi + eta - zeta)
         spec = random_subproblem(10)
-        _, state, stats = alm_solve(spec, AlmConfig(max_outer=1, tol=0.0))
+        monkeypatch.setattr(wl21, "_MAX_OUTER", 1)
+        _, state, stats = alm_solve(spec, AlmConfig(tol=0.0))
         assert stats.history[0]["sigma"] == 1.0
         resid = spec.A.T @ state.xi + state.eta - state.zeta
         assert np.array_equal(state.x, resid)
@@ -468,8 +466,6 @@ class TestAlm:
         assert np.max(np.abs(x)) < 1e-8
 
     def test_sncg_counters_roll_up(self, monkeypatch):
-        import gsreg.wl21 as wl21
-
         calls, systems = [], []
         sncg, newton = wl21.sncg_solve, wl21.newton_direction
 
@@ -518,8 +514,6 @@ class TestAlm:
         # On this instance the Armijo test used to compare function values
         # closer than their rounding error: calls ran all max_iter steps with
         # 20-30 backtracks each while the gradient stayed above grad_tol.
-        import gsreg.wl21 as wl21
-
         calls = []
         sncg = wl21.sncg_solve
 
@@ -537,7 +531,7 @@ class TestAlm:
         assert stats.converged and stats.sncg_stalls == stats.sncg_unmet == 0
         # each call ends at its target or at either form of criterion (B),
         # none at max_iter
-        max_iter = AlmConfig().sncg_max_iter
+        max_iter = wl21._SNCG_MAX_ITER
         assert all(s["iters"] < max_iter for s, _, _, _ in calls)
         assert all(gnorm <= tol for s, gnorm, tol, _ in calls if s["met"])
         early = [(gnorm, bound) for s, gnorm, _, bound in calls if s["early"]]
@@ -554,27 +548,24 @@ class TestAlm:
         assert stats.sncg_stalls == len(calls) > 0 and stats.sncg_early == 0
         assert all(s["stalls"] == 1 and s["iters"] < max_iter for s, _, _, _ in calls)
 
-    def test_sigma_grows_until_converged(self):
+    def test_sigma_grows_until_converged(self, monkeypatch):
         # sigma grows by 5 after an iteration whose eps_dinf kept more than
         # half of its previous value, and by 1.3 otherwise
         spec = random_subproblem(17)
-        cfg = AlmConfig(tol=1e-9, sigma_max=50.0)
-        _, _, stats = alm_solve(spec, cfg)
+        monkeypatch.setattr(wl21, "_SIGMA_MAX", 50.0)
+        _, _, stats = alm_solve(spec, AlmConfig(tol=1e-9))
         hist = stats.history
         assert stats.converged and hist[0]["sigma"] == 1.0
         assert not hist[0]["stalled"]
         for prev, curr in zip(hist, hist[1:]):
             assert curr["stalled"] == (curr["eps_dinf"] > 0.5 * prev["eps_dinf"])
             growth = 5.0 if prev["stalled"] else 1.3
-            assert curr["sigma"] == pytest.approx(min(growth * prev["sigma"], cfg.sigma_max),
-                                                  rel=1e-12)
+            assert curr["sigma"] == pytest.approx(min(growth * prev["sigma"], 50.0), rel=1e-12)
         stalled = [h["stalled"] for h in hist[:-1]]
         assert any(stalled) and not all(stalled)
-        assert hist[-1]["sigma"] == cfg.sigma_max
+        assert hist[-1]["sigma"] == 50.0
 
     def test_unmet_sncg_calls_are_counted(self, monkeypatch):
-        import gsreg.wl21 as wl21
-
         calls = []
         sncg = wl21.sncg_solve
 
@@ -588,7 +579,8 @@ class TestAlm:
 
         monkeypatch.setattr(wl21, "sncg_solve", recording)
         spec = random_subproblem(16)
-        _, _, stats = alm_solve(spec, AlmConfig(sncg_max_iter=1))
+        monkeypatch.setattr(wl21, "_SNCG_MAX_ITER", 1)
+        _, _, stats = alm_solve(spec)
         unmet = [(s, gnorm, tol) for s, gnorm, tol in calls
                  if not (s["met"] or s["early"] or s["decrement"])]
         assert stats.sncg_unmet == stats.to_dict()["sncg_unmet"] == len(unmet) > 0
@@ -673,8 +665,6 @@ class TestAlm:
         assert stats_warm.outer_iters <= stats_cold.outer_iters
 
     def test_warm_xi_is_scaled_into_the_new_balls(self, monkeypatch):
-        import gsreg.wl21 as wl21
-
         spec = random_subproblem(14, n=50, p=80, m=16)
         _, warm, _ = alm_solve(spec, AlmConfig(tol=1e-8))
         # smaller weights, as in the next stage of the multi-stage loop, and
@@ -711,7 +701,7 @@ class TestAlm:
         assert np.linalg.norm(x - x_unscaled) <= 1e-8 * np.linalg.norm(x_unscaled)
 
     @pytest.mark.parametrize("sigma_max", [1e6, 500.0], ids=["ratio", "capped"])
-    def test_warm_sigma_starts_at_the_multiplier_over_the_weights(self, sigma_max):
+    def test_warm_sigma_starts_at_the_multiplier_over_the_weights(self, sigma_max, monkeypatch):
         spec = random_subproblem(14, n=50, p=80, m=16)
         _, warm, _ = alm_solve(spec, AlmConfig(tol=1e-6))
         # much smaller weights: ||x||_inf / max omega lies above the warm sigma
@@ -719,12 +709,12 @@ class TestAlm:
                                box=spec.box)
         ratio = np.max(np.abs(warm.x)) / np.max(small.omega)
         assert ratio > max(warm.sigma, 1.0) and ratio > 500.0
-        cfg = AlmConfig(tol=1e-6, sigma_max=sigma_max)
-        _, _, stats = alm_solve(small, cfg, warm=warm)
+        monkeypatch.setattr(wl21, "_SIGMA_MAX", sigma_max)
+        _, _, stats = alm_solve(small, AlmConfig(tol=1e-6), warm=warm)
         assert stats.converged
-        assert stats.history[0]["sigma"] == min(max(warm.sigma, 1.0, ratio), cfg.sigma_max)
+        assert stats.history[0]["sigma"] == min(max(warm.sigma, 1.0, ratio), sigma_max)
 
-    def test_warm_solve_with_every_weight_zero_keeps_its_sigma(self):
+    def test_warm_solve_with_every_weight_zero_keeps_its_sigma(self, monkeypatch):
         # p > n: the unpenalized columns are not eliminated, and no ratio is taken
         spec = random_subproblem(14, n=50, p=80, m=16)
         _, warm, _ = alm_solve(spec, AlmConfig(tol=1e-6))
@@ -732,10 +722,11 @@ class TestAlm:
                               box=spec.box)
         low = warm.copy()
         low.sigma = 0.5
+        monkeypatch.setattr(wl21, "_MAX_OUTER", 3)
         for start, expected in ((warm, warm.sigma), (low, 1.0)):
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
-                _, _, stats = alm_solve(free, AlmConfig(tol=1e-6, max_outer=3), warm=start)
+                _, _, stats = alm_solve(free, AlmConfig(tol=1e-6), warm=start)
             assert stats.eliminated_columns == 0
             assert stats.history[0]["sigma"] == expected
 
@@ -937,15 +928,3 @@ class TestSpecValidation:
             SubproblemSpec(A=A, b=np.zeros(5), g=g, omega=np.ones(3), box=BoxConstraint(1.0))
         with pytest.raises(ValueError):
             SubproblemSpec(A=A, b=np.zeros(5), g=g, omega=-np.ones(2), box=BoxConstraint(1.0))
-
-    @pytest.mark.parametrize("cls, field, value", [
-        (AlmConfig, "max_outer", 0), (AlmConfig, "sncg_max_iter", 0),
-        # sigma starts at 1; sigma_max 0 divided by zero, and -1 never stopped
-        (AlmConfig, "sigma_max", 0.0), (AlmConfig, "sigma_max", -1.0),
-        (AlmConfig, "sigma_max", 0.5), (AlmConfig, "sigma_max", float("inf")),
-        (AlmConfig, "sigma_max", float("nan")),
-    ])
-    def test_config_ranges(self, cls, field, value):
-        with pytest.raises(ValueError, match=field):
-            cls(**{field: value})
-        AlmConfig(sigma_max=1.0)
