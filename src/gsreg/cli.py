@@ -57,6 +57,11 @@ class ExperimentPlan:
             raise ValueError(f"r_bar must lie in [1, m = {self.m}], got {self.r_bar}")
         if self.reps < 1:
             raise ValueError(f"reps must be at least 1, got {self.reps}")
+        # cell k draws from seed + 1000 k, and make_instance from that plus 1
+        # and 2, so the last cell's draws must stay below 2**64 as well
+        top = 2**64 - 3 - 1000 * (len(self.signals) * len(self.betas) * self.reps - 1)
+        if self.seed > top:
+            raise ValueError(f"seed must be at most {top} for this plan's cells, got {self.seed}")
 
     def cells(self):
         """Deterministic enumeration of (signal, beta, rep, seed) cells."""

@@ -28,6 +28,16 @@ class TestPlan:
         seeds = [c[3] for c in cells]
         assert len(set(seeds)) == 8  # distinct per cell
 
+    def test_seed_range_covers_every_cell(self):
+        # 3 cells: the last draws from seed + 2000, 2001 and 2002
+        top = 2**64 - 2003
+        plan = ExperimentPlan(betas=(4,), reps=3, seed=top)
+        assert max(c[3] for c in plan.cells()) + 2 == 2**64 - 1
+        with pytest.raises(ValueError, match=f"seed must be at most {top} "):
+            ExperimentPlan(betas=(4,), reps=3, seed=top + 1)
+        with pytest.raises(ValueError, match=f"seed must be at most {top - 1000} "):
+            ExperimentPlan(betas=(4,), reps=4, seed=top)
+
     def test_default_plan_hash_is_pinned(self):
         assert _hash(ExperimentPlan().to_dict()) == "bceb95321aba"
 
@@ -422,9 +432,15 @@ class TestPlanFlags:
         ("r-bar", "-1", "r_bar must lie in [1, m = 8], got -1"),
         ("r-bar", "9", "r_bar must lie in [1, m = 8], got 9"),
         ("seed", "-5", "seed must lie in [0, 2**64), got -5"),
+        # two cells: the last draws from seed + 1000 + 2
+        ("seed", str(2**64 - 1002),
+         f"seed must be at most {2**64 - 1003} for this plan's cells, got {2**64 - 1002}"),
+        ("seed", str(2**64 - 1),
+         f"seed must be at most {2**64 - 1003} for this plan's cells, got {2**64 - 1}"),
         ("theta1", "nan", "theta1 must be nonnegative and finite, got nan"),
     ], ids=["beta_zero", "beta_above_p", "reps_zero", "reps_negative", "r_bar_zero",
-            "r_bar_negative", "r_bar_above_m", "seed_negative", "theta1_nan"])
+            "r_bar_negative", "r_bar_above_m", "seed_negative", "seed_past_the_last_cell",
+            "seed_at_the_top", "theta1_nan"])
     def test_bad_plan_exits_2(self, tmp_path, capsys, command, flag, value, message):
         out = tmp_path / "out"
         args = (_gen_args if command == "gen" else _bench_args)(out)

@@ -17,6 +17,10 @@ from gsreg.mscra import (
 )
 from gsreg.penalties import PhiSpec, psi_star_eval, weight_from_subgradient
 
+# the per-stage counts pinned below depend on the rounding of the numpy
+# build's BLAS and LAPACK, not only on the code, so a failure names the build
+_PINNED_ON = f"counts pinned on numpy 2.4.6; this run has numpy {np.__version__}"
+
 
 class TestDefaultNu:
     def test_formula(self, rng):
@@ -235,7 +239,7 @@ class TestRun:
         # on the line search's floor, so no box roots are solved
         assert [(t.inner_stats.outer_iters, t.inner_stats.sncg_iters,
                  t.inner_stats.sncg_backtracks) for t in res.traces] == [
-            (3, 15, 17), (8, 25, 20), (3, 15, 52), (2, 2, 0)]
+            (3, 15, 17), (8, 25, 20), (3, 15, 52), (2, 2, 0)], _PINNED_ON
         assert [t.inner_stats.eliminated_columns for t in res.traces] == [0, 8, 40, 0]
         assert not root_calls
 
@@ -253,10 +257,10 @@ class TestRun:
         assert metrics(res.x, inst)["exact_support"]
         assert [(t.inner_stats.outer_iters, t.inner_stats.sncg_iters,
                  t.inner_stats.sncg_backtracks) for t in res.traces] == [
-            (3, 13, 14), (7, 23, 23), (5, 41, 78), (1, 1, 0)]
+            (3, 13, 14), (7, 23, 23), (5, 41, 78), (1, 1, 0)], _PINNED_ON
         assert [t.inner_stats.eliminated_columns for t in res.traces] == [0, 16, 40, 48]
         assert [(t.inner_stats.sncg_nn_systems, t.inner_stats.sncg_woodbury_systems)
-                for t in res.traces] == [(11, 1), (22, 1), (0, 41), (0, 0)]
+                for t in res.traces] == [(11, 1), (22, 1), (0, 41), (0, 0)], _PINNED_ON
 
     def test_rejects_nonpositive_nu(self):
         g = contiguous_groups(6, 3)

@@ -828,6 +828,64 @@ class TestElimination:
         assert np.allclose(state.xi, A @ x - b, rtol=0, atol=1e-12 * np.linalg.norm(b))
         assert np.array_equal(state.x, -x)
 
+    @pytest.mark.parametrize("residual", [0.0, 1.0], ids=["consistent", "residual"])
+    @pytest.mark.parametrize("log_cond", range(11))
+    def test_closed_form_matches_lstsq_or_falls_back(self, log_cond, residual):
+        # A = U diag(s) V^T with singular values log-spaced from 1 to
+        # 10^-log_cond; b = A x_true plus a residual orthogonal to range(A),
+        # so the least squares stays near x_true, inside the box, at every
+        # condition number
+        rng = np.random.default_rng(log_cond)
+        n, p = 64, 24
+        U, _ = np.linalg.qr(rng.standard_normal((n, n)))
+        V, _ = np.linalg.qr(rng.standard_normal((p, p)))
+        A = (U[:, :p] * np.logspace(0, -log_cond, p)) @ V.T
+        b = A @ rng.standard_normal(p) + residual * U[:, p:] @ rng.standard_normal(n - p)
+        g = contiguous_groups(p, 6)
+        spec = SubproblemSpec(A=A, b=b, g=g, omega=np.zeros(6), box=BoxConstraint(1e3))
+        x, _, stats = alm_solve(spec, AlmConfig(tol=1e-8))
+        assert stats.converged and stats.stop_cause == "converged"
+        if stats.closed_form:
+            x_ls, *_ = np.linalg.lstsq(A, b, rcond=None)
+            assert np.linalg.norm(x - x_ls) <= 1e-9 * np.linalg.norm(x_ls)
+            assert stats.outer_iters == 0 and stats.eliminated_columns == p
+        else:
+            # the solve as given: the ALM on the unpenalized problem
+            assert stats.outer_iters > 0 and stats.eliminated_columns == 0
+        # one refinement step leaves an error of about 1e-16 cond^2 where the
+        # residual is as large as b, and about the square of that where b lies
+        # in range(A); where its estimate passes 1e-10 the solve falls back,
+        # also at 1e8, where the Cholesky still succeeds.  The consistent
+        # design at 1e6 sits at that bound and may go either way
+        if log_cond <= (3 if residual else 5):
+            assert stats.closed_form
+        if log_cond >= (4 if residual else 7):
+            assert not stats.closed_form
+
+    def test_closed_form_reads_the_gram_and_no_qr(self, rng, monkeypatch):
+        n, p = 40, 20
+        spec = SubproblemSpec(A=rng.standard_normal((n, p)), b=rng.standard_normal(n),
+                              g=contiguous_groups(p, 5), omega=np.zeros(5), box=BoxConstraint(1e3))
+
+        def no_qr(*args, **kwargs):
+            raise AssertionError("np.linalg.qr called")
+
+        monkeypatch.setattr(np.linalg, "qr", no_qr)
+        built = []
+        gram = SubproblemSpec.gram
+
+        def counted(self):
+            if self._gram is None:
+                built.append(1)
+            return gram(self)
+
+        monkeypatch.setattr(SubproblemSpec, "gram", counted)
+        x, _, stats = alm_solve(spec, AlmConfig(tol=1e-8))
+        x_again, _, _ = alm_solve(spec, AlmConfig(tol=1e-8))
+        assert stats.closed_form and np.array_equal(x, x_again)
+        # the Gram is built once and kept with the instance
+        assert built == [1] and np.array_equal(spec._gram, spec.A.T @ spec.A)
+
     def test_an_eliminated_problem_whose_box_binds_stops_on_the_residual_test(self, rng):
         # orthonormal columns: x_F = 0.5 whatever x_P, while the box of radius 1
         # clips x_P at 1 against its least squares 5.  The certificate drops
