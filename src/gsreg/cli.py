@@ -19,6 +19,7 @@ import numpy as np
 
 from . import io as gio
 from .data import (
+    INSTANCE_SEEDS,
     Instance,
     brute_force_zero_norm,
     default_box,
@@ -29,6 +30,9 @@ from .data import (
 )
 from .groups import BoxConstraint, group_support
 from .mscra import MscraConfig, default_nu, run, unpenalized_columns
+
+# cell k of a plan generates its instance from seed + CELL_SEED_STRIDE k
+CELL_SEED_STRIDE = 1000
 
 # nu factor of the one-stage group-lasso baseline that `bench` runs beside GEP-MSCRA
 STAGE1_NU_FACTOR = 0.13
@@ -57,9 +61,9 @@ class ExperimentPlan:
             raise ValueError(f"r_bar must lie in [1, m = {self.m}], got {self.r_bar}")
         if self.reps < 1:
             raise ValueError(f"reps must be at least 1, got {self.reps}")
-        # cell k draws from seed + 1000 k, and make_instance from that plus 1
-        # and 2, so the last cell's draws must stay below 2**64 as well
-        top = 2**64 - 3 - 1000 * (len(self.signals) * len(self.betas) * self.reps - 1)
+        # the last cell's instance must draw its last sub-seed below 2**64 too
+        cells = len(self.signals) * len(self.betas) * self.reps
+        top = 2**64 - INSTANCE_SEEDS - CELL_SEED_STRIDE * (cells - 1)
         if self.seed > top:
             raise ValueError(f"seed must be at most {top} for this plan's cells, got {self.seed}")
 
@@ -69,7 +73,7 @@ class ExperimentPlan:
         for signal in self.signals:
             for beta in self.betas:
                 for rep in range(self.reps):
-                    yield signal, beta, rep, self.seed + 1000 * idx
+                    yield signal, beta, rep, self.seed + CELL_SEED_STRIDE * idx
                     idx += 1
 
     def instance(self, signal, beta, seed) -> Instance:

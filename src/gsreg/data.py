@@ -171,14 +171,20 @@ def gen_observations(A, x_bar, theta1: float, theta2: float, seed: int) -> np.nd
     return b
 
 
+# make_instance draws the design, the signal and the observations from
+# seed, seed + 1 and seed + 2
+INSTANCE_SEEDS = 3
+
+
 def make_instance(design: str, signal: str, n: int, p: int, m: int, r_bar: int,
                   alpha: float, theta1: float, theta2: float, seed: int,
                   g: GroupStructure | None = None) -> Instance:
     """One fully assembled synthetic instance with derived sub-seeds."""
     g = g or contiguous_groups(p, m)
-    A = gen_design(design, n, p, seed)
-    x_bar, support = gen_signal(signal, g, r_bar, alpha, seed + 1)
-    b = gen_observations(A, x_bar, theta1, theta2, seed + 2)
+    design_seed, signal_seed, noise_seed = range(seed, seed + INSTANCE_SEEDS)
+    A = gen_design(design, n, p, design_seed)
+    x_bar, support = gen_signal(signal, g, r_bar, alpha, signal_seed)
+    b = gen_observations(A, x_bar, theta1, theta2, noise_seed)
     meta = {
         "design": design,
         "signal": signal,

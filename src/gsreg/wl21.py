@@ -23,14 +23,12 @@ eliminates their columns exactly before the ALM runs: one thin QR of
 those columns projects them out of the design and the response, the ALM
 solves the projected problem, whose weights are all positive, and one
 triangular solve recovers them.  Where every group is unpenalized there
-is nothing to project: the solve is the least squares in closed form,
-from the Cholesky of the Gram with one step of iterative refinement
-(:func:`_least_squares`), and it falls back to the ALM where that
-Cholesky fails or the refinement does not settle.  Its products with
-``A`` are not counted.  A problem whose weights are all
-positive stops on a certified duality gap, the gap-safe dual scaling of
-Ndiaye, Fercoq, Gramfort & Salmon (JMLR 2017) applied to the residual
-and, on an eliminated problem, to the ALM's own dual point.
+is nothing to project: the solve is the least squares in closed form
+from the Gram (:func:`_least_squares`), whose products with ``A`` are
+not counted.  A problem whose weights are all positive stops on a
+certified duality gap, the gap-safe dual scaling of Ndiaye, Fercoq,
+Gramfort & Salmon (JMLR 2017) applied to the residual and, on an
+eliminated problem, to the ALM's own dual point.
 
 The Newton matrix is ``I + sigma B B^T`` with ``B = A_J E``: ``A_J`` the
 columns of the active groups and ``E`` a small block-structured factor of
@@ -106,11 +104,8 @@ class SubproblemSpec:
         Being p x p, the Gram of a narrow instance is never larger than
         ``A``; it is freed with the instance.  A wide instance never
         builds one.  The Woodbury Newton systems read it, and so does the
-        closed-form least squares of an instance whose groups are all
-        unpenalized (:func:`_least_squares`), which factors it by
-        Cholesky and falls back to the ALM where that fails or its
-        refinement step does not settle; neither counts the products
-        that compute it, nor the closed form its products with ``A``.
+        closed-form least squares (:func:`_least_squares`); neither counts
+        the products that compute it.
         """
         if self._gram is None and self.p <= self.n:
             object.__setattr__(self, "_gram", self.A.T @ self.A)
@@ -917,12 +912,8 @@ def alm_solve(spec: SubproblemSpec, cfg: AlmConfig | None = None,
     minimizes over ``F`` exactly, so both problems have the same
     objective at ``x`` (:func:`_eliminated`).  Where every group is
     unpenalized, and so p < n, the solve is the least squares in closed
-    form, with no QR and no outer iteration: from the Cholesky of the
-    instance's Gram, ``x = G^{-1} A^T b`` with one step of iterative
-    refinement on its true residual (:func:`_least_squares`).  It falls
-    back to the solve as given where the Cholesky fails or the refinement
-    does not settle, from a condition number of ``A`` of about 1e4 where
-    the residual is as large as ``b`` and 1e6 where it is 0.  A problem
+    form from the instance's Gram, with no outer iteration
+    (:func:`_least_squares` says when it takes a QR instead).  A problem
     with no unpenalized group, or whose ``F`` holds n columns or more, has
     a rank-deficient ``A_F``, or gives an ``x_F`` outside the box, is
     solved as given.
@@ -1026,17 +1017,13 @@ def _eliminated(spec: SubproblemSpec, tol: float, warm: DualState | None):
     """:func:`alm_solve` with the unpenalized columns ``F`` eliminated, or None where it does not apply.
 
     It applies where ``F`` holds ``0 < k < n`` columns and the ``x_F`` it
-    recovers lies in the box.  Where every group is unpenalized, ``F`` is
-    all of ``A``, which is then narrow, and :func:`_least_squares` solves
-    the problem in closed form from its Gram, with no QR and no counted
-    product with ``A``; it returns None where the Gram's Cholesky fails or
-    its refinement step does not settle.  Otherwise it also needs the thin QR
-    ``A_F = Q R`` to have no diagonal entry of ``R`` at or below
-    ``n * eps`` times the largest (a rank-deficient ``A_F``).  Only then
-    is every minimizer over ``F`` unique and feasible, so that the two
-    problems share their optimum.  ``Q`` is n x k; no n x n factor is
-    formed.  A solve whose ``x_F`` leaves the box is dropped, with its
-    counts, for the solve as given.
+    recovers lies in the box.  Where every group is unpenalized that is
+    the least squares in closed form (:func:`_least_squares`).  Otherwise
+    it also needs the thin QR ``A_F = Q R`` to be of full rank
+    (:func:`_full_rank_qr`).  Only then is every minimizer over ``F``
+    unique and feasible, so that the two problems share their optimum.
+    ``Q`` is n x k; no n x n factor is formed.  A solve whose ``x_F``
+    leaves the box is dropped, with its counts, for the solve as given.
     """
     free = spec.omega == 0.0
     cols_F, _, _ = spec.g.segments(free)
@@ -1046,10 +1033,10 @@ def _eliminated(spec: SubproblemSpec, tol: float, warm: DualState | None):
     if k == spec.p:
         return _least_squares(spec, warm)
     # "clip" keeps take from buffering (every index is valid)
-    Q, R_F = np.linalg.qr(np.take(spec.A, cols_F, axis=1, mode="clip"))
-    diag = np.abs(np.diag(R_F))
-    if diag.min() <= spec.n * np.finfo(float).eps * diag.max():
+    qr = _full_rank_qr(np.take(spec.A, cols_F, axis=1, mode="clip"))
+    if qr is None:
         return None
+    Q, R_F = qr
     Qtb = Q.T @ spec.b
     cols_P, red = spec.restrict(~free)
     A_P = red.A
@@ -1072,6 +1059,19 @@ def _eliminated(spec: SubproblemSpec, tol: float, warm: DualState | None):
     return x, state, stats
 
 
+def _full_rank_qr(A_F: np.ndarray):
+    """The thin QR ``A_F = Q R``, or None where ``A_F`` is rank-deficient.
+
+    Rank-deficient means a diagonal entry of ``R`` at or below ``n * eps``
+    times the largest.
+    """
+    Q, R = np.linalg.qr(A_F)
+    diag = np.abs(np.diag(R))
+    if diag.min() <= A_F.shape[0] * np.finfo(float).eps * diag.max():
+        return None
+    return Q, R
+
+
 # the refinement step of _least_squares settles when the error it leaves in
 # x is estimated at most this fraction of ||x||
 _LSQ_SETTLED = 1e-10
@@ -1080,43 +1080,49 @@ _LSQ_SETTLED = 1e-10
 def _least_squares(spec: SubproblemSpec, warm: DualState | None):
     """:func:`alm_solve` where every group is unpenalized and p < n: the least squares in closed form.
 
-    With the Cholesky ``G = L L^T`` of the instance's Gram
-    (:meth:`SubproblemSpec.gram`), ``x = G^{-1} A^T b`` takes one step of
-    iterative refinement on its true residual,
-    ``x -= G^{-1} A^T (A x - b)``.  Relative to ``||x||``, the error that
-    step leaves is about the square of its own relative size ``t``, the
-    part it did not contract, or about ``t ||A x - b|| / ||b||``, the
-    rounding of ``A^T (A x - b)`` that ``G^{-1}`` carries as it carried
-    that of ``A^T b`` into the step, whichever is larger.  The step has
-    settled when that estimate is at most ``_LSQ_SETTLED``; on
-    ``U diag(s) V^T`` test designs with log-spaced singular values that
-    holds up to a condition number of ``A`` of about 1e3 where the
-    residual is as large as ``b`` and about 1e5 where it is 0, and there
-    ``x`` is within 1e-9 of ``np.linalg.lstsq``.  Returns None,
-    for the solve as given, where the Cholesky fails (``A`` is
-    rank-deficient or nearly so), where the step has not settled, or
-    where ``x`` leaves the box.  The optimal dual point is the residual
-    ``A x - b`` and the multiplier is ``-x``.  Its products with ``A``
-    are not counted.
+    From the instance's Gram ``G`` (:meth:`SubproblemSpec.gram`),
+    ``x = G^{-1} A^T b`` takes one step of iterative refinement on its
+    true residual, ``x -= G^{-1} A^T (A x - b)``.  Relative to ``||x||``,
+    the error that step leaves is about the square of its own relative
+    size ``t``, the part it did not contract, or about
+    ``t ||A x - b|| / ||b||``, the rounding of ``A^T (A x - b)`` that
+    ``G^{-1}`` carries as it carried that of ``A^T b`` into the step,
+    whichever is larger.  The step has settled when that estimate is at
+    most ``_LSQ_SETTLED``; on ``U diag(s) V^T`` test designs with
+    log-spaced singular values that holds up to a condition number of
+    ``A`` of about 1e3 where the residual is as large as ``b`` and about
+    1e5 where it is 0, and there ``x`` is within 1e-9 of
+    ``np.linalg.lstsq``.  Where the step has not settled, or ``G`` is
+    singular, ``x = R^{-1} Q^T b`` comes from the thin QR of ``A``
+    instead; on the same designs it agrees with ``np.linalg.lstsq`` to 10
+    eps times the condition number, or 1e-9, whichever is larger, up to
+    1e10.  Returns None, for the solve as given, where ``A`` fails the
+    rank test of :func:`_full_rank_qr` or where ``x`` leaves the box.
+    The optimal dual point is the residual ``A x - b`` and the multiplier
+    is ``-x``.  Neither path counts its products with ``A``.
     """
-    try:
-        L = np.linalg.cholesky(spec.gram())
-    except np.linalg.LinAlgError:
-        return None
-
-    def solve(c):  # G^{-1} c from the two triangular factors
-        return np.linalg.solve(L.T, np.linalg.solve(L, c))
-
     A, b = spec.A, spec.b
-    x = solve(A.T @ b)
-    step = solve(A.T @ (A @ x - b))
-    x -= step
-    xi = A @ x - b
-    # t * max(t, ||xi|| / ||b||) <= _LSQ_SETTLED with t = ||step|| / ||x||,
-    # multiplied out so that a zero b (and so a zero x) passes
-    ns, nx, nb = (math.sqrt(v @ v) for v in (step, x, b))
-    settled = ns * max(ns * nb, math.sqrt(xi @ xi) * nx) <= _LSQ_SETTLED * nx * nx * nb
-    if not settled or np.max(np.abs(x)) > spec.box.R:
+    G = spec.gram()
+    try:
+        x = np.linalg.solve(G, A.T @ b)
+        step = np.linalg.solve(G, A.T @ (A @ x - b))
+    except np.linalg.LinAlgError:  # G exactly singular
+        settled = False
+    else:
+        x -= step
+        # t * max(t, ||xi|| / ||b||) <= _LSQ_SETTLED with t = ||step|| / ||x||,
+        # multiplied out so that a zero b (and so a zero x) passes; a NaN fails
+        xi = A @ x - b
+        ns, nx, nb = (math.sqrt(v @ v) for v in (step, x, b))
+        settled = ns * max(ns * nb, math.sqrt(xi @ xi) * nx) <= _LSQ_SETTLED * nx * nx * nb
+    if not settled:
+        qr = _full_rank_qr(A)
+        if qr is None:
+            return None
+        Q, R = qr
+        x = np.linalg.solve(R, Q.T @ b)
+        xi = A @ x - b
+    if np.max(np.abs(x)) > spec.box.R:
         return None
     sigma = _SIGMA_START if warm is None else max(warm.sigma, _SIGMA_START)
     state = DualState(np.zeros(spec.p), xi, np.zeros(spec.p), -x, sigma)

@@ -828,39 +828,63 @@ class TestElimination:
         assert np.allclose(state.xi, A @ x - b, rtol=0, atol=1e-12 * np.linalg.norm(b))
         assert np.array_equal(state.x, -x)
 
-    @pytest.mark.parametrize("residual", [0.0, 1.0], ids=["consistent", "residual"])
+    @pytest.mark.parametrize("response", ["consistent", "residual", "random"])
     @pytest.mark.parametrize("log_cond", range(11))
-    def test_closed_form_matches_lstsq_or_falls_back(self, log_cond, residual):
+    def test_closed_form_matches_lstsq_at_every_condition(self, log_cond, response,
+                                                          monkeypatch):
         # A = U diag(s) V^T with singular values log-spaced from 1 to
-        # 10^-log_cond; b = A x_true plus a residual orthogonal to range(A),
-        # so the least squares stays near x_true, inside the box, at every
-        # condition number
+        # 10^-log_cond.  b is A x_true, A x_true plus a residual orthogonal to
+        # range(A), or random, whose least squares grows like the condition
+        # number; the box holds all of them
         rng = np.random.default_rng(log_cond)
         n, p = 64, 24
         U, _ = np.linalg.qr(rng.standard_normal((n, n)))
         V, _ = np.linalg.qr(rng.standard_normal((p, p)))
         A = (U[:, :p] * np.logspace(0, -log_cond, p)) @ V.T
-        b = A @ rng.standard_normal(p) + residual * U[:, p:] @ rng.standard_normal(n - p)
-        g = contiguous_groups(p, 6)
-        spec = SubproblemSpec(A=A, b=b, g=g, omega=np.zeros(6), box=BoxConstraint(1e3))
-        x, _, stats = alm_solve(spec, AlmConfig(tol=1e-8))
-        assert stats.converged and stats.stop_cause == "converged"
-        if stats.closed_form:
-            x_ls, *_ = np.linalg.lstsq(A, b, rcond=None)
-            assert np.linalg.norm(x - x_ls) <= 1e-9 * np.linalg.norm(x_ls)
-            assert stats.outer_iters == 0 and stats.eliminated_columns == p
+        if response == "random":
+            b = rng.standard_normal(n)
         else:
-            # the solve as given: the ALM on the unpenalized problem
-            assert stats.outer_iters > 0 and stats.eliminated_columns == 0
-        # one refinement step leaves an error of about 1e-16 cond^2 where the
-        # residual is as large as b, and about the square of that where b lies
-        # in range(A); where its estimate passes 1e-10 the solve falls back,
-        # also at 1e8, where the Cholesky still succeeds.  The consistent
-        # design at 1e6 sits at that bound and may go either way
-        if log_cond <= (3 if residual else 5):
-            assert stats.closed_form
-        if log_cond >= (4 if residual else 7):
-            assert not stats.closed_form
+            b = A @ rng.standard_normal(p)
+            if response == "residual":
+                b += U[:, p:] @ rng.standard_normal(n - p)
+        g = contiguous_groups(p, 6)
+        spec = SubproblemSpec(A=A, b=b, g=g, omega=np.zeros(6), box=BoxConstraint(1e12))
+        qr_calls = []
+        qr = np.linalg.qr
+        monkeypatch.setattr(np.linalg, "qr", lambda M: qr_calls.append(1) or qr(M))
+        x, state, stats = alm_solve(spec, AlmConfig(tol=1e-8))
+        assert stats.converged and stats.stop_cause == "converged" and stats.closed_form
+        assert stats.outer_iters == 0 and stats.eliminated_columns == p
+        assert np.array_equal(state.xi, A @ x - b) and np.array_equal(state.x, -x)
+        # two backward-stable solvers agree to about eps times the condition
+        # number, and to 1e-9 up to 10^5.5
+        x_ls, *_ = np.linalg.lstsq(A, b, rcond=None)
+        bound = max(1e-9, 10 * np.finfo(float).eps * 10.0**log_cond)
+        assert np.linalg.norm(x - x_ls) <= bound * np.linalg.norm(x_ls)
+        # the refinement step from the Gram settles up to 10^5 on a consistent
+        # b and 10^3 otherwise; from 10^7 and 10^4 the QR of A takes over,
+        # also at 10^8, where the Gram's Cholesky would still succeed.  The
+        # consistent b at 10^6 sits at the settle bound and may go either way
+        if log_cond <= (5 if response == "consistent" else 3):
+            assert not qr_calls
+        if log_cond >= (7 if response == "consistent" else 4):
+            assert len(qr_calls) == 1
+
+    @pytest.mark.parametrize("column", ["repeated", "zero"])
+    def test_rank_deficient_least_squares_takes_the_full_solve(self, column, rng):
+        # a repeated column leaves the Gram's LU a tiny pivot, a zero column an
+        # exactly singular one; either way the QR's rank test fails
+        n, p = 40, 20
+        A = rng.standard_normal((n, p))
+        A[:, 5] = A[:, 2] if column == "repeated" else 0.0
+        b = rng.standard_normal(n)
+        spec = SubproblemSpec(A=A, b=b, g=contiguous_groups(p, 5), omega=np.zeros(5),
+                              box=BoxConstraint(1e3))
+        x, _, stats = alm_solve(spec, AlmConfig(tol=1e-8))
+        assert stats.converged and not stats.closed_form
+        assert stats.outer_iters > 0 and stats.eliminated_columns == 0
+        x_ls, *_ = np.linalg.lstsq(A, b, rcond=None)
+        assert np.linalg.norm(A @ x - b) <= np.linalg.norm(A @ x_ls - b) + 1e-8 * np.linalg.norm(b)
 
     def test_closed_form_reads_the_gram_and_no_qr(self, rng, monkeypatch):
         n, p = 40, 20
