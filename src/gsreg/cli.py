@@ -157,6 +157,10 @@ def _solve_one(inst: Instance, cfg: MscraConfig):
         "sncg_early": sum(t.inner_stats.sncg_early for t in result.traces),
         "sncg_decrement": sum(t.inner_stats.sncg_decrement for t in result.traces),
         "sncg_certified": sum(t.inner_stats.sncg_certified for t in result.traces),
+        # the largest certified gap over its stage's tolerance; None (an empty
+        # cell) where no stage computed a certificate
+        "max_cert_ratio": max((t.inner_stats.cert_gap / t.tol for t in result.traces
+                               if t.inner_stats.cert_gap is not None), default=None),
         "time": elapsed,
         "nu": result.nu,
     }

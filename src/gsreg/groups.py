@@ -108,8 +108,8 @@ class GroupStructure:
         mask = np.asarray(mask, dtype=bool)
         sizes = self._sizes[mask]
         selected = mask[self.group_id]
-        cols = np.flatnonzero(selected) if self.perm is None else self.perm[selected[self.perm]]
-        return cols, np.cumsum(sizes) - sizes, np.repeat(np.arange(sizes.size), sizes)
+        cols = selected.nonzero()[0] if self.perm is None else self.perm[selected[self.perm]]
+        return cols, sizes.cumsum() - sizes, np.arange(sizes.size).repeat(sizes)
 
     def subset(self, mask):
         """The groups selected by ``mask`` as a structure of their own.
@@ -258,13 +258,13 @@ def prox_group_box(z, g: GroupStructure, omega, R: float, nrm=None, soft=None) -
     nrm = group_norms(z, g) if nrm is None else nrm
     x = group_soft_threshold(z, g, omega, nrm) if soft is None else soft
     over = np.abs(x) > R
-    if over.any():
+    if np.logical_or.reduce(over):
         x = x.copy()
         hit = np.zeros(g.m, dtype=bool)
         hit[g.group_id[over]] = True
         cols, starts, seg = g.segments(hit)
         t = _box_roots(np.abs(z[cols]), starts, seg, omega[hit], nrm[hit], R)
-        x[cols] = np.clip(z[cols] / (1.0 + t[seg]), -R, R)
+        x[cols] = np.minimum(np.maximum(z[cols] / (1.0 + t[seg]), -R), R)
     return x
 
 

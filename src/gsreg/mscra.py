@@ -83,6 +83,8 @@ class StageTrace:
     eq_residual: float
     group_sparsity: int
     inner_stats: SolveStats
+    # the ALM tolerance the stage's solve ran at (see subproblem_tolerance)
+    tol: float
 
     def to_dict(self, include_x: bool = True) -> dict:
         d = {
@@ -93,6 +95,7 @@ class StageTrace:
             "loss": self.loss,
             "eq_residual": self.eq_residual,
             "group_sparsity": self.group_sparsity,
+            "tol": self.tol,
             "inner": self.inner_stats.to_dict(),
         }
         if include_x:
@@ -169,7 +172,7 @@ def _stage1_seed(Atb, g: GroupStructure) -> np.ndarray:
     are the groups that break the KKT conditions of ``x = 0`` the most.
     """
     seed = np.zeros(g.m, dtype=bool)
-    seed[np.argsort(-group_norms(Atb, g), kind="stable")[:_SPARSE_RATIO]] = True
+    seed[(-group_norms(Atb, g)).argsort(kind="stable")[:_SPARSE_RATIO]] = True
     return seed
 
 
@@ -180,7 +183,7 @@ def unpenalized_columns(w, g: GroupStructure) -> int:
 
 def rho_schedule(k: int, x_k, rho_prev: float | None, g: GroupStructure) -> float:
     """Dynamic penalty factor: ``2/||G(x1)||_inf``, then doubling capped at ``_RHO_CAP/||G(x_k)||_inf``."""
-    gmax = float(np.max(group_norms(x_k, g)))
+    gmax = float(np.maximum.reduce(group_norms(x_k, g)))
     if gmax == 0.0:
         raise ValueError("degenerate iterate: ||G(x)||_inf = 0")
     if k == 1 or rho_prev is None:
@@ -229,11 +232,11 @@ def _violators(spec: SubproblemSpec, r, mask) -> np.ndarray:
     ``||A_i^T r|| / omega_i`` first (a group of weight 0 ranks first).
     """
     nrm = group_norms(spec.A.T @ r, spec.g)
-    out = np.flatnonzero(~mask & (nrm > spec.omega))
+    out = (~mask & (nrm > spec.omega)).nonzero()[0]
     ratio = np.divide(nrm[out], spec.omega[out], out=np.full(out.size, np.inf),
                       where=spec.omega[out] > 0)
     add = np.zeros(spec.g.m, dtype=bool)
-    add[out[np.argsort(-ratio, kind="stable")[:np.count_nonzero(mask)]]] = True
+    add[out[(-ratio).argsort(kind="stable")[:np.count_nonzero(mask)]]] = True
     return add
 
 
@@ -277,6 +280,14 @@ def solve_stage(spec: SubproblemSpec, cfg: AlmConfig, warm: DualState | None, st
     def columns(mask) -> int:
         return int(np.count_nonzero(spec.g.broadcast(mask)))
 
+    def stage_stats(solves, working_set_groups: int) -> SolveStats:
+        # _merged of one solve would give its stats with the sieve's two fields set
+        if len(solves) > 1:
+            return _merged(solves, len(rounds), working_set_groups)
+        stats = solves[0]
+        stats.sieve_rounds, stats.working_set_groups = len(rounds), working_set_groups
+        return stats
+
     limit = spec.p / _SPARSE_RATIO
     mask = None if columns(start) >= limit else np.array(start, dtype=bool)
     rounds = []
@@ -288,17 +299,17 @@ def solve_stage(spec: SubproblemSpec, cfg: AlmConfig, warm: DualState | None, st
         stats.dense_products = 1
         rounds.append(stats)
         add = _violators(spec, r, mask)
-        if not add.any():
+        if not np.logical_or.reduce(add):
             x = np.zeros(spec.p)
             x[cols] = x_w
-            stats = _merged(rounds, len(rounds), int(np.count_nonzero(mask)))
+            stats = stage_stats(rounds, int(np.count_nonzero(mask)))
             return x, dual.lifted(cols, spec.p), stats, r
         mask |= add
         if columns(mask) > limit:
             break
     x, dual, stats = alm_solve(spec, cfg, warm=warm)
     stats.dense_products += 1
-    stats = _merged(rounds + [stats], len(rounds), spec.g.m)
+    stats = stage_stats(rounds + [stats], spec.g.m)
     return x, dual, stats, spec.A @ x - spec.b
 
 
@@ -358,14 +369,14 @@ def run(A, b, g: GroupStructure, box: BoxConstraint,
         sparsity = support.size
 
         if sparsity == 0:
-            traces.append(StageTrace(k, x, w.copy(), rho or 0.0, lam, loss, eq, 0, stats))
+            traces.append(StageTrace(k, x, w.copy(), rho or 0.0, lam, loss, eq, 0, stats, tol))
             stop_reason = "degenerate_zero"
             break
 
         rho = rho_schedule(k, x, rho, g)
         lam = rho / nu
         w_new = weight_update(x, rho, cfg.phi, g)
-        trace = StageTrace(k, x, w_new, rho, lam, loss, eq, sparsity, stats)
+        trace = StageTrace(k, x, w_new, rho, lam, loss, eq, sparsity, stats, tol)
         traces.append(trace)
 
         if unpenalized_columns(w, g) >= n:

@@ -43,6 +43,13 @@ copy of ``A_J`` (:func:`newton_direction`).  Every other product is with
 the instance's whole ``A``; the multi-stage loop keeps them small by
 solving on the narrow ``A_W`` of a working set, gathered from ``A`` for
 each solve (:meth:`SubproblemSpec.restrict`, :func:`gsreg.mscra.solve_stage`).
+
+On the hot paths (the group segments, the Newton systems, the line
+search, the ALM iteration and the stage loop) the code calls ufuncs and
+ndarray methods, such as ``mask.nonzero()[0]``, ``np.maximum.reduce``
+and ``np.minimum(np.maximum(v, -R), R)``, not numpy's Python wrappers
+``np.flatnonzero``, ``ndarray.max`` and ``np.clip``, which give the same
+bits at a fixed cost of a microsecond or so per call.
 """
 
 from __future__ import annotations
@@ -87,7 +94,8 @@ class SubproblemSpec:
             raise ValueError(f"A has {p} columns but group structure has p={self.g.p}")
         if omega.shape != (self.g.m,):
             raise ValueError(f"omega has shape {omega.shape}, expected ({self.g.m},)")
-        if np.any(omega < 0):
+        # a NaN weight fails the test, as a negative one does
+        if not np.logical_and.reduce(omega >= 0):
             raise ValueError("omega must be nonnegative")
 
     @property
@@ -124,7 +132,7 @@ class SubproblemSpec:
         mask = np.asarray(mask, dtype=bool)
         cols, g = self.g.subset(mask)
         # "clip" keeps take from buffering (every index is valid)
-        A = np.take(self.A, cols, axis=1, mode="clip")
+        A = self.A.take(cols, axis=1, mode="clip")
         return cols, SubproblemSpec(A=A, b=self.b, g=g, omega=self.omega[mask], box=self.box)
 
 
@@ -257,10 +265,8 @@ def project_group_balls(y, g: GroupStructure, omega, nrm=None) -> np.ndarray:
     y = np.asarray(y, dtype=float)
     omega = np.asarray(omega, dtype=float)
     nrm = group_norms(y, g) if nrm is None else nrm
-    outside = nrm > omega
-    scale = np.ones(g.m)
-    scale[outside] = omega[outside] / nrm[outside]
-    return y * g.broadcast(scale)
+    scale = np.divide(omega, nrm, out=np.ones(g.m), where=nrm > omega)
+    return y * scale[g.group_id]
 
 
 # ---------------------------------------------------------------------------
@@ -302,12 +308,10 @@ def _box_clip(s, spec: SubproblemSpec, R: float):
     on the groups where the box clips (see :func:`prox_group_box`).
     """
     clipped = np.abs(s) == R
-    if not clipped.any():
+    if not np.logical_or.reduce(clipped):
         return None
     nrm = group_norms(s, spec.g)
-    t = np.zeros(spec.g.m)
-    t[nrm > 0] = spec.omega[nrm > 0] / nrm[nrm > 0]
-    return clipped, t
+    return clipped, np.divide(spec.omega, nrm, out=np.zeros(spec.g.m), where=nrm > 0)
 
 
 class ProxPoint(NamedTuple):
@@ -332,7 +336,7 @@ def _soft_threshold(y, spec: SubproblemSpec):
     """
     nrm = np.sqrt(spec.g.segment_sum(y * y))
     u = group_soft_threshold(y, spec.g, spec.omega, nrm)
-    return nrm, u, np.abs(u).max()
+    return nrm, u, np.maximum.reduce(np.abs(u))
 
 
 def _prox_point(y, spec: SubproblemSpec, R: float, soft=None) -> ProxPoint:
@@ -364,7 +368,7 @@ def _psi(xi, y, sigma: float, R: float, spec: SubproblemSpec, soft=None):
     if prox.box is not None:
         clipped, t = prox.box
         over = np.abs(y[clipped]) - (1.0 + t[spec.g.group_id[clipped]]) * R
-        f += sigma * R * over.sum()
+        f += sigma * R * np.add.reduce(over)
     return f, prox
 
 
@@ -386,10 +390,10 @@ def _psi_floor(xi, y, sigma: float, R: float, spec: SubproblemSpec, soft) -> flo
     only where the soft threshold leaves the box: inside it the soft
     threshold is the prox, whose value is as cheap.
     """
-    x = np.clip(soft[1], -R, R)
+    x = np.minimum(np.maximum(soft[1], -R), R)
     terms = np.array([sigma * (x @ y), -0.5 * sigma * (x @ x),
                       -sigma * (spec.omega @ group_norms(x, spec.g)), 0.5 * xi @ xi, spec.b @ xi])
-    return float(terms.sum() - _FLOOR_MARGIN * np.abs(terms).sum())
+    return float(np.add.reduce(terms) - _FLOOR_MARGIN * np.add.reduce(np.abs(terms)))
 
 
 def phi_kj_value(xi, eta, state: DualState, spec: SubproblemSpec) -> float:
@@ -436,7 +440,7 @@ def _active_groups(y, spec: SubproblemSpec, R: float, prox: ProxPoint | None = N
     if prox.box is None:
         cols, starts, seg = g.segments(active)
         c = c[active]
-        return cols, starts, seg, a[active], c, np.flatnonzero(c > 0.0)
+        return cols, starts, seg, a[active], c, (c > 0.0).nonzero()[0]
     s = prox.s
     clipped, t = prox.box
     hit = g.segment_sum(clipped) > 0
@@ -450,7 +454,7 @@ def _active_groups(y, spec: SubproblemSpec, R: float, prox: ProxPoint | None = N
     kept = ~clipped[cols]
     sizes = free[active].astype(np.intp)
     c = c[active]
-    return cols[kept], np.cumsum(sizes) - sizes, seg[kept], a[active], c, np.flatnonzero(c > 0.0)
+    return cols[kept], sizes.cumsum() - sizes, seg[kept], a[active], c, (c > 0.0).nonzero()[0]
 
 
 def _gathered_factor(y, spec: SubproblemSpec, active):
@@ -464,7 +468,7 @@ def _gathered_factor(y, spec: SubproblemSpec, active):
     """
     cols, starts, seg, a, c, curved = active
     # "clip" keeps take from buffering (every index is valid)
-    Z = np.take(spec.A, cols, axis=1, mode="clip")
+    Z = spec.A.take(cols, axis=1, mode="clip")
     if curved.size:
         # the column selection leaves W in Fortran order; the BLAS products
         # of newton_direction round differently on a C-ordered copy
@@ -536,7 +540,9 @@ def newton_direction(v, y, sigma: float, spec: SubproblemSpec, prox: ProxPoint |
         M = Z @ Z.T
         M += W @ W.T
         M *= sigma
-        M.flat[::n + 1] += 1.0
+        # M, K and E below are fresh C-ordered arrays, so ravel() is a view
+        # and steps of n + 1 walk the diagonal
+        M.ravel()[::n + 1] += 1.0
         return np.linalg.solve(M, v), r
     K = np.empty((r, r))
     K[:k, :k] = Z.T @ Z
@@ -544,7 +550,7 @@ def newton_direction(v, y, sigma: float, spec: SubproblemSpec, prox: ProxPoint |
     K[k:, :k] = K[:k, k:].T
     K[k:, k:] = W.T @ W
     K *= sigma
-    K.flat[::r + 1] += 1.0
+    K.ravel()[::r + 1] += 1.0
     t = np.linalg.solve(K, np.concatenate((Z.T @ v, W.T @ v)))
     return v - sigma * (Z @ t[:k] + W @ t[k:]), r
 
@@ -556,13 +562,13 @@ def _gram_woodbury(v, y, sigma: float, spec: SubproblemSpec, G, active):
     # E = [diag(sqrt(a)), Y sqrt(C)], so that B = A_J E; the rows of a curved
     # group hold sqrt(c_i) y_i in that group's column
     E = np.zeros((k, r))
-    E.flat[::r + 1] = np.sqrt(a)[seg]
-    rows = np.flatnonzero(c[seg] > 0.0)
+    E.ravel()[::r + 1] = np.sqrt(a)[seg]
+    rows = (c[seg] > 0.0).nonzero()[0]
     on = seg[rows]
-    E[rows, k + np.searchsorted(curved, on)] = np.sqrt(c[on]) * y[cols[rows]]
+    E[rows, k + curved.searchsorted(on)] = np.sqrt(c[on]) * y[cols[rows]]
     K = E.T @ (G[cols][:, cols] @ E)
     K *= sigma
-    K.flat[::r + 1] += 1.0
+    K.ravel()[::r + 1] += 1.0
     t = np.linalg.solve(K, E.T @ (spec.A.T @ v)[cols])
     u = np.zeros(spec.p)
     u[cols] = E @ t
@@ -677,7 +683,7 @@ def sncg_solve(state: DualState, spec: SubproblemSpec, grad_tol: float, max_iter
     # for a vector, without its checks
     gnorm = math.sqrt(g @ g)
     coef = delta / math.sqrt(sigma)
-    cert_tol = tol * (1.0 + np.linalg.norm(spec.b)) if certify else -np.inf
+    cert_tol = tol * (1.0 + math.sqrt(spec.b @ spec.b)) if certify else -np.inf
 
     def certifies():
         # the point this call would hand back, x = -sigma s, whose residual
@@ -718,7 +724,9 @@ def sncg_solve(state: DualState, spec: SubproblemSpec, grad_tol: float, max_iter
         slack = _ROUNDING_SLACK * max(1.0, abs(f))
         alpha = 1.0
         for _ in range(_MAX_BACKTRACKS + 1):
-            xi_new, y_new = xi + alpha * d, y + alpha * At_d
+            # the first trial takes the whole step, with no product by alpha = 1
+            xi_new, y_new = ((xi + d, y + At_d) if alpha == 1.0
+                             else (xi + alpha * d, y + alpha * At_d))
             bound = f + _ARMIJO_MU * alpha * slope + slack
             soft = _soft_threshold(y_new, spec)
             # refused on its floor, the trial solves no box roots; a soft
@@ -836,12 +844,12 @@ def dual_objective(state: DualState, spec: SubproblemSpec) -> float:
     primal-dual optimum the scaled primal and dual objectives sum to zero.
     """
     norms = group_norms(state.zeta, spec.g)
-    if np.any(norms > spec.omega * (1 + 1e-12) + 1e-12):
+    if np.logical_or.reduce(norms > spec.omega * (1 + 1e-12) + 1e-12):
         return np.inf
     val = (
         0.5 * state.xi @ state.xi
         + spec.b @ state.xi
-        + spec.box.R * np.abs(state.eta).sum()
+        + spec.box.R * np.add.reduce(np.abs(state.eta))
     )
     return float(val / spec.n)
 
@@ -876,7 +884,9 @@ def _ball_scale(At_v, spec: SubproblemSpec) -> float:
     """
     nrm = group_norms(At_v, spec.g)
     outside = (spec.omega > 0) & (nrm > spec.omega)
-    return float(np.min(spec.omega[outside] / nrm[outside])) if outside.any() else 1.0
+    if not np.logical_or.reduce(outside):
+        return 1.0
+    return float(np.minimum.reduce(spec.omega[outside] / nrm[outside]))
 
 
 def _scaled_dual(v, At_v, spec: SubproblemSpec) -> float:
@@ -1033,7 +1043,7 @@ def _eliminated(spec: SubproblemSpec, tol: float, warm: DualState | None):
     if k == spec.p:
         return _least_squares(spec, warm)
     # "clip" keeps take from buffering (every index is valid)
-    qr = _full_rank_qr(np.take(spec.A, cols_F, axis=1, mode="clip"))
+    qr = _full_rank_qr(spec.A.take(cols_F, axis=1, mode="clip"))
     if qr is None:
         return None
     Q, R_F = qr
@@ -1048,7 +1058,7 @@ def _eliminated(spec: SubproblemSpec, tol: float, warm: DualState | None):
         warm.xi -= Q @ (Q.T @ warm.xi)
     x_P, state, stats = _alm(red, tol, warm, certify=True)
     x_F = np.linalg.solve(R_F, Qtb - C @ x_P)
-    if np.max(np.abs(x_F)) > spec.box.R:
+    if np.maximum.reduce(np.abs(x_F)) > spec.box.R:
         return None
     x = np.zeros(spec.p)
     x[cols_P] = x_P
@@ -1066,8 +1076,8 @@ def _full_rank_qr(A_F: np.ndarray):
     times the largest.
     """
     Q, R = np.linalg.qr(A_F)
-    diag = np.abs(np.diag(R))
-    if diag.min() <= A_F.shape[0] * np.finfo(float).eps * diag.max():
+    diag = np.abs(R.diagonal())
+    if np.minimum.reduce(diag) <= A_F.shape[0] * np.finfo(float).eps * np.maximum.reduce(diag):
         return None
     return Q, R
 
@@ -1122,7 +1132,7 @@ def _least_squares(spec: SubproblemSpec, warm: DualState | None):
         Q, R = qr
         x = np.linalg.solve(R, Q.T @ b)
         xi = A @ x - b
-    if np.max(np.abs(x)) > spec.box.R:
+    if np.maximum.reduce(np.abs(x)) > spec.box.R:
         return None
     sigma = _SIGMA_START if warm is None else max(warm.sigma, _SIGMA_START)
     state = DualState(np.zeros(spec.p), xi, np.zeros(spec.p), -x, sigma)
@@ -1139,9 +1149,9 @@ def _warm_sigma(warm: DualState, spec: SubproblemSpec) -> float:
     Where every omega is 0 the start is ``max(warm.sigma, 1)``.
     """
     sigma = max(warm.sigma, _SIGMA_START)
-    top = float(np.max(spec.omega, initial=0.0))
+    top = float(np.maximum.reduce(spec.omega, initial=0.0))
     if top > 0:
-        sigma = max(sigma, float(np.max(np.abs(warm.x), initial=0.0)) / top)
+        sigma = max(sigma, float(np.maximum.reduce(np.abs(warm.x), initial=0.0)) / top)
     return min(sigma, _SIGMA_MAX)
 
 
@@ -1156,7 +1166,7 @@ def _alm(spec: SubproblemSpec, tol: float, warm: DualState | None, certify: bool
     else:
         state = DualState.cold(spec, _SIGMA_START)
     At_xi = None  # A^T state.xi, once an outer iteration has computed it
-    bnorm = 1.0 + np.linalg.norm(spec.b)
+    bnorm = 1.0 + math.sqrt(spec.b @ spec.b)
     # SNCG's gradient target is the rounding floor: a target scaled by
     # tol * ||b|| left xi too loose for eps_gap when ||b|| is large, and
     # stages cycled.  Far from the solution criterion (B) ends a call
@@ -1167,7 +1177,7 @@ def _alm(spec: SubproblemSpec, tol: float, warm: DualState | None, certify: bool
     sncg_tol = 1e-11 * bnorm
     eps_dinf_prev = np.inf
     # a problem left with an unpenalized group stops on the residuals alone
-    penalized = bool(np.all(spec.omega > 0))
+    penalized = bool(np.logical_and.reduce(spec.omega > 0))
     stuck = 0  # outer iterations in a row that left xi where it was
     stats.stop_cause = "max_outer"
     for j in range(_MAX_OUTER):
@@ -1177,11 +1187,12 @@ def _alm(spec: SubproblemSpec, tol: float, warm: DualState | None, certify: bool
         state.eta, state.xi, state.zeta, state.x = eta, xi, zeta, x_new
         At_xi, keep, call = out["At_xi"], out["keep"], out["sncg"]
         eps_pinf = call["gnorm"] / bnorm
-        eps_dinf = np.linalg.norm(x_new - x_old) / state.sigma
+        dx = x_new - x_old
+        eps_dinf = math.sqrt(dx @ dx) / state.sigma
         # the point this solve would return here: the negated multiplier (the
         # primal solution under this Lagrangian sign convention) projected
         # onto the box, 0 off the groups where the prox is 0
-        x = np.clip(-x_new, -spec.box.R, spec.box.R)
+        x = np.minimum(np.maximum(-x_new, -spec.box.R), spec.box.R)
         x[~keep[spec.g.group_id]] = 0.0
         r = spec.A @ x - spec.b
         stats.dense_products += 1
@@ -1197,7 +1208,7 @@ def _alm(spec: SubproblemSpec, tol: float, warm: DualState | None, certify: bool
                 lower = max(lower, _scaled_dual(xi, At_xi, spec))
                 # the residual test stops an eliminated problem only where the
                 # box clips, which neither dual point, both without it, certifies
-                converged = converged and bool(np.any(eta))
+                converged = converged and bool(np.logical_or.reduce(eta))
             cert_gap = _relative_gap(pobj, lower)
             converged = converged or cert_gap <= tol
         stats.outer_iters = j + 1

@@ -136,6 +136,38 @@ class TestSolve:
         assert [bench[f"gep_{key}"] for key in keys] == [cell[key] for key in keys]
         assert int(bench["stage1_sncg_early"]) > 0 and bench["stage1_sncg_unmet"] != ""
 
+    def test_summary_carries_the_largest_certified_gap_over_its_tolerance(self, tmp_path, capsys,
+                                                                          monkeypatch):
+        from gsreg import mscra
+
+        d = self._instance_dir(tmp_path)
+        assert main(["solve", str(d), "--out", str(tmp_path / "run")]) == 0
+        with open(tmp_path / "run" / "traces.jsonl") as fh:
+            stages = [json.loads(line) for line in fh]
+        with open(tmp_path / "run" / "summary.csv") as fh:
+            row = next(csv.DictReader(fh))
+        tol = None
+        for t in stages:
+            tol = mscra.subproblem_tolerance(tol, mscra.MscraConfig())
+            assert t["tol"] == tol
+        ratios = [t["inner"]["cert_gap"] / t["tol"] for t in stages
+                  if t["inner"]["cert_gap"] is not None]
+        assert ratios and float(row["max_cert_ratio"]) == max(ratios)
+
+        # a run whose stages computed no certificate leaves the cell empty
+        solve_stage = mscra.solve_stage
+
+        def uncertified(*args):
+            x, dual, stats, r = solve_stage(*args)
+            stats.cert_gap = None
+            return x, dual, stats, r
+
+        monkeypatch.setattr(mscra, "solve_stage", uncertified)
+        assert main(["solve", str(d), "--out", str(tmp_path / "bare")]) == 0
+        with open(tmp_path / "bare" / "summary.csv") as fh:
+            assert next(csv.DictReader(fh))["max_cert_ratio"] == ""
+        assert json.loads(capsys.readouterr().out.strip().splitlines()[-1])["max_cert_ratio"] is None
+
     def test_inner_failures_exit_1_with_reason(self, tmp_path, capsys, monkeypatch):
         from gsreg import wl21
 

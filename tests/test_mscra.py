@@ -141,7 +141,8 @@ class TestStopping:
         from gsreg.mscra import StageTrace
         from gsreg.wl21 import SolveStats
 
-        return StageTrace(1, np.zeros(2), np.zeros(1), 1.0, 1.0, loss, eq, sparsity, SolveStats())
+        return StageTrace(1, np.zeros(2), np.zeros(1), 1.0, 1.0, loss, eq, sparsity, SolveStats(),
+                          1e-3)
 
     def test_equilibrium_stop(self):
         assert stopping_check(self._trace(1e-7, 1.0, 3), None) == "equilibrium"
@@ -480,6 +481,42 @@ class TestSieve:
         assert (merged.converged, merged.stop_cause, merged.eps_gap) == (True, "round 1", 1)
         assert (merged.sncg_max_r, merged.sieve_rounds, merged.working_set_groups) == (9, 2, 7)
         assert merged.history == [{"round": 0}, {"round": 1}]
+
+    def test_a_stage_of_one_solve_has_the_stats_merged_gives(self, monkeypatch):
+        # solve_stage merges the stats of a stage of two solves or more; a
+        # stage of one solve gets the sieve's two fields set in place, which
+        # must be the stats _merged makes of that one solve
+        from gsreg.wl21 import AlmConfig, SubproblemSpec
+
+        inst = self._instance()
+        m, n = inst.g.m, inst.A.shape[0]
+        omega = np.full(m, n / default_nu(inst.A, inst.b))
+        spec = SubproblemSpec(A=inst.A, b=inst.b, g=inst.g, omega=omega,
+                              box=default_box(inst.x_true))
+        solves, masks = [], []
+        alm_solve, restrict = mscra.alm_solve, SubproblemSpec.restrict
+
+        def recording(*args, **kwargs):
+            out = alm_solve(*args, **kwargs)
+            solves.append(out[2])
+            return out
+
+        monkeypatch.setattr(mscra, "alm_solve", recording)
+        monkeypatch.setattr(SubproblemSpec, "restrict",
+                            lambda self, mask: masks.append(mask.copy()) or restrict(self, mask))
+        cfg = AlmConfig(tol=1e-6)
+        start = np.zeros(m, dtype=bool)
+        start[group_support(inst.x_true, inst.g)] = True
+        _, _, grown, _ = solve_stage(spec, cfg, None, start)
+        assert grown.sieve_rounds == len(solves) == 2
+        assert grown.outer_iters == sum(s.outer_iters for s in solves)
+        W = masks[-1]
+        for start, rounds, groups in ((W, 1, np.count_nonzero(W)), (np.ones(m, dtype=bool), 0, m)):
+            solves.clear()
+            _, _, stats, _ = solve_stage(spec, cfg, None, start)
+            assert len(solves) == 1 and stats is solves[0]
+            assert (stats.sieve_rounds, stats.working_set_groups) == (rounds, groups)
+            assert mscra._merged([stats], rounds, groups) == stats
 
     def test_a_working_set_missing_a_true_group_grows(self, monkeypatch):
         # stage 1's problem, started from the true support less one group

@@ -32,3 +32,16 @@ def test_solve_statistics_table_lists_every_solve_stats_key():
     assert [key for key, _ in rows] == list(SolveStats().to_dict())
     # a sieved stage sums over its rounds exactly the fields marked with a sigma
     assert {key for key, meaning in rows if "(Σ)" not in meaning} == _NOT_SUMMED
+
+
+def test_stage_traces_table_lists_every_stage_trace_key():
+    import numpy as np
+
+    from gsreg.mscra import StageTrace
+    from gsreg.wl21 import SolveStats
+
+    text = README.read_text()
+    table = text[text.index("### Stage traces"):].split("\n\n")[2]
+    rows = re.findall(r"^\| `(\w+)` \|", table, flags=re.M)
+    trace = StageTrace(1, np.zeros(2), np.zeros(1), 1.0, 1.0, 0.0, 0.0, 0, SolveStats(), 1e-3)
+    assert rows == list(trace.to_dict())

@@ -116,6 +116,26 @@ class TestLayout:
         empty = g.segments(np.zeros(g.m, dtype=bool))
         assert all(part.size == 0 for part in empty)
 
+    @pytest.mark.parametrize("layout", ["contiguous", "shuffled"])
+    def test_segments_are_the_wrapper_formulas_bit_for_bit(self, shuffled, layout):
+        # segments calls ndarray methods; these are the np.flatnonzero,
+        # np.cumsum and np.repeat formulas it replaced
+        g = shuffled[0]
+        if layout == "contiguous":
+            g = GroupStructure(g.p, np.split(np.arange(g.p), np.cumsum(SIZES)[:-1]))
+            assert g.perm is None
+        single = np.zeros(g.m, dtype=bool)
+        single[4] = True
+        some = np.arange(g.m) % 2 == 0
+        for mask in (np.zeros(g.m, dtype=bool), single, some, np.ones(g.m, dtype=bool)):
+            sizes = np.fromiter(map(len, g.groups), dtype=np.intp)[mask]
+            selected = mask[g.group_id]
+            cols = np.flatnonzero(selected) if g.perm is None else g.perm[selected[g.perm]]
+            want = (cols, np.cumsum(sizes) - sizes, np.repeat(np.arange(sizes.size), sizes))
+            for got, exp in zip(g.segments(mask), want):
+                assert got.dtype == exp.dtype == np.intp
+                assert got.tobytes() == exp.tobytes()
+
     def test_rejects_an_index_repeated_inside_a_group(self):
         with pytest.raises(ValueError, match="overlap"):
             GroupStructure(3, [[0, 0], [1, 2]])
@@ -135,6 +155,20 @@ class TestKernels:
         assert np.allclose(out, loop_project_group_balls(y, g, omega), rtol=1e-14, atol=1e-15)
         assert np.array_equal(out[g.groups[BOUNDARY]], [3.0, 4.0])
         assert np.all(out[g.groups[ZERO_WEIGHT]] == 0.0)
+
+    def test_project_group_balls_is_the_scatter_form_bit_for_bit(self, shuffled):
+        # the fixture has zero weights at zero and nonzero norm, and a group on
+        # its ball; a weighted group at zero norm is added here
+        g, y, omega = shuffled
+        y = y.copy()
+        y[g.groups[INSIDE]] = 0.0
+        nrm = group_norms(y, g)
+        outside = nrm > omega
+        scale = np.ones(g.m)
+        scale[outside] = omega[outside] / nrm[outside]
+        want = (y * g.broadcast(scale)).tobytes()
+        assert project_group_balls(y, g, omega).tobytes() == want
+        assert project_group_balls(y, g, omega, nrm).tobytes() == want
 
     def test_block_soft_threshold(self, shuffled):
         g, y, omega = shuffled

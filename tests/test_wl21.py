@@ -1010,3 +1010,14 @@ class TestSpecValidation:
             SubproblemSpec(A=A, b=np.zeros(5), g=g, omega=np.ones(3), box=BoxConstraint(1.0))
         with pytest.raises(ValueError):
             SubproblemSpec(A=A, b=np.zeros(5), g=g, omega=-np.ones(2), box=BoxConstraint(1.0))
+
+    def test_rejects_a_nan_weight(self):
+        # np.any(omega < 0) is False for NaN: this instance was accepted, and
+        # its ALM solve reported converged after 7 outer iterations
+        rng = np.random.default_rng(0)
+        A = rng.standard_normal((20, 12))
+        b = rng.standard_normal(20)
+        omega = np.array([0.1, np.nan, 0.1, 0.1])
+        with pytest.raises(ValueError, match="omega must be nonnegative"):
+            SubproblemSpec(A=A, b=b, g=contiguous_groups(12, 4), omega=omega,
+                           box=BoxConstraint(10.0))
