@@ -27,7 +27,6 @@ from .wl21 import (
     SolveStats,
     SubproblemSpec,
     alm_solve,
-    dual_objective,
     primal_objective,
 )
 from .mscra import MscraConfig, MscraResult, StageTrace, default_nu, run

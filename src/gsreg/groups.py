@@ -284,6 +284,7 @@ def equilibrium_residual(x, w, g: GroupStructure) -> float:
     w = np.asarray(w, dtype=float)
     if w.shape != (g.m,):
         raise ValueError(f"w has shape {w.shape}, expected ({g.m},)")
-    if np.any(w < 0) or np.any(w > 1):
+    # a NaN weight fails the test, as one outside [0, 1] does
+    if not np.all((w >= 0) & (w <= 1)):
         raise ValueError("w must lie in [0, 1]^m")
     return float((1.0 - w) @ group_norms(x, g))

@@ -280,14 +280,6 @@ def solve_stage(spec: SubproblemSpec, cfg: AlmConfig, warm: DualState | None, st
     def columns(mask) -> int:
         return int(np.count_nonzero(spec.g.broadcast(mask)))
 
-    def stage_stats(solves, working_set_groups: int) -> SolveStats:
-        # _merged of one solve would give its stats with the sieve's two fields set
-        if len(solves) > 1:
-            return _merged(solves, len(rounds), working_set_groups)
-        stats = solves[0]
-        stats.sieve_rounds, stats.working_set_groups = len(rounds), working_set_groups
-        return stats
-
     limit = spec.p / _SPARSE_RATIO
     mask = None if columns(start) >= limit else np.array(start, dtype=bool)
     rounds = []
@@ -302,14 +294,14 @@ def solve_stage(spec: SubproblemSpec, cfg: AlmConfig, warm: DualState | None, st
         if not np.logical_or.reduce(add):
             x = np.zeros(spec.p)
             x[cols] = x_w
-            stats = stage_stats(rounds, int(np.count_nonzero(mask)))
+            stats = _merged(rounds, len(rounds), int(np.count_nonzero(mask)))
             return x, dual.lifted(cols, spec.p), stats, r
         mask |= add
         if columns(mask) > limit:
             break
     x, dual, stats = alm_solve(spec, cfg, warm=warm)
     stats.dense_products += 1
-    stats = stage_stats(rounds + [stats], spec.g.m)
+    stats = _merged(rounds + [stats], len(rounds), spec.g.m)
     return x, dual, stats, spec.A @ x - spec.b
 
 

@@ -140,7 +140,7 @@ def weight_from_subgradient(spec: PhiSpec, s):
     smallest subgradient, is nondecreasing in ``s`` and lies in [0, 1].
     """
     s_arr = np.asarray(s, dtype=float)
-    if np.any(s_arr < 0):
+    if not np.all(s_arr >= 0):  # NaN fails it too
         raise ValueError("s must be nonnegative")
     out = _conjugate_argmax(spec, s_arr)
     return float(out) if np.isscalar(s) or s_arr.ndim == 0 else out
@@ -149,7 +149,7 @@ def weight_from_subgradient(spec: PhiSpec, s):
 def theta_eval(spec: PhiSpec, s):
     """The concave surrogate ``theta(s) = s - psi_star(s)`` for ``s >= 0``."""
     s_arr = np.asarray(s, dtype=float)
-    if np.any(s_arr < 0):
+    if not np.all(s_arr >= 0):  # NaN fails it too
         raise ValueError("s must be nonnegative")
     out = s_arr - np.asarray(psi_star_eval(spec, s_arr))
     return float(out) if np.isscalar(s) or s_arr.ndim == 0 else out

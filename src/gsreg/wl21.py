@@ -138,39 +138,31 @@ class SubproblemSpec:
 
 @dataclass
 class DualState:
-    """ALM iterate: dual blocks (eta, xi, zeta), multiplier x, penalty sigma."""
+    """ALM iterate: the dual point xi, the multiplier x and the penalty sigma.
 
-    eta: np.ndarray
+    The other dual blocks, eta and zeta, are minimized out in closed form
+    from these at each outer iteration (:func:`abcd_solve`), so they are
+    not state.  A solve never changes the arrays of a state it is given,
+    so states may share them.
+    """
+
     xi: np.ndarray
-    zeta: np.ndarray
     x: np.ndarray
     sigma: float
 
     @classmethod
     def cold(cls, spec: SubproblemSpec, sigma: float) -> "DualState":
-        return cls(
-            eta=np.zeros(spec.p),
-            xi=np.zeros(spec.n),
-            zeta=np.zeros(spec.p),
-            x=np.zeros(spec.p),
-            sigma=float(sigma),
-        )
-
-    def copy(self) -> "DualState":
-        return DualState(self.eta.copy(), self.xi.copy(), self.zeta.copy(), self.x.copy(), self.sigma)
+        return cls(xi=np.zeros(spec.n), x=np.zeros(spec.p), sigma=float(sigma))
 
     def restrict(self, cols) -> "DualState":
         """This state on the coordinates ``cols``, those of :meth:`SubproblemSpec.restrict`."""
-        return DualState(self.eta[cols], self.xi.copy(), self.zeta[cols], self.x[cols], self.sigma)
+        return replace(self, x=self.x[cols])
 
     def lifted(self, cols, p: int) -> "DualState":
         """This state of a restricted instance back on all ``p`` coordinates, 0 off ``cols``."""
-        def full(v):
-            out = np.zeros(p)
-            out[cols] = v
-            return out
-
-        return DualState(full(self.eta), self.xi.copy(), full(self.zeta), full(self.x), self.sigma)
+        x = np.zeros(p)
+        x[cols] = self.x
+        return replace(self, x=x)
 
 
 @dataclass(frozen=True)
@@ -194,6 +186,11 @@ class AlmConfig:
     """
 
     tol: float = 1e-5
+
+    def __post_init__(self):
+        # a NaN tol fails the test, as a negative or infinite one does
+        if not 0.0 <= self.tol < math.inf:
+            raise ValueError(f"tol must be finite and nonnegative, got {self.tol}")
 
 
 @dataclass
@@ -274,22 +271,22 @@ def project_group_balls(y, g: GroupStructure, omega, nrm=None) -> np.ndarray:
 # caller in the solver, the benchmark tracer still looks them up by name
 
 
-def eta_update(state: DualState, spec: SubproblemSpec) -> np.ndarray:
-    """Closed-form minimizer of L_sigma over eta with (xi, zeta) fixed."""
+def eta_update(xi, zeta, state: DualState, spec: SubproblemSpec) -> np.ndarray:
+    """Closed-form minimizer of L_sigma over eta with (xi, zeta) fixed; ``state`` gives x and sigma."""
     if not state.sigma > 0:
         raise ValueError("sigma must be positive")
-    arg = state.zeta - spec.A.T @ state.xi - state.x / state.sigma
+    arg = zeta - spec.A.T @ xi - state.x / state.sigma
     # soft threshold at R / sigma
     return np.sign(arg) * np.maximum(np.abs(arg) - spec.box.R / state.sigma, 0.0)
 
 
-def lagrangian_value(state: DualState, spec: SubproblemSpec) -> float:
-    """Augmented Lagrangian L_sigma(eta, xi, zeta; x) (zeta assumed feasible)."""
-    r = spec.A.T @ state.xi + state.eta - state.zeta
+def lagrangian_value(xi, eta, zeta, state: DualState, spec: SubproblemSpec) -> float:
+    """Augmented Lagrangian L_sigma(eta, xi, zeta; x), zeta assumed feasible; ``state`` gives x and sigma."""
+    r = spec.A.T @ xi + eta - zeta
     return float(
-        0.5 * state.xi @ state.xi
-        + spec.b @ state.xi
-        + spec.box.R * np.abs(state.eta).sum()
+        0.5 * xi @ xi
+        + spec.b @ xi
+        + spec.box.R * np.abs(eta).sum()
         + state.x @ r
         + 0.5 * state.sigma * (r @ r)
     )
@@ -837,21 +834,14 @@ def primal_objective(x, spec: SubproblemSpec) -> float:
     return _objective(x, spec.A @ x - spec.b, spec)
 
 
-def dual_objective(state: DualState, spec: SubproblemSpec) -> float:
-    """Dual objective with the same 1/n scaling as :func:`primal_objective`.
+def _dual_value(xi, eta, spec: SubproblemSpec) -> float:
+    """Dual objective at ``(xi, eta)`` with the same 1/n scaling as :func:`primal_objective`.
 
-    Returns +inf when zeta leaves the product of group balls.  At a
-    primal-dual optimum the scaled primal and dual objectives sum to zero.
+    ``zeta``, the third block, is in the group balls wherever
+    :func:`abcd_solve` computes it.  At a primal-dual optimum the scaled
+    primal and dual objectives sum to zero.
     """
-    norms = group_norms(state.zeta, spec.g)
-    if np.logical_or.reduce(norms > spec.omega * (1 + 1e-12) + 1e-12):
-        return np.inf
-    val = (
-        0.5 * state.xi @ state.xi
-        + spec.b @ state.xi
-        + spec.box.R * np.add.reduce(np.abs(state.eta))
-    )
-    return float(val / spec.n)
+    return float((0.5 * xi @ xi + spec.b @ xi + spec.box.R * np.add.reduce(np.abs(eta))) / spec.n)
 
 
 # sigma starts at _SIGMA_START and grows by _SIGMA_GROWTH after each
@@ -922,98 +912,71 @@ def alm_solve(spec: SubproblemSpec, cfg: AlmConfig | None = None,
     minimizes over ``F`` exactly, so both problems have the same
     objective at ``x`` (:func:`_eliminated`).  Where every group is
     unpenalized, and so p < n, the solve is the least squares in closed
-    form from the instance's Gram, with no outer iteration
-    (:func:`_least_squares` says when it takes a QR instead).  A problem
+    form, with no outer iteration (:func:`_least_squares`).  A problem
     with no unpenalized group, or whose ``F`` holds n columns or more, has
     a rank-deficient ``A_F``, or gives an ``x_F`` outside the box, is
     solved as given.
 
-    Each outer iteration minimizes the augmented Lagrangian with one
-    :func:`abcd_solve` call, which hands its exact ``A^T xi`` on to the
-    next one.  Its SNCG call takes at most ``_SNCG_MAX_ITER`` Newton
-    steps and stops at the first of its exits: the
-    gradient target ``1e-11 (1 + ||b||)``, the rounding floor, or
-    criterion (B) with ``delta_k = 0.1 * 0.9^k`` at outer iteration k, in
-    SSNAL's gradient form or on the Newton decrement, which end the call
-    once its gradient or its Newton decrement is small against the
-    multiplier step it leads to (see :func:`sncg_solve`).  The solve
-    hands SNCG ``cfg.tol``, so that a call does not end at the decrement
-    with a multiplier step where ``eps_dinf`` passes: the solve's last
-    call runs on to another exit.  On an eliminated problem SNCG also
-    ends a call once the point it would hand back is certified within
-    ``cfg.tol`` from its own ``xi``.  The solve stops when the three
-    residuals fall below ``cfg.tol``: ``eps_pinf``, the final gradient
-    norm of that SNCG solve over ``1 + ||b||``, whichever exit ended it;
-    ``eps_dinf``, the multiplier step over sigma; and ``eps_gap``, the
-    normalized primal-dual gap.  ``eps_dinf`` is absolute and ``eps_gap``
-    bounds no suboptimality, so where every ``omega_i`` is positive, at
-    an outer iteration whose ``eps_pinf`` passes, the solve also
-    certifies the point ``x`` it would return: ``P`` is its objective,
-    from its residual ``r = Ax - b``, and ``D`` the dual value at ``r``
-    scaled into the group balls (:func:`_scaled_dual`) or, on an
-    eliminated problem, the better of that and the ALM's ``xi`` scaled
-    the same way, whose ``A^T xi`` the solve holds.  The solve stops, as
+    Each outer iteration k minimizes the augmented Lagrangian with one
+    :func:`abcd_solve` call, whose SNCG call takes at most
+    ``_SNCG_MAX_ITER`` Newton steps toward the gradient target
+    ``1e-11 (1 + ||b||)`` and may end sooner at criterion (B) with
+    ``delta_k = 0.1 * 0.9^k`` or, on an eliminated problem, at a point
+    certified within ``cfg.tol`` (see :func:`sncg_solve`, which is handed
+    ``cfg.tol``).  Three residuals are computed: ``eps_pinf``, the final
+    gradient norm of that call over ``1 + ||b||``; ``eps_dinf``, the
+    multiplier step over sigma; and ``eps_gap``, the normalized
+    primal-dual gap ``|P + D| / (1 + |P|)``.  Where every ``omega_i`` is
+    positive and ``eps_pinf <= cfg.tol``, the point ``x`` the solve would
+    return is also certified: ``P`` is its objective and ``D`` the dual
+    value at its residual ``r = Ax - b`` scaled into the group balls
+    (:func:`_scaled_dual`), or, on an eliminated problem, the better of
+    that and the ALM's ``xi`` scaled the same way.  The solve stops, as
     converged, when the certified gap ``(P - D)/P`` is at most
-    ``cfg.tol``.  On an eliminated problem that is the only way to stop
-    where the box clips nothing: there the three residuals passed at
-    points the certificate put above ``cfg.tol``.  Where the box clips
-    (``eta`` nonzero), neither dual point, both taken without the box,
-    can certify, and the residuals stop the solve.  A problem solved as
-    given takes ``r`` alone: there ``xi`` stopped some one-stage
-    group-lasso solves at points that the residual recipe puts above
-    ``cfg.tol``.  A problem left with an unpenalized group stops on the
-    three residuals alone.  Otherwise sigma grows from its start, up to
-    ``_SIGMA_MAX``: by 5 when the multiplier stalls, that is when
-    ``eps_dinf`` stays above half of its value at the previous outer
-    iteration, and by 1.3 when it falls faster (and after the first
-    iteration, which has no previous value).  Each ``history`` entry logs
-    the residuals of its iteration, its ``cert_gap`` (None where it
-    computed none, as ``stats.cert_gap`` is for the last one), its
-    ``sigma``, whether the multiplier ``stalled`` there, and the record
-    of its SNCG call: its steps and backtracks, whether it met its
-    gradient target or ended at criterion (B) in gradient form, on the
-    decrement or at a certificate, its final gradient norm and the
-    gradient target (``sncg_iters``, ``sncg_backtracks``, ``sncg_met``,
-    ``sncg_early``, ``sncg_decrement``, ``sncg_certified``,
-    ``sncg_gnorm``, ``sncg_target``).  Returns ``(x, state, stats)``; a
-    run hitting ``_MAX_OUTER`` outer iterations is flagged not-converged,
-    and so is one that stops early after two outer iterations in a row
-    whose SNCG line search refused every trial step of its first Newton
-    step: xi did not move, and a larger sigma did not move it either.
-    ``stats.stop_cause`` says which of the three ended the run:
-    ``"converged"``, ``"max_outer"`` or ``"line_search"``.  ``x`` is the
-    box projection of ``-state.x`` set to exactly 0 on the groups where
-    the last prox ``s`` is 0; the multiplier
-    equals ``sigma s`` up to rounding, so it holds only rounding residue
-    there.  ``stats.eliminated_columns`` counts the columns of ``F`` that
-    were eliminated, and ``stats.closed_form`` flags a least-squares
-    solve, which reports converged with zero residuals and gap.
+    ``cfg.tol``, or when all three residuals are at most it, which on an
+    eliminated problem counts only where the box clips (``eta`` nonzero):
+    there neither dual point, both taken without the box, can certify.
+    A problem left with an unpenalized group stops on the three residuals
+    alone.
+    Otherwise sigma grows, up to ``_SIGMA_MAX``: by 5 when the multiplier
+    stalls, that is when ``eps_dinf`` stays above half of its value at the
+    previous outer iteration, and by 1.3 otherwise.
+
+    Each ``history`` entry logs the residuals of its iteration, its
+    ``cert_gap`` (None where it computed none, as ``stats.cert_gap`` is
+    for the last one), its ``sigma``, whether the multiplier ``stalled``
+    there, and its SNCG call's record (``sncg_iters``,
+    ``sncg_backtracks``, ``sncg_met``, ``sncg_early``,
+    ``sncg_decrement``, ``sncg_certified``, ``sncg_gnorm``,
+    ``sncg_target``).  Returns ``(x, state, stats)``.
+    ``stats.stop_cause`` is ``"converged"``, ``"max_outer"`` after
+    ``_MAX_OUTER`` outer iterations, or ``"line_search"`` after two outer
+    iterations in a row whose line search refused every trial step of its
+    first Newton step; the last two are not converged.  ``x`` is the box
+    projection of ``-state.x`` set to exactly 0 on the groups where the
+    last prox ``s`` is 0, where the multiplier ``sigma s`` holds only
+    rounding residue.  ``stats.eliminated_columns`` counts the columns of
+    ``F`` that were eliminated, and ``stats.closed_form`` flags a
+    least-squares solve, which reports converged with zero residuals and
+    gap.
 
     A ``warm`` state, the one an earlier solve returned, carries over the
     multiplier x, sigma and xi scaled by :func:`_ball_scale` into this
     problem's group balls; an eliminated problem first projects xi off
-    ``range(Q)``, where its optimum has no component.  Sigma starts at
-    the largest of the warm sigma, 1 and ``||x||_inf / max omega``,
-    capped at ``_SIGMA_MAX`` (:func:`_warm_sigma`): ``x / sigma`` is
-    added to ``A^T xi``, whose group norms omega bounds, so below that
-    ratio, as at the sigma where stage 1 of the multi-stage loop ends,
-    the first outer iterations barely move a multiplier far larger than
-    the weights.  When the weights shrink, as between stages of the
-    multi-stage loop, the old xi lies outside the new balls, and
-    unscaled it would make nearly every group active in the first Newton
-    systems.  Each subproblem is strongly convex in xi, so the scaling
-    changes only the path of the first SNCG call.  The returned state is
-    on all p coordinates; on ``F`` its multiplier is ``-x_F``.
+    ``range(Q)``.  Sigma starts at the largest of the warm sigma, 1 and
+    ``||x||_inf / max omega``, capped at ``_SIGMA_MAX``
+    (:func:`_warm_sigma`).  The returned state is on all p coordinates;
+    on ``F`` its multiplier is ``-x_F``.
 
     ``stats`` goes down through :func:`abcd_solve` and :func:`sncg_solve`
-    to :func:`newton_direction`, and each adds its counts to it where they
-    happen.  So ``stats.dense_products`` counts the products with ``A``
-    (with ``A'`` on an eliminated problem) and its transpose of the SNCG
-    calls, the exact ``A^T xi`` and the residual ``A x`` of each outer
-    iteration, the ``A^T r`` of each certified gap and, from a warm
-    state, the one of :func:`_ball_scale`.  The matrix products that
-    compute a Gram, the QR of ``A_F`` and ``Q^T A_P`` are not counted, nor
-    are the products with ``A`` of the closed-form least squares.
+    to :func:`newton_direction`, and each adds its counts to it.  So
+    ``stats.dense_products`` counts the products with ``A`` (``A'`` on an
+    eliminated problem) and its transpose of the SNCG calls, the exact
+    ``A^T xi`` and the residual ``A x`` of each outer iteration, the
+    ``A^T r`` of each certified gap and, from a warm state, the one of
+    :func:`_ball_scale`.  The products that compute a Gram, the QR of
+    ``A_F`` and ``Q^T A_P`` are not counted, nor are those of the
+    closed-form least squares.
     """
     cfg = cfg or AlmConfig()
     t0 = time.perf_counter()
@@ -1054,8 +1017,7 @@ def _eliminated(spec: SubproblemSpec, tol: float, warm: DualState | None):
     A_P -= Q @ C  # in place: red's design becomes A'
     red = replace(red, b=spec.b - Q @ Qtb)
     if warm is not None:
-        warm = warm.restrict(cols_P)
-        warm.xi -= Q @ (Q.T @ warm.xi)
+        warm = replace(warm.restrict(cols_P), xi=warm.xi - Q @ (Q.T @ warm.xi))
     x_P, state, stats = _alm(red, tol, warm, certify=True)
     x_F = np.linalg.solve(R_F, Qtb - C @ x_P)
     if np.maximum.reduce(np.abs(x_F)) > spec.box.R:
@@ -1135,7 +1097,7 @@ def _least_squares(spec: SubproblemSpec, warm: DualState | None):
     if np.maximum.reduce(np.abs(x)) > spec.box.R:
         return None
     sigma = _SIGMA_START if warm is None else max(warm.sigma, _SIGMA_START)
-    state = DualState(np.zeros(spec.p), xi, np.zeros(spec.p), -x, sigma)
+    state = DualState(xi, -x, sigma)
     stats = SolveStats(converged=True, stop_cause="converged", eps_pinf=0.0, eps_dinf=0.0,
                        eps_gap=0.0, cert_gap=0.0, eliminated_columns=spec.p, closed_form=True)
     return x, state, stats
@@ -1159,9 +1121,8 @@ def _alm(spec: SubproblemSpec, tol: float, warm: DualState | None, certify: bool
     """The ALM loop of :func:`alm_solve` on ``spec`` as given; ``certify`` on an eliminated problem."""
     stats = SolveStats()
     if warm is not None:
-        state = warm.copy()
-        state.sigma = _warm_sigma(warm, spec)
-        state.xi *= _ball_scale(spec.A.T @ state.xi, spec)
+        state = DualState(warm.xi * _ball_scale(spec.A.T @ warm.xi, spec), warm.x,
+                          _warm_sigma(warm, spec))
         stats.dense_products += 1
     else:
         state = DualState.cold(spec, _SIGMA_START)
@@ -1181,10 +1142,10 @@ def _alm(spec: SubproblemSpec, tol: float, warm: DualState | None, certify: bool
     stuck = 0  # outer iterations in a row that left xi where it was
     stats.stop_cause = "max_outer"
     for j in range(_MAX_OUTER):
-        eta, xi, zeta, x_new, out = abcd_solve(state, spec, sncg_tol, _SNCG_MAX_ITER, stats, At_xi,
-                                               _DELTA_START * _DELTA_RATIO**j, tol, certify)
+        eta, xi, _, x_new, out = abcd_solve(state, spec, sncg_tol, _SNCG_MAX_ITER, stats, At_xi,
+                                            _DELTA_START * _DELTA_RATIO**j, tol, certify)
         x_old = state.x
-        state.eta, state.xi, state.zeta, state.x = eta, xi, zeta, x_new
+        state.xi, state.x = xi, x_new
         At_xi, keep, call = out["At_xi"], out["keep"], out["sncg"]
         eps_pinf = call["gnorm"] / bnorm
         dx = x_new - x_old
@@ -1197,8 +1158,7 @@ def _alm(spec: SubproblemSpec, tol: float, warm: DualState | None, certify: bool
         r = spec.A @ x - spec.b
         stats.dense_products += 1
         pobj = _objective(x, r, spec)
-        dobj = dual_objective(state, spec)
-        eps_gap = abs(pobj + dobj) / (1.0 + abs(pobj)) if np.isfinite(dobj) else np.inf
+        eps_gap = abs(pobj + _dual_value(xi, eta, spec)) / (1.0 + abs(pobj))
         converged = max(eps_pinf, eps_dinf, eps_gap) <= tol
         cert_gap = None
         if penalized and eps_pinf <= tol:

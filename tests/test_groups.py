@@ -154,9 +154,12 @@ class TestEquilibriumResidual:
         assert equilibrium_residual(x, [0.5, 1.0], g) == pytest.approx(2.5)
 
     def test_rejects_w_outside_unit_box(self):
+        # np.any(w < 0) or np.any(w > 1) is False for NaN: the NaN weight
+        # was accepted, and the residual came back NaN
         g = contiguous_groups(4, 2)
-        with pytest.raises(ValueError):
-            equilibrium_residual(np.ones(4), [1.5, 0.0], g)
+        for w in ([1.5, 0.0], [-0.5, 0.0], [np.nan, 0.5]):
+            with pytest.raises(ValueError, match=r"w must lie in \[0, 1\]\^m"):
+                equilibrium_residual(np.ones(4), w, g)
 
 
 class TestBox:

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -483,9 +485,8 @@ class TestSieve:
         assert merged.history == [{"round": 0}, {"round": 1}]
 
     def test_a_stage_of_one_solve_has_the_stats_merged_gives(self, monkeypatch):
-        # solve_stage merges the stats of a stage of two solves or more; a
-        # stage of one solve gets the sieve's two fields set in place, which
-        # must be the stats _merged makes of that one solve
+        # solve_stage merges the stats of every stage; merged, the stats of a
+        # stage of one solve are that solve's with the sieve's two fields set
         from gsreg.wl21 import AlmConfig, SubproblemSpec
 
         inst = self._instance()
@@ -514,9 +515,9 @@ class TestSieve:
         for start, rounds, groups in ((W, 1, np.count_nonzero(W)), (np.ones(m, dtype=bool), 0, m)):
             solves.clear()
             _, _, stats, _ = solve_stage(spec, cfg, None, start)
-            assert len(solves) == 1 and stats is solves[0]
+            assert len(solves) == 1
             assert (stats.sieve_rounds, stats.working_set_groups) == (rounds, groups)
-            assert mscra._merged([stats], rounds, groups) == stats
+            assert stats == replace(solves[0], sieve_rounds=rounds, working_set_groups=groups)
 
     def test_a_working_set_missing_a_true_group_grows(self, monkeypatch):
         # stage 1's problem, started from the true support less one group

@@ -165,8 +165,10 @@ class TestWeights:
             assert np.all(lhs >= rhs - 1e-9)
 
     def test_rejects_negative(self):
-        with pytest.raises(ValueError):
-            weight_from_subgradient(PhiSpec(), -1.0)
+        # np.any(s < 0) is False for NaN, which came back as a NaN weight
+        for s in (-1.0, np.nan, [0.5, np.nan]):
+            with pytest.raises(ValueError, match="s must be nonnegative"):
+                weight_from_subgradient(PhiSpec(), s)
 
     def test_scad_matches_piecewise_rule(self):
         # w = 0 below the first kink, affine ramp, then 1
@@ -196,5 +198,6 @@ class TestTheta:
         assert theta_eval(spec, s) == pytest.approx(s * (1 - c.t_star), rel=1e-6)
 
     def test_rejects_negative(self):
-        with pytest.raises(ValueError):
-            theta_eval(PhiSpec(), -0.1)
+        for s in (-0.1, np.nan, [0.5, np.nan]):
+            with pytest.raises(ValueError, match="s must be nonnegative"):
+                theta_eval(PhiSpec(), s)

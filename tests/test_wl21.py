@@ -17,7 +17,6 @@ from gsreg.wl21 import (
     _soft_threshold,
     abcd_solve,
     alm_solve,
-    dual_objective,
     eta_update,
     gen_hessian_apply,
     lagrangian_value,
@@ -175,15 +174,14 @@ class TestReducedFunction:
         y = spec.A.T @ xi + state.x / state.sigma
         f, prox = _psi(xi, y, state.sigma, spec.box.R / state.sigma, spec)
         assert np.allclose(x_new, state.sigma * prox.s, rtol=0, atol=1e-12 * np.linalg.norm(x_new))
-        blocks = DualState(eta, xi, zeta, state.x, state.sigma)
-        L = lagrangian_value(blocks, spec)
+        L = lagrangian_value(xi, eta, zeta, state, spec)
         assert L + state.x @ state.x / (2 * state.sigma) == pytest.approx(f, rel=1e-12)
         assert np.all(group_norms(zeta, spec.g) <= spec.omega * (1 + 1e-12))
         for _ in range(200):
-            blocks.eta = eta + 1e-3 * rng.standard_normal(spec.p)
-            blocks.zeta = project_group_balls(zeta + 1e-3 * rng.standard_normal(spec.p),
-                                              spec.g, spec.omega)
-            assert lagrangian_value(blocks, spec) >= L - 1e-10 * abs(L)
+            eta_near = eta + 1e-3 * rng.standard_normal(spec.p)
+            zeta_near = project_group_balls(zeta + 1e-3 * rng.standard_normal(spec.p),
+                                            spec.g, spec.omega)
+            assert lagrangian_value(xi, eta_near, zeta_near, state, spec) >= L - 1e-10 * abs(L)
 
     @pytest.mark.parametrize("sigma", [1.0, 1e3])
     @pytest.mark.parametrize("R", [1e-2, 1.0, 1e2])
@@ -226,13 +224,13 @@ class TestReducedFunction:
     def test_eta_update_minimizes_lagrangian_block(self, rng):
         spec = random_subproblem(6)
         state = DualState.cold(spec, 1.0)
-        state.xi = rng.standard_normal(spec.n)
-        state.zeta = 0.1 * rng.standard_normal(spec.p)
+        xi = rng.standard_normal(spec.n)
+        zeta = 0.1 * rng.standard_normal(spec.p)
         state.x = rng.standard_normal(spec.p)
-        eta = eta_update(state, spec)
+        eta = eta_update(xi, zeta, state, spec)
 
         def block_obj(e):
-            r = spec.A.T @ state.xi + e - state.zeta
+            r = spec.A.T @ xi + e - zeta
             return spec.box.R * np.abs(e).sum() + state.x @ r + 0.5 * state.sigma * (r @ r)
 
         best = block_obj(eta)
@@ -421,13 +419,17 @@ class TestAlm:
 
     def test_multiplier_update_identity(self, monkeypatch):
         # from a cold start at sigma_0 = 1, one outer step gives
-        # x^1 = sigma_0 (A^T xi + eta - zeta)
+        # x^1 = sigma_0 (A^T xi + eta - zeta), with the blocks abcd_solve returns
         spec = random_subproblem(10)
         monkeypatch.setattr(wl21, "_MAX_OUTER", 1)
+        returned = []
+        abcd = wl21.abcd_solve
+        monkeypatch.setattr(wl21, "abcd_solve", lambda *a: returned.append(abcd(*a)) or returned[-1])
         _, state, stats = alm_solve(spec, AlmConfig(tol=0.0))
-        assert stats.history[0]["sigma"] == 1.0
-        resid = spec.A.T @ state.xi + state.eta - state.zeta
-        assert np.array_equal(state.x, resid)
+        assert stats.history[0]["sigma"] == 1.0 and len(returned) == 1
+        eta, xi, zeta, x_new, _ = returned[0]
+        assert np.array_equal(state.xi, xi) and np.array_equal(state.x, x_new)
+        assert np.array_equal(state.x, spec.A.T @ xi + eta - zeta)
 
     def test_feasibility_and_gap_reported(self):
         spec = random_subproblem(11)
@@ -437,11 +439,12 @@ class TestAlm:
         assert len(stats.history) == stats.outer_iters
 
     def test_strong_duality_at_solution(self):
+        # eps_gap is |P + D| / (1 + |P|), P the objective at the returned x and
+        # D the dual value at the last outer iteration's blocks
         spec = random_subproblem(12)
-        x, state, _ = alm_solve(spec, AlmConfig(tol=1e-8))
-        assert primal_objective(x, spec) + dual_objective(state, spec) == pytest.approx(
-            0.0, abs=1e-6
-        )
+        x, _, stats = alm_solve(spec, AlmConfig(tol=1e-8))
+        pobj = primal_objective(x, spec)
+        assert stats.eps_gap * (1.0 + abs(pobj)) == pytest.approx(0.0, abs=1e-6)
 
     def test_zero_weights_reduce_to_least_squares(self, rng):
         # omega = 0: the subproblem is box-constrained LS with inactive box
@@ -720,8 +723,7 @@ class TestAlm:
         _, warm, _ = alm_solve(spec, AlmConfig(tol=1e-6))
         free = SubproblemSpec(A=spec.A, b=spec.b, g=spec.g, omega=np.zeros(spec.g.m),
                               box=spec.box)
-        low = warm.copy()
-        low.sigma = 0.5
+        low = DualState(warm.xi, warm.x, 0.5)
         monkeypatch.setattr(wl21, "_MAX_OUTER", 3)
         for start, expected in ((warm, warm.sigma), (low, 1.0)):
             with warnings.catch_warnings():
@@ -759,10 +761,10 @@ class TestAlm:
         b = A @ np.full(p, 5.0)
         g = contiguous_groups(p, 4)
         spec = SubproblemSpec(A=A, b=b, g=g, omega=np.full(4, 0.01), box=BoxConstraint(1.0))
-        x, state, stats = alm_solve(spec, AlmConfig(tol=1e-8))
+        x, _, stats = alm_solve(spec, AlmConfig(tol=1e-8))
         assert stats.converged and stats.outer_iters <= 10
         assert np.max(np.abs(x)) <= 1.0 + 1e-8
-        assert np.any(state.eta)  # the box binds
+        assert np.any(np.abs(x) == 1.0)  # the box binds
         # compare against projected gradient on the box-constrained problem
         x_pg = np.zeros(p)
         L = np.linalg.svd(A, compute_uv=False)[0] ** 2
@@ -794,9 +796,8 @@ class TestElimination:
         x_ref, _ = fista_reference(spec, grad_map_tol=1e-10)
         p_x = primal_objective(x, spec)
         assert abs(p_x - primal_objective(x_ref, spec)) <= stats.cert_gap * p_x
-        # the multiplier on the eliminated columns is -x_F, with no dual blocks there
+        # the multiplier on the eliminated columns is -x_F
         assert np.array_equal(state.x[cols_F], -x[cols_F])
-        assert not state.eta[cols_F].any() and not state.zeta[cols_F].any()
         # x_F minimizes over F exactly: A_F^T (Ax - b) = 0 up to rounding
         r = spec.A @ x - spec.b
         assert np.linalg.norm(spec.A[:, cols_F].T @ r) <= 1e-10 * np.linalg.norm(spec.b)
@@ -923,8 +924,9 @@ class TestElimination:
         omega[0] = 0.0
         spec = SubproblemSpec(A=A, b=A @ x_true, g=g, omega=omega, box=BoxConstraint(1.0))
         cfg = AlmConfig(tol=1e-8)
-        x, state, stats = alm_solve(spec, cfg)
-        assert stats.converged and stats.eliminated_columns == 4 and np.any(state.eta)
+        x, _, stats = alm_solve(spec, cfg)
+        assert stats.converged and stats.eliminated_columns == 4
+        assert np.any(np.abs(x) == 1.0)  # the box binds
         assert stats.cert_gap > cfg.tol
         assert max(stats.eps_pinf, stats.eps_dinf, stats.eps_gap) <= cfg.tol
         assert np.allclose(x[:4], 0.5, rtol=0, atol=1e-12)
@@ -939,9 +941,9 @@ class TestElimination:
         omega = np.full(5, 0.01)
         omega[0] = 0.0
         spec = SubproblemSpec(A=A, b=b, g=g, omega=omega, box=BoxConstraint(1.0))
-        x, state, stats = alm_solve(spec, AlmConfig(tol=1e-8))
+        x, _, stats = alm_solve(spec, AlmConfig(tol=1e-8))
         assert stats.converged and stats.eliminated_columns == 0 and stats.cert_gap is None
-        assert np.max(np.abs(x)) <= 1.0 and np.any(state.eta)  # the box binds
+        assert np.max(np.abs(x)) <= 1.0 and np.any(np.abs(x) == 1.0)  # the box binds
 
 
 class TestAbcd:
@@ -987,20 +989,26 @@ class TestRestrict:
         spec = random_subproblem(5)
         mask = np.zeros(spec.g.m, dtype=bool)
         mask[[0, 9]] = True
-        cols, sub = spec.restrict(mask)
-        state = DualState(*(rng.standard_normal(k) for k in (spec.p, spec.n, spec.p, spec.p)),
-                          sigma=3.0)
+        cols, _ = spec.restrict(mask)
+        state = DualState(rng.standard_normal(spec.n), rng.standard_normal(spec.p), sigma=3.0)
         small = state.restrict(cols)
-        assert small.x.shape == (sub.p,) and small.sigma == 3.0
+        assert np.array_equal(small.x, state.x[cols]) and small.sigma == 3.0
         back = small.lifted(cols, spec.p)
         off = np.ones(spec.p, dtype=bool)
         off[cols] = False
-        for before, after in ((state.eta, back.eta), (state.zeta, back.zeta), (state.x, back.x)):
-            assert np.array_equal(after[cols], before[cols]) and not after[off].any()
+        assert np.array_equal(back.x[cols], state.x[cols]) and not back.x[off].any()
         assert np.array_equal(back.xi, state.xi) and back.sigma == 3.0
 
 
 class TestSpecValidation:
+    @pytest.mark.parametrize("tol", [np.nan, -1e-6, np.inf], ids=["nan", "negative", "inf"])
+    def test_alm_config_rejects_a_tol_that_cannot_stop_a_solve(self, tol):
+        # a NaN or negative tol ran all _MAX_OUTER outer iterations to
+        # max_outer, and an infinite one reported converged after one
+        with pytest.raises(ValueError, match="tol must be finite and nonnegative"):
+            AlmConfig(tol=tol)
+        assert AlmConfig(tol=0.0).tol == 0.0
+
     def test_dimension_checks(self, rng):
         A = rng.standard_normal((5, 6))
         g = contiguous_groups(6, 2)
