@@ -157,6 +157,8 @@ def _solve_one(inst: Instance, cfg: MscraConfig):
         "sncg_early": sum(t.inner_stats.sncg_early for t in result.traces),
         "sncg_decrement": sum(t.inner_stats.sncg_decrement for t in result.traces),
         "sncg_certified": sum(t.inner_stats.sncg_certified for t in result.traces),
+        # steps of the primal Newton tried first on narrow subproblems
+        "primal_steps": sum(t.inner_stats.primal_steps for t in result.traces),
         # the largest certified gap over its stage's tolerance; None (an empty
         # cell) where no stage computed a certificate
         "max_cert_ratio": max((t.inner_stats.cert_gap / t.tol for t in result.traces
@@ -172,7 +174,7 @@ def _solve_one(inst: Instance, cfg: MscraConfig):
 
 
 _BENCH_KEYS = ("relerr", "group_sparsity", "time", "stages", "exact_support", "inner_failures",
-               "sncg_unmet", "sncg_early", "sncg_decrement", "sncg_certified")
+               "sncg_unmet", "sncg_early", "sncg_decrement", "sncg_certified", "primal_steps")
 _BENCH_FIELDS = ["signal", "beta", "n", "rep", "seed", "plan_hash", "error"] + [
     f"{mode}_{key}" for mode in ("gep", "stage1") for key in _BENCH_KEYS]
 _AGG_KEYS = {"relerr": "mean_relerr", "time": "mean_time", "group_sparsity": "mean_sparsity"}

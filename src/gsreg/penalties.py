@@ -85,8 +85,10 @@ def _varphi(spec: PhiSpec, t):
 
 
 def phi_eval(spec: PhiSpec, t):
-    """Normalized penalty ``phi(t) = varphi(t) / varphi(1)``."""
+    """Normalized penalty ``phi(t) = varphi(t) / varphi(1)`` for ``t >= 0``."""
     t_arr = np.asarray(t, dtype=float)
+    if not np.all(t_arr >= 0):  # NaN fails it too
+        raise ValueError("t must be nonnegative")
     if spec.family == LQ and np.any(t_arr > 1.0 + spec.eps):
         raise ValueError(f"t outside dom phi: lq requires t <= 1 + eps = {1.0 + spec.eps}")
     out = _varphi(spec, t_arr) / varphi_one(spec)
@@ -126,8 +128,10 @@ def _conjugate_argmax(spec: PhiSpec, s):
 
 
 def psi_star_eval(spec: PhiSpec, s):
-    """Closed-form conjugate of phi restricted to [0, 1]."""
+    """Closed-form conjugate of phi restricted to [0, 1], at any ``s`` but NaN."""
     s_arr = np.asarray(s, dtype=float)
+    if not np.all(s_arr >= -np.inf):  # NaN fails it
+        raise ValueError("s must not be NaN")
     t = _conjugate_argmax(spec, s_arr)
     out = s_arr * t - _varphi(spec, t) / varphi_one(spec)
     return float(out) if np.isscalar(s) or s_arr.ndim == 0 else out

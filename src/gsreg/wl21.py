@@ -30,6 +30,14 @@ certified duality gap, the gap-safe dual scaling of Ndiaye, Fercoq,
 Gramfort & Salmon (JMLR 2017) applied to the residual and, on an
 eliminated problem, to the ALM's own dual point.
 
+A narrow problem (p <= n) whose weights are all positive, as the
+working sets of the multi-stage loop are once their unpenalized columns
+are eliminated, is first solved in the primal: an active-set Newton
+method on the groups it keeps nonzero, with the Hessian read from the
+kept Gram (:func:`_primal_newton`).  Its point is taken only where it
+lies in the box and its certified gap meets the tolerance; otherwise the
+ALM runs from the same warm state, as if it had not been tried.
+
 The Newton matrix is ``I + sigma B B^T`` with ``B = A_J E``: ``A_J`` the
 columns of the active groups and ``E`` a small block-structured factor of
 the prox Jacobian.  When ``B`` has fewer columns than ``A`` has rows, the
@@ -230,6 +238,11 @@ class SolveStats:
     sncg_nn_systems: int = 0
     sncg_woodbury_systems: int = 0
     sncg_max_r: int = 0
+    # accepted steps and Armijo halvings of the primal Newton that alm_solve
+    # tries first on a narrow problem whose weights are all positive, counted
+    # also where it falls back to the ALM (see _primal_newton)
+    primal_steps: int = 0
+    primal_backtracks: int = 0
     # products with A or A^T over all p columns, and, in a stage solved on a
     # working set of groups, products with its A_W (see mscra.solve_stage)
     dense_products: int = 0
@@ -589,78 +602,45 @@ def sncg_solve(state: DualState, spec: SubproblemSpec, grad_tol: float, max_iter
 
     The reduced function is the augmented Lagrangian minimized over
     (eta, zeta): ``||xi||^2/2 + b^T xi`` plus a Moreau envelope of the
-    conjugate of ``p`` at ``y = A^T xi + x/sigma``, whose gradient
-    ``b + xi + A x+`` needs ``x+ = prox_{sigma p}(sigma y)``, computed as
-    ``sigma`` times the prox at ``y`` for the box radius ``R/sigma``.
-    Each Newton direction solves the generalized Hessian system exactly
-    (:func:`newton_direction`); steps are accepted under an Armijo
-    backtracking rule that allows for the rounding error of the function
-    values it compares.  ``y`` moves with ``xi`` along ``A^T d``, so a
-    trial step needs no product with ``A^T``, and the prox of the
-    accepted trial goes on to the next Newton system.  A trial whose soft
-    threshold leaves the box is first held to a lower bound on its
-    function value (:func:`_psi_floor`): the sigma term of the function is
-    a maximum over the box, so the clipped soft threshold, a point of the
-    box, bounds it from below.  When that bound, less a rounding margin,
-    is above the Armijo bound, the trial is refused without its exact
-    prox, sparing the box roots that prox solves (:func:`prox_group_box`).
-    The refusal counts as one backtrack and halves the step, as any other
-    does, so the iterates and counts are those of evaluating every trial
-    exactly.
+    conjugate of ``p`` at ``y = A^T xi + x/sigma`` (:func:`_psi`).  Its
+    gradient is ``b + xi + sigma A s``, ``s`` the prox at ``y`` for the box
+    radius ``R/sigma``, and ``sigma s - x`` is the multiplier step
+    :func:`abcd_solve` takes from there.  Each Newton direction solves the
+    generalized Hessian system exactly (:func:`newton_direction`), with
+    steepest descent where it gives no descent (a fallback); steps take an
+    Armijo line search that allows for the rounding of the values it
+    compares, and a trial refused on the lower bound :func:`_psi_floor`
+    counts as a backtrack, as an exact refusal would.
 
-    With ``s`` the prox at the current point, ``sigma s - x`` is the
-    multiplier step :func:`abcd_solve` takes from there.  The loop has
-    three exits that meet a target.  Before each Newton system it tests
-    two of them:
+    Exits, tested before each Newton system in this order:
 
-    - ``met``: the gradient target ``grad_tol``;
-    - ``early``: SSNAL's criterion (B) (Li, Sun & Toh, SIAM J. Optim.
-      2018, §3) on the gradient,
-      ``||grad|| <= delta / sqrt(sigma) * ||sigma s - x||``.
+    - ``met``: ``||grad|| <= grad_tol``;
+    - ``early``: SSNAL's criterion (B) on the gradient,
+      ``||grad|| <= delta / sqrt(sigma) * ||sigma s - x||``;
+    - ``certified`` (with ``certify`` only): ``||grad|| <= tol (1 + ||b||)``
+      and the point ``x = -sigma s`` has a certified gap
+      (:func:`_relative_gap`) of at most ``tol`` against ``xi`` scaled into
+      the group balls (:func:`_scaled_dual`), at no product with ``A``.
 
-    After the Newton system it tests the third, ``decrement``: criterion
-    (B) as Rockafellar (Math. Oper. Res. 1976) states it, on the gap
-    ``psi - inf psi <= delta^2 ||sigma s - x||^2 / (2 sigma)``, with the
-    gap taken as that of the Newton model, ``-grad^T d / 2``.  When it
-    holds, the call takes that step, with its line search, and returns,
-    unless the step leaves a multiplier step of at most ``tol * sigma``.
-    There :func:`alm_solve` would find its ``eps_dinf`` at most ``tol``
-    and might stop and return this call's point, which the ALM's own
-    test, measuring the gradient against ``1 + ||b||``, does not make
-    accurate.  So the call runs on to one of the other two exits, and, up
-    to rounding, no ALM solve stops on a call that ended at the
-    decrement.  The gradient form bounds the gap by ``||grad||^2 / 2``,
-    which overstates it by up to the condition number of the Newton
-    matrix (about ``sigma ||A_J||^2``), so at a large sigma the decrement
-    form ends a call steps sooner.  ``delta = 0`` turns both forms of (B)
-    off.
-
-    With ``certify``, a fourth exit, ``certified``, is tested before each
-    Newton system after the other two, where ``||grad|| <= tol (1 + ||b||)``,
-    so that :func:`alm_solve`'s ``eps_pinf`` would pass: the call returns
-    once the point it would hand back, ``x = -sigma s``, has a certified
-    gap (:func:`_relative_gap`) of at most ``tol`` against the dual point
-    ``xi`` scaled into the group balls (:func:`_scaled_dual`).  That costs
-    no product with ``A``: the residual ``Ax - b`` is ``xi - grad``, and
-    ``A^T xi`` is ``y - x/sigma``.  Otherwise the loop ends after
-    ``max_iter`` steps, or at a stall: an accepted step that lowers
-    neither the function nor the gradient norm, which means ``grad_tol``
-    lies below the rounding floor, or a line search that refuses every
-    trial step, which leaves xi where it was.  A call that ends so is
+    After a Newton system, ``decrement``: criterion (B) on the Newton
+    decrement, ``-grad^T d <= (delta / sqrt(sigma) * ||sigma s - x||)^2``;
+    the call takes that step and returns, unless the step leaves a
+    multiplier step of at most ``tol * sigma``, where :func:`alm_solve`
+    could stop on this point.  ``delta = 0`` turns both forms of (B) off.
+    Otherwise the call ends after ``max_iter`` steps, or at a stall: an
+    accepted step that lowers neither the function nor the gradient norm,
+    or a line search that refuses every trial.  A call that ends so is
     counted at ``met``, ``early`` or ``certified`` when its last point
     meets one of them.
 
-    ``At_xi0``, when given, is ``A^T xi0``, so that the start costs no
-    product with ``A^T``.  The gradient takes one product ``A s`` at the
-    start and one at each accepted point.  Each Newton step makes one
-    more, ``A^T d``, and two more when its system is solved on the Gram
-    of a narrow instance (:func:`newton_direction`).  ``stats`` gets them
-    all as ``dense_products``, each Newton system as :func:`newton_direction`
-    counts it, this call's steps, backtracks, fallbacks and stalls, one
-    ``sncg_early``, ``sncg_decrement`` or ``sncg_certified`` for the exit
-    of that name, and one ``sncg_unmet`` if it met no exit.  Returns the
-    final xi and this call's record; its ``met``, ``early``,
-    ``decrement`` and ``certified`` say which exit ended the call, if any.
+    ``At_xi0``, when given, is ``A^T xi0`` and spares that product.
+    ``stats`` gets every product with ``A`` as ``dense_products`` (``A s``
+    at the start and at each accepted point, ``A^T d`` per step, and those
+    of :func:`newton_direction`), this call's steps, backtracks, fallbacks
+    and stalls, one ``sncg_early``, ``sncg_decrement`` or ``sncg_certified``
+    for its exit, and one ``sncg_unmet`` if it met none.  Returns the final
+    xi and this call's record, whose ``met``, ``early``, ``decrement`` and
+    ``certified`` say which exit ended it.
     """
     xi = np.zeros(spec.n) if xi0 is None else np.asarray(xi0, dtype=float).copy()
     # this call's record: alm_solve reads iters, backtracks, stalls, gnorm
@@ -915,7 +895,11 @@ def alm_solve(spec: SubproblemSpec, cfg: AlmConfig | None = None,
     form, with no outer iteration (:func:`_least_squares`).  A problem
     with no unpenalized group, or whose ``F`` holds n columns or more, has
     a rank-deficient ``A_F``, or gives an ``x_F`` outside the box, is
-    solved as given.
+    solved as given.  A narrow problem (p <= n, after the elimination)
+    whose weights are all positive is first solved in the primal
+    (:func:`_primal_newton`), whose point is returned only where it lies
+    in the box with a certified gap of at most ``cfg.tol``; otherwise the
+    ALM below runs from the same warm state.
 
     Each outer iteration k minimizes the augmented Lagrangian with one
     :func:`abcd_solve` call, whose SNCG call takes at most
@@ -974,7 +958,8 @@ def alm_solve(spec: SubproblemSpec, cfg: AlmConfig | None = None,
     eliminated problem) and its transpose of the SNCG calls, the exact
     ``A^T xi`` and the residual ``A x`` of each outer iteration, the
     ``A^T r`` of each certified gap and, from a warm state, the one of
-    :func:`_ball_scale`.  The products that compute a Gram, the QR of
+    :func:`_ball_scale`, and those of the primal attempt.  The products
+    that compute a Gram, the QR of
     ``A_F`` and ``Q^T A_P`` are not counted, nor are those of the
     closed-form least squares.
     """
@@ -1117,9 +1102,175 @@ def _warm_sigma(warm: DualState, spec: SubproblemSpec) -> float:
     return min(sigma, _SIGMA_MAX)
 
 
+# the primal Newton of _primal_newton takes at most _PRIMAL_MAX_ITER steps;
+# it is at its rounding floor where a full step on an unchanged set left a
+# Newton decrement within the rounding of F above _PRIMAL_STALL times its
+# value before
+_PRIMAL_MAX_ITER = 30
+_PRIMAL_STALL = 0.5
+
+
+def _primal_newton(spec: SubproblemSpec, tol: float, warm: DualState | None, stats: SolveStats):
+    """:func:`alm_solve` by a Newton method in the primal, or None for the ALM.
+
+    ``spec`` is narrow (p <= n) with every weight positive.  With its Gram
+    ``G`` (:meth:`SubproblemSpec.gram`) and ``c = A^T b``, the objective is,
+    up to a constant and the factor 1/n, ``F(x) = x^T G x / 2 - c^T x +
+    sum_i omega_i ||x_i||``, the box left out.  The start is the warm
+    multiplier's ``-x``, or, cold, the least squares on the groups with
+    ``||c_i|| > omega_i``, those that break the KKT conditions at 0.  Each
+    iteration, with ``q = c - G x``:
+
+    - drops every kept group (``x_i != 0``) with
+      ``||q_i + G_ii x_i|| <= omega_i``, where 0 minimizes ``F`` over it
+      with the rest fixed;
+    - adds every other group with ``||q_i|| > omega_i``, moving them
+      together along the block soft threshold of ``q`` on them to the
+      minimum of ``F`` on that line;
+    - solves ``H d = -grad F`` on the kept groups ``K``, with
+      ``H = G_KK + blockdiag(omega_i/||x_i|| (I - u_i u_i^T))`` and
+      ``u_i = x_i/||x_i||``, and steps along ``d`` under the Armijo rule of
+      :func:`sncg_solve`; a trial stops at 0 each group it would turn back
+      through 0.
+
+    The loop ends at the rounding floor, where the set is unchanged and
+    the step's length in the norm of ``H``, ``sqrt(-grad^T d)``, is at
+    most ``_ROUNDING_SLACK`` times the square root of ``n`` times the stage
+    objective, or the last full step left the decrement ``-grad^T d``
+    above ``_PRIMAL_STALL`` times its value before and within the rounding
+    slack of ``F``; or where the line search or the descent test fails, or
+    after ``_PRIMAL_MAX_ITER`` steps.
+
+    Its point is returned only where it is finite, lies in the box and has
+    a certified gap (:func:`_relative_gap`) of at most ``tol`` against the
+    residual ``r = Ax - b`` scaled into the group balls (:func:`_scaled_dual`),
+    with the state ``(r, -x, sigma)`` of :func:`_least_squares`; a system
+    ``np.linalg.solve`` finds singular gives None.  ``stats`` gets the
+    steps and halvings as ``primal_steps`` and ``primal_backtracks``, and
+    the products ``A^T b``, ``Ax - b`` and ``A^T r`` as
+    ``dense_products``, whether or not the point is returned; a returned
+    point reports ``eps_pinf`` and ``eps_dinf`` 0, since ``xi = r`` exactly.
+    """
+    A, b, g, omega = spec.A, spec.b, spec.g, spec.omega
+    G = spec.gram()
+    c = A.T @ b
+    stats.dense_products += 1
+    gid = g.group_id
+    # the diagonal blocks G_ii of the Gram, 0 off them
+    G_blocks = np.where(gid[:, None] == gid, G, 0.0)
+    bb = b @ b
+    # a non-finite value anywhere fails the certificate below
+    with np.errstate(all="ignore"):
+        try:
+            if warm is not None:
+                x = -warm.x
+            else:
+                cols, _, _ = g.segments(np.sqrt(g.segment_sum(c * c)) > omega)
+                x = np.zeros(spec.p)
+                x[cols] = np.linalg.solve(G[cols][:, cols], c[cols])
+            last = np.inf
+            for _ in range(_PRIMAL_MAX_ITER):
+                q = c - G @ x
+                kept = g.segment_sum(x * x) > 0
+                v = q + G_blocks @ x
+                drop = kept & (np.sqrt(g.segment_sum(v * v)) <= omega)
+                x[(drop | ~kept)[gid]] = 0.0
+                kept &= ~drop
+                if np.logical_or.reduce(drop):
+                    q = c - G @ x
+                qn = np.sqrt(g.segment_sum(q * q))
+                add = ~kept & (qn > omega)
+                if np.logical_or.reduce(add):
+                    # the block soft threshold s of q on the added groups: F
+                    # falls along it at the rate sum_i (||q_i|| - omega_i)^2
+                    # with the curvature s^T G s
+                    s = q * np.where(add, 1.0 - omega / qn, 0.0)[gid]
+                    Gs = G @ s
+                    t = float(np.add.reduce((qn - omega)[add] ** 2)) / (s @ Gs)
+                    x += t * s
+                    q -= t * Gs
+                    kept |= add
+                changed = np.logical_or.reduce(drop | add)
+                cols, starts, seg = g.segments(kept)
+                if not cols.size:
+                    break
+                xk, qk, wk = x[cols], q[cols], omega[kept]
+                nk = np.sqrt(np.add.reduceat(xk * xk, starts))
+                scale = (wk / nk)[seg]
+                u = xk / nk[seg]
+                grad = scale * xk - qk
+                G_KK = G[cols][:, cols]
+                H = np.where(seg[:, None] == seg, -np.multiply.outer(u, u), 0.0)
+                H.ravel()[::cols.size + 1] += 1.0
+                H *= scale[:, None]
+                H += G_KK
+                d = np.linalg.solve(H, -grad)
+                slope = grad @ d
+                if not (slope < 0 and math.isfinite(slope)):
+                    break
+                # F on K; f + bb / 2 is n times the stage objective, nP
+                ck = c[cols]
+                f = wk @ nk - 0.5 * (xk @ (ck + qk))
+                # below slack, a change of F is rounding noise
+                slack = _ROUNDING_SLACK * (abs(f) + 0.5 * bb)
+                # at the rounding floor: d, whose length in the norm of H is
+                # sqrt(-slope), is at most _ROUNDING_SLACK sqrt(nP), or the
+                # last full step left a decrement F cannot see unshrunk
+                if not changed and (-slope <= _ROUNDING_SLACK**2 * (f + 0.5 * bb)
+                                    or slack >= -slope > _PRIMAL_STALL * last):
+                    break
+                alpha = 1.0
+                for _ in range(_MAX_BACKTRACKS + 1):
+                    trial = xk + alpha * d
+                    # a group the step turns back through 0 stops at 0
+                    back = (np.add.reduceat(xk * trial, starts) <= 0)[seg]
+                    trial[back] = 0.0
+                    f_new = (trial @ (0.5 * (G_KK @ trial) - ck)
+                             + wk @ np.sqrt(np.add.reduceat(trial * trial, starts)))
+                    if f_new <= f + _ARMIJO_MU * alpha * slope + slack:
+                        break
+                    alpha *= _ARMIJO_SHRINK
+                    stats.primal_backtracks += 1
+                else:
+                    break
+                x[cols] = trial
+                stats.primal_steps += 1
+                # the decrement a full step on an unchanged set must shrink
+                full = alpha == 1.0 and not changed and not np.logical_or.reduce(back)
+                last = -slope if full else np.inf
+        except np.linalg.LinAlgError:
+            return None
+        # a NaN fails the test, as a point outside the box does
+        if not np.maximum.reduce(np.abs(x)) <= spec.box.R:
+            return None
+        r = A @ x - b
+        stats.dense_products += 2
+        pobj = _objective(x, r, spec)
+        gap = _relative_gap(pobj, _scaled_dual(r, A.T @ r, spec))
+    if not gap <= tol:
+        return None
+    sigma = _SIGMA_START if warm is None else max(warm.sigma, _SIGMA_START)
+    stats.converged, stats.stop_cause = True, "converged"
+    stats.eps_pinf = stats.eps_dinf = 0.0
+    stats.eps_gap = abs(pobj + (0.5 * (r @ r) + b @ r) / spec.n) / (1.0 + abs(pobj))
+    stats.cert_gap = gap
+    return x, DualState(r, -x, sigma), stats
+
+
 def _alm(spec: SubproblemSpec, tol: float, warm: DualState | None, certify: bool = False):
-    """The ALM loop of :func:`alm_solve` on ``spec`` as given; ``certify`` on an eliminated problem."""
+    """The ALM loop of :func:`alm_solve` on ``spec`` as given; ``certify`` on an eliminated problem.
+
+    A narrow problem whose weights are all positive is first tried by
+    :func:`_primal_newton`; where that returns None the ALM runs as if it
+    had not been tried, but for the counts it adds to the stats.
+    """
     stats = SolveStats()
+    # a problem left with an unpenalized group stops on the residuals alone
+    penalized = bool(np.logical_and.reduce(spec.omega > 0))
+    if penalized and spec.p <= spec.n:
+        solved = _primal_newton(spec, tol, warm, stats)
+        if solved is not None:
+            return solved
     if warm is not None:
         state = DualState(warm.xi * _ball_scale(spec.A.T @ warm.xi, spec), warm.x,
                           _warm_sigma(warm, spec))
@@ -1137,8 +1288,6 @@ def _alm(spec: SubproblemSpec, tol: float, warm: DualState | None, certify: bool
     # its meaning
     sncg_tol = 1e-11 * bnorm
     eps_dinf_prev = np.inf
-    # a problem left with an unpenalized group stops on the residuals alone
-    penalized = bool(np.logical_and.reduce(spec.omega > 0))
     stuck = 0  # outer iterations in a row that left xi where it was
     stats.stop_cause = "max_outer"
     for j in range(_MAX_OUTER):

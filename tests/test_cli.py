@@ -118,7 +118,8 @@ class TestSolve:
             inner = [json.loads(line)["inner"] for line in fh]
         with open(tmp_path / "run" / "summary.csv") as fh:
             row = next(csv.DictReader(fh))
-        for key in ("sncg_unmet", "sncg_early", "sncg_decrement", "sncg_certified"):
+        for key in ("sncg_unmet", "sncg_early", "sncg_decrement", "sncg_certified",
+                    "primal_steps"):
             assert int(row[key]) == sum(s[key] for s in inner)
         assert int(row["sncg_early"]) > 0 and int(row["sncg_decrement"]) > 0
 
@@ -132,7 +133,7 @@ class TestSolve:
                      "--out", str(tmp_path / "cell_run")]) == 1
         with open(tmp_path / "cell_run" / "summary.csv") as fh:
             cell = next(csv.DictReader(fh))
-        keys = ("sncg_unmet", "sncg_early", "sncg_decrement", "sncg_certified")
+        keys = ("sncg_unmet", "sncg_early", "sncg_decrement", "sncg_certified", "primal_steps")
         assert [bench[f"gep_{key}"] for key in keys] == [cell[key] for key in keys]
         assert int(bench["stage1_sncg_early"]) > 0 and bench["stage1_sncg_unmet"] != ""
 

@@ -342,23 +342,52 @@ class TestExactSupport:
 
 class TestWarmStart:
     @pytest.mark.parametrize("seed", [7000, 7001])
-    def test_stage_two_starts_near_the_stage_one_support(self, seed):
-        # the weights fall by about 2/||G(x^1)||_inf after stage 1; from the
-        # unscaled stage-1 xi most groups started active, and the first SNCG
-        # call of stage 2 took 12 (seed 7000) and 16 (seed 7001) Newton steps
+    def test_stage_two_starts_near_the_stage_one_support(self, seed, monkeypatch):
+        # the weights fall by about 2/||G(x^1)||_inf after stage 1.  Stage 2's
+        # working set is narrow, so the primal Newton solves it from the
+        # stage-1 state, in 4 (seed 7000) and 6 (seed 7001) steps.  The ALM
+        # keeps its own bound from the same state: from the unscaled stage-1
+        # xi most groups started active, and its first SNCG call took 12
+        # (seed 7000) and 16 (seed 7001) Newton steps
+        from gsreg import wl21
+
         inst = make_instance("I", "i", n=128, p=1024, m=128, r_bar=6, alpha=2.0,
                              theta1=0.1, theta2=0.1, seed=seed)
+        stages = []  # the arguments of each solve_stage call
+        stage = mscra.solve_stage
+        monkeypatch.setattr(mscra, "solve_stage", lambda *args: stages.append(args) or stage(*args))
         res = run(inst.A, inst.b, inst.g, default_box(inst.x_true), MscraConfig())
         assert res.converged and res.stages >= 2
-        assert res.traces[1].inner_stats.history[0]["sncg_iters"] <= 8
+        s = res.traces[1].inner_stats
+        assert (s.sieve_rounds, s.outer_iters, s.sncg_iters) == (1, 0, 0)
+        assert (s.primal_steps, s.primal_backtracks) == {7000: (4, 0), 7001: (6, 1)}[seed], _PINNED_ON
+        assert s.converged and s.cert_gap <= res.traces[1].tol
         err = np.linalg.norm(res.x - inst.x_true) / np.linalg.norm(inst.x_true)
         relerr = {7000: 0.005026759491266874, 7001: 0.0044457004194008}[seed]
         assert err == pytest.approx(relerr, rel=1e-9)
+        monkeypatch.setattr(wl21, "_primal_newton", lambda *args: None)
+        _, _, alm, _ = stage(*stages[1])
+        assert alm.outer_iters > 0 and alm.primal_steps == 0
+        assert alm.history[0]["sncg_iters"] <= 8
 
 
 def _certified(stats) -> int:
     """The outer iterations of a solve that computed a certified duality gap."""
     return sum(h["cert_gap"] is not None for h in stats.history)
+
+
+def _alm_products(stats, warm: bool) -> int:
+    """The products with ``A`` of an ALM solve, as :func:`gsreg.wl21.alm_solve` counts them.
+
+    One ``A^T xi`` for its first SNCG call and, from a warm start, the
+    warm ``xi``'s ball scaling; per outer iteration the gradient's ``A s``
+    at its SNCG start, the exact ``A^T xi`` and the residual's ``A x``; per
+    certified duality gap ``A^T r``; per Newton step ``A^T d`` and the
+    gradient's ``A s`` at the accepted point; and one ``A^T v`` and one
+    ``A u`` per r x r Newton system built from a Gram.
+    """
+    return (2 * stats.sncg_iters + 3 * stats.outer_iters + 2 * stats.sncg_woodbury_systems
+            + _certified(stats) + (stats.outer_iters > 0) * (1 + warm))
 
 
 class TestProductCounts:
@@ -369,28 +398,31 @@ class TestProductCounts:
         # alm_solve makes from it by eliminating the unpenalized columns: per
         # round r = A_W x_W - b and, unless every group of W is unpenalized
         # and the round is a least squares in closed form with no product,
-        # the products of an ALM solve (below) and, from stage 2 on, the warm
-        # xi's ball scaling.  An ALM solve makes one A^T xi for its first SNCG
-        # call; per outer iteration the gradient's A s at its SNCG start, the
-        # exact A^T xi and the residual's A x; per certified duality gap
-        # A^T r; per Newton step A^T d and the gradient's A s at the accepted
-        # point.  A_W has fewer than p/8 = n columns, so each r x r Newton
-        # system is built from its Gram, with one A_W^T v and one A_W u; only
-        # a spec with p <= n ever keeps a Gram
+        # the products of its solve.  A_W has fewer than p/8 = n columns, so
+        # each such round first tries the primal Newton, at A^T b, A x - b
+        # and A^T r (see _alm_products for the ALM's); only a spec with
+        # p <= n ever keeps a Gram
         from gsreg.wl21 import AlmConfig, SubproblemSpec
 
         inst = make_instance("I", "i", n=128, p=1024, m=128, r_bar=6, alpha=2.0,
                              theta1=0.1, theta2=0.1, seed=seed)
         box = default_box(inst.x_true)
         grams = []  # (p <= n, a Gram came back) for each call
-        gram = SubproblemSpec.gram
+        rounds = []  # (the products of each round's solve, its stats, warm or not)
+        gram, alm = SubproblemSpec.gram, mscra.alm_solve
 
         def recording(self):
             G = gram(self)
             grams.append((self.p <= self.n, G is not None))
             return G
 
+        def solving(spec, cfg, warm=None):
+            out = alm(spec, cfg, warm=warm)
+            rounds.append((out[2].dense_products, out[2], warm is not None))
+            return out
+
         monkeypatch.setattr(SubproblemSpec, "gram", recording)
+        monkeypatch.setattr(mscra, "alm_solve", solving)
         res = run(inst.A, inst.b, inst.g, box, MscraConfig())
         monkeypatch.undo()
         assert res.converged and res.stages >= 2
@@ -399,27 +431,70 @@ class TestProductCounts:
         # set is unpenalized, and its one round is solved in closed form
         assert res.traces[1].inner_stats.eliminated_columns > 0
         assert res.traces[-1].inner_stats.closed_form
+        assert len(rounds) == sum(t.inner_stats.sieve_rounds for t in res.traces)
+        for products, s, warm in rounds:
+            # every round not in closed form is certified on the primal path
+            assert s.closed_form or (s.outer_iters == 0 and s.primal_steps > 0)
+            assert products == _alm_products(s, warm) + 3 * (not s.closed_form)
         for t in res.traces:
             s = t.inner_stats
             assert s.sieve_rounds >= 1 and s.dense_products == s.sieve_rounds
-            assert s.sncg_woodbury_systems > 0 or s.closed_form
             # a closed-form stage here has one round, the one so solved
             assert not s.closed_form or s.sieve_rounds == 1
-            solved = s.sieve_rounds - s.closed_form
-            assert s.working_set_products == (2 * s.sncg_iters + 3 * s.outer_iters
-                                              + 2 * s.sncg_woodbury_systems + _certified(s)
-                                              + s.sieve_rounds + (1 + (t.k > 1)) * solved)
+            own = rounds[:s.sieve_rounds]
+            del rounds[:s.sieve_rounds]
+            assert s.working_set_products == sum(products for products, _, _ in own) + s.sieve_rounds
         # stage 1's problem on all groups: the same products, each with all of
-        # A, plus r = Ax - b; the design is wide, so no Newton system uses a Gram
+        # A, plus r = Ax - b; the design is wide, so no Newton system uses a
+        # Gram and the primal Newton is not tried
         n = inst.A.shape[0]
         spec = SubproblemSpec(A=inst.A, b=inst.b, g=inst.g, omega=np.full(inst.g.m, n / res.nu),
                               box=box)
         tol = subproblem_tolerance(None, MscraConfig())
         _, _, s, _ = solve_stage(spec, AlmConfig(tol=tol), None, np.ones(inst.g.m, dtype=bool))
         assert s.sieve_rounds == 0 and s.working_set_groups == inst.g.m
-        assert s.working_set_products == 0
+        assert s.working_set_products == 0 and s.primal_steps == 0
         assert _certified(s) > 0
         assert s.dense_products == 2 * s.sncg_iters + 3 * s.outer_iters + _certified(s) + 2
+
+
+class TestPrimalNewton:
+    @pytest.mark.parametrize("seed", [7000, 7001])
+    def test_narrow_rounds_agree_with_the_alm_within_their_gaps(self, seed, monkeypatch):
+        # every sieve round of this run is narrow (p_W <= n); each one not in
+        # closed form is solved again from the same warm state by the ALM
+        # alone.  Both points are certified within the stage's tol, and with
+        # P(x) - P* >= ||A (x - x*)||^2 / 2n their fits are each within
+        # sqrt(2n gap P) of the optimal one
+        from gsreg import wl21
+        from gsreg.wl21 import primal_objective
+
+        inst = make_instance("I", "i", n=128, p=1024, m=128, r_bar=6, alpha=2.0,
+                             theta1=0.1, theta2=0.1, seed=seed)
+        calls = []
+        alm = mscra.alm_solve
+        monkeypatch.setattr(mscra, "alm_solve",
+                            lambda spec, cfg, warm=None: calls.append((spec, cfg, warm))
+                            or alm(spec, cfg, warm=warm))
+        res = run(inst.A, inst.b, inst.g, default_box(inst.x_true), MscraConfig())
+        monkeypatch.undo()
+        assert res.converged
+        narrow = [(spec, cfg, warm) for spec, cfg, warm in calls
+                  if spec.p <= spec.n and np.logical_or.reduce(spec.omega > 0)]
+        assert len(narrow) >= res.stages - 1
+        for spec, cfg, warm in narrow:
+            x, _, stats = alm(spec, cfg, warm)
+            with monkeypatch.context() as patch:
+                patch.setattr(wl21, "_primal_newton", lambda *args: None)
+                x_alm, _, stats_alm = alm(spec, cfg, warm)
+            assert stats.outer_iters == 0 and stats.primal_steps > 0
+            assert stats_alm.outer_iters > 0 and stats_alm.primal_steps == 0
+            reach = 0.0
+            for z, st in ((x, stats), (x_alm, stats_alm)):
+                assert st.converged and st.cert_gap <= cfg.tol
+                reach += np.sqrt(2 * spec.n * max(st.cert_gap, 0.0) * primal_objective(z, spec))
+            fit = np.linalg.norm(spec.A @ x)
+            assert np.linalg.norm(spec.A @ (x - x_alm)) <= reach + 1e-12 * fit
 
 
 class TestSieve:

@@ -83,6 +83,14 @@ class TestPhiEval:
         with pytest.raises(ValueError, match="dom"):
             phi_eval(spec, 1.5)
 
+    def test_rejects_nan_and_negative(self):
+        # np.any(t > 1 + eps) is False for NaN, which came back as a NaN value,
+        # and varphi extends below 0, where phi(-1) read 0.149 for SCAD
+        for spec in (PhiSpec(), PhiSpec(LQ)):
+            for t in (-1.0, -1e-300, np.nan, [0.5, np.nan], [0.5, -0.5]):
+                with pytest.raises(ValueError, match="t must be nonnegative"):
+                    phi_eval(spec, t)
+
 
 class TestPhiConstants:
     def test_scad_values(self):
@@ -121,6 +129,13 @@ class TestConjugate:
         mid = 0.5 * (v[:-2] + v[2:])
         assert np.all(v[1:-1] <= mid + 1e-10)  # convexity
         assert np.all(np.diff(v) >= -1e-12)  # nondecreasing (argmax t >= 0)
+
+    def test_rejects_nan(self):
+        # the conjugate is defined at every real s, so only NaN is refused
+        for s in (np.nan, [0.5, np.nan]):
+            with pytest.raises(ValueError, match="s must not be NaN"):
+                psi_star_eval(PhiSpec(), s)
+        assert psi_star_eval(PhiSpec(), -1.0) == 0.0
 
     def test_capped_l1_closed_form(self):
         spec = PhiSpec(CAPPED_L1)

@@ -946,6 +946,88 @@ class TestElimination:
         assert np.max(np.abs(x)) <= 1.0 and np.any(np.abs(x) == 1.0)  # the box binds
 
 
+class TestPrimalNewton:
+    @staticmethod
+    def _both_paths(spec, cfg, monkeypatch):
+        """``alm_solve`` as it runs, and with the primal Newton turned off: the ALM alone."""
+        solved = alm_solve(spec, cfg)
+        with monkeypatch.context() as patch:
+            patch.setattr(wl21, "_primal_newton", lambda *args: None)
+            alone = alm_solve(spec, cfg)
+        return solved, alone
+
+    @staticmethod
+    def _assert_fell_back(solved, alone):
+        # the ALM ran as if the primal Newton had not been tried: the same
+        # point, state and path, bit for bit
+        (x, state, stats), (x_alm, state_alm, stats_alm) = solved, alone
+        assert np.array_equal(x, x_alm)
+        assert np.array_equal(state.xi, state_alm.xi) and np.array_equal(state.x, state_alm.x)
+        assert state.sigma == state_alm.sigma
+        assert stats.outer_iters == stats_alm.outer_iters > 0
+        assert stats.history == stats_alm.history
+        assert (stats.converged, stats.cert_gap) == (stats_alm.converged, stats_alm.cert_gap)
+        assert stats_alm.primal_steps == stats_alm.primal_backtracks == 0
+
+    def test_a_narrow_problem_is_certified_on_the_primal_path(self, monkeypatch):
+        spec = random_subproblem(5, n=60, p=30, m=6)
+        cfg = AlmConfig(tol=1e-8)
+        (x, state, stats), (x_alm, _, stats_alm) = self._both_paths(spec, cfg, monkeypatch)
+        assert stats.converged and stats.stop_cause == "converged"
+        assert stats.outer_iters == stats.sncg_iters == 0 and stats.history == []
+        assert stats.primal_steps > 0 and stats.cert_gap <= cfg.tol
+        # A^T b, then Ax - b and A^T r for the certificate
+        assert stats.dense_products == 3
+        assert np.array_equal(state.x, -x)
+        assert np.allclose(state.xi, spec.A @ x - spec.b, rtol=0,
+                           atol=1e-12 * np.linalg.norm(spec.b))
+        # P(x) - P* >= ||A (x - x*)||^2 / 2n bounds how far each point is
+        n = spec.n
+        reach = [np.sqrt(2 * n * st.cert_gap * primal_objective(z, spec))
+                 for z, st in ((x, stats), (x_alm, stats_alm))]
+        assert stats_alm.converged and stats_alm.cert_gap <= cfg.tol
+        assert np.linalg.norm(spec.A @ (x - x_alm)) <= sum(reach)
+
+    def test_a_binding_box_falls_back_to_the_alm(self, monkeypatch):
+        # the unconstrained optimum has entries near 5, outside the box of radius 1
+        spec = random_subproblem(5, n=60, p=30, m=6)
+        spec = SubproblemSpec(A=spec.A, b=spec.A @ np.full(spec.p, 5.0), g=spec.g,
+                              omega=spec.omega, box=BoxConstraint(1.0))
+        solved, alone = self._both_paths(spec, AlmConfig(tol=1e-8), monkeypatch)
+        self._assert_fell_back(solved, alone)
+        assert np.any(np.abs(solved[0]) == 1.0)  # the box binds
+        # the attempt's steps are counted, and its A^T b, but no certificate
+        assert solved[2].primal_steps > 0
+        assert solved[2].dense_products == alone[2].dense_products + 1
+
+    def test_a_rank_deficient_working_set_falls_back_to_the_alm(self, monkeypatch):
+        # a zero column in a group that breaks the KKT conditions at 0: the
+        # cold start's least squares on G_KK meets an exactly zero pivot
+        rng = np.random.default_rng(3)
+        A = rng.standard_normal((40, 12))
+        A[:, 11] = 0.0
+        b = A @ np.r_[np.zeros(8), np.full(4, 2.0)] + 0.1 * rng.standard_normal(40)
+        spec = SubproblemSpec(A=A, b=b, g=contiguous_groups(12, 3), omega=np.full(3, 1.0),
+                              box=BoxConstraint(1e3))
+        raised = []
+        solve = np.linalg.solve
+
+        def recording(M, v):
+            try:
+                return solve(M, v)
+            except np.linalg.LinAlgError:
+                raised.append(M.shape)
+                raise
+
+        monkeypatch.setattr(wl21.np.linalg, "solve", recording)
+        solved, alone = self._both_paths(spec, AlmConfig(tol=1e-8), monkeypatch)
+        assert raised
+        self._assert_fell_back(solved, alone)
+        # the cold start's least squares raised: no step, and only A^T b
+        assert solved[2].primal_steps == 0 and solved[2].converged
+        assert solved[2].dense_products == alone[2].dense_products + 1
+
+
 class TestAbcd:
     def test_stops_at_its_fixed_point(self):
         # from the xi it returned, with the same multiplier, a second call
