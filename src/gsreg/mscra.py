@@ -271,7 +271,7 @@ def solve_stage(spec: SubproblemSpec, cfg: AlmConfig, warm: DualState | None, st
     ``converged`` and ``stop_cause``; ``sieve_rounds`` counts its solves
     on a working set, and ``working_set_groups`` is the size of the last
     one, or m when the stage ended on all groups.  The products with
-    ``A_W`` (or with the ``A'`` :func:`alm_solve` makes from it by
+    ``A_W`` (or with the design :func:`alm_solve` reduces it to by
     eliminating the unpenalized columns), ``r``'s among them, count as
     ``working_set_products``, and
     the one ``A^T r`` of each round as a dense product; after a solve on

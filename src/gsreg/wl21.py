@@ -19,13 +19,15 @@ multiplier converges to the negated primal solution, so
 :func:`alm_solve` flips its sign on return.
 
 Groups with ``omega_i = 0`` are unpenalized, and :func:`alm_solve`
-eliminates their columns exactly before the ALM runs: one thin QR of
-those columns projects them out of the design and the response, the ALM
-solves the projected problem, whose weights are all positive, and one
-triangular solve recovers them.  Where every group is unpenalized there
-is nothing to project: the solve is the least squares in closed form
-from the Gram (:func:`_least_squares`), whose products with ``A`` are
-not counted.  A problem whose weights are all positive stops on a
+eliminates their columns exactly before the ALM runs: one QR of those
+columns takes them out of the design and the response, the ALM solves
+the problem left, whose weights are all positive, and one triangular
+solve recovers them.  Where that problem is wide, it keeps only the
+n - k rows orthogonal to the k eliminated columns; where it is narrow,
+it keeps all n rows, projected off them (:func:`_eliminated`).  Where
+every group is unpenalized there is nothing to project: the solve is
+the least squares in closed form from the Gram (:func:`_least_squares`),
+whose products with ``A`` are not counted.  A problem whose weights are all positive stops on a
 certified duality gap, the gap-safe dual scaling of Ndiaye, Fercoq,
 Gramfort & Salmon (JMLR 2017) applied to the residual and, on an
 eliminated problem, to the ALM's own dual point.
@@ -885,14 +887,20 @@ def alm_solve(spec: SubproblemSpec, cfg: AlmConfig | None = None,
               warm: DualState | None = None):
     """Inexact ALM on the dual; the primal solution is the negated multiplier.
 
-    Where some groups are unpenalized (``omega_i = 0``), their columns
-    ``F`` are eliminated first: with one thin QR ``A_F = Q R``, the ALM
-    runs on ``A' = A_P - Q (Q^T A_P)`` and ``b' = b - Q (Q^T b)``, whose
-    weights are all positive, and ``x_F = R^{-1} Q^T (b - A_P x_P)``
-    minimizes over ``F`` exactly, so both problems have the same
-    objective at ``x`` (:func:`_eliminated`).  Where every group is
-    unpenalized, and so p < n, the solve is the least squares in closed
-    form, with no outer iteration (:func:`_least_squares`).  A problem
+    Where some groups are unpenalized (``omega_i = 0``), their k columns
+    ``F`` are eliminated first, and the ALM runs on the penalized columns
+    ``P``, whose weights are all positive (:func:`_eliminated`).  Where
+    p > n, one complete QR ``A_F = [Q U] [R; 0]`` reduces the problem to
+    the n - k rows of ``U^T A_P`` and ``U^T b``; where p <= n, the thin QR
+    ``A_F = Q R`` projects it to ``A' = A_P - Q (Q^T A_P)`` and
+    ``b' = b - Q (Q^T b)`` on all n rows.  ``x_F = R^{-1} (Q^T b - Q^T A_P
+    x_P)`` minimizes over ``F`` exactly, so both problems have the same
+    objective at ``x`` but for its scale: a reduced instance divides it
+    by its own n - k rows, so the relative gaps (``cert_gap``) are those
+    of the problem as given and the ``eps_gap`` of ``history`` is on the
+    reduced scale.  Where every group is unpenalized, and so p < n, the
+    solve is the least squares in closed form, with no outer iteration
+    (:func:`_least_squares`).  A problem
     with no unpenalized group, or whose ``F`` holds n columns or more, has
     a rank-deficient ``A_F``, or gives an ``x_F`` outside the box, is
     solved as given.  A narrow problem (p <= n, after the elimination)
@@ -946,22 +954,23 @@ def alm_solve(spec: SubproblemSpec, cfg: AlmConfig | None = None,
 
     A ``warm`` state, the one an earlier solve returned, carries over the
     multiplier x, sigma and xi scaled by :func:`_ball_scale` into this
-    problem's group balls; an eliminated problem first projects xi off
+    problem's group balls; an eliminated problem first takes xi to
+    ``U^T xi`` on its n - k rows, or, where p <= n, projects it off
     ``range(Q)``.  Sigma starts at the largest of the warm sigma, 1 and
     ``||x||_inf / max omega``, capped at ``_SIGMA_MAX``
-    (:func:`_warm_sigma`).  The returned state is on all p coordinates;
-    on ``F`` its multiplier is ``-x_F``.
+    (:func:`_warm_sigma`).  The returned state is on all p coordinates
+    and n rows, a reduced ``xi`` lifted back as ``U xi``; on ``F`` its
+    multiplier is ``-x_F``.
 
     ``stats`` goes down through :func:`abcd_solve` and :func:`sncg_solve`
     to :func:`newton_direction`, and each adds its counts to it.  So
-    ``stats.dense_products`` counts the products with ``A`` (``A'`` on an
-    eliminated problem) and its transpose of the SNCG calls, the exact
-    ``A^T xi`` and the residual ``A x`` of each outer iteration, the
-    ``A^T r`` of each certified gap and, from a warm state, the one of
+    ``stats.dense_products`` counts the products with ``A`` (the reduced
+    design on an eliminated problem) and its transpose of the SNCG calls,
+    the exact ``A^T xi`` and the residual ``A x`` of each outer iteration,
+    the ``A^T r`` of each certified gap and, from a warm state, the one of
     :func:`_ball_scale`, and those of the primal attempt.  The products
-    that compute a Gram, the QR of
-    ``A_F`` and ``Q^T A_P`` are not counted, nor are those of the
-    closed-form least squares.
+    that compute a Gram, the QR of ``A_F``, ``Q^T A_P`` and ``U^T A_P``
+    are not counted, nor are those of the closed-form least squares.
     """
     cfg = cfg or AlmConfig()
     t0 = time.perf_counter()
@@ -977,11 +986,25 @@ def _eliminated(spec: SubproblemSpec, tol: float, warm: DualState | None):
     It applies where ``F`` holds ``0 < k < n`` columns and the ``x_F`` it
     recovers lies in the box.  Where every group is unpenalized that is
     the least squares in closed form (:func:`_least_squares`).  Otherwise
-    it also needs the thin QR ``A_F = Q R`` to be of full rank
+    it also needs the QR ``A_F = Q R`` to be of full rank
     (:func:`_full_rank_qr`).  Only then is every minimizer over ``F``
     unique and feasible, so that the two problems share their optimum.
-    ``Q`` is n x k; no n x n factor is formed.  A solve whose ``x_F``
-    leaves the box is dropped, with its counts, for the solve as given.
+    A solve whose ``x_F`` leaves the box is dropped, with its counts, for
+    the solve as given.
+
+    Where p > n, the problem left is wide, and the ALM solves it: the QR
+    is complete, ``A_F = [Q U] [R; 0]``, and the ALM runs on the ordinary
+    instance ``(U^T A_P, U^T b)`` of n - k rows, with a warm ``xi`` taken
+    to ``U^T xi`` and the ``xi`` it returns lifted to ``U xi``.  Its
+    columns span only n - k dimensions, so on all n rows every Newton
+    system and product would pay for k rows of rounding, along which
+    ``xi`` drifts at a large sigma.  Where p <= n, the problem left is
+    narrow, and the primal Newton of :func:`_alm`, which reads only its
+    Gram, may solve it: there the thin QR, ``Q`` n x k, projects it to
+    ``A' = A_P - Q (Q^T A_P)`` and ``b' = b - Q (Q^T b)`` on all n rows,
+    and a warm ``xi`` is projected off ``range(Q)``; no n x n factor is
+    formed, which at n = 512 would cost more than the solve it prepares.
+    Either way ``x_F = R^{-1} (Q^T b - C x_P)`` with ``C = Q^T A_P``.
     """
     free = spec.omega == 0.0
     cols_F, _, _ = spec.g.segments(free)
@@ -990,23 +1013,32 @@ def _eliminated(spec: SubproblemSpec, tol: float, warm: DualState | None):
         return None
     if k == spec.p:
         return _least_squares(spec, warm)
+    wide = spec.p > spec.n
     # "clip" keeps take from buffering (every index is valid)
-    qr = _full_rank_qr(spec.A.take(cols_F, axis=1, mode="clip"))
+    qr = _full_rank_qr(spec.A.take(cols_F, axis=1, mode="clip"), complete=wide)
     if qr is None:
         return None
     Q, R_F = qr
-    Qtb = Q.T @ spec.b
     cols_P, red = spec.restrict(~free)
     A_P = red.A
-    C = Q.T @ A_P
-    A_P -= Q @ C  # in place: red's design becomes A'
-    red = replace(red, b=spec.b - Q @ Qtb)
-    if warm is not None:
-        warm = replace(warm.restrict(cols_P), xi=warm.xi - Q @ (Q.T @ warm.xi))
+    QtA, Qtb = Q.T @ A_P, Q.T @ spec.b
+    C = QtA[:k]
+    if wide:
+        U = Q[:, k:]  # the complement of range(A_F)
+        red = replace(red, A=QtA[k:], b=Qtb[k:])
+        if warm is not None:
+            warm = replace(warm.restrict(cols_P), xi=U.T @ warm.xi)
+    else:
+        A_P -= Q @ C  # in place: red's design becomes A'
+        red = replace(red, b=spec.b - Q @ Qtb)
+        if warm is not None:
+            warm = replace(warm.restrict(cols_P), xi=warm.xi - Q @ (Q.T @ warm.xi))
     x_P, state, stats = _alm(red, tol, warm, certify=True)
-    x_F = np.linalg.solve(R_F, Qtb - C @ x_P)
+    x_F = np.linalg.solve(R_F, Qtb[:k] - C @ x_P)
     if np.maximum.reduce(np.abs(x_F)) > spec.box.R:
         return None
+    if wide:
+        state.xi = U @ state.xi
     x = np.zeros(spec.p)
     x[cols_P] = x_P
     x[cols_F] = x_F
@@ -1016,17 +1048,19 @@ def _eliminated(spec: SubproblemSpec, tol: float, warm: DualState | None):
     return x, state, stats
 
 
-def _full_rank_qr(A_F: np.ndarray):
+def _full_rank_qr(A_F: np.ndarray, complete: bool = False):
     """The thin QR ``A_F = Q R``, or None where ``A_F`` is rank-deficient.
 
+    ``complete`` returns the n x n ``Q`` of the complete QR instead, whose
+    first k columns are the thin one's; ``R`` is k x k either way.
     Rank-deficient means a diagonal entry of ``R`` at or below ``n * eps``
     times the largest.
     """
-    Q, R = np.linalg.qr(A_F)
+    Q, R = np.linalg.qr(A_F, mode="complete" if complete else "reduced")
     diag = np.abs(R.diagonal())
     if np.minimum.reduce(diag) <= A_F.shape[0] * np.finfo(float).eps * np.maximum.reduce(diag):
         return None
-    return Q, R
+    return Q, R[:A_F.shape[1]]
 
 
 # the refinement step of _least_squares settles when the error it leaves in

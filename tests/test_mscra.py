@@ -246,24 +246,66 @@ class TestRun:
         assert [t.inner_stats.eliminated_columns for t in res.traces] == [0, 8, 40, 0]
         assert not root_calls
 
-    def test_converged_large_signal_path(self):
-        # the path of every stage of a large-signal run that finds the exact
-        # support: outer iterations, Newton steps, backtracks.  Every Newton
-        # system is built from the gathered factor [Z, W] of newton_direction,
-        # in the n x n or the Woodbury form, and its rounding shows in these
-        # counts: the same W = [sqrt(c_i) A_{J_i} y_i] copied into C order
-        # before its BLAS products moves stage 3 to 83 backtracks
+    @staticmethod
+    def _converged_large_signal_run(scale=None):
+        """The I/iii/7000 large-signal run, with ``b`` multiplied entrywise by ``scale``."""
         inst = make_instance(design="I", signal="iii", n=64, p=512, m=64, r_bar=6,
                              alpha=1e5, theta1=0.1, theta2=0.1, seed=7000)
-        res = run(inst.A, inst.b, inst.g, default_box(inst.x_true), MscraConfig())
+        b = inst.b if scale is None else inst.b * scale
+        return inst, run(inst.A, b, inst.g, default_box(inst.x_true), MscraConfig())
+
+    @staticmethod
+    def _path(res):
+        return [(t.inner_stats.outer_iters, t.inner_stats.sncg_iters,
+                 t.inner_stats.sncg_backtracks) for t in res.traces]
+
+    def test_converged_large_signal_path(self):
+        # the path of every stage of a large-signal run that finds the exact
+        # support: outer iterations, Newton steps, backtracks.  Stages 2-4
+        # eliminate 16, 40 and 48 columns and run their ALM on the remaining
+        # 48, 24 and 16 rows, so stage 3's Newton systems are mostly n x n.
+        # The path is stable: a 1-ulp change of b leaves it as it is (see
+        # test_converged_large_signal_path_survives_a_1ulp_change_of_b), and so
+        # does copying W = [sqrt(c_i) A_{J_i} y_i] of newton_direction into C
+        # order before its BLAS products
+        inst, res = self._converged_large_signal_run()
         assert res.stop_reason == "equilibrium" and res.converged
         assert metrics(res.x, inst)["exact_support"]
-        assert [(t.inner_stats.outer_iters, t.inner_stats.sncg_iters,
-                 t.inner_stats.sncg_backtracks) for t in res.traces] == [
-            (3, 13, 14), (7, 23, 23), (5, 41, 78), (1, 1, 0)], _PINNED_ON
+        assert self._path(res) == [(3, 13, 14), (7, 23, 23), (5, 41, 82), (1, 1, 0)], _PINNED_ON
         assert [t.inner_stats.eliminated_columns for t in res.traces] == [0, 16, 40, 48]
         assert [(t.inner_stats.sncg_nn_systems, t.inner_stats.sncg_woodbury_systems)
-                for t in res.traces] == [(11, 1), (22, 1), (0, 41), (0, 0)], _PINNED_ON
+                for t in res.traces] == [(11, 1), (22, 1), (34, 7), (0, 0)], _PINNED_ON
+
+    @pytest.mark.parametrize("seed", [123, 124, 125])
+    def test_converged_large_signal_path_survives_a_1ulp_change_of_b(self, seed):
+        # b * (1 +- 2^-52), the signs drawn from the seed: every stage takes the
+        # same outer iterations, Newton steps and backtracks, stage 3 too, whose
+        # last two Newton solves run at sigma 9.7e5 and 1e6
+        inst, res = self._converged_large_signal_run()
+        signs = np.random.default_rng(seed).choice([-1.0, 1.0], size=inst.b.size)
+        _, moved = self._converged_large_signal_run(1.0 + signs * 2.0**-52)
+        assert self._path(moved) == self._path(res)
+
+    def test_eliminated_solves_return_xi_off_the_range_of_A_F(self, monkeypatch):
+        # each eliminated stage lifts its xi from the n - k rows of U^T A_P, so
+        # A_F^T xi holds only the rounding of the QR, whatever sigma reached
+        solves = []
+        alm_solve = mscra.alm_solve
+
+        def recording(spec, cfg=None, warm=None):
+            out = alm_solve(spec, cfg, warm)
+            solves.append((spec, out[1], out[2]))
+            return out
+
+        monkeypatch.setattr(mscra, "alm_solve", recording)
+        self._converged_large_signal_run()
+        eliminated = [(spec, state) for spec, state, stats in solves
+                      if stats.eliminated_columns and not stats.closed_form]
+        assert len(eliminated) == 3
+        for spec, state in eliminated:
+            A_F = spec.A[:, spec.g.segments(spec.omega == 0.0)[0]]
+            assert (np.linalg.norm(A_F.T @ state.xi)
+                    <= 1e-13 * np.linalg.norm(A_F, 2) * np.linalg.norm(state.xi))
 
     def test_rejects_nonpositive_nu(self):
         g = contiguous_groups(6, 3)

@@ -671,36 +671,46 @@ class TestAlm:
         spec = random_subproblem(14, n=50, p=80, m=16)
         _, warm, _ = alm_solve(spec, AlmConfig(tol=1e-8))
         # smaller weights, as in the next stage of the multi-stage loop, and
-        # one unpenalized group: the warm xi lies outside the new balls
+        # one unpenalized group of 5 columns, which is eliminated: the ALM runs
+        # on the n - 5 rows of U^T A_P, with U^T xi as its warm xi
         omega = 0.1 * spec.omega
         omega[0] = 0.0
         small = SubproblemSpec(A=spec.A, b=spec.b, g=spec.g, omega=omega, box=spec.box)
-        pen = omega > 0
-        assert np.any((group_norms(spec.A.T @ warm.xi, spec.g) > omega)[pen])
         xi_warm = warm.xi.copy()
-        starts = []
-        sncg = wl21.sncg_solve
+        handed, calls = [], []
+        alm, sncg = wl21._alm, wl21.sncg_solve
+
+        def recording_alm(spec, tol, warm, certify=False):
+            handed.append(warm.xi)
+            return alm(spec, tol, warm, certify)
 
         def recording(state, spec, grad_tol, max_iter, stats, xi0=None, At_xi0=None, delta=0.0,
                       tol=0.0, certify=False, unscaled=False):
-            if unscaled and not starts:
-                xi0 = xi_warm  # the first call starts where the warm solve ended
-            starts.append(xi0)
+            if unscaled and not calls:
+                xi0 = handed[-1]  # the first call starts at the warm xi the ALM was handed
+            calls.append((spec, xi0))
             return sncg(state, spec, grad_tol, max_iter, stats, xi0=xi0, At_xi0=At_xi0,
                         delta=delta, tol=tol, certify=certify)
 
+        monkeypatch.setattr(wl21, "_alm", recording_alm)
         monkeypatch.setattr(wl21, "sncg_solve", recording)
         x, _, stats = alm_solve(small, AlmConfig(tol=1e-8), warm=warm)
-        assert stats.converged and np.array_equal(warm.xi, xi_warm)
-        first = group_norms(small.A.T @ starts[0], small.g)
-        assert np.all(first[pen] <= omega[pen] * (1 + 1e-12))
-        assert np.any(np.isclose(first[pen], omega[pen], rtol=1e-12, atol=0))
+        assert stats.converged and stats.eliminated_columns == 5
+        assert np.array_equal(warm.xi, xi_warm)
+        sub, start = calls[0]
+        assert sub.A.shape == (45, 75) and handed[0].shape == (45,) and np.all(sub.omega > 0)
+        # the warm xi lies outside the new balls, and the first call starts
+        # from it scaled into them
+        assert np.any(group_norms(sub.A.T @ handed[0], sub.g) > sub.omega)
+        first = group_norms(sub.A.T @ start, sub.g)
+        assert np.all(first <= sub.omega * (1 + 1e-12))
+        assert np.any(np.isclose(first, sub.omega, rtol=1e-12, atol=0))
 
         # the subproblem is strongly convex in xi: the unscaled start ends at the same x
-        starts.clear()
+        calls.clear()
         monkeypatch.setattr(wl21, "sncg_solve", lambda *a, **k: recording(*a, **k, unscaled=True))
         x_unscaled, _, stats = alm_solve(small, AlmConfig(tol=1e-8), warm=warm)
-        assert stats.converged and np.array_equal(starts[0], xi_warm)
+        assert stats.converged and np.array_equal(calls[0][1], handed[-1])
         assert np.linalg.norm(x - x_unscaled) <= 1e-8 * np.linalg.norm(x_unscaled)
 
     @pytest.mark.parametrize("sigma_max", [1e6, 500.0], ids=["ratio", "capped"])
@@ -800,7 +810,13 @@ class TestElimination:
         assert np.array_equal(state.x[cols_F], -x[cols_F])
         # x_F minimizes over F exactly: A_F^T (Ax - b) = 0 up to rounding
         r = spec.A @ x - spec.b
-        assert np.linalg.norm(spec.A[:, cols_F].T @ r) <= 1e-10 * np.linalg.norm(spec.b)
+        A_F = spec.A[:, cols_F]
+        assert np.linalg.norm(A_F.T @ r) <= 1e-10 * np.linalg.norm(spec.b)
+        # p > n: the ALM ran on the n - k rows orthogonal to range(A_F), so the
+        # xi it returns, lifted to n rows, is orthogonal to A_F up to rounding
+        assert state.xi.shape == (spec.n,)
+        assert (np.linalg.norm(A_F.T @ state.xi)
+                <= 1e-13 * np.linalg.norm(A_F, 2) * np.linalg.norm(state.xi))
 
     def test_warm_start_from_an_eliminated_solve(self):
         # the next stage's weights: another group unpenalized, the others smaller
@@ -852,7 +868,7 @@ class TestElimination:
         spec = SubproblemSpec(A=A, b=b, g=g, omega=np.zeros(6), box=BoxConstraint(1e12))
         qr_calls = []
         qr = np.linalg.qr
-        monkeypatch.setattr(np.linalg, "qr", lambda M: qr_calls.append(1) or qr(M))
+        monkeypatch.setattr(np.linalg, "qr", lambda *a, **k: qr_calls.append(1) or qr(*a, **k))
         x, state, stats = alm_solve(spec, AlmConfig(tol=1e-8))
         assert stats.converged and stats.stop_cause == "converged" and stats.closed_form
         assert stats.outer_iters == 0 and stats.eliminated_columns == p
